@@ -7,11 +7,17 @@ precision Q(theta) is
 
 Two gradient modes are provided. "finite_diff" differentiates the nll
 numerically (cheap under the stationarity constraint: 7 scalars). "trace"
-is the exact adjoint of the assembly: the quadratic term is differentiated
-through the whitened step residuals r_t = A_t x_t - x_{t-1}, and the
-log-determinant term through the per-step Cholesky factors via
-``cholesky_backward``; both land on the same per-cell parameter gradients.
-The trace mode covers alpha=2 (use finite differences for higher powers).
+is the exact adjoint of the assembly. The quadratic term is differentiated
+through the step residuals r_t = A_t x_t - x_{t-1}, computed from the
+stacked data trajectories. The step log-determinant is closed form, the
+GMRF identity (Rue & Held 2005, ch. 2)
+
+    log|S_t^{-1}| = 2 log|det A_t| + sum(log w_t),   w_t = 1/(dt tau_t)^2,
+
+whose adjoint is A_bar = -A_t^{-T} and tau_bar = 1/tau_t, taken from a
+dense inverse of A_t. Both terms land on the same per-cell parameter
+gradients. The trace mode covers alpha=2 (use finite differences for
+higher powers).
 
 Parameter slab 0 never enters the model (transitions run from step 1, and
 the burn-in initial condition uses step 1 too), so its gradients are
@@ -29,14 +35,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-from .errors import DimensionGuard, DivergedFit, UnsupportedAlpha
+from .errors import (DimensionGuard, DivergedFit, SingularTransition,
+                     UnsupportedAlpha)
 from .grid import SpaceTimeGrid, Trajectory
-from .linalg import cholesky_backward, log_det_block, sparse_cholesky
+from .linalg import log_det_block
 from .operators import ParamFields, project_params, slab_neighbors
 from .precision import assemble_block_precision, quadratic_form
-from .state_space import build_transition, initial_condition
+from .state_space import TransitionStep, build_transition, initial_condition
 from .steps import make_step_operator
 
 PARAM_NAMES = ("kappa", "m_u", "m_v", "h11", "h12", "h22", "tau")
@@ -65,6 +71,11 @@ def _as_list(x) -> list[Trajectory]:
     return list(x) if isinstance(x, (list, tuple)) else [x]
 
 
+def _stack_states(xs: list[Trajectory]) -> np.ndarray:
+    """The trajectories as one (nt, m, n) array, trajectory index last."""
+    return np.stack([x.states for x in xs], axis=-1)
+
+
 def nll(x, theta: ParamFields, p0_mode: str = "burnin", sigma0: float = 1.0,
         burn_in: int = 20, q=None) -> float:
     """Mean negative log-likelihood of one or more trajectories."""
@@ -72,9 +83,9 @@ def nll(x, theta: ParamFields, p0_mode: str = "burnin", sigma0: float = 1.0,
     if q is None:
         q = assemble_block_precision(theta, p0_mode=p0_mode, sigma0=sigma0,
                                      burn_in=burn_in)
-    quad = np.mean([quadratic_form(q, xi) for xi in xs])
+    quad = quadratic_form(q, _stack_states(xs)) / len(xs)
     ld = log_det_block(q)
-    return 0.5 * (float(quad) - ld) + 0.5 * q.dim * math.log(2.0 * math.pi)
+    return 0.5 * (quad - ld) + 0.5 * q.dim * math.log(2.0 * math.pi)
 
 
 # --- finite-difference gradient ----------------------------------------------
@@ -177,12 +188,13 @@ def _chain_operator_adjoint(l_bar: np.ndarray, theta: ParamFields, t: int,
 
 class TrajectoryMoments:
     """Second moments E[x_t x_t^T] and E[x_{t-1} x_t^T] driving the
-    quadratic part of the likelihood gradient.
+    quadratic part of the expected-nll gradient.
 
-    From data these are empirical means of outer products; from a
-    posterior they are covariance blocks plus the mean outer products,
-    which is exactly the expectation step of the classical alternating
-    (EM-style) parameter update.
+    From a posterior they are covariance blocks plus the mean outer
+    products, which is exactly the expectation step of the classical
+    alternating (EM-style) parameter update. From data they are empirical
+    means of outer products; the data gradient itself reads the step
+    residuals instead and never forms these m x m blocks.
     """
 
     def __init__(self, diag: list[np.ndarray], cross: list[np.ndarray]):
@@ -216,63 +228,94 @@ class TrajectoryMoments:
         return cls(diag, cross)
 
 
-def _trace_gradient_moments(moments: TrajectoryMoments, theta: ParamFields,
-                            p0_opts: dict) -> ParamGradients:
+def _inverse_transpose(step: TransitionStep) -> np.ndarray:
+    """Dense A_t^{-T}; a singular A_t raises SingularTransition(t)."""
+    try:
+        return np.linalg.inv(step.a_solve.toarray()).T
+    except np.linalg.LinAlgError as exc:
+        raise SingularTransition(step.t, str(exc)) from exc
+
+
+def _step_adjoint(step: TransitionStep, rx: np.ndarray, r_sq: np.ndarray,
+                  theta: ParamFields, grads: dict[str, np.ndarray]) -> None:
+    """Add step t's share of the mean-nll gradient to grads.
+
+    The step contributes 1/2 sum(w r_t^2) - 1/2 log|S_t^{-1}|. rx =
+    E[r_t x_t^T] and r_sq = E[r_t^2] (per row) carry the quadratic term;
+    the log-determinant term is the closed form of the module docstring.
+    """
+    grid = theta.grid
+    dt = grid.dt
+    tau = step.noise_scale
+    w = 1.0 / (dt * tau)**2
+    a_bar = w[:, None] * rx - _inverse_transpose(step)
+    tau_bar = 1.0 / tau - r_sq / (dt**2 * tau**3)
+    grads["tau"][step.t] += tau_bar.reshape(grid.ny, grid.nx)
+    _chain_operator_adjoint(dt * a_bar, theta, step.t, grads)
+
+
+def _trace_gradient_from(theta: ParamFields, p0_opts: dict, quadratic,
+                         second_moment_0, transitions=None, ic=None
+                         ) -> ParamGradients:
+    """Shared driver of the data and the moments gradient paths.
+
+    quadratic(step) returns (rx, r_sq) of _step_adjoint for that step;
+    second_moment_0() returns E[x_0 x_0^T], read only by the burn-in
+    adjoint. transitions and ic may come prebuilt for the same theta.
+    """
     if theta.alpha != 2:
         raise UnsupportedAlpha(
             "trace-mode gradients are implemented for alpha=2; "
             "use finite_diff for higher powers")
     grid = theta.grid
-    dt = grid.dt
-    m = grid.m
-    transitions = build_transition(theta, grid)
-    ic = initial_condition(theta, grid, transitions=transitions, **p0_opts)
+    if transitions is None:
+        transitions = build_transition(theta, grid)
+    if ic is None:
+        ic = initial_condition(theta, grid, transitions=transitions,
+                               **p0_opts)
     grads = {n: np.zeros(grid.shape) for n in PARAM_NAMES}
-
-    for k, step in enumerate(transitions):
-        t = step.t
-        tau = step.noise_scale
-        a = step.a_solve
-        a_dense = a.toarray()
-        w = 1.0 / (dt * tau)**2
-
-        # quadratic term through the whitened residual moments
-        m_tt = moments.diag[t]
-        c_t = moments.cross[t - 1]             # E[x_{t-1} x_t^T]
-        am = a @ m_tt
-        a_bar = w[:, None] * (am - c_t)
-        r_sq = (np.einsum("ij,ij->i", am, a_dense)
-                - 2.0 * np.einsum("ij,ij->i", a_dense, c_t)
-                + np.diag(moments.diag[t - 1]))
-        tau_bar = r_sq * (-1.0 / (dt**2 * tau**3))
-
-        # log-determinant term via the step-noise Cholesky adjoint;
-        # S_t^{-1} = A^T diag(w) A with w = 1/(dt*tau)^2
-        s_inv = (a.T @ (sparse.diags_array(w) @ a)).tocsr()
-        fac = sparse_cholesky(s_inv)
-        l_bar = np.zeros((m, m))
-        np.fill_diagonal(l_bar, -1.0 / fac.diagonal)
-        g = cholesky_backward(fac, l_bar)          # = -S_t / 2
-        a_bar += 2.0 * (w[:, None] * a_dense) @ g
-        w_bar = np.einsum("ij,ij->i", a_dense @ g, a_dense)
-        tau_bar += w_bar * (-2.0 / (dt**2 * tau**3))
-
-        grads["tau"][t] += tau_bar.reshape(grid.ny, grid.nx)
-        _chain_operator_adjoint(dt * a_bar, theta, t, grads)
-
+    for step in transitions:
+        _step_adjoint(step, *quadratic(step), theta, grads)
     # time-zero marginal: white is parameter-free, burn-in backpropagates
     if ic.mode == "burnin":
-        _burnin_adjoint(moments, theta, transitions[0], ic, grads)
+        _burnin_adjoint(second_moment_0(), theta, transitions[0], ic, grads)
     return ParamGradients(grid, grads)
 
 
-def _trace_gradient(xs: list[Trajectory], theta: ParamFields,
-                    p0_opts: dict) -> ParamGradients:
-    return _trace_gradient_moments(TrajectoryMoments.from_trajectories(xs),
-                                   theta, p0_opts)
+def _trace_gradient_moments(moments: TrajectoryMoments, theta: ParamFields,
+                            p0_opts: dict) -> ParamGradients:
+    """Trace gradient from second moments (the expected-nll path)."""
+    def quadratic(step):
+        t = step.t
+        a_dense = step.a_solve.toarray()
+        c_t = moments.cross[t - 1]             # E[x_{t-1} x_t^T]
+        am = step.a_solve @ moments.diag[t]
+        r_sq = (np.einsum("ij,ij->i", am, a_dense)
+                - 2.0 * np.einsum("ij,ij->i", a_dense, c_t)
+                + np.diag(moments.diag[t - 1]))
+        return am - c_t, r_sq
+
+    return _trace_gradient_from(theta, p0_opts, quadratic,
+                                lambda: moments.diag[0])
 
 
-def _burnin_adjoint(moments, theta, step, ic, grads) -> None:
+def _trace_gradient(xs: list[Trajectory], theta: ParamFields, p0_opts: dict,
+                    transitions=None, ic=None) -> ParamGradients:
+    """Trace gradient from data: rank-n step residuals, no m x m moments."""
+    states = _stack_states(xs)                 # (nt, m, n)
+    n = len(xs)
+
+    def quadratic(step):
+        x_t = states[step.t]
+        r = step.a_solve @ x_t - states[step.t - 1]
+        return r @ x_t.T / n, np.einsum("ij,ij->i", r, r) / n
+
+    return _trace_gradient_from(theta, p0_opts, quadratic,
+                                lambda: states[0] @ states[0].T / n,
+                                transitions, ic)
+
+
+def _burnin_adjoint(second_moment_0, theta, step, ic, grads) -> None:
     """Backpropagate the x_0 marginal through the burn-in recursion."""
     grid = theta.grid
     dt = grid.dt
@@ -288,7 +331,7 @@ def _burnin_adjoint(moments, theta, step, ic, grads) -> None:
         covs.append(0.5 * (p_next + p_next.T))
 
     w_mat = ic.prec
-    p_bar = 0.5 * (w_mat - w_mat @ moments.diag[0] @ w_mat)
+    p_bar = 0.5 * (w_mat - w_mat @ second_moment_0 @ w_mat)
 
     m_bar = np.zeros((m, m))
     tau_bar = np.zeros(m)
@@ -316,10 +359,16 @@ def nll_grad(x, theta: ParamFields, mode: str = "finite_diff",
     Returns ParamGradients, or the reduced 7-vector when stationary=True.
     The two modes agree to finite-difference accuracy on small grids.
     """
-    xs = _as_list(x)
     p0_opts = dict(p0_mode=p0_mode, sigma0=sigma0, burn_in=burn_in)
+    return _gradient(_as_list(x), theta, mode, stationary, p0_opts)
+
+
+def _gradient(xs, theta, mode, stationary, p0_opts, transitions=None,
+              ic=None):
+    """nll_grad on a list of trajectories; the trace mode reuses
+    transitions and ic when they were prebuilt for the same theta."""
     if mode == "trace":
-        grads = _trace_gradient(xs, theta, p0_opts)
+        grads = _trace_gradient(xs, theta, p0_opts, transitions, ic)
         return grads.stationary_vector() if stationary else grads
     if mode == "finite_diff":
         if stationary:
@@ -386,12 +435,20 @@ def fit_params(trajectories, theta0: ParamFields, step_kind: str = "adam",
     grid = theta0.grid
     stepper = make_step_operator(step_kind, **(step_params or {"lr": 0.02}))
 
+    def loss_at(theta):
+        # the transitions and x_0 marginal built for the loss at theta are
+        # reused by the gradient at the same theta
+        steps = build_transition(theta, grid)
+        q = assemble_block_precision(theta, grid, transitions=steps,
+                                     **p0_opts)
+        return nll(xs, theta, q=q), (steps, q.prior.ic)
+
     theta = project_params(theta0)
-    best_theta, best_loss = theta, nll(xs, theta, **p0_opts)
+    best_loss, built = loss_at(theta)
+    best_theta = theta
     loss_curve = [best_loss]
     for it in range(max_steps):
-        g = nll_grad(xs, theta, mode=grad_mode, stationary=stationary,
-                     **p0_opts)
+        g = _gradient(xs, theta, grad_mode, stationary, p0_opts, *built)
         if stationary:
             vec = _stationary_values(theta)
             new_vec = stepper.update(vec, g)
@@ -404,7 +461,7 @@ def fit_params(trajectories, theta0: ParamFields, step_kind: str = "adam",
             parts = new_vec.reshape(len(PARAM_NAMES), *grid.shape)
             theta = project_params(theta.replace_fields(
                 **dict(zip(PARAM_NAMES, parts))))
-        loss = nll(xs, theta, **p0_opts)
+        loss, built = loss_at(theta)
         if not math.isfinite(loss):
             raise DivergedFit(f"non-finite loss at step {it}")
         loss_curve.append(loss)

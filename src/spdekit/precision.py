@@ -230,12 +230,13 @@ def posterior_precision(q: BlockPrecision, obs: ObservationSet
 def apply_precision(q: BlockPrecision, v):
     """Block-tridiagonal matvec Q v in O(nnz).
 
-    Accepts a Trajectory (returns a Trajectory) or an (nt, m) / flat array
-    (returns an (nt, m) array).
+    Accepts a Trajectory (returns a Trajectory), an (nt, m) / flat array
+    (returns an (nt, m) array), or an (nt, m, n) stack of n trajectories
+    (returns the stack of their products, in one pass over the blocks).
     """
     as_traj = isinstance(v, Trajectory)
     states = v.states if as_traj else np.asarray(v, dtype=np.float64)
-    states = states.reshape(q.nt, q.m)
+    states = _as_blocks(q, states)
     out = np.empty_like(states)
     for t in range(q.nt):
         acc = q.diag[t] @ states[t]
@@ -248,10 +249,18 @@ def apply_precision(q: BlockPrecision, v):
 
 
 def quadratic_form(q: BlockPrecision, v) -> float:
-    """x^T Q x (non-negative, zero only at zero for PD Q)."""
+    """x^T Q x (non-negative, zero only at zero for PD Q); summed over the
+    trajectories of an (nt, m, n) stack."""
     states = v.states if isinstance(v, Trajectory) else \
-        np.asarray(v, dtype=np.float64).reshape(q.nt, q.m)
+        _as_blocks(q, np.asarray(v, dtype=np.float64))
     return float(np.sum(states * apply_precision(q, states)))
+
+
+def _as_blocks(q: BlockPrecision, states: np.ndarray) -> np.ndarray:
+    """(nt, m) view of one trajectory; an (nt, m, n) stack stays 3-D."""
+    if states.ndim == 3:
+        return states.reshape(q.nt, q.m, states.shape[2])
+    return states.reshape(q.nt, q.m)
 
 
 def dump_coordinate_triplets(q: BlockPrecision, path) -> None:

@@ -111,3 +111,62 @@ def dense_posterior_cov(q, obs) -> np.ndarray:
     add = np.zeros(qd.shape[0])
     add[obs.indices] = 1.0 / obs.noise_var
     return np.linalg.inv(qd + np.diag(add))
+
+
+def cholesky_adjoint_trace_gradient(xs, theta, p0_opts) -> dict:
+    """Trace gradient with the step log-determinant differentiated through
+    the per-step Cholesky factors of S_t^{-1} (``cholesky_backward``) and
+    the quadratic term through dense m x m trajectory moments.
+
+    This is the algorithm the library used before the closed-form step
+    log-determinant; it shares only the operator scatter and the burn-in
+    adjoint with the library's trace gradient.
+    """
+    from scipy import sparse
+
+    from spdekit.estimation import (PARAM_NAMES, _burnin_adjoint,
+                                    _chain_operator_adjoint)
+    from spdekit.linalg import cholesky_backward, sparse_cholesky
+    from spdekit.state_space import build_transition, initial_condition
+
+    grid = theta.grid
+    dt, m = grid.dt, grid.m
+    states = np.stack([x.states for x in xs])          # (n, nt, m)
+    n = states.shape[0]
+    diag = np.einsum("kti,ktj->tij", states, states) / n
+    cross = np.einsum("kti,ktj->tij", states[:, :-1], states[:, 1:]) / n
+    transitions = build_transition(theta, grid)
+    ic = initial_condition(theta, grid, transitions=transitions, **p0_opts)
+    grads = {name: np.zeros(grid.shape) for name in PARAM_NAMES}
+    for step in transitions:
+        t = step.t
+        tau = step.noise_scale
+        a = step.a_solve
+        a_dense = a.toarray()
+        w = 1.0 / (dt * tau)**2
+
+        # quadratic term through the residual moments
+        c_t = cross[t - 1]                      # E[x_{t-1} x_t^T]
+        am = a @ diag[t]
+        a_bar = w[:, None] * (am - c_t)
+        r_sq = (np.einsum("ij,ij->i", am, a_dense)
+                - 2.0 * np.einsum("ij,ij->i", a_dense, c_t)
+                + np.diag(diag[t - 1]))
+        tau_bar = r_sq * (-1.0 / (dt**2 * tau**3))
+
+        # log-determinant term: S_t^{-1} = A^T diag(w) A, factored, and
+        # d(-1/2 log|S^{-1}|)/dL = -diag(1/L_ii) pulled back through it
+        s_inv = (a.T @ (sparse.diags_array(w) @ a)).tocsr()
+        fac = sparse_cholesky(s_inv)
+        l_bar = np.zeros((m, m))
+        np.fill_diagonal(l_bar, -1.0 / fac.diagonal)
+        g = cholesky_backward(fac, l_bar)       # = -S_t / 2
+        a_bar += 2.0 * (w[:, None] * a_dense) @ g
+        w_bar = np.einsum("ij,ij->i", a_dense @ g, a_dense)
+        tau_bar += w_bar * (-2.0 / (dt**2 * tau**3))
+
+        grads["tau"][t] += tau_bar.reshape(grid.ny, grid.nx)
+        _chain_operator_adjoint(dt * a_bar, theta, t, grads)
+    if ic.mode == "burnin":
+        _burnin_adjoint(diag[0], theta, transitions[0], ic, grads)
+    return grads

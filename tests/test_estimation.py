@@ -8,10 +8,11 @@ from scipy.stats import multivariate_normal
 from spdekit import (BlockPrecision, ParamFields, SpaceTimeGrid, Trajectory,
                      dense_trajectory_covariance, fit_params, nll, nll_grad,
                      sample_prior, validate_params)
-from spdekit.errors import UnsupportedAlpha
+from spdekit.errors import SingularTransition, UnsupportedAlpha
 from spdekit.estimation import PARAM_NAMES
+from spdekit.state_space import transition_from_drift
 
-from oracles import random_theta
+from oracles import cholesky_adjoint_trace_gradient, random_theta
 
 
 def test_nll_identity_precision_at_zero():
@@ -63,6 +64,39 @@ def test_trace_gradient_matches_finite_differences(p0_mode):
         a, b = gt.fields[name], gf.fields[name]
         scale = max(np.max(np.abs(b)), 1.0)
         assert np.max(np.abs(a - b)) < 1e-4 * scale, name
+
+
+@pytest.mark.parametrize("p0_mode", ["burnin", "white"])
+@pytest.mark.parametrize("nx, ny", [(3, 3), (5, 4), (8, 8)])
+def test_trace_gradient_matches_cholesky_adjoint_oracle(p0_mode, nx, ny):
+    g = SpaceTimeGrid(nx=nx, ny=ny, nt=4)
+    theta = random_theta(g, 17)
+    xs = sample_prior(theta, g, n_members=3, base_seed=14,
+                      p0_mode=p0_mode).members
+    p0_opts = dict(p0_mode=p0_mode, sigma0=1.0, burn_in=5)
+    ours = nll_grad(xs, theta, mode="trace", **p0_opts)
+    oracle = cholesky_adjoint_trace_gradient(xs, theta, p0_opts)
+    for name in PARAM_NAMES:
+        a, b = ours.fields[name], oracle[name]
+        assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b)), name
+        assert np.array_equal(a == 0.0, b == 0.0), name
+
+
+def test_singular_transition_in_trace_gradient_is_typed():
+    # A = I - dt*F vanishes for F = I/dt: the dense inverse must fail typed
+    from spdekit.estimation import _trace_gradient
+    g = SpaceTimeGrid(nx=3, ny=3, nt=2)
+    theta = random_theta(g, 18)
+    xs = sample_prior(theta, g, n_members=2, base_seed=15,
+                      p0_mode="white").members
+    singular = transition_from_drift(sparse.identity(g.m, format="csr"),
+                                     dt=1.0, t=1,
+                                     noise_scale=np.ones(g.m))
+    with pytest.raises(SingularTransition) as info:
+        _trace_gradient(xs, theta,
+                        dict(p0_mode="white", sigma0=1.0, burn_in=5),
+                        transitions=[singular])
+    assert info.value.t == 1
 
 
 def test_stationary_gradient_is_cell_sum():

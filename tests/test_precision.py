@@ -114,6 +114,13 @@ def test_apply_precision_zero_and_dense_match():
     v = rng.standard_normal((g.nt, g.m))
     dense = q.to_csr().toarray() @ v.reshape(-1)
     assert np.max(np.abs(apply_precision(q, v).reshape(-1) - dense)) < 1e-12
+    # an (nt, m, n) stack is n trajectories in one pass
+    stack = rng.standard_normal((g.nt, g.m, 3))
+    dense = q.to_csr().toarray() @ stack.reshape(g.dim, 3)
+    assert np.max(np.abs(apply_precision(q, stack).reshape(g.dim, 3)
+                         - dense)) < 1e-12
+    each = sum(quadratic_form(q, stack[:, :, k]) for k in range(3))
+    assert quadratic_form(q, stack) == pytest.approx(each, rel=1e-12)
 
 
 def test_apply_precision_symmetry_pairs():
