@@ -36,8 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionGuard, DivergedFit, SingularTransition,
-                     UnsupportedAlpha)
+from .errors import DimensionGuard, DivergedFit, UnsupportedAlpha
 from .grid import SpaceTimeGrid, Trajectory
 from .linalg import log_det_block
 from .operators import ParamFields, project_params, slab_neighbors
@@ -228,14 +227,6 @@ class TrajectoryMoments:
         return cls(diag, cross)
 
 
-def _inverse_transpose(step: TransitionStep) -> np.ndarray:
-    """Dense A_t^{-T}; a singular A_t raises SingularTransition(t)."""
-    try:
-        return np.linalg.inv(step.a_solve.toarray()).T
-    except np.linalg.LinAlgError as exc:
-        raise SingularTransition(step.t, str(exc)) from exc
-
-
 def _step_adjoint(step: TransitionStep, rx: np.ndarray, r_sq: np.ndarray,
                   theta: ParamFields, grads: dict[str, np.ndarray]) -> None:
     """Add step t's share of the mean-nll gradient to grads.
@@ -248,7 +239,7 @@ def _step_adjoint(step: TransitionStep, rx: np.ndarray, r_sq: np.ndarray,
     dt = grid.dt
     tau = step.noise_scale
     w = 1.0 / (dt * tau)**2
-    a_bar = w[:, None] * rx - _inverse_transpose(step)
+    a_bar = w[:, None] * rx - step.dense_inverse().T
     tau_bar = 1.0 / tau - r_sq / (dt**2 * tau**3)
     grads["tau"][step.t] += tau_bar.reshape(grid.ny, grid.nx)
     _chain_operator_adjoint(dt * a_bar, theta, step.t, grads)
@@ -316,37 +307,40 @@ def _trace_gradient(xs: list[Trajectory], theta: ParamFields, p0_opts: dict,
 
 
 def _burnin_adjoint(second_moment_0, theta, step, ic, grads) -> None:
-    """Backpropagate the x_0 marginal through the burn-in recursion."""
+    """Backpropagate the x_0 marginal through the burn-in recursion.
+
+    The forward recursion P_k = (M X_k) M^T, X_k = P_{k-1} + diag(d), of
+    initial_condition is recomputed with the dense propagator M = A_1^{-1},
+    keeping the products M X_k. Walking back from P_bar = d(nll)/dP_B, each
+    step adds 2 P_bar M X_k to M_bar and passes X_bar = M^T P_bar M on,
+    whose diagonal feeds tau_1; finally A_bar = -M^T M_bar M^T.
+    """
     grid = theta.grid
     dt = grid.dt
     m = grid.m
     tau1 = step.noise_scale
     noise_var = (dt * tau1)**2
+    prop = step.dense_inverse()
 
-    covs = [np.eye(m)]
+    cov = np.eye(m)
+    mxs = []
     for _ in range(ic.burn_in):
-        x_mat = covs[-1] + np.diag(noise_var)
-        y = step.propagate(x_mat)
-        p_next = step.propagate(y.T).T
-        covs.append(0.5 * (p_next + p_next.T))
+        mxs.append(prop @ (cov + np.diag(noise_var)))
+        cov = mxs[-1] @ prop.T
+        cov = 0.5 * (cov + cov.T)
 
     w_mat = ic.prec
     p_bar = 0.5 * (w_mat - w_mat @ second_moment_0 @ w_mat)
 
     m_bar = np.zeros((m, m))
     tau_bar = np.zeros(m)
-    for k in range(ic.burn_in, 0, -1):
-        x_mat = covs[k - 1] + np.diag(noise_var)
-        mx = step.propagate(x_mat)
+    for mx in reversed(mxs):
         m_bar += 2.0 * p_bar @ mx
-        half = step.propagate_transpose(p_bar)     # M^T pbar
-        x_bar = step.propagate_transpose(half.T).T  # M^T pbar M
+        x_bar = prop.T @ p_bar @ prop
         tau_bar += np.diag(x_bar) * 2.0 * dt**2 * tau1
         p_bar = 0.5 * (x_bar + x_bar.T)
 
-    # A_bar = -M^T m_bar M^T for M = A^{-1}
-    y_mat = step.propagate(m_bar.T).T              # m_bar M^T
-    a_bar = -step.propagate_transpose(y_mat)
+    a_bar = -prop.T @ m_bar @ prop.T
     grads["tau"][step.t] += tau_bar.reshape(grid.ny, grid.nx)
     _chain_operator_adjoint(dt * a_bar, theta, step.t, grads)
 

@@ -40,10 +40,12 @@ _TAU_FLOOR = 1e-8
 
 @dataclass
 class PriorStructure:
-    """Generator-side ingredients kept for the blockwise log-determinant."""
+    """Generator-side ingredients the precision was assembled from, kept
+    for the blockwise log-determinant and for gradients at the same theta."""
 
     s_inv: list[sparse.csr_array]
     ic: InitialCondition
+    transitions: list[TransitionStep]
 
 
 @dataclass
@@ -199,7 +201,8 @@ def assemble_block_precision(theta: ParamFields,
     diag.append(s_inv[nt - 2])
     upper = couplings
     return BlockPrecision(grid=grid, diag=diag, upper=upper,
-                          prior=PriorStructure(s_inv=s_inv, ic=ic))
+                          prior=PriorStructure(s_inv=s_inv, ic=ic,
+                                               transitions=list(transitions)))
 
 
 def posterior_precision(q: BlockPrecision, obs: ObservationSet

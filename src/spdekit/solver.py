@@ -22,12 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergedStep
-from .estimation import PARAM_NAMES, expected_nll_grad, nll, nll_grad
+from .estimation import PARAM_NAMES, _gradient, expected_nll_grad, nll
 from .grid import Trajectory
 from .oi import variational_cost, variational_grad
 from .operators import ParamFields, project_params
 from .precision import BlockPrecision, assemble_block_precision
-from .state_space import build_transition, initial_condition, transition_from_drift
+from .state_space import build_transition_step, initial_condition
 from .steps import make_step_operator
 
 
@@ -79,51 +79,43 @@ class AugmentedState:
 
 
 class PrecisionCache:
-    """Rebuilds only the per-step pieces whose parameter slab changed."""
+    """Rebuilds only the per-step pieces whose parameter slab changed.
+
+    The cached precision carries the transitions and x_0 marginal it was
+    assembled from (``BlockPrecision.prior``), so a gradient taken at the
+    same theta reads them instead of rebuilding.
+    """
 
     def __init__(self, cfg: SolverConfig):
         self.cfg = cfg
         self._keys: list[bytes] | None = None
-        self._steps = None
-        self._ic = None
-        self._q = None
+        self._q: BlockPrecision | None = None
         self.total_rebuilds = 0
 
     def get(self, theta: ParamFields) -> BlockPrecision:
         grid = theta.grid
         keys = [theta.slab_key(t) for t in range(grid.nt)]
-        if self._keys is None:
-            self._steps = build_transition(theta, grid)
-            changed_first = True
-            rebuilt = grid.nt - 1
-        else:
-            rebuilt = 0
-            for t in range(1, grid.nt):
-                if keys[t] != self._keys[t]:
-                    self._steps[t - 1] = build_transition_slab(theta, t)
-                    rebuilt += 1
-            changed_first = keys[1] != self._keys[1]
-        self.total_rebuilds += rebuilt
-        if self._ic is None or (changed_first and self.cfg.p0_mode == "burnin"):
-            self._ic = initial_condition(theta, grid,
-                                         transitions=self._steps,
-                                         **self.cfg.p0_opts())
-        if rebuilt or self._q is None:
+        if self._q is None:
             self._q = assemble_block_precision(theta, grid,
-                                               transitions=self._steps,
-                                               ic=self._ic)
+                                               **self.cfg.p0_opts())
+            self.total_rebuilds += grid.nt - 1
+        else:
+            changed = [t for t in range(1, grid.nt)
+                       if keys[t] != self._keys[t]]
+            if changed:
+                prior = self._q.prior
+                steps = list(prior.transitions)
+                for t in changed:
+                    steps[t - 1] = build_transition_step(theta, t, grid)
+                ic = prior.ic
+                if 1 in changed and self.cfg.p0_mode == "burnin":
+                    ic = initial_condition(theta, grid, transitions=steps,
+                                           **self.cfg.p0_opts())
+                self._q = assemble_block_precision(theta, grid,
+                                                   transitions=steps, ic=ic)
+            self.total_rebuilds += len(changed)
         self._keys = keys
         return self._q
-
-
-def build_transition_slab(theta: ParamFields, t: int):
-    """One transition step rebuilt in isolation (lazy-reassembly path)."""
-    from .operators import apply_fractional, assemble_fdm_operator
-    grid = theta.grid
-    core = assemble_fdm_operator(theta, t, grid)
-    power = apply_fractional(core, theta.alpha).to_sparse()
-    return transition_from_drift(-power, grid.dt, t=t,
-                                 noise_scale=theta.tau.values[t].ravel())
 
 
 @dataclass
@@ -142,16 +134,20 @@ class SolverRuntime:
                    cache=PrecisionCache(cfg))
 
 
-def _theta_nll_gradient(x, obs, theta, cfg, stationary):
+def _theta_nll_gradient(x, obs, theta, cfg, runtime, stationary):
+    """nll gradient at theta; the trace mode reads the transitions and x_0
+    marginal of the cached precision for this same theta."""
     if cfg.theta_expected:
         return expected_nll_grad(x, obs, theta, stationary=stationary,
                                  **cfg.p0_opts())
-    return nll_grad(x, theta, mode=cfg.theta_grad_mode,
-                    stationary=stationary, **cfg.p0_opts())
+    prior = runtime.cache.get(theta).prior
+    return _gradient([x], theta, cfg.theta_grad_mode, stationary,
+                     cfg.p0_opts(), prior.transitions, prior.ic)
 
 
-def _theta_gradient_vector(x, obs, theta, cfg) -> np.ndarray:
-    grads = _theta_nll_gradient(x, obs, theta, cfg, stationary=False)
+def _theta_gradient_vector(x, obs, theta, cfg, runtime) -> np.ndarray:
+    grads = _theta_nll_gradient(x, obs, theta, cfg, runtime,
+                                stationary=False)
     parts = []
     for name in PARAM_NAMES:
         g = grads.fields[name]
@@ -163,7 +159,8 @@ def _theta_gradient_vector(x, obs, theta, cfg) -> np.ndarray:
 def _update_theta(x, obs, theta, cfg, runtime) -> ParamFields:
     if cfg.theta_stationary:
         from .estimation import _stationary_values, _theta_from_stationary
-        g = _theta_nll_gradient(x, obs, theta, cfg, stationary=True)
+        g = _theta_nll_gradient(x, obs, theta, cfg, runtime,
+                                stationary=True)
         select = np.array([1.0 if n in cfg.theta_params else 0.0
                            for n in PARAM_NAMES])
         if not np.all(np.isfinite(g)):
@@ -174,7 +171,7 @@ def _update_theta(x, obs, theta, cfg, runtime) -> ParamFields:
             raise DivergedStep(runtime.iteration, "non-finite theta update")
         return project_params(_theta_from_stationary(
             theta.grid, new_vec, theta.alpha))
-    g = _theta_gradient_vector(x, obs, theta, cfg)
+    g = _theta_gradient_vector(x, obs, theta, cfg, runtime)
     if not np.all(np.isfinite(g)):
         raise DivergedStep(runtime.iteration, "non-finite theta gradient")
     vec = np.concatenate([theta.field_arrays()[n].ravel()

@@ -59,9 +59,15 @@ class TransitionStep:
         """Apply M_t = A_t^{-1} (2-D inputs solved columnwise)."""
         return self.lu.solve(np.ascontiguousarray(v))
 
-    def propagate_transpose(self, v: np.ndarray) -> np.ndarray:
-        """Apply M_t^T = A_t^{-T}."""
-        return self.lu.solve(np.ascontiguousarray(v), trans="T")
+    def dense_inverse(self) -> np.ndarray:
+        """The dense propagator M_t = A_t^{-1}, computed afresh per call.
+
+        A singular A_t raises SingularTransition(t).
+        """
+        try:
+            return np.linalg.inv(self.a_solve.toarray())
+        except np.linalg.LinAlgError as exc:
+            raise SingularTransition(self.t, str(exc)) from exc
 
 
 def transition_from_drift(f_drift, dt: float, t: int = 0,
@@ -76,18 +82,21 @@ def transition_from_drift(f_drift, dt: float, t: int = 0,
     return TransitionStep(t=t, a_solve=a, noise_scale=scale)
 
 
+def build_transition_step(theta: ParamFields, t: int,
+                          grid: SpaceTimeGrid | None = None) -> TransitionStep:
+    """The TransitionStep of slab t, with F_t = -L_t^{alpha/2}."""
+    grid = grid or theta.grid
+    core = assemble_fdm_operator(theta, t, grid)
+    power = apply_fractional(core, theta.alpha).to_sparse()
+    return transition_from_drift(-power, grid.dt, t=t,
+                                 noise_scale=theta.tau.values[t].ravel())
+
+
 def build_transition(theta: ParamFields,
                      grid: SpaceTimeGrid | None = None) -> list[TransitionStep]:
-    """One TransitionStep per t = 1..nt-1, with F_t = -L_t^{alpha/2}."""
+    """One TransitionStep per t = 1..nt-1."""
     grid = grid or theta.grid
-    steps = []
-    for t in range(1, grid.nt):
-        core = assemble_fdm_operator(theta, t, grid)
-        power = apply_fractional(core, theta.alpha).to_sparse()
-        drift = -power
-        steps.append(transition_from_drift(
-            drift, grid.dt, t=t, noise_scale=theta.tau.values[t].ravel()))
-    return steps
+    return [build_transition_step(theta, t, grid) for t in range(1, grid.nt)]
 
 
 @dataclass
@@ -118,11 +127,6 @@ class InitialCondition:
     logdet_prec: float = 0.0
     m: int = 0
 
-    def prec_matvec(self, v: np.ndarray) -> np.ndarray:
-        if self.mode == "white":
-            return v / self.sigma0**2
-        return self.prec @ v
-
     def prec_sparse(self) -> sparse.csr_array:
         if self.mode == "white":
             return sparse.identity(self.m, format="csr") / self.sigma0**2
@@ -138,9 +142,14 @@ def initial_condition(theta: ParamFields, grid: SpaceTimeGrid | None = None,
 
     "white" is N(0, sigma0^2 I). "burnin" approximates the stationary
     distribution of the first transition step by propagating unit white
-    noise covariance through `burn_in` implicit steps; its dense inverse
-    becomes the first precision block, so sampler and precision stay
-    consistent by construction.
+    noise covariance through `burn_in` implicit steps,
+
+        P_k = M (P_{k-1} + dt^2 diag(tau_1^2)) M^T,    P_0 = I,
+
+    with the dense propagator M = A_1^{-1}, so each step is two dense
+    matrix products. Its dense inverse becomes the first precision block,
+    so sampler and precision stay consistent by construction. A singular
+    A_1 raises SingularTransition(1).
     """
     grid = grid or theta.grid
     m = grid.m
@@ -157,12 +166,11 @@ def initial_condition(theta: ParamFields, grid: SpaceTimeGrid | None = None,
     if transitions is None:
         transitions = build_transition(theta, grid)
     step = transitions[0]
+    prop = step.dense_inverse()
     noise_var = (grid.dt * step.noise_scale)**2
     cov = np.eye(m)
     for _ in range(burn_in):
-        x = cov + np.diag(noise_var)
-        y = step.propagate(x)
-        cov = step.propagate(y.T).T
+        cov = prop @ (cov + np.diag(noise_var)) @ prop.T
         cov = 0.5 * (cov + cov.T)
     import scipy.linalg as la
     cho = la.cho_factor(cov, lower=True)

@@ -119,15 +119,15 @@ def cholesky_adjoint_trace_gradient(xs, theta, p0_opts) -> dict:
     the quadratic term through dense m x m trajectory moments.
 
     This is the algorithm the library used before the closed-form step
-    log-determinant; it shares only the operator scatter and the burn-in
-    adjoint with the library's trace gradient.
+    log-determinant; the x_0 marginal and its adjoint come from the SuperLU
+    burn-in oracles below. It shares only the operator scatter with the
+    library's trace gradient.
     """
     from scipy import sparse
 
-    from spdekit.estimation import (PARAM_NAMES, _burnin_adjoint,
-                                    _chain_operator_adjoint)
+    from spdekit.estimation import PARAM_NAMES, _chain_operator_adjoint
     from spdekit.linalg import cholesky_backward, sparse_cholesky
-    from spdekit.state_space import build_transition, initial_condition
+    from spdekit.state_space import build_transition
 
     grid = theta.grid
     dt, m = grid.dt, grid.m
@@ -136,7 +136,6 @@ def cholesky_adjoint_trace_gradient(xs, theta, p0_opts) -> dict:
     diag = np.einsum("kti,ktj->tij", states, states) / n
     cross = np.einsum("kti,ktj->tij", states[:, :-1], states[:, 1:]) / n
     transitions = build_transition(theta, grid)
-    ic = initial_condition(theta, grid, transitions=transitions, **p0_opts)
     grads = {name: np.zeros(grid.shape) for name in PARAM_NAMES}
     for step in transitions:
         t = step.t
@@ -167,6 +166,63 @@ def cholesky_adjoint_trace_gradient(xs, theta, p0_opts) -> dict:
 
         grads["tau"][t] += tau_bar.reshape(grid.ny, grid.nx)
         _chain_operator_adjoint(dt * a_bar, theta, t, grads)
-    if ic.mode == "burnin":
-        _burnin_adjoint(diag[0], theta, transitions[0], ic, grads)
+    if p0_opts["p0_mode"] == "burnin":
+        burnin_adjoint_oracle(diag[0], theta, transitions[0],
+                              p0_opts["burn_in"], grads)
     return grads
+
+
+def _burnin_covariances(step, dt, burn_in) -> list:
+    """P_0 = I, ..., P_B of the burn-in recursion, each step two SuperLU
+    solves with m right-hand sides: P_k = M (P_{k-1} + diag(d)) M^T."""
+    m = step.a_solve.shape[0]
+    noise_var = (dt * step.noise_scale)**2
+    covs = [np.eye(m)]
+    for _ in range(burn_in):
+        y = step.propagate(covs[-1] + np.diag(noise_var))
+        p_next = step.propagate(y.T).T
+        covs.append(0.5 * (p_next + p_next.T))
+    return covs
+
+
+def burnin_marginal_oracle(theta, burn_in) -> tuple:
+    """(cov, prec, logdet_prec) of the burn-in x_0 marginal, from the
+    SuperLU recursion, a dense inverse and slogdet."""
+    from spdekit.state_space import build_transition
+
+    step = build_transition(theta, theta.grid)[0]
+    cov = _burnin_covariances(step, theta.grid.dt, burn_in)[-1]
+    prec = np.linalg.inv(cov)
+    sign, logdet = np.linalg.slogdet(cov)
+    assert sign > 0
+    return cov, 0.5 * (prec + prec.T), -logdet
+
+
+def burnin_adjoint_oracle(second_moment_0, theta, step, burn_in,
+                          grads) -> None:
+    """Adds the burn-in marginal's share of the mean-nll gradient to grads,
+    applying M = A_1^{-1} and M^T only through SuperLU solves."""
+    from spdekit.estimation import _chain_operator_adjoint
+
+    grid = theta.grid
+    dt = grid.dt
+    tau1 = step.noise_scale
+    noise_var = (dt * tau1)**2
+
+    def solve_t(v):                                   # M^T v
+        return step.lu.solve(np.ascontiguousarray(v), trans="T")
+
+    covs = _burnin_covariances(step, dt, burn_in)
+    w_mat = np.linalg.inv(covs[-1])
+    p_bar = 0.5 * (w_mat - w_mat @ second_moment_0 @ w_mat)
+    m_bar = np.zeros((grid.m, grid.m))
+    tau_bar = np.zeros(grid.m)
+    for k in range(burn_in, 0, -1):
+        mx = step.propagate(covs[k - 1] + np.diag(noise_var))
+        m_bar += 2.0 * p_bar @ mx
+        x_bar = solve_t(solve_t(p_bar).T).T           # M^T pbar M
+        tau_bar += np.diag(x_bar) * 2.0 * dt**2 * tau1
+        p_bar = 0.5 * (x_bar + x_bar.T)
+    a_bar = -solve_t(step.propagate(m_bar.T).T)       # -M^T m_bar M^T
+    grads["tau"][step.t] += tau_bar.reshape(grid.ny, grid.nx)
+    _chain_operator_adjoint(dt * a_bar, theta, step.t, grads)

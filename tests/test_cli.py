@@ -1,11 +1,14 @@
 """End-to-end command-line runs in temporary directories."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spdekit
 from spdekit import read_array, read_field
 from spdekit.cli import main
 
@@ -178,10 +181,14 @@ def test_numerical_failure_exits_3(workdir, capsys):
 
 def test_module_entry_point(workdir):
     out = workdir / "out_mod"
+    # the child imports the same spdekit as the tests, installed or not
+    src = str(Path(spdekit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "spdekit", "simulate",
          "--config", str(workdir / "experiment.cfg"),
          "--out-dir", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert (out / "manifest.txt").is_file()

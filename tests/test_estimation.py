@@ -99,6 +99,22 @@ def test_singular_transition_in_trace_gradient_is_typed():
     assert info.value.t == 1
 
 
+def test_singular_first_transition_with_burnin_start_is_typed():
+    # the burn-in marginal inverts A_1 densely: LAPACK's failure is typed
+    from spdekit.estimation import _trace_gradient
+    g = SpaceTimeGrid(nx=3, ny=3, nt=2)
+    theta = random_theta(g, 18)
+    xs = sample_prior(theta, g, n_members=2, base_seed=15).members
+    singular = transition_from_drift(sparse.identity(g.m, format="csr"),
+                                     dt=1.0, t=1,
+                                     noise_scale=np.ones(g.m))
+    with pytest.raises(SingularTransition) as info:
+        _trace_gradient(xs, theta,
+                        dict(p0_mode="burnin", sigma0=1.0, burn_in=5),
+                        transitions=[singular])
+    assert info.value.t == 1
+
+
 def test_stationary_gradient_is_cell_sum():
     g = SpaceTimeGrid(nx=3, ny=3, nt=3)
     theta = random_theta(g, 12)

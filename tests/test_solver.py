@@ -5,9 +5,10 @@ import pytest
 
 from spdekit import (AugmentedState, ObservationSet, ParamFields,
                      SolverConfig, SpaceTimeGrid, Trajectory,
-                     assemble_block_precision, oi_solve_precision,
+                     assemble_block_precision, nll_grad, oi_solve_precision,
                      run_solver, sample_prior, solver_step, training_loss)
 from spdekit.errors import DivergedStep
+from spdekit.estimation import PARAM_NAMES
 from spdekit.steps import PlainStep
 
 from oracles import random_theta
@@ -112,6 +113,40 @@ def test_lazy_reassembly_counts():
     # theta frozen: the transition blocks are built once, never again
     assert rebuilds[0] == g.nt - 1
     assert all(r == 0 for r in rebuilds[1:])
+
+
+@pytest.mark.parametrize("stationary", [False, True])
+@pytest.mark.parametrize("p0_mode", ["burnin", "white"])
+def test_cached_theta_gradient_matches_fresh_gradient(p0_mode, stationary):
+    # the joint-solve gradient reads the transitions and x_0 marginal of the
+    # cached precision; after each theta update they must be those of the
+    # new theta, bit for bit
+    from spdekit.solver import SolverRuntime, _theta_nll_gradient
+    g = SpaceTimeGrid(nx=4, ny=4, nt=4)
+    theta = random_theta(g, 21)
+    x = sample_prior(theta, g, n_members=1, base_seed=16,
+                     p0_mode=p0_mode).members[0]
+    cfg = SolverConfig(update_mode="alternating", theta_stationary=stationary,
+                       p0_mode=p0_mode, burn_in=5)
+    runtime = SolverRuntime.fresh(cfg)
+    runtime.cache.get(theta)
+    kappa = theta.kappa.values.copy()
+    kappa[1] *= 1.1                      # slab 1: A_1 and the burn-in x_0
+    first = theta.replace_fields(kappa=kappa)
+    tau = first.tau.values.copy()
+    tau[3] *= 0.9                        # a later slab only
+    later = first.replace_fields(tau=tau)
+    for k, th in enumerate((first, later), start=1):
+        ours = _theta_nll_gradient(x, None, th, cfg, runtime, stationary)
+        fresh = nll_grad(x, th, mode="trace", stationary=stationary,
+                         **cfg.p0_opts())
+        if stationary:
+            assert np.array_equal(ours, fresh)
+        else:
+            for name in PARAM_NAMES:
+                assert np.array_equal(ours.fields[name], fresh.fields[name])
+        # one slab rebuilt per update: the cache was updated, not replaced
+        assert runtime.cache.total_rebuilds == g.nt - 1 + k
 
 
 def test_joint_mode_improves_parameters():

@@ -7,7 +7,7 @@ from spdekit import (ParamFields, SpaceTimeGrid, build_transition,
                      dense_trajectory_covariance, initial_condition,
                      propagate, sample_prior, transition_from_drift)
 
-from oracles import random_theta
+from oracles import burnin_marginal_oracle, random_theta
 
 
 def test_zero_drift_is_identity():
@@ -134,3 +134,28 @@ def test_burnin_initial_condition_consistency():
     sign, logdet = np.linalg.slogdet(ic.prec)
     assert sign > 0
     assert ic.logdet_prec == pytest.approx(logdet, abs=1e-8)
+
+
+@pytest.mark.parametrize("burn_in", [1, 5, 20])
+@pytest.mark.parametrize("nx, ny", [(3, 3), (5, 4), (8, 8)])
+def test_burnin_marginal_matches_superlu_oracle(nx, ny, burn_in):
+    g = SpaceTimeGrid(nx=nx, ny=ny, nt=3)
+    theta = random_theta(g, 19, advect=True)
+    ic = initial_condition(theta, g, p0_mode="burnin", burn_in=burn_in)
+    cov, prec, logdet_prec = burnin_marginal_oracle(theta, burn_in)
+    assert np.max(np.abs(ic.cov - cov)) <= 1e-12 * np.max(np.abs(cov))
+    assert np.max(np.abs(ic.prec - prec)) <= 1e-12 * np.max(np.abs(prec))
+    assert abs(ic.logdet_prec - logdet_prec) <= 1e-12 * abs(logdet_prec)
+
+
+def test_singular_first_transition_in_burnin_is_typed():
+    from spdekit.errors import SingularTransition
+    g = SpaceTimeGrid(nx=3, ny=3, nt=2)
+    theta = random_theta(g, 20)
+    # drift I/dt makes A_1 exactly zero
+    singular = transition_from_drift(np.eye(g.m) / g.dt, dt=g.dt, t=1,
+                                     noise_scale=np.ones(g.m))
+    with pytest.raises(SingularTransition) as info:
+        initial_condition(theta, g, p0_mode="burnin", burn_in=5,
+                          transitions=[singular])
+    assert info.value.t == 1
