@@ -10,10 +10,10 @@ shows the spread/error relationship.
 import numpy as np
 from scipy import sparse
 
-from spdekit import (ObservationSet, ParamFields, RandomPattern,
-                     SpaceTimeGrid, assemble_block_precision,
+from spdekit import (ObservationSet, ParamFields, PosteriorSolver,
+                     RandomPattern, SpaceTimeGrid, assemble_block_precision,
                      conditional_sample, ensemble_stats, generate_obs_mask,
-                     oi_solve_precision, sample_prior)
+                     sample_prior)
 
 
 def obs_information(obs):
@@ -30,9 +30,10 @@ mask = generate_obs_mask(grid, RandomPattern(0.2), seed=22)
 obs = ObservationSet.from_truth(truth, mask, noise_var=0.05, seed=23)
 
 q = assemble_block_precision(theta, grid)
-x_star = oi_solve_precision(q, obs)
+post = PosteriorSolver(q, obs)          # one factorization for all solves
+x_star = post.solve()
 
-ens = conditional_sample(x_star, theta, obs, n_members=500, base_seed=24)
+ens = conditional_sample(x_star, post, n_members=500, base_seed=24)
 mean, std = ensemble_stats(ens)
 print(f"{ens.n_members} members; ensemble mean vs posterior mean: "
       f"{np.abs(mean.states - x_star.states).max():.3f} max "

@@ -19,7 +19,7 @@ from .precision import (BlockPrecision, ObservationSet, apply_precision,
                         posterior_precision, quadratic_form)
 from .linalg import (CholeskyFactor, PcgResult, block_diagonal_preconditioner,
                      cholesky_backward, jacobi_preconditioner, log_det_block,
-                     pcg_solve, solve_cholesky, sparse_cholesky)
+                     pcg_solve, sparse_cholesky)
 from .oi import (PosteriorSolver, dense_trajectory_covariance,
                  oi_solve_dense_oracle, oi_solve_precision, variational_cost,
                  variational_grad)
@@ -50,7 +50,7 @@ __all__ = [
     "BlockPrecision", "ObservationSet", "assemble_block_precision",
     "posterior_precision", "apply_precision", "quadratic_form",
     "dump_coordinate_triplets",
-    "CholeskyFactor", "PcgResult", "sparse_cholesky", "solve_cholesky",
+    "CholeskyFactor", "PcgResult", "sparse_cholesky",
     "log_det_block", "cholesky_backward", "pcg_solve",
     "jacobi_preconditioner", "block_diagonal_preconditioner",
     "PosteriorSolver", "oi_solve_precision", "oi_solve_dense_oracle",

@@ -1,7 +1,6 @@
 """Command-line surface.
 
     spdekit <subcommand> --config experiment.cfg [--seed N] [--out-dir D]
-                         [--threads N]
 
 Subcommands: simulate, interpolate, joint-solve, sample-posterior, fit,
 evaluate, benchmark. Every run writes a manifest (config hash, seeds,
@@ -26,7 +25,7 @@ from .experiment import (ExperimentConfig, benchmark, benchmark_csv,
                          load_config, pattern_from_config, read_observations,
                          resolved_scales, write_observations, write_theta)
 from .grid import Trajectory, read_field, write_field
-from .oi import oi_solve_precision
+from .oi import PosteriorSolver, oi_solve_precision
 from .precision import ObservationSet, assemble_block_precision
 from .solver import SolverConfig, run_solver
 from .state_space import sample_prior
@@ -41,8 +40,7 @@ def _write_manifest(cfg: ExperimentConfig, args, out_dir: Path,
              f"config = {cfg.path}",
              f"config_sha256 = {cfg.sha256}",
              f"seed = {args.seed}",
-             f"out_dir = {out_dir}",
-             f"threads = {args.threads}"]
+             f"out_dir = {out_dir}"]
     for key, value in (extra or {}).items():
         lines.append(f"{key} = {value}")
     lines.append("")
@@ -88,7 +86,7 @@ def _cmd_simulate(cfg, args, out_dir):
     theta = build_theta(cfg, grid)
     n_members = cfg.get_int("sampler", "n_members", 1)
     ens = sample_prior(theta, grid, n_members=n_members, base_seed=args.seed,
-                       threads=args.threads, **_sampler_opts(cfg))
+                       **_sampler_opts(cfg))
     for i, member in enumerate(ens.members):
         write_field(member.to_field(), out_dir / f"member_{i:04d}.stgf")
     _write_manifest(cfg, args, out_dir, {"n_members": n_members})
@@ -133,8 +131,6 @@ def _solver_config(cfg: ExperimentConfig) -> SolverConfig:
         n_iterations=cfg.get_int("solver", "n_iterations", 200),
         step=step,
         lam=cfg.get_float("solver", "lambda", 1.0),
-        lambda1=cfg.get_float("solver", "lambda1", 1.0),
-        lambda2=cfg.get_float("solver", "lambda2", 1e-3),
         update_mode=cfg.get_str("solver", "update_mode", "x_only"),
         x_steps=cfg.get_int("solver", "x_steps", 10),
         theta_steps=cfg.get_int("solver", "theta_steps", 1),
@@ -171,13 +167,12 @@ def _cmd_sample_posterior(cfg, args, out_dir):
     grid = build_grid(cfg)
     theta = build_theta(cfg, grid)
     obs, _ = _load_or_make_obs(cfg, grid, theta, args.seed, out_dir)
-    sampler = _sampler_opts(cfg)
-    q = assemble_block_precision(theta, grid, **sampler)
-    x_star = oi_solve_precision(q, obs)
+    q = assemble_block_precision(theta, grid, **_sampler_opts(cfg))
+    post = PosteriorSolver(q, obs)
+    x_star = post.solve()
     n_members = cfg.get_int("sampler", "n_members", 100)
-    ens = conditional_sample(x_star, theta, obs, n_members=n_members,
-                             base_seed=args.seed, threads=args.threads,
-                             **sampler)
+    ens = conditional_sample(x_star, post, n_members=n_members,
+                             base_seed=args.seed)
     mean, std = ensemble_stats(ens)
     write_field(x_star.to_field(), out_dir / "x_star.stgf")
     write_field(mean.to_field(), out_dir / "posterior_mean.stgf")
@@ -292,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override [run] seed")
     parser.add_argument("--out-dir", default=None,
                         help="override [run] out_dir")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for ensemble members")
     return parser
 
 

@@ -90,7 +90,12 @@ class MaxIterations(SpdekitError):
 
 
 class SolveFailure(SpdekitError):
-    """A linear solve finished but failed its residual contract."""
+    """A linear solve failed its residual contract; ``column`` is the
+    failing right-hand side of a multi-column solve."""
+
+    def __init__(self, message, column=0):
+        self.column = column
+        super().__init__(message)
 
 
 class DimensionGuard(SpdekitError):

@@ -39,7 +39,6 @@ class CholeskyFactor:
     band: np.ndarray
     n: int
     bandwidth: int
-    perm: None = None
 
     @property
     def diagonal(self) -> np.ndarray:
@@ -98,10 +97,12 @@ def sparse_cholesky(a) -> CholeskyFactor:
     rows, cols = coo.row[lower], coo.col[lower]
     vals = coo.data[lower]
     p = int(np.max(rows - cols)) if rows.size else 0
-    band = np.zeros((p + 1, n))
+    # factor in place: a Fortran-ordered band is handed to LAPACK as is,
+    # so the factor takes no second band-sized copy
+    band = np.zeros((p + 1, n), order="F")
     band[rows - cols, cols] = vals
     try:
-        lb = la.cholesky_banded(band, lower=True)
+        lb = la.cholesky_banded(band, lower=True, overwrite_ab=True)
     except la.LinAlgError as exc:
         row = -1
         for token in str(exc).replace("-", " ").split():
@@ -110,10 +111,6 @@ def sparse_cholesky(a) -> CholeskyFactor:
                 break
         raise NotPositiveDefinite(row) from exc
     return CholeskyFactor(band=lb, n=n, bandwidth=p)
-
-
-def solve_cholesky(fac: CholeskyFactor, b: np.ndarray) -> np.ndarray:
-    return fac.solve(b)
 
 
 def log_det_block(q, method: str = "auto") -> float:

@@ -29,8 +29,9 @@ RESIDUAL_TOL = 1e-8
 
 
 def scatter_obs(obs: ObservationSet, weighted: np.ndarray) -> np.ndarray:
-    """H^T applied to an observation-space vector (flat state output)."""
-    out = np.zeros(obs.grid.dim)
+    """H^T applied to observation-space values: (n_obs,) gives a flat
+    state, (n_obs, n) gives n flat states as (dim, n) columns."""
+    out = np.zeros((obs.grid.dim,) + weighted.shape[1:])
     out[obs.indices] = weighted
     return out
 
@@ -40,7 +41,9 @@ class PosteriorSolver:
 
     The system is symmetrically Jacobi-equilibrated before factorization so
     that near-zero noise variances (huge diagonal information) do not
-    degrade the achievable residual.
+    degrade the achievable residual. ``prior`` keeps the prior structure
+    of ``q`` (None if ``q`` was modified after assembly), which conditional
+    sampling draws its prior members from.
     """
 
     def __init__(self, q: BlockPrecision, obs: ObservationSet,
@@ -52,6 +55,7 @@ class PosteriorSolver:
         self.tol = tol
         self.q_post = posterior_precision(q, obs)
         self.grid = q.grid
+        self.prior = q.prior
         self.last_pcg = None
         if method == "direct":
             a = self.q_post.to_csr()
@@ -63,31 +67,49 @@ class PosteriorSolver:
             self._precond = block_diagonal_preconditioner(self.q_post)
 
     def _solve_system(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve for the (dim, n) columns of rhs; PCG takes one at a time."""
         if self.method == "direct":
-            z = self._factor.solve(self._scale * rhs)
-            return self._scale * z
-        result = pcg_solve(
-            lambda v: apply_precision(self.q_post, v).reshape(-1),
-            rhs, preconditioner=self._precond, tol=self.tol)
-        self.last_pcg = result
-        return result.x
+            scale = self._scale[:, None]
+            return scale * self._factor.solve(scale * rhs)
+        x = np.empty_like(rhs)
+        for j in range(rhs.shape[1]):
+            result = pcg_solve(
+                lambda v: apply_precision(self.q_post, v).reshape(-1),
+                np.ascontiguousarray(rhs[:, j]),
+                preconditioner=self._precond, tol=self.tol)
+            self.last_pcg = result
+            x[:, j] = result.x
+        return x
+
+    def solve_columns(self, values: np.ndarray) -> np.ndarray:
+        """Posterior means, as (dim, n) columns, for the stored mask/noise
+        and each column of the (n_obs, n) observed values. A column that
+        fails the residual check raises SolveFailure with its index."""
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 2 or values.shape[0] != self.obs.n_obs:
+            raise ValueError(f"expected ({self.obs.n_obs}, n) values, "
+                             f"got shape {values.shape}")
+        rhs = scatter_obs(self.obs, values / self.obs.noise_var[:, None])
+        rhs_norm = np.linalg.norm(rhs, axis=0)
+        # a zero column solves to exact zeros and so leaves a zero residual
+        x = self._solve_system(rhs)
+        q = self.q_post
+        residual = rhs - apply_precision(q, x.reshape(q.nt, q.m, -1)) \
+            .reshape(rhs.shape)
+        rel = np.linalg.norm(residual, axis=0) / np.where(rhs_norm > 0,
+                                                          rhs_norm, 1.0)
+        failed = np.flatnonzero(rel > RESIDUAL_TOL)
+        if failed.size:
+            j = int(failed[0])
+            raise SolveFailure(f"posterior solve residual {rel[j]:.3e} "
+                               f"exceeds {RESIDUAL_TOL}", column=j)
+        return x
 
     def solve(self, values: np.ndarray | None = None) -> Trajectory:
         """Posterior mean for the stored mask/noise and the given values."""
         obs = self.obs if values is None else self.obs.replace_values(values)
-        if obs.n_obs == 0:
-            return Trajectory.zeros(self.grid)
-        rhs = scatter_obs(obs, obs.values / obs.noise_var)
-        rhs_norm = float(np.linalg.norm(rhs))
-        if rhs_norm == 0.0:
-            return Trajectory.zeros(self.grid)
-        x = self._solve_system(rhs)
-        residual = rhs - apply_precision(self.q_post, x).reshape(-1)
-        rel = float(np.linalg.norm(residual)) / rhs_norm
-        if rel > RESIDUAL_TOL:
-            raise SolveFailure(
-                f"posterior solve residual {rel:.3e} exceeds {RESIDUAL_TOL}")
-        return Trajectory.from_flat(self.grid, x)
+        return Trajectory.from_flat(self.grid,
+                                    self.solve_columns(obs.values[:, None]))
 
 
 def oi_solve_precision(q: BlockPrecision, obs: ObservationSet,

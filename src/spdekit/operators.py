@@ -176,16 +176,6 @@ def _central_diff(grid: SpaceTimeGrid, plus, minus, step) -> sparse.csr_array:
     return out
 
 
-def _central_diff_x(grid: SpaceTimeGrid) -> sparse.csr_array:
-    nb = slab_neighbors(grid)
-    return _central_diff(grid, nb.xp, nb.xm, grid.dx)
-
-
-def _central_diff_y(grid: SpaceTimeGrid) -> sparse.csr_array:
-    nb = slab_neighbors(grid)
-    return _central_diff(grid, nb.yp, nb.ym, grid.dy)
-
-
 def _axis_flux_entries(idx_lo, idx_hi, coeff, step):
     """COO entries of a face-flux second-difference along one axis."""
     c = coeff / step**2
@@ -275,8 +265,8 @@ def assemble_fdm_operator(theta: ParamFields, t: int,
 
     # mixed-derivative diffusion via the central cross stencil
     if np.any(h12):
-        dxc = _central_diff_x(grid)
-        dyc = _central_diff_y(grid)
+        dxc = _central_diff(grid, nb.xp, nb.xm, grid.dx)
+        dyc = _central_diff(grid, nb.yp, nb.ym, grid.dy)
         cross = (dxc.T @ (sparse.diags_array(h12.ravel()) @ dyc)).tocsr()
         op = op + cross + cross.T
 
@@ -287,24 +277,16 @@ def assemble_fdm_operator(theta: ParamFields, t: int,
 
 
 class FractionalOperator:
-    """Integer power of a sparse slab operator, applied by repeated matvec.
+    """Integer power of a sparse slab operator.
 
     ``to_sparse`` multiplies the sparse factors together (still sparse,
-    never a dense power); ``matvec`` applies them one at a time.
+    never a dense power).
     """
 
     def __init__(self, base: sparse.csr_array, power: int):
         self.base = base
         self.power = power
         self.shape = base.shape
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = v
-        for _ in range(self.power):
-            out = self.base @ out
-        return out
-
-    __call__ = matvec
 
     def to_sparse(self) -> sparse.csr_array:
         out = self.base

@@ -43,8 +43,6 @@ class SolverConfig:
     n_iterations: int = 200
     step: dict = field(default_factory=lambda: {"kind": "adam", "lr": 0.1})
     lam: float = 1.0
-    lambda1: float = 1.0
-    lambda2: float = 1e-3
     update_mode: str = "x_only"
     x_steps: int = 10
     theta_steps: int = 1

@@ -7,72 +7,57 @@ error:
 
 where x_s^i is a prior trajectory and x_s_star^i is its interpolation from
 pseudo-observations taken at the actual data locations (same mask, same
-noise variances, values subsampled from x_s^i plus, by default, N(0, R)
-noise so the member statistics are exact for the stated posterior; the
-flag turns the extra noise off). In this linear-Gaussian setting the
-ensemble mean and covariance converge to the posterior ones.
+noise variances, values subsampled from x_s^i plus N(0, R) noise, so the
+member statistics are exact for the stated posterior). In this
+linear-Gaussian setting the ensemble mean and covariance converge to the
+posterior ones.
 
-The posterior factorization is computed once and shared read-only across
-members; per-member randomness comes from the same counter-keyed streams
-as prior sampling, so results do not depend on scheduling.
+The caller's PosteriorSolver supplies the one posterior factorization and
+the prior the members are drawn from. Members run in fixed blocks with one
+multi-column solve each, on the same counter-keyed streams as prior
+sampling, so results do not depend on the block size.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import SpdekitError
+from .errors import SolveFailure
 from .grid import Trajectory
-from .precision import ObservationSet, assemble_block_precision
 from .oi import PosteriorSolver
-from .operators import ParamFields
-from .state_space import (Ensemble, InitialCondition, _draw_member,
-                          build_transition, pseudo_obs_rng)
+from .state_space import Ensemble, _prior_blocks, pseudo_obs_noise
 
 
-def conditional_sample(x_star: Trajectory, theta_star: ParamFields,
-                       obs: ObservationSet, n_members: int = 100,
-                       base_seed: int = 0, solve_method: str = "direct",
-                       p0_mode: str = "burnin", sigma0: float = 1.0,
-                       burn_in: int = 20, add_obs_noise: bool = True,
-                       threads: int = 1) -> Ensemble:
-    """Draw posterior trajectories around the interpolation x_star."""
+def conditional_sample(x_star: Trajectory, post: PosteriorSolver,
+                       n_members: int = 100, base_seed: int = 0) -> Ensemble:
+    """Draw posterior trajectories around the interpolation x_star.
+
+    ``post`` must come from an unmodified prior precision, whose prior
+    structure the members are drawn from; a SolveFailure names the member.
+    """
     if n_members < 1:
         raise ValueError("n_members must be >= 1")
+    prior = post.prior
+    if prior is None:
+        raise ValueError("conditional sampling needs the prior structure; "
+                         "build the PosteriorSolver from a prior precision")
     grid = x_star.grid
-    transitions = build_transition(theta_star, grid)
-    q = assemble_block_precision(theta_star, grid, p0_mode=p0_mode,
-                                 sigma0=sigma0, burn_in=burn_in,
-                                 transitions=transitions)
-    post = PosteriorSolver(q, obs, method=solve_method)
-    ic = InitialCondition(mode=p0_mode, sigma0=sigma0, burn_in=burn_in,
-                          m=grid.m)
-    idx = obs.indices
-    noise_std = np.sqrt(obs.noise_var)
-
-    def one_member(i: int) -> Trajectory:
+    idx = post.obs.indices
+    noise_std = np.sqrt(post.obs.noise_var)[:, None]
+    states = np.empty((n_members, grid.nt, grid.m))
+    for ids, x_s in _prior_blocks(prior.transitions, grid, prior.ic,
+                                  base_seed, n_members):
+        pseudo = x_s.reshape(grid.dim, -1)[idx] \
+            + noise_std * pseudo_obs_noise(base_seed, ids, idx.size)
         try:
-            x_s = _draw_member(transitions, grid, ic, base_seed, i)
-            pseudo = x_s.flat[idx]
-            if add_obs_noise and idx.size:
-                z = pseudo_obs_rng(base_seed, i).standard_normal(idx.size)
-                pseudo = pseudo + noise_std * z
-            x_s_star = post.solve(pseudo)
-            return Trajectory(grid,
-                              x_star.states + x_s.states - x_s_star.states)
-        except SpdekitError as exc:
-            exc.args = (f"member {i}: {exc}",)
-            raise
-
-    member_ids = list(range(n_members))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            members = list(pool.map(one_member, member_ids))
-    else:
-        members = [one_member(i) for i in member_ids]
-    return Ensemble(grid=grid, members=members, base_seed=base_seed,
-                    member_ids=member_ids)
+            x_s_star = post.solve_columns(pseudo)
+        except SolveFailure as exc:
+            raise SolveFailure(f"member {ids[exc.column]}: {exc}") from exc
+        members = x_star.states[:, :, None] + x_s \
+            - x_s_star.reshape(x_s.shape)
+        states[ids.start:ids.stop] = members.transpose(2, 0, 1)
+    return Ensemble(grid=grid, members=[Trajectory(grid, s) for s in states],
+                    base_seed=base_seed, member_ids=list(range(n_members)))
 
 
 def ensemble_stats(ens: Ensemble) -> tuple[Trajectory, Trajectory]:

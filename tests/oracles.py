@@ -226,3 +226,67 @@ def burnin_adjoint_oracle(second_moment_0, theta, step, burn_in,
     a_bar = -solve_t(step.propagate(m_bar.T).T)       # -M^T m_bar M^T
     grads["tau"][step.t] += tau_bar.reshape(grid.ny, grid.nx)
     _chain_operator_adjoint(dt * a_bar, theta, step.t, grads)
+
+
+# --- per-member ensemble reference ------------------------------------------
+#
+# The sampler as it ran before members were drawn and solved in blocks: one
+# member at a time, every draw keyed by (base_seed, member, stream, step),
+# and one PosteriorSolver.solve per conditional member.
+
+_STREAM_INIT, _STREAM_STEP, _STREAM_OBS = 0, 1, 2
+
+
+def _keyed_normal(base_seed, member, stream, step, size) -> np.ndarray:
+    rng = np.random.default_rng((base_seed, member, stream, step))
+    return rng.standard_normal(size)
+
+
+def draw_member_reference(transitions, grid, ic, base_seed,
+                          member_id) -> np.ndarray:
+    """One prior member, (nt, m), drawn on its own."""
+    m, dt = grid.m, grid.dt
+    x = _keyed_normal(base_seed, member_id, _STREAM_INIT, 0, m)
+    if ic.mode == "white":
+        x = ic.sigma0 * x
+    else:
+        step = transitions[0]
+        for k in range(1, ic.burn_in + 1):
+            z = _keyed_normal(base_seed, member_id, _STREAM_INIT, k, m)
+            x = step.propagate(x + dt * step.noise_scale * z)
+    states = [x]
+    for step in transitions:
+        z = _keyed_normal(base_seed, member_id, _STREAM_STEP, step.t, m)
+        states.append(step.propagate(states[-1] + dt * step.noise_scale * z))
+    return np.stack(states)
+
+
+def sample_prior_reference(theta, n_members, base_seed, p0_mode,
+                           sigma0=1.0, burn_in=20) -> list:
+    """sample_prior's members, (nt, m) each, one member at a time."""
+    from spdekit.state_space import InitialCondition, build_transition
+
+    grid = theta.grid
+    transitions = build_transition(theta, grid)
+    ic = InitialCondition(mode=p0_mode, sigma0=sigma0, burn_in=burn_in,
+                          m=grid.m)
+    return [draw_member_reference(transitions, grid, ic, base_seed, i)
+            for i in range(n_members)]
+
+
+def conditional_sample_reference(x_star, post, n_members,
+                                 base_seed) -> list:
+    """conditional_sample's members, (nt, m) each: a keyed prior draw,
+    pseudo-observations with keyed N(0, R) noise, and one solve each."""
+    prior, obs = post.prior, post.obs
+    idx = obs.indices
+    members = []
+    for i in range(n_members):
+        x_s = draw_member_reference(prior.transitions, x_star.grid, prior.ic,
+                                    base_seed, i)
+        pseudo = x_s.reshape(-1)[idx]
+        if idx.size:
+            z = _keyed_normal(base_seed, i, _STREAM_OBS, 0, idx.size)
+            pseudo = pseudo + np.sqrt(obs.noise_var) * z
+        members.append(x_star.states + x_s - post.solve(pseudo).states)
+    return members

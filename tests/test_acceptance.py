@@ -10,8 +10,9 @@ import time
 
 import numpy as np
 
-from spdekit import (ObservationSet, ParamFields, SolverConfig, SpaceTimeGrid,
-                     Trajectory, assemble_block_precision, benchmark,
+from spdekit import (ObservationSet, ParamFields, PosteriorSolver,
+                     SolverConfig, SpaceTimeGrid, Trajectory,
+                     assemble_block_precision, benchmark,
                      benchmark_csv, cholesky_backward, conditional_sample,
                      dense_trajectory_covariance, ensemble_stats, evaluate,
                      fit_params, log_det_block, oi_solve_dense_oracle,
@@ -163,9 +164,10 @@ def test_criterion_6_conditional_simulation():
         obs = ObservationSet(grid, mask, rng.standard_normal(n),
                              np.full(n, 0.05))
         q = assemble_block_precision(theta, grid)
-        x_star = oi_solve_precision(q, obs)
+        post = PosteriorSolver(q, obs)
+        x_star = post.solve()
         n_members = 500
-        ens = conditional_sample(x_star, theta, obs, n_members=n_members,
+        ens = conditional_sample(x_star, post, n_members=n_members,
                                  base_seed=14)
         mean, std = ensemble_stats(ens)
         se = std.states / np.sqrt(n_members)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import spdekit
-from spdekit import read_array, read_field
+from spdekit import oi, read_array, read_field
 from spdekit.cli import main
 
 BASE = """
@@ -177,6 +177,32 @@ def test_numerical_failure_exits_3(workdir, capsys):
         BASE.replace("tau = 1.0", "tau = 1e-12"), encoding="utf-8")
     assert _run(workdir, "interpolate", out_dir=workdir / "x") == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_failed_member_solve_exits_3(workdir, capsys, monkeypatch):
+    # the x_star solve is the first call, member 1's block the second
+    solve_system = oi.PosteriorSolver._solve_system
+    calls = []
+
+    def spoil_members(self, rhs):
+        x = solve_system(self, rhs)
+        calls.append(rhs.shape[1])
+        if len(calls) == 2:
+            x[:, 1] = 0.0
+        return x
+
+    monkeypatch.setattr(oi.PosteriorSolver, "_solve_system", spoil_members)
+    assert _run(workdir, "sample-posterior", out_dir=workdir / "x") == 3
+    assert "numerical failure: member 1: posterior solve residual" in \
+        capsys.readouterr().err
+    assert calls == [1, 3]
+
+
+def test_threads_option_is_refused(workdir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _run(workdir, "simulate", out_dir=workdir / "x", threads=2)
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_module_entry_point(workdir):

@@ -7,7 +7,7 @@ from scipy import sparse
 from spdekit import (BlockPrecision, SpaceTimeGrid, assemble_block_precision,
                      block_diagonal_preconditioner, cholesky_backward,
                      jacobi_preconditioner, log_det_block, pcg_solve,
-                     solve_cholesky, sparse_cholesky)
+                     sparse_cholesky)
 from spdekit.errors import MaxIterations, NotPositiveDefinite
 from spdekit.precision import ObservationSet, apply_precision, \
     posterior_precision
@@ -57,10 +57,10 @@ def test_cholesky_rejects_asymmetry():
 def test_solve_identity_and_hand_case():
     fac = sparse_cholesky(np.eye(3))
     b = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(solve_cholesky(fac, b), b)
+    assert np.array_equal(fac.solve(b), b)
     # A = [[4,2],[2,3]], b = (2,1): x = (1/2, 0) by hand elimination
     fac = sparse_cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
-    x = solve_cholesky(fac, np.array([2.0, 1.0]))
+    x = fac.solve(np.array([2.0, 1.0]))
     assert np.allclose(x, [0.5, 0.0], atol=1e-14)
 
 
@@ -69,7 +69,7 @@ def test_solve_random_spd_residual():
     b_mat = rng.standard_normal((40, 40))
     a = b_mat @ b_mat.T + np.eye(40)
     rhs = rng.standard_normal(40)
-    x = solve_cholesky(sparse_cholesky(a), rhs)
+    x = sparse_cholesky(a).solve(rhs)
     assert np.linalg.norm(a @ x - rhs) / np.linalg.norm(rhs) < 1e-9
 
 
@@ -211,7 +211,7 @@ def test_pcg_matches_direct_solve_on_posterior():
     rhs[obs.indices] = obs.values / obs.noise_var
 
     apply_a = lambda v: apply_precision(qp, v.reshape(g.nt, g.m)).reshape(-1)
-    direct = solve_cholesky(sparse_cholesky(qp.to_csr()), rhs)
+    direct = sparse_cholesky(qp.to_csr()).solve(rhs)
 
     res_plain = pcg_solve(apply_a, rhs, tol=1e-10, max_iter=5000)
     res_jacobi = pcg_solve(apply_a, rhs, tol=1e-10, max_iter=5000,

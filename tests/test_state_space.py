@@ -6,8 +6,10 @@ import pytest
 from spdekit import (ParamFields, SpaceTimeGrid, build_transition,
                      dense_trajectory_covariance, initial_condition,
                      propagate, sample_prior, transition_from_drift)
+from spdekit import state_space
 
-from oracles import burnin_marginal_oracle, random_theta
+from oracles import (burnin_marginal_oracle, random_theta,
+                     sample_prior_reference)
 
 
 def test_zero_drift_is_identity():
@@ -79,16 +81,45 @@ def test_deterministic_propagation_matches_matrix_chain():
     assert np.max(np.abs(states[-1] - chain)) < 1e-10
 
 
-def test_bit_reproducible_across_scheduling():
+def test_bit_reproducible_across_scheduling(monkeypatch):
+    # a member's draw does not depend on the block it is drawn in
     g = SpaceTimeGrid(nx=4, ny=4, nt=3)
     theta = random_theta(g, 2)
-    a = sample_prior(theta, g, n_members=4, base_seed=11)
-    b = sample_prior(theta, g, n_members=4, base_seed=11, threads=3)
-    for ma, mb in zip(a.members, b.members):
-        assert ma.states.tobytes() == mb.states.tobytes()
+    a = sample_prior(theta, g, n_members=20, base_seed=11)
+    for block in (1, 3, 20):
+        monkeypatch.setattr(state_space, "_MEMBER_BLOCK", block)
+        b = sample_prior(theta, g, n_members=20, base_seed=11)
+        for ma, mb in zip(a.members, b.members):
+            assert ma.states.tobytes() == mb.states.tobytes()
     # a different seed changes the draw
     c = sample_prior(theta, g, n_members=1, base_seed=12)
     assert not np.array_equal(c.members[0].states, a.members[0].states)
+
+
+@pytest.mark.parametrize("p0_mode", ["white", "burnin"])
+@pytest.mark.parametrize("shape", [(3, 3), (5, 4), (8, 8)])
+def test_sample_prior_matches_per_member_reference(shape, p0_mode):
+    g = SpaceTimeGrid(nx=shape[0], ny=shape[1], nt=4)
+    theta = random_theta(g, 40)
+    ens = sample_prior(theta, g, n_members=20, base_seed=6, p0_mode=p0_mode,
+                       sigma0=0.7, burn_in=5)
+    expect = sample_prior_reference(theta, 20, 6, p0_mode, sigma0=0.7,
+                                    burn_in=5)
+    for member, ref in zip(ens.members, expect, strict=True):
+        assert member.states.tobytes() == ref.tobytes()
+
+
+def test_propagate_block_matches_columns():
+    g = SpaceTimeGrid(nx=4, ny=3, nt=4)
+    steps = build_transition(random_theta(g, 41), g)
+    rng = np.random.default_rng(1)
+    x0 = rng.standard_normal((g.m, 3))
+    zs = rng.standard_normal((len(steps), g.m, 3))
+    block = propagate(steps, x0, zs, g.dt)
+    assert block.shape == (g.nt, g.m, 3)
+    for j in range(3):
+        column = propagate(steps, x0[:, j].copy(), zs[:, :, j].copy(), g.dt)
+        assert block[:, :, j].tobytes() == column.tobytes()
 
 
 def test_linearity_in_initial_state_and_noise():

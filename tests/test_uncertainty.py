@@ -3,24 +3,29 @@
 import numpy as np
 import pytest
 
-from spdekit import (ObservationSet, ParamFields, SpaceTimeGrid, Trajectory,
+from spdekit import (BlockPrecision, ObservationSet, ParamFields,
+                     PosteriorSolver, SpaceTimeGrid, Trajectory,
                      assemble_block_precision, conditional_sample,
-                     ensemble_stats, oi_solve_precision, sample_prior)
+                     ensemble_stats, sample_prior)
+from spdekit import oi, state_space
+from spdekit.errors import SolveFailure
 from spdekit.state_space import Ensemble
 
-from oracles import dense_posterior_cov, random_theta
+from oracles import (conditional_sample_reference, dense_posterior_cov,
+                     random_theta)
 
 
-def _posterior_case(seed=0, density=0.3, noise=0.05):
-    g = SpaceTimeGrid(nx=6, ny=6, nt=4)
+def _posterior_case(seed=0, density=0.3, noise=0.05, shape=(6, 6),
+                    p0_mode="burnin", method="direct"):
+    g = SpaceTimeGrid(nx=shape[0], ny=shape[1], nt=4)
     theta = random_theta(g, seed, advect=False)
     rng = np.random.default_rng(seed + 100)
     mask = rng.random(g.shape) < density
     n = int(mask.sum())
     obs = ObservationSet(g, mask, rng.standard_normal(n), np.full(n, noise))
-    q = assemble_block_precision(theta, g)
-    x_star = oi_solve_precision(q, obs)
-    return g, theta, obs, q, x_star
+    q = assemble_block_precision(theta, g, p0_mode=p0_mode)
+    post = PosteriorSolver(q, obs, method=method)
+    return g, post, q, post.solve()
 
 
 def test_tiny_noise_pins_observed_cells():
@@ -30,9 +35,9 @@ def test_tiny_noise_pins_observed_cells():
     mask = rng.random(g.shape) < 0.4
     n = int(mask.sum())
     obs = ObservationSet(g, mask, rng.standard_normal(n), np.full(n, 1e-10))
-    q = assemble_block_precision(theta, g)
-    x_star = oi_solve_precision(q, obs)
-    ens = conditional_sample(x_star, theta, obs, n_members=5, base_seed=3)
+    post = PosteriorSolver(assemble_block_precision(theta, g), obs)
+    x_star = post.solve()
+    ens = conditional_sample(x_star, post, n_members=5, base_seed=3)
     idx = obs.indices
     for member in ens.members:
         assert np.max(np.abs(member.flat[idx] - x_star.flat[idx])) < 1e-3
@@ -42,18 +47,19 @@ def test_empty_mask_members_are_prior_draws_around_mean():
     g = SpaceTimeGrid(nx=4, ny=4, nt=3)
     theta = random_theta(g, 4, advect=False)
     empty = ObservationSet(g, np.zeros(g.shape, dtype=bool), [], [])
-    x_star = Trajectory.zeros(g)
-    ens = conditional_sample(x_star, theta, empty, n_members=3, base_seed=7)
+    post = PosteriorSolver(assemble_block_precision(theta, g), empty)
+    ens = conditional_sample(Trajectory.zeros(g), post, n_members=3,
+                             base_seed=7)
     prior = sample_prior(theta, g, n_members=3, base_seed=7)
     for member, draw in zip(ens.members, prior.members):
         assert np.max(np.abs(member.states - draw.states)) < 1e-12
 
 
 def test_ensemble_variance_matches_posterior_covariance():
-    g, theta, obs, q, x_star = _posterior_case(seed=5)
-    ens = conditional_sample(x_star, theta, obs, n_members=500, base_seed=11)
+    g, post, q, x_star = _posterior_case(seed=5)
+    ens = conditional_sample(x_star, post, n_members=500, base_seed=11)
     _, std = ensemble_stats(ens)
-    target = np.diag(dense_posterior_cov(q, obs)).reshape(g.nt, g.m)
+    target = np.diag(dense_posterior_cov(q, post.obs)).reshape(g.nt, g.m)
     sample_var = std.states**2
     significant = target > 1e-3
     rel = np.abs(sample_var[significant] - target[significant]) \
@@ -64,9 +70,9 @@ def test_ensemble_variance_matches_posterior_covariance():
 def test_ensemble_mean_within_standard_errors():
     # fixed-seed statistical test: this realization sits comfortably
     # inside the 3-sigma band
-    g, theta, obs, q, x_star = _posterior_case(seed=6)
+    g, post, q, x_star = _posterior_case(seed=6)
     n = 500
-    ens = conditional_sample(x_star, theta, obs, n_members=n, base_seed=14)
+    ens = conditional_sample(x_star, post, n_members=n, base_seed=14)
     mean, std = ensemble_stats(ens)
     se = std.states / np.sqrt(n)
     z = np.abs(mean.states - x_star.states) / np.maximum(se, 1e-12)
@@ -90,13 +96,66 @@ def test_ensemble_stats_identities():
                                 member_ids=[0]))
 
 
-def test_conditional_sampling_deterministic():
-    g, theta, obs, q, x_star = _posterior_case(seed=7)
-    a = conditional_sample(x_star, theta, obs, n_members=4, base_seed=21)
-    b = conditional_sample(x_star, theta, obs, n_members=4, base_seed=21,
-                           threads=2)
-    for ma, mb in zip(a.members, b.members):
-        assert ma.states.tobytes() == mb.states.tobytes()
+def test_conditional_sampling_deterministic(monkeypatch):
+    # a member does not depend on the block it is drawn and solved in
+    g, post, q, x_star = _posterior_case(seed=7)
+    a = conditional_sample(x_star, post, n_members=20, base_seed=21)
+    for block in (1, 3, 20):
+        monkeypatch.setattr(state_space, "_MEMBER_BLOCK", block)
+        b = conditional_sample(x_star, post, n_members=20, base_seed=21)
+        for ma, mb in zip(a.members, b.members):
+            assert ma.states.tobytes() == mb.states.tobytes()
+
+
+@pytest.mark.parametrize("method", ["direct", "pcg"])
+@pytest.mark.parametrize("p0_mode", ["white", "burnin"])
+@pytest.mark.parametrize("shape", [(3, 3), (5, 4), (8, 8)])
+def test_conditional_sample_matches_per_member_reference(shape, p0_mode,
+                                                         method):
+    g, post, q, x_star = _posterior_case(seed=9, shape=shape,
+                                         p0_mode=p0_mode, method=method)
+    ens = conditional_sample(x_star, post, n_members=20, base_seed=4)
+    expect = conditional_sample_reference(x_star, post, 20, 4)
+    for member, ref in zip(ens.members, expect, strict=True):
+        assert member.states.tobytes() == ref.tobytes()
+
+
+def test_failed_block_solve_names_the_member(monkeypatch):
+    g, post, q, x_star = _posterior_case(seed=10)
+    monkeypatch.setattr(oi, "RESIDUAL_TOL", 0.0)
+    with pytest.raises(SolveFailure, match=r"^member 0: posterior solve"):
+        conditional_sample(x_star, post, n_members=5, base_seed=1)
+
+    # a failure in a later block names the member, not the block column
+    monkeypatch.setattr(oi, "RESIDUAL_TOL", 1e-8)
+    monkeypatch.setattr(state_space, "_MEMBER_BLOCK", 3)
+    solve_system = oi.PosteriorSolver._solve_system
+    calls = []
+
+    def spoil_second_block(self, rhs):
+        x = solve_system(self, rhs)
+        calls.append(rhs.shape[1])
+        if len(calls) == 2:
+            x[:, 1] = 0.0
+        return x
+
+    monkeypatch.setattr(oi.PosteriorSolver, "_solve_system",
+                        spoil_second_block)
+    with pytest.raises(SolveFailure, match=r"^member 4: posterior solve"):
+        conditional_sample(x_star, post, n_members=8, base_seed=1)
+    assert calls == [3, 3]
+
+
+def test_conditional_sample_needs_prior_structure(monkeypatch):
+    g, post, q, x_star = _posterior_case(seed=11)
+    bare = PosteriorSolver(BlockPrecision(g, q.diag, q.upper), post.obs)
+
+    def no_draws(*args):
+        raise AssertionError("drew members without a prior structure")
+
+    monkeypatch.setattr(state_space, "_draw_block", no_draws)
+    with pytest.raises(ValueError, match="prior structure"):
+        conditional_sample(x_star, bare, n_members=3, base_seed=0)
 
 
 def test_information_monotonicity():
@@ -116,10 +175,10 @@ def test_information_monotonicity():
     assert np.all(var_big <= var_small + 1e-12)
 
     # ensemble version of the same statement, at statistical tolerance
-    x0 = oi_solve_precision(q, obs_small)
-    x1 = oi_solve_precision(q, obs_big)
-    e0 = conditional_sample(x0, theta, obs_small, n_members=300, base_seed=31)
-    e1 = conditional_sample(x1, theta, obs_big, n_members=300, base_seed=32)
+    p0 = PosteriorSolver(q, obs_small)
+    p1 = PosteriorSolver(q, obs_big)
+    e0 = conditional_sample(p0.solve(), p0, n_members=300, base_seed=31)
+    e1 = conditional_sample(p1.solve(), p1, n_members=300, base_seed=32)
     _, s0 = ensemble_stats(e0)
     _, s1 = ensemble_stats(e1)
     assert np.mean(s1.states**2 <= s0.states**2 + 0.15 * np.max(s0.states**2)) \
