@@ -52,9 +52,12 @@ def _write_manifest(cfg: ExperimentConfig, args, out_dir: Path,
 
 
 def _sampler_opts(cfg: ExperimentConfig) -> dict:
+    burn_in = cfg.get_int("sampler", "burn_in", 20)
+    if burn_in < 0:
+        raise ConfigError(f"[sampler] burn_in = {burn_in}: must be >= 0")
     return dict(p0_mode=cfg.get_str("sampler", "p0_mode", "burnin"),
                 sigma0=cfg.get_float("sampler", "sigma0", 1.0),
-                burn_in=cfg.get_int("sampler", "burn_in", 20))
+                burn_in=burn_in)
 
 
 def _load_or_make_obs(cfg, grid, theta, seed, out_dir):

@@ -41,7 +41,8 @@ from .grid import SpaceTimeGrid, Trajectory
 from .linalg import log_det_block
 from .operators import ParamFields, project_params, slab_neighbors
 from .precision import assemble_block_precision, quadratic_form
-from .state_space import TransitionStep, build_transition, initial_condition
+from .state_space import (TransitionStep, _burnin_doubling, build_transition,
+                          initial_condition)
 from .steps import make_step_operator
 
 PARAM_NAMES = ("kappa", "m_u", "m_v", "h11", "h12", "h22", "tau")
@@ -227,19 +228,21 @@ class TrajectoryMoments:
         return cls(diag, cross)
 
 
-def _step_adjoint(step: TransitionStep, rx: np.ndarray, r_sq: np.ndarray,
-                  theta: ParamFields, grads: dict[str, np.ndarray]) -> None:
+def _step_adjoint(step: TransitionStep, inverse: np.ndarray, rx: np.ndarray,
+                  r_sq: np.ndarray, theta: ParamFields,
+                  grads: dict[str, np.ndarray]) -> None:
     """Add step t's share of the mean-nll gradient to grads.
 
     The step contributes 1/2 sum(w r_t^2) - 1/2 log|S_t^{-1}|. rx =
     E[r_t x_t^T] and r_sq = E[r_t^2] (per row) carry the quadratic term;
-    the log-determinant term is the closed form of the module docstring.
+    the log-determinant term is the closed form of the module docstring,
+    read from inverse = A_t^{-1}.
     """
     grid = theta.grid
     dt = grid.dt
     tau = step.noise_scale
     w = 1.0 / (dt * tau)**2
-    a_bar = w[:, None] * rx - step.dense_inverse().T
+    a_bar = w[:, None] * rx - inverse.T
     tau_bar = 1.0 / tau - r_sq / (dt**2 * tau**3)
     grads["tau"][step.t] += tau_bar.reshape(grid.ny, grid.nx)
     _chain_operator_adjoint(dt * a_bar, theta, step.t, grads)
@@ -265,11 +268,16 @@ def _trace_gradient_from(theta: ParamFields, p0_opts: dict, quadratic,
         ic = initial_condition(theta, grid, transitions=transitions,
                                **p0_opts)
     grads = {n: np.zeros(grid.shape) for n in PARAM_NAMES}
+    # A_1^{-1} serves step 1 and the burn-in adjoint
+    first_inverse = transitions[0].dense_inverse()
     for step in transitions:
-        _step_adjoint(step, *quadratic(step), theta, grads)
+        inverse = first_inverse if step is transitions[0] \
+            else step.dense_inverse()
+        _step_adjoint(step, inverse, *quadratic(step), theta, grads)
     # time-zero marginal: white is parameter-free, burn-in backpropagates
     if ic.mode == "burnin":
-        _burnin_adjoint(second_moment_0(), theta, transitions[0], ic, grads)
+        _burnin_adjoint(second_moment_0(), theta, transitions[0], ic, grads,
+                        first_inverse)
     return ParamGradients(grid, grads)
 
 
@@ -306,40 +314,54 @@ def _trace_gradient(xs: list[Trajectory], theta: ParamFields, p0_opts: dict,
                                 transitions, ic)
 
 
-def _burnin_adjoint(second_moment_0, theta, step, ic, grads) -> None:
-    """Backpropagate the x_0 marginal through the burn-in recursion.
+def _burnin_adjoint(second_moment_0, theta, step, ic, grads, prop) -> None:
+    """Backpropagate the x_0 marginal through the burn-in doubling.
 
-    The forward recursion P_k = (M X_k) M^T, X_k = P_{k-1} + diag(d), of
-    initial_condition is recomputed with the dense propagator M = A_1^{-1},
-    keeping the products M X_k. Walking back from P_bar = d(nll)/dP_B, each
-    step adds 2 P_bar M X_k to M_bar and passes X_bar = M^T P_bar M on,
-    whose diagonal feeds tau_1; finally A_bar = -M^T M_bar M^T.
+    prop is M = A_1^{-1}. The forward pass of initial_condition,
+    P_B = G_B G_B^T + S_B built by squaring runs (G, S) -> (G G, S + G S G^T)
+    and applying them, P <- S + G P G^T, is rerun to record its operations,
+    then walked backwards from P_bar = d(nll)/dP_B, with G_bar and the
+    symmetric S_bar of the current run:
+
+        apply:   S_bar += P_bar,  G_bar += 2 P_bar G P,  P_bar <- G^T P_bar G
+        square:  G_bar <- G_bar G^T + G^T G_bar + 2 S_bar G S,
+                 S_bar <- S_bar + G^T S_bar G
+
+    The base run G = M, S = M D M^T gives M_bar = G_bar + 2 S_bar M D and
+    D_bar = diag(M^T S_bar M), which feeds tau_1; finally
+    A_bar = -M^T M_bar M^T. Each recorded operation is dropped once used.
     """
     grid = theta.grid
     dt = grid.dt
     m = grid.m
     tau1 = step.noise_scale
     noise_var = (dt * tau1)**2
-    prop = step.dense_inverse()
-
-    cov = np.eye(m)
-    mxs = []
-    for _ in range(ic.burn_in):
-        mxs.append(prop @ (cov + np.diag(noise_var)))
-        cov = mxs[-1] @ prop.T
-        cov = 0.5 * (cov + cov.T)
+    tape = []
+    _burnin_doubling(prop, noise_var, ic.burn_in, tape)
 
     w_mat = ic.prec
     p_bar = 0.5 * (w_mat - w_mat @ second_moment_0 @ w_mat)
+    g_bar = np.zeros((m, m))
+    s_bar = np.zeros((m, m))
+    while tape:
+        kind, g, held = tape.pop()
+        if kind == "apply":
+            s_bar += p_bar
+            pg = p_bar @ g
+            if held is None:                   # applied to P = I
+                g_bar += 2.0 * pg
+            else:
+                g_bar += 2.0 * pg @ held
+                p_bar = g.T @ pg
+                p_bar = 0.5 * (p_bar + p_bar.T)
+        else:                                  # held = G S
+            g_bar = g_bar @ g.T + g.T @ g_bar + 2.0 * s_bar @ held
+            s_bar = s_bar + g.T @ (s_bar @ g)
+            s_bar = 0.5 * (s_bar + s_bar.T)
 
-    m_bar = np.zeros((m, m))
-    tau_bar = np.zeros(m)
-    for mx in reversed(mxs):
-        m_bar += 2.0 * p_bar @ mx
-        x_bar = prop.T @ p_bar @ prop
-        tau_bar += np.diag(x_bar) * 2.0 * dt**2 * tau1
-        p_bar = 0.5 * (x_bar + x_bar.T)
-
+    s_m = s_bar @ prop
+    m_bar = g_bar + 2.0 * s_m * noise_var
+    tau_bar = np.einsum("ij,ij->j", prop, s_m) * 2.0 * dt**2 * tau1
     a_bar = -prop.T @ m_bar @ prop.T
     grads["tau"][step.t] += tau_bar.reshape(grid.ny, grid.nx)
     _chain_operator_adjoint(dt * a_bar, theta, step.t, grads)

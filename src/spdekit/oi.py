@@ -21,7 +21,7 @@ from .grid import SpaceTimeGrid, Trajectory
 from .linalg import block_diagonal_preconditioner, pcg_solve, sparse_cholesky
 from .operators import ParamFields
 from .precision import (BlockPrecision, ObservationSet, apply_precision,
-                        posterior_precision, quadratic_form)
+                        posterior_precision)
 from .state_space import build_transition, initial_condition
 
 DENSE_GUARD = 5000
@@ -174,28 +174,35 @@ def oi_solve_dense_oracle(theta: ParamFields, grid: SpaceTimeGrid | None,
     return Trajectory.from_flat(grid, p_ho @ weights)
 
 
+def variational_cost_grad(x: Trajectory, obs: ObservationSet,
+                          q: BlockPrecision, lam: float = 1.0
+                          ) -> tuple[tuple[float, float, float], Trajectory]:
+    """variational_cost and variational_grad of x from one application
+    of Q."""
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    qx = apply_precision(q, x.states)
+    prior = lam * float(np.sum(x.states * qx))
+    g = 2.0 * lam * qx.reshape(-1)
+    if obs.n_obs:
+        resid = obs.values - x.flat[obs.indices]
+        data = float(np.sum(resid**2 / obs.noise_var))
+        g = g - 2.0 * scatter_obs(obs, resid / obs.noise_var)
+    else:
+        data = 0.0
+    return (data + prior, data, prior), Trajectory.from_flat(x.grid, g)
+
+
 def variational_cost(x: Trajectory, obs: ObservationSet, q: BlockPrecision,
                      lam: float = 1.0) -> tuple[float, float, float]:
     """(total, data_term, prior_term) of the interpolation cost.
 
     data_term = sum (y - x_obs)^2 / noise_var,  prior_term = lam * x^T Q x.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    if obs.n_obs:
-        resid = obs.values - x.flat[obs.indices]
-        data = float(np.sum(resid**2 / obs.noise_var))
-    else:
-        data = 0.0
-    prior = lam * quadratic_form(q, x)
-    return data + prior, data, prior
+    return variational_cost_grad(x, obs, q, lam)[0]
 
 
 def variational_grad(x: Trajectory, obs: ObservationSet, q: BlockPrecision,
                      lam: float = 1.0) -> Trajectory:
     """Exact gradient of variational_cost in x (includes the factor 2)."""
-    g = 2.0 * lam * apply_precision(q, x.states).reshape(-1)
-    if obs.n_obs:
-        resid = obs.values - x.flat[obs.indices]
-        g = g - 2.0 * scatter_obs(obs, resid / obs.noise_var)
-    return Trajectory.from_flat(x.grid, g)
+    return variational_cost_grad(x, obs, q, lam)[1]

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DivergedStep
 from .estimation import PARAM_NAMES, _gradient, expected_nll_grad, nll
 from .grid import Trajectory
-from .oi import variational_cost, variational_grad
+from .oi import variational_cost_grad, variational_grad
 from .operators import ParamFields, project_params
 from .precision import BlockPrecision, assemble_block_precision
 from .state_space import build_transition_step, initial_condition
@@ -188,7 +188,13 @@ def solver_step(state: AugmentedState, obs, cfg: SolverConfig,
     if runtime is None:
         runtime = SolverRuntime.fresh(cfg)
     q = runtime.cache.get(state.theta)
-    g = variational_grad(state.x, obs, q, cfg.lam)
+    return _advance(state, variational_grad(state.x, obs, q, cfg.lam), obs,
+                    cfg, runtime)
+
+
+def _advance(state: AugmentedState, g: Trajectory, obs, cfg: SolverConfig,
+             runtime: SolverRuntime) -> AugmentedState:
+    """solver_step from g, the state gradient at (state.x, state.theta)."""
     if not np.all(np.isfinite(g.states)):
         raise DivergedStep(runtime.iteration, "non-finite state gradient")
     new_flat = runtime.x_step.update(state.x.flat, g.flat)
@@ -230,16 +236,23 @@ def run_solver(x0: Trajectory, theta0: ParamFields, obs,
     state = AugmentedState(x=x0.copy(), theta=project_params(theta0))
     rows: list[dict] = []
     rebuilds_seen = 0
+    # the state gradient at the current state: the gradient computed with
+    # the diagnostics of one iteration drives the step of the next, so Q is
+    # applied once per iteration
+    g = None
     try:
         for it in range(cfg.n_iterations):
             prev_theta = state.theta
             try:
-                state = solver_step(state, obs, cfg, runtime)
+                if g is None:
+                    g = variational_grad(state.x, obs,
+                                         runtime.cache.get(state.theta),
+                                         cfg.lam)
+                state = _advance(state, g, obs, cfg, runtime)
                 q = runtime.cache.get(state.theta)
-                total, data, prior = variational_cost(state.x, obs, q,
-                                                      cfg.lam)
-                gnorm = float(np.linalg.norm(
-                    variational_grad(state.x, obs, q, cfg.lam).flat))
+                (total, data, prior), g = variational_cost_grad(
+                    state.x, obs, q, cfg.lam)
+                gnorm = float(np.linalg.norm(g.flat))
             except ValueError as exc:
                 if "non-finite" in str(exc):
                     raise DivergedStep(it, str(exc)) from exc

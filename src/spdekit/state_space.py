@@ -149,15 +149,20 @@ def initial_condition(theta: ParamFields, grid: SpaceTimeGrid | None = None,
     distribution of the first transition step by propagating unit white
     noise covariance through `burn_in` implicit steps,
 
-        P_k = M (P_{k-1} + dt^2 diag(tau_1^2)) M^T,    P_0 = I,
+        P_k = M (P_{k-1} + D) M^T,    P_0 = I,    D = dt^2 diag(tau_1^2),
 
-    with the dense propagator M = A_1^{-1}, so each step is two dense
-    matrix products. Its dense inverse becomes the first precision block,
-    so sampler and precision stay consistent by construction. A singular
-    A_1 raises SingularTransition(1).
+    with the dense propagator M = A_1^{-1}. Unrolled, P_B = G_B G_B^T + S_B
+    with G_k = M^k and S_k = sum_{j=1..k} M^j D M^{jT}; runs of a and b
+    steps compose as (G_a G_b, S_a + G_a S_b G_a^T), so P_B is built from
+    the binary digits of B by doubling (`_burnin_doubling`). Its inverse
+    becomes the first precision block, so sampler and precision stay
+    consistent by construction. A singular A_1 raises SingularTransition(1);
+    a negative burn_in raises ValueError.
     """
     grid = grid or theta.grid
     m = grid.m
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     if p0_mode == "white":
         if sigma0 <= 0:
             # degenerate start is fine for sampling (x0 = 0) but has no
@@ -171,19 +176,54 @@ def initial_condition(theta: ParamFields, grid: SpaceTimeGrid | None = None,
     if transitions is None:
         transitions = build_transition(theta, grid)
     step = transitions[0]
-    prop = step.dense_inverse()
-    noise_var = (grid.dt * step.noise_scale)**2
-    cov = np.eye(m)
-    for _ in range(burn_in):
-        cov = prop @ (cov + np.diag(noise_var)) @ prop.T
-        cov = 0.5 * (cov + cov.T)
-    import scipy.linalg as la
-    cho = la.cho_factor(cov, lower=True)
-    prec = la.cho_solve(cho, np.eye(m))
+    cov = _burnin_doubling(step.dense_inverse(),
+                           (grid.dt * step.noise_scale)**2, burn_in)
+    # numpy's LAPACK, not scipy.linalg: numpy and scipy each bundle their
+    # own OpenBLAS with its own thread pool. On a 2-core VM with 2 BLAS
+    # threads, a scipy potrf right after numpy's dense products took
+    # 65-120 ms instead of 1-2 ms per call inside a joint-solve op.
+    chol = np.linalg.cholesky(cov)
+    prec = np.linalg.inv(cov)
     prec = 0.5 * (prec + prec.T)
-    logdet_prec = -2.0 * float(np.sum(np.log(np.diag(cho[0]))))
+    logdet_prec = -2.0 * float(np.sum(np.log(np.diag(chol))))
     return InitialCondition(mode="burnin", sigma0=sigma0, burn_in=burn_in,
                             cov=cov, prec=prec, logdet_prec=logdet_prec, m=m)
+
+
+def _burnin_doubling(prop: np.ndarray, noise_var: np.ndarray, burn_in: int,
+                     tape: list | None = None) -> np.ndarray:
+    """P_B = G_B G_B^T + S_B of the burn-in recursion by binary doubling.
+
+    The run (G, S) of 2^k steps squares to (G G, S + G S G^T); each binary
+    digit of B set at level k applies that run to the covariance built so
+    far, P <- S + G P G^T, starting from P = I at the lowest set digit.
+    B = 20 takes 16 dense m x m products where the step-by-step recursion
+    takes 40. Given a list, the operations are recorded on it in order for
+    estimation._burnin_adjoint: ("square", G, G S) and ("apply", G, P),
+    where P is None for the start P = I.
+    """
+    if burn_in == 0:
+        return np.eye(prop.shape[0])
+    g = prop
+    s = (prop * noise_var) @ prop.T
+    s = 0.5 * (s + s.T)
+    cov = None
+    level = burn_in
+    while True:
+        if level & 1:
+            if tape is not None:
+                tape.append(("apply", g, cov))
+            cov = s + (g @ g.T if cov is None else g @ cov @ g.T)
+            cov = 0.5 * (cov + cov.T)
+        level >>= 1
+        if not level:
+            return cov
+        gs = g @ s
+        if tape is not None:
+            tape.append(("square", g, gs))
+        s = s + gs @ g.T
+        s = 0.5 * (s + s.T)
+        g = g @ g
 
 
 def propagate(transitions: list[TransitionStep], x0: np.ndarray,
@@ -251,6 +291,8 @@ def sample_prior(theta: ParamFields, grid: SpaceTimeGrid | None = None,
         raise ValueError("n_members must be >= 1")
     if base_seed < 0:
         raise ValueError("base_seed must be non-negative")
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     if transitions is None:
         transitions = build_transition(theta, grid)
     ic = InitialCondition(mode=p0_mode, sigma0=sigma0, burn_in=burn_in,

@@ -172,6 +172,14 @@ def test_bad_config_value_exits_2(workdir, capsys):
     assert _run(workdir, "simulate", out_dir=workdir / "x") == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "interpolate"])
+def test_negative_burn_in_exits_2(workdir, capsys, command):
+    (workdir / "experiment.cfg").write_text(
+        BASE.replace("burn_in = 10", "burn_in = -1"), encoding="utf-8")
+    assert _run(workdir, command, out_dir=workdir / "x") == 2
+    assert "[sampler] burn_in = -1" in capsys.readouterr().err
+
+
 def test_numerical_failure_exits_3(workdir, capsys):
     (workdir / "experiment.cfg").write_text(
         BASE.replace("tau = 1.0", "tau = 1e-12"), encoding="utf-8")

@@ -66,14 +66,22 @@ def test_trace_gradient_matches_finite_differences(p0_mode):
         assert np.max(np.abs(a - b)) < 1e-4 * scale, name
 
 
-@pytest.mark.parametrize("p0_mode", ["burnin", "white"])
+# the burn-in adjoint runs the doubling tape backwards: cover every shape
+# of it (no digit, one digit, runs of set digits, a single high digit, mixed)
+_P0_CASES = [pytest.param("white", 5, id="white")] + [
+    pytest.param("burnin", b, id="burnin" if b == 5 else f"burnin-{b}")
+    for b in (0, 1, 2, 3, 5, 7, 16, 20, 33)]
+
+
+@pytest.mark.parametrize("p0_mode, burn_in", _P0_CASES)
 @pytest.mark.parametrize("nx, ny", [(3, 3), (5, 4), (8, 8)])
-def test_trace_gradient_matches_cholesky_adjoint_oracle(p0_mode, nx, ny):
+def test_trace_gradient_matches_cholesky_adjoint_oracle(p0_mode, burn_in, nx,
+                                                        ny):
     g = SpaceTimeGrid(nx=nx, ny=ny, nt=4)
     theta = random_theta(g, 17)
     xs = sample_prior(theta, g, n_members=3, base_seed=14,
                       p0_mode=p0_mode).members
-    p0_opts = dict(p0_mode=p0_mode, sigma0=1.0, burn_in=5)
+    p0_opts = dict(p0_mode=p0_mode, sigma0=1.0, burn_in=burn_in)
     ours = nll_grad(xs, theta, mode="trace", **p0_opts)
     oracle = cholesky_adjoint_trace_gradient(xs, theta, p0_opts)
     for name in PARAM_NAMES:
@@ -113,6 +121,29 @@ def test_singular_first_transition_with_burnin_start_is_typed():
                         dict(p0_mode="burnin", sigma0=1.0, burn_in=5),
                         transitions=[singular])
     assert info.value.t == 1
+
+
+def test_trace_gradient_inverts_each_transition_once(monkeypatch):
+    # A_1^{-1} serves both step 1's log-determinant and the burn-in adjoint
+    from spdekit.estimation import _trace_gradient
+    from spdekit.state_space import (TransitionStep, build_transition,
+                                     initial_condition)
+    g = SpaceTimeGrid(nx=3, ny=3, nt=4)
+    theta = random_theta(g, 25)
+    xs = sample_prior(theta, g, n_members=2, base_seed=18).members
+    p0_opts = dict(p0_mode="burnin", sigma0=1.0, burn_in=5)
+    steps = build_transition(theta, g)
+    ic = initial_condition(theta, g, transitions=steps, **p0_opts)
+    inverted = []
+    dense_inverse = TransitionStep.dense_inverse
+
+    def counted(step):
+        inverted.append(step.t)
+        return dense_inverse(step)
+
+    monkeypatch.setattr(TransitionStep, "dense_inverse", counted)
+    _trace_gradient(xs, theta, p0_opts, steps, ic)
+    assert sorted(inverted) == [1, 2, 3]
 
 
 def test_stationary_gradient_is_cell_sum():

@@ -5,8 +5,9 @@ import pytest
 
 from spdekit import (AugmentedState, ObservationSet, ParamFields,
                      SolverConfig, SpaceTimeGrid, Trajectory,
-                     assemble_block_precision, nll_grad, oi_solve_precision,
-                     run_solver, sample_prior, solver_step, training_loss)
+                     apply_precision, assemble_block_precision, nll_grad,
+                     oi_solve_precision, run_solver, sample_prior,
+                     solver_step, training_loss)
 from spdekit.errors import DivergedStep
 from spdekit.estimation import PARAM_NAMES
 from spdekit.steps import PlainStep
@@ -102,6 +103,41 @@ def test_diverged_step_carries_partial_diagnostics():
         run_solver(Trajectory.zeros(g), theta, obs, cfg)
     assert hasattr(exc.value, "diagnostics")
     assert exc.value.iteration >= 1
+
+
+@pytest.mark.parametrize("update_mode", ["x_only", "alternating"])
+def test_one_precision_application_per_iteration(monkeypatch, update_mode):
+    # the gradient computed with an iteration's diagnostics drives the next
+    # step: one Q application per iteration, plus one for the start, with
+    # the same iterates and diagnostics as separate solver_step, cost and
+    # gradient calls
+    from spdekit import oi, project_params
+    from spdekit.solver import SolverRuntime
+    g, theta, obs = _case()
+    cfg = SolverConfig(n_iterations=7, update_mode=update_mode, x_steps=2,
+                       theta_steps=1, step={"kind": "plain", "lr": 0.01},
+                       p0_mode="white")
+    runtime = SolverRuntime.fresh(cfg)
+    state = AugmentedState(x=Trajectory.zeros(g), theta=project_params(theta))
+    expected = []
+    for _ in range(cfg.n_iterations):
+        state = solver_step(state, obs, cfg, runtime)
+        q = runtime.cache.get(state.theta)
+        grad = oi.variational_grad(state.x, obs, q, cfg.lam)
+        expected.append((oi.variational_cost(state.x, obs, q, cfg.lam),
+                         float(np.linalg.norm(grad.flat))))
+    calls = []
+
+    def counted(q, v):
+        calls.append(1)
+        return apply_precision(q, v)
+
+    monkeypatch.setattr(oi, "apply_precision", counted)
+    res = run_solver(Trajectory.zeros(g), theta, obs, cfg)
+    assert len(calls) == cfg.n_iterations + 1
+    assert res.x.states.tobytes() == state.x.states.tobytes()
+    assert [((r["cost"], r["data_term"], r["prior_term"]), r["grad_norm"])
+            for r in res.diagnostics] == expected
 
 
 def test_lazy_reassembly_counts():

@@ -167,7 +167,9 @@ def test_burnin_initial_condition_consistency():
     assert ic.logdet_prec == pytest.approx(logdet, abs=1e-8)
 
 
-@pytest.mark.parametrize("burn_in", [1, 5, 20])
+# every shape of the doubling: no digit, one digit, runs of set digits,
+# a single high digit, and mixed digits
+@pytest.mark.parametrize("burn_in", [0, 1, 2, 3, 5, 7, 16, 20, 33])
 @pytest.mark.parametrize("nx, ny", [(3, 3), (5, 4), (8, 8)])
 def test_burnin_marginal_matches_superlu_oracle(nx, ny, burn_in):
     g = SpaceTimeGrid(nx=nx, ny=ny, nt=3)
@@ -190,3 +192,47 @@ def test_singular_first_transition_in_burnin_is_typed():
         initial_condition(theta, g, p0_mode="burnin", burn_in=5,
                           transitions=[singular])
     assert info.value.t == 1
+
+
+def test_zero_burn_in_is_unit_white():
+    g = SpaceTimeGrid(nx=4, ny=3, nt=2)
+    ic = initial_condition(random_theta(g, 22), g, p0_mode="burnin",
+                           burn_in=0)
+    assert np.array_equal(ic.cov, np.eye(g.m))
+    assert np.array_equal(ic.prec, np.eye(g.m))
+    assert ic.logdet_prec == 0.0
+
+
+@pytest.mark.parametrize("p0_mode", ["burnin", "white"])
+def test_negative_burn_in_is_rejected(p0_mode):
+    g = SpaceTimeGrid(nx=3, ny=3, nt=2)
+    theta = random_theta(g, 23)
+    with pytest.raises(ValueError, match="burn_in"):
+        initial_condition(theta, g, p0_mode=p0_mode, burn_in=-1)
+    with pytest.raises(ValueError, match="burn_in"):
+        sample_prior(theta, g, p0_mode=p0_mode, burn_in=-1)
+
+
+def test_burnin_path_stays_off_scipy_lapack(monkeypatch):
+    # numpy and scipy bundle separate OpenBLAS builds with separate thread
+    # pools; the dense burn-in path must use numpy's alone
+    import scipy.linalg
+    from scipy.linalg import lapack
+
+    from spdekit.estimation import _trace_gradient
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy LAPACK called on the burn-in path")
+
+    for module, name in ((scipy.linalg, "cho_factor"),
+                         (scipy.linalg, "cho_solve"), (lapack, "dpotrf")):
+        monkeypatch.setattr(module, name, refuse)
+    g = SpaceTimeGrid(nx=4, ny=4, nt=3)
+    theta = random_theta(g, 24)
+    ic = initial_condition(theta, g, p0_mode="burnin", burn_in=7)
+    assert ic.logdet_prec != 0.0
+    xs = sample_prior(theta, g, n_members=2, base_seed=17,
+                      burn_in=7).members
+    grads = _trace_gradient(xs, theta,
+                            dict(p0_mode="burnin", sigma0=1.0, burn_in=7))
+    assert np.all(np.isfinite(grads.fields["tau"]))
