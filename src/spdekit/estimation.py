@@ -7,7 +7,9 @@ precision Q(theta) is
 
 Two gradient modes are provided. "finite_diff" differentiates the nll
 numerically (cheap under the stationarity constraint: 7 scalars). "trace"
-is the exact adjoint of the assembly. The quadratic term is differentiated
+is the exact adjoint of the assembly; its last link, from d/dL_t to the
+per-cell fields, is the transpose of the stencil table that assembles L_t
+(``operators.operator_adjoint``). The quadratic term is differentiated
 through the step residuals r_t = A_t x_t - x_{t-1}, computed from the
 stacked data trajectories. The step log-determinant is closed form, the
 GMRF identity (Rue & Held 2005, ch. 2)
@@ -39,7 +41,7 @@ import numpy as np
 from .errors import DimensionGuard, DivergedFit, UnsupportedAlpha
 from .grid import SpaceTimeGrid, Trajectory
 from .linalg import log_det_block
-from .operators import ParamFields, project_params, slab_neighbors
+from .operators import ParamFields, operator_adjoint, project_params
 from .precision import assemble_block_precision, quadratic_form
 from .state_space import (TransitionStep, _burnin_doubling, build_transition,
                           initial_condition)
@@ -129,63 +131,6 @@ def _fd_gradient_stationary(xs, theta, p0_opts, step_scale=1e-5) -> np.ndarray:
 
 # --- exact adjoint ("trace") gradient ----------------------------------------
 
-def _chain_operator_adjoint(l_bar: np.ndarray, theta: ParamFields, t: int,
-                            grads: dict[str, np.ndarray]) -> None:
-    """Scatter d(loss)/dL_t into the slab-t parameter gradients.
-
-    l_bar is the dense gradient with respect to the assembled slab
-    operator; the assembly is linear in (kappa^2, m, H), so each field's
-    adjoint is a short stencil-weighted sum of l_bar entries.
-    """
-    grid = theta.grid
-    ny, nx = grid.ny, grid.nx
-    m = grid.m
-    cells = np.arange(m)
-    nb = slab_neighbors(grid)
-
-    kappa = theta.kappa.values[t].ravel()
-    grads["kappa"][t] += (2.0 * kappa * l_bar[cells, cells]).reshape(ny, nx)
-
-    # advection: branch on the upwind side actually used
-    for name, vel_field, plus, minus, has_p, has_m, step in (
-            ("m_u", theta.m_u, nb.xp, nb.xm, nb.has_xp, nb.has_xm, grid.dx),
-            ("m_v", theta.m_v, nb.yp, nb.ym, nb.has_yp, nb.has_ym, grid.dy)):
-        vel = vel_field.values[t].ravel()
-        g = np.zeros(m)
-        pos = (vel >= 0) & has_p
-        neg = (vel < 0) & has_m
-        g[pos] = (l_bar[cells[pos], cells[pos]]
-                  - l_bar[cells[pos], plus[pos]]) / step
-        g[neg] = (-l_bar[cells[neg], cells[neg]]
-                  + l_bar[cells[neg], minus[neg]]) / step
-        grads[name][t] += g.reshape(ny, nx)
-
-    # axis diffusion: each interior face feels both adjacent cells at 1/2
-    idx = cells.reshape(ny, nx)
-    lo, hi = idx[:, :-1].ravel(), idx[:, 1:].ravel()
-    face = (l_bar[lo, lo] + l_bar[hi, hi] - l_bar[lo, hi] - l_bar[hi, lo]) \
-        / (2.0 * grid.dx**2)
-    acc = np.zeros((ny, nx))
-    acc[:, :-1] += face.reshape(ny, nx - 1)
-    acc[:, 1:] += face.reshape(ny, nx - 1)
-    grads["h11"][t] += acc
-    lo, hi = idx[:-1, :].ravel(), idx[1:, :].ravel()
-    face = (l_bar[lo, lo] + l_bar[hi, hi] - l_bar[lo, hi] - l_bar[hi, lo]) \
-        / (2.0 * grid.dy**2)
-    acc = np.zeros((ny, nx))
-    acc[:-1, :] += face.reshape(ny - 1, nx)
-    acc[1:, :] += face.reshape(ny - 1, nx)
-    grads["h22"][t] += acc
-
-    # mixed term: the cross stencil of cell c reads l_bar at 2x2 offsets
-    c = 1.0 / (4.0 * grid.dx * grid.dy)
-    term1 = (l_bar[nb.xp, nb.yp] - l_bar[nb.xp, nb.ym]
-             - l_bar[nb.xm, nb.yp] + l_bar[nb.xm, nb.ym])
-    term2 = (l_bar[nb.yp, nb.xp] - l_bar[nb.ym, nb.xp]
-             - l_bar[nb.yp, nb.xm] + l_bar[nb.ym, nb.xm])
-    grads["h12"][t] += (c * (term1 + term2)).reshape(ny, nx)
-
-
 class TrajectoryMoments:
     """Second moments E[x_t x_t^T] and E[x_{t-1} x_t^T] driving the
     quadratic part of the expected-nll gradient.
@@ -200,16 +145,6 @@ class TrajectoryMoments:
     def __init__(self, diag: list[np.ndarray], cross: list[np.ndarray]):
         self.diag = diag      # nt entries, m x m
         self.cross = cross    # nt-1 entries, E[x_{t-1} x_t^T]
-
-    @classmethod
-    def from_trajectories(cls, xs: list[Trajectory]) -> "TrajectoryMoments":
-        nt = xs[0].grid.nt
-        n = len(xs)
-        diag = [sum(np.outer(x.states[t], x.states[t]) for x in xs) / n
-                for t in range(nt)]
-        cross = [sum(np.outer(x.states[t - 1], x.states[t]) for x in xs) / n
-                 for t in range(1, nt)]
-        return cls(diag, cross)
 
     @classmethod
     def from_posterior(cls, x_star: Trajectory,
@@ -245,7 +180,7 @@ def _step_adjoint(step: TransitionStep, inverse: np.ndarray, rx: np.ndarray,
     a_bar = w[:, None] * rx - inverse.T
     tau_bar = 1.0 / tau - r_sq / (dt**2 * tau**3)
     grads["tau"][step.t] += tau_bar.reshape(grid.ny, grid.nx)
-    _chain_operator_adjoint(dt * a_bar, theta, step.t, grads)
+    operator_adjoint(dt * a_bar, theta, step.t, grads)
 
 
 def _trace_gradient_from(theta: ParamFields, p0_opts: dict, quadratic,
@@ -364,7 +299,7 @@ def _burnin_adjoint(second_moment_0, theta, step, ic, grads, prop) -> None:
     tau_bar = np.einsum("ij,ij->j", prop, s_m) * 2.0 * dt**2 * tau1
     a_bar = -prop.T @ m_bar @ prop.T
     grads["tau"][step.t] += tau_bar.reshape(grid.ny, grid.nx)
-    _chain_operator_adjoint(dt * a_bar, theta, step.t, grads)
+    operator_adjoint(dt * a_bar, theta, step.t, grads)
 
 
 def nll_grad(x, theta: ParamFields, mode: str = "finite_diff",

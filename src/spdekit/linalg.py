@@ -49,11 +49,16 @@ class CholeskyFactor:
         return 2.0 * float(np.sum(np.log(self.band[0])))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Forward+backward substitution for A x = b (2-D b solved columnwise)."""
+        """Forward+backward substitution for A x = b (2-D b solved columnwise).
+
+        The band is not scanned for NaNs: it comes out of a checked
+        factorization, and a non-finite b comes back non-finite, which
+        callers test in their residual check.
+        """
         b = np.asarray(b, dtype=np.float64)
         if b.shape[0] != self.n:
             raise ValueError(f"rhs has {b.shape[0]} rows, factor is {self.n}")
-        return la.cho_solve_banded((self.band, True), b)
+        return la.cho_solve_banded((self.band, True), b, check_finite=False)
 
     def as_sparse_lower(self) -> sparse.csr_array:
         rows, cols, vals = [], [], []
@@ -203,11 +208,14 @@ def pcg_solve(apply_a: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
     """Conjugate gradients on a symmetric positive-definite operator.
 
     Stops when ||b - A x|| <= tol * ||b||; raises MaxIterations (carrying
-    the final relative residual) otherwise.
+    the final relative residual) otherwise, and ValueError at once for a
+    non-finite b.
     """
     b = np.asarray(b, dtype=np.float64)
     n = b.shape[0]
     norm_b = float(np.linalg.norm(b))
+    if not np.isfinite(norm_b):
+        raise ValueError("right-hand side has non-finite entries")
     if norm_b == 0.0:
         return PcgResult(np.zeros(n), 0, 0.0)
     if max_iter is None:

@@ -98,7 +98,8 @@ class PosteriorSolver:
             .reshape(rhs.shape)
         rel = np.linalg.norm(residual, axis=0) / np.where(rhs_norm > 0,
                                                           rhs_norm, 1.0)
-        failed = np.flatnonzero(rel > RESIDUAL_TOL)
+        # a NaN residual fails too
+        failed = np.flatnonzero(~(rel <= RESIDUAL_TOL))
         if failed.size:
             j = int(failed[0])
             raise SolveFailure(f"posterior solve residual {rel[j]:.3e} "

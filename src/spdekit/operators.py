@@ -15,13 +15,18 @@ discretized on the cell grid with:
   (applied in advective form, which keeps constants in the kernel),
 * zero-flux (Neumann) boundary conditions throughout.
 
-Boundary handling is localized in the difference-operator builders below,
-so a different closure could be swapped in without touching the assembly.
-Every row touches at most itself and its 8 spatial neighbors.
+L is linear in the per-cell coefficients (kappa^2, H, and the two upwind
+parts of each advection component), so one stencil table per grid holds
+the whole discretization: the fixed sparsity pattern and a sparse matrix J
+that maps the coefficients to the pattern's values. Assembly is J @ phi;
+the parameter adjoint is J^T applied to the operator gradient at the
+pattern. The boundary closure lives only in the table's builder. Every
+row touches at most itself and its 8 spatial neighbors.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -123,84 +128,80 @@ class ValidationReport:
         return not self.violations
 
 
-# --- difference operators ----------------------------------------------------
+# --- stencil table -----------------------------------------------------------
 
-def _slab_index(grid: SpaceTimeGrid) -> np.ndarray:
-    return np.arange(grid.m).reshape(grid.ny, grid.nx)
+# Per-cell features phi of a slab, each an m-vector, in this order along the
+# columns of the table's J: u+ = max(u, 0) and u- = min(u, 0) pick the
+# upwind side of each advection component.
+_N_FEATURES = 8     # kappa^2, h11, h22, h12, u+, u-, v+, v-
 
 
 @dataclass(frozen=True)
-class SlabNeighbors:
-    """Per-cell neighbor indexing shared by assembly and its adjoint.
+class _StencilTable:
+    """The fixed CSR pattern of a grid's slab operators and the sparse map J
+    (pattern slots x 8m) from the features phi to the stored values, so
+    L_t = csr(J @ phi_t) and, L_t being linear in phi, phi_bar = J^T l_bar
+    read at the pattern slots."""
 
-    xp/xm/yp/ym are clamped at the boundary (reflected ghosts), flattened
-    to (m,); the has_* masks flag cells whose face in that direction is
-    interior.
-    """
-
-    xp: np.ndarray
-    xm: np.ndarray
-    yp: np.ndarray
-    ym: np.ndarray
-    has_xp: np.ndarray
-    has_xm: np.ndarray
-    has_yp: np.ndarray
-    has_ym: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    rows: np.ndarray
+    jac: sparse.csr_array
 
 
-def slab_neighbors(grid: SpaceTimeGrid) -> SlabNeighbors:
-    ny, nx = grid.ny, grid.nx
-    idx = _slab_index(grid)
-    xp = np.minimum(np.arange(nx) + 1, nx - 1)
-    xm = np.maximum(np.arange(nx) - 1, 0)
-    yp = np.minimum(np.arange(ny) + 1, ny - 1)
-    ym = np.maximum(np.arange(ny) - 1, 0)
-    return SlabNeighbors(
-        xp=idx[:, xp].ravel(), xm=idx[:, xm].ravel(),
-        yp=idx[yp, :].ravel(), ym=idx[ym, :].ravel(),
-        has_xp=np.tile(np.arange(nx) < nx - 1, ny),
-        has_xm=np.tile(np.arange(nx) > 0, ny),
-        has_yp=np.repeat(np.arange(ny) < ny - 1, nx),
-        has_ym=np.repeat(np.arange(ny) > 0, nx))
+@functools.lru_cache(maxsize=8)
+def _stencil_table(grid: SpaceTimeGrid) -> _StencilTable:
+    ny, nx, m = grid.ny, grid.nx, grid.m
+    idx = np.arange(m).reshape(ny, nx)
+    cell = idx.ravel()
+    # neighbors clamped at the boundary (reflected ghosts): a boundary
+    # term lands twice on the same slot and feature with opposite signs,
+    # and summing the duplicates cancels it exactly
+    xp = idx[:, np.minimum(np.arange(nx) + 1, nx - 1)].ravel()
+    xm = idx[:, np.maximum(np.arange(nx) - 1, 0)].ravel()
+    yp = idx[np.minimum(np.arange(ny) + 1, ny - 1), :].ravel()
+    ym = idx[np.maximum(np.arange(ny) - 1, 0), :].ravel()
+    entries = []                       # (row, col, column of J, coefficient)
 
+    def add(row, col, feature, owner, coeff):
+        entries.append((row, col, feature * m + owner,
+                        np.full(row.shape, coeff)))
 
-def _central_diff(grid: SpaceTimeGrid, plus, minus, step) -> sparse.csr_array:
-    """Cell-centered difference with reflected (zero-gradient) ghosts."""
-    m = grid.m
-    rows = np.concatenate([np.arange(m), np.arange(m)])
-    cols = np.concatenate([plus, minus])
-    c = 1.0 / (2.0 * step)
-    vals = np.concatenate([np.full(m, c), np.full(m, -c)])
-    out = sparse.csr_array((vals, (rows, cols)), shape=(m, m))
-    out.sum_duplicates()
-    return out
+    add(cell, cell, 0, cell, 1.0)                          # damping
+    # axis diffusion: each interior face carries the mean of its two cells
+    for feature, lo, hi, step in ((1, idx[:, :-1], idx[:, 1:], grid.dx),
+                                  (2, idx[:-1, :], idx[1:, :], grid.dy)):
+        lo, hi = lo.ravel(), hi.ravel()
+        c = 0.5 / step**2
+        for owner in (lo, hi):
+            for row, col, coeff in ((lo, lo, c), (hi, hi, c),
+                                    (lo, hi, -c), (hi, lo, -c)):
+                add(row, col, feature, owner, coeff)
+    # mixed term: cross = Dx^T diag(h12) Dy plus its transpose, with Dx, Dy
+    # the central differences
+    c = 1.0 / (4.0 * grid.dx * grid.dy)
+    for i, sx in ((xp, c), (xm, -c)):
+        for j, sy in ((yp, 1.0), (ym, -1.0)):
+            add(i, j, 3, cell, sx * sy)
+            add(j, i, 3, cell, sx * sy)
+    # advection -m . grad, upwind per cell and component
+    for feature, plus, minus, step in ((4, xp, xm, grid.dx),
+                                       (6, yp, ym, grid.dy)):
+        add(cell, cell, feature, cell, 1.0 / step)
+        add(cell, plus, feature, cell, -1.0 / step)
+        add(cell, cell, feature + 1, cell, -1.0 / step)
+        add(cell, minus, feature + 1, cell, 1.0 / step)
 
-
-def _axis_flux_entries(idx_lo, idx_hi, coeff, step):
-    """COO entries of a face-flux second-difference along one axis."""
-    c = coeff / step**2
-    rows = np.concatenate([idx_lo, idx_hi, idx_lo, idx_hi])
-    cols = np.concatenate([idx_lo, idx_hi, idx_hi, idx_lo])
-    vals = np.concatenate([c, c, -c, -c])
-    return rows, cols, vals
-
-
-def _upwind_entries(idx, vel, axis_neighbors, step):
-    """COO entries of -vel * d/daxis with per-cell upwind differencing.
-
-    axis_neighbors = (idx_plus, idx_minus, has_plus, has_minus) where the
-    has_* masks flag interior faces; boundary terms vanish under the
-    reflected-ghost closure.
-    """
-    idx_p, idx_m, has_p, has_m = axis_neighbors
-    v = vel.ravel()
-    pos = (v > 0) & has_p
-    neg = (v < 0) & has_m
-    rows = np.concatenate([idx[pos], idx[pos], idx[neg], idx[neg]])
-    cols = np.concatenate([idx[pos], idx_p[pos], idx[neg], idx_m[neg]])
-    vals = np.concatenate([v[pos] / step, -v[pos] / step,
-                           -v[neg] / step, v[neg] / step])
-    return rows, cols, vals
+    rows, cols, feats, coeffs = (np.concatenate(a) for a in zip(*entries))
+    slots, slot_of = np.unique(rows * m + cols, return_inverse=True)
+    jac = sparse.csr_array((coeffs, (slot_of.ravel(), feats)),
+                           shape=(slots.size, _N_FEATURES * m))
+    jac.eliminate_zeros()
+    rows, indices = np.divmod(slots, m)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))])
+    for arr in (indptr, indices, rows):
+        arr.setflags(write=False)
+    return _StencilTable(indptr, indices, rows, jac)
 
 
 def assemble_fdm_operator(theta: ParamFields, t: int,
@@ -229,51 +230,37 @@ def assemble_fdm_operator(theta: ParamFields, t: int,
             f"(t={t}, y={y}, x={x}): h11={h11[y, x]:.4g}, "
             f"h12={h12[y, x]:.4g}, h22={h22[y, x]:.4g}")
 
-    ny, nx, m = grid.ny, grid.nx, grid.m
-    idx = _slab_index(grid)
-    rows_all, cols_all, vals_all = [], [], []
-
-    # damping
-    rows_all.append(idx.ravel())
-    cols_all.append(idx.ravel())
-    vals_all.append((kappa**2).ravel())
-
-    # axis-aligned diffusion, face-averaged coefficients
-    r, c, v = _axis_flux_entries(idx[:, :-1].ravel(), idx[:, 1:].ravel(),
-                                 0.5 * (h11[:, :-1] + h11[:, 1:]).ravel(),
-                                 grid.dx)
-    rows_all.append(r); cols_all.append(c); vals_all.append(v)
-    r, c, v = _axis_flux_entries(idx[:-1, :].ravel(), idx[1:, :].ravel(),
-                                 0.5 * (h22[:-1, :] + h22[1:, :]).ravel(),
-                                 grid.dy)
-    rows_all.append(r); cols_all.append(c); vals_all.append(v)
-
-    # advection, upwind per cell per component
-    flat = idx.ravel()
-    nb = slab_neighbors(grid)
-    r, c, v = _upwind_entries(flat, m_u, (nb.xp, nb.xm, nb.has_xp, nb.has_xm),
-                              grid.dx)
-    rows_all.append(r); cols_all.append(c); vals_all.append(v)
-    r, c, v = _upwind_entries(flat, m_v, (nb.yp, nb.ym, nb.has_yp, nb.has_ym),
-                              grid.dy)
-    rows_all.append(r); cols_all.append(c); vals_all.append(v)
-
-    op = sparse.csr_array(
-        (np.concatenate(vals_all),
-         (np.concatenate(rows_all), np.concatenate(cols_all))),
-        shape=(m, m))
-
-    # mixed-derivative diffusion via the central cross stencil
-    if np.any(h12):
-        dxc = _central_diff(grid, nb.xp, nb.xm, grid.dx)
-        dyc = _central_diff(grid, nb.yp, nb.ym, grid.dy)
-        cross = (dxc.T @ (sparse.diags_array(h12.ravel()) @ dyc)).tocsr()
-        op = op + cross + cross.T
-
-    op.sum_duplicates()
-    op.sort_indices()
+    phi = np.concatenate([kappa**2, h11, h22, h12,
+                          np.maximum(m_u, 0.0), np.minimum(m_u, 0.0),
+                          np.maximum(m_v, 0.0), np.minimum(m_v, 0.0)],
+                         axis=None)
+    table = _stencil_table(grid)
+    op = sparse.csr_array((table.jac @ phi, table.indices, table.indptr),
+                          shape=(grid.m, grid.m), copy=True)
     op.eliminate_zeros()
     return op
+
+
+def operator_adjoint(l_bar: np.ndarray, theta: ParamFields, t: int,
+                     grads: dict[str, np.ndarray]) -> None:
+    """Add d(loss)/d(theta_t) to grads[name][t], given the dense gradient
+    l_bar = d(loss)/dL_t.
+
+    phi_bar = J^T l_bar[pattern], then kappa_bar = 2 kappa phi_bar_kappa^2
+    and each advection component reads the upwind side in use (u+ where
+    u >= 0, else u-).
+    """
+    grid = theta.grid
+    table = _stencil_table(grid)
+    phi_bar = (table.jac.T @ l_bar[table.rows, table.indices]) \
+        .reshape(_N_FEATURES, grid.ny, grid.nx)
+    kappa2, h11, h22, h12, u_pos, u_neg, v_pos, v_neg = phi_bar
+    grads["kappa"][t] += 2.0 * theta.kappa.values[t] * kappa2
+    grads["h11"][t] += h11
+    grads["h22"][t] += h22
+    grads["h12"][t] += h12
+    grads["m_u"][t] += np.where(theta.m_u.values[t] >= 0, u_pos, u_neg)
+    grads["m_v"][t] += np.where(theta.m_v.values[t] >= 0, v_pos, v_neg)
 
 
 class FractionalOperator:

@@ -121,6 +121,8 @@ class ObservationSet:
                 f"{self.values.shape[0]} and {self.noise_var.shape[0]}")
         if n and not np.all(self.noise_var > 0):
             raise ValueError("noise_var must be strictly positive")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("observed values must be finite")
 
     @property
     def n_obs(self) -> int:

@@ -1,8 +1,12 @@
 """Independent dense oracles used across the test suite.
 
 The operator oracle re-derives every stencil entry cell by cell with plain
-loops; it shares no code with the vectorized assembly in the package.
+loops; it shares no code with the vectorized assembly in the package. The
+operator adjoint reference scatters d/dL_t to the fields term by term, with
+no use of the package's stencil table.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -101,6 +105,97 @@ def dense_operator_oracle(theta: ParamFields, t: int) -> np.ndarray:
     return op
 
 
+def slab_neighbors(grid: SpaceTimeGrid) -> SimpleNamespace:
+    """Per-cell neighbor indices, clamped at the boundary (reflected
+    ghosts) and flattened to (m,); the has_* masks flag cells whose face in
+    that direction is interior."""
+    ny, nx = grid.ny, grid.nx
+    idx = np.arange(grid.m).reshape(ny, nx)
+    xp = np.minimum(np.arange(nx) + 1, nx - 1)
+    xm = np.maximum(np.arange(nx) - 1, 0)
+    yp = np.minimum(np.arange(ny) + 1, ny - 1)
+    ym = np.maximum(np.arange(ny) - 1, 0)
+    return SimpleNamespace(
+        xp=idx[:, xp].ravel(), xm=idx[:, xm].ravel(),
+        yp=idx[yp, :].ravel(), ym=idx[ym, :].ravel(),
+        has_xp=np.tile(np.arange(nx) < nx - 1, ny),
+        has_xm=np.tile(np.arange(nx) > 0, ny),
+        has_yp=np.repeat(np.arange(ny) < ny - 1, nx),
+        has_ym=np.repeat(np.arange(ny) > 0, nx))
+
+
+def operator_adjoint_reference(l_bar: np.ndarray, theta: ParamFields,
+                               t: int, grads: dict[str, np.ndarray]) -> None:
+    """Scatter d(loss)/dL_t into the slab-t parameter gradients.
+
+    l_bar is the dense gradient with respect to the assembled slab
+    operator; the assembly is linear in (kappa^2, m, H), so each field's
+    adjoint is a short stencil-weighted sum of l_bar entries, derived here
+    term by term and independently of the library's stencil table.
+    """
+    grid = theta.grid
+    ny, nx = grid.ny, grid.nx
+    m = grid.m
+    cells = np.arange(m)
+    nb = slab_neighbors(grid)
+
+    kappa = theta.kappa.values[t].ravel()
+    grads["kappa"][t] += (2.0 * kappa * l_bar[cells, cells]).reshape(ny, nx)
+
+    # advection: branch on the upwind side actually used
+    for name, vel_field, plus, minus, has_p, has_m, step in (
+            ("m_u", theta.m_u, nb.xp, nb.xm, nb.has_xp, nb.has_xm, grid.dx),
+            ("m_v", theta.m_v, nb.yp, nb.ym, nb.has_yp, nb.has_ym, grid.dy)):
+        vel = vel_field.values[t].ravel()
+        g = np.zeros(m)
+        pos = (vel >= 0) & has_p
+        neg = (vel < 0) & has_m
+        g[pos] = (l_bar[cells[pos], cells[pos]]
+                  - l_bar[cells[pos], plus[pos]]) / step
+        g[neg] = (-l_bar[cells[neg], cells[neg]]
+                  + l_bar[cells[neg], minus[neg]]) / step
+        grads[name][t] += g.reshape(ny, nx)
+
+    # axis diffusion: each interior face feels both adjacent cells at 1/2
+    idx = cells.reshape(ny, nx)
+    lo, hi = idx[:, :-1].ravel(), idx[:, 1:].ravel()
+    face = (l_bar[lo, lo] + l_bar[hi, hi] - l_bar[lo, hi] - l_bar[hi, lo]) \
+        / (2.0 * grid.dx**2)
+    acc = np.zeros((ny, nx))
+    acc[:, :-1] += face.reshape(ny, nx - 1)
+    acc[:, 1:] += face.reshape(ny, nx - 1)
+    grads["h11"][t] += acc
+    lo, hi = idx[:-1, :].ravel(), idx[1:, :].ravel()
+    face = (l_bar[lo, lo] + l_bar[hi, hi] - l_bar[lo, hi] - l_bar[hi, lo]) \
+        / (2.0 * grid.dy**2)
+    acc = np.zeros((ny, nx))
+    acc[:-1, :] += face.reshape(ny - 1, nx)
+    acc[1:, :] += face.reshape(ny - 1, nx)
+    grads["h22"][t] += acc
+
+    # mixed term: the cross stencil of cell c reads l_bar at 2x2 offsets
+    c = 1.0 / (4.0 * grid.dx * grid.dy)
+    term1 = (l_bar[nb.xp, nb.yp] - l_bar[nb.xp, nb.ym]
+             - l_bar[nb.xm, nb.yp] + l_bar[nb.xm, nb.ym])
+    term2 = (l_bar[nb.yp, nb.xp] - l_bar[nb.ym, nb.xp]
+             - l_bar[nb.yp, nb.xm] + l_bar[nb.ym, nb.xm])
+    grads["h12"][t] += (c * (term1 + term2)).reshape(ny, nx)
+
+
+def moments_from_trajectories(xs):
+    """TrajectoryMoments of sample trajectories: the empirical means of
+    x_t x_t^T and x_{t-1} x_t^T."""
+    from spdekit.estimation import TrajectoryMoments
+
+    nt = xs[0].grid.nt
+    n = len(xs)
+    diag = [sum(np.outer(x.states[t], x.states[t]) for x in xs) / n
+            for t in range(nt)]
+    cross = [sum(np.outer(x.states[t - 1], x.states[t]) for x in xs) / n
+             for t in range(1, nt)]
+    return TrajectoryMoments(diag, cross)
+
+
 def dense_q_from_blocks(q) -> np.ndarray:
     return q.to_csr().toarray()
 
@@ -120,12 +215,13 @@ def cholesky_adjoint_trace_gradient(xs, theta, p0_opts) -> dict:
 
     This is the algorithm the library used before the closed-form step
     log-determinant; the x_0 marginal and its adjoint come from the SuperLU
-    burn-in oracles below. It shares only the operator scatter with the
+    burn-in oracles below, and the operator scatter from
+    operator_adjoint_reference, so it shares no adjoint code with the
     library's trace gradient.
     """
     from scipy import sparse
 
-    from spdekit.estimation import PARAM_NAMES, _chain_operator_adjoint
+    from spdekit.estimation import PARAM_NAMES
     from spdekit.linalg import cholesky_backward, sparse_cholesky
     from spdekit.state_space import build_transition
 
@@ -165,7 +261,7 @@ def cholesky_adjoint_trace_gradient(xs, theta, p0_opts) -> dict:
         tau_bar += w_bar * (-2.0 / (dt**2 * tau**3))
 
         grads["tau"][t] += tau_bar.reshape(grid.ny, grid.nx)
-        _chain_operator_adjoint(dt * a_bar, theta, t, grads)
+        operator_adjoint_reference(dt * a_bar, theta, t, grads)
     if p0_opts["p0_mode"] == "burnin":
         burnin_adjoint_oracle(diag[0], theta, transitions[0],
                               p0_opts["burn_in"], grads)
@@ -202,8 +298,6 @@ def burnin_adjoint_oracle(second_moment_0, theta, step, burn_in,
                           grads) -> None:
     """Adds the burn-in marginal's share of the mean-nll gradient to grads,
     applying M = A_1^{-1} and M^T only through SuperLU solves."""
-    from spdekit.estimation import _chain_operator_adjoint
-
     grid = theta.grid
     dt = grid.dt
     tau1 = step.noise_scale
@@ -225,7 +319,7 @@ def burnin_adjoint_oracle(second_moment_0, theta, step, burn_in,
         p_bar = 0.5 * (x_bar + x_bar.T)
     a_bar = -solve_t(step.propagate(m_bar.T).T)       # -M^T m_bar M^T
     grads["tau"][step.t] += tau_bar.reshape(grid.ny, grid.nx)
-    _chain_operator_adjoint(dt * a_bar, theta, step.t, grads)
+    operator_adjoint_reference(dt * a_bar, theta, step.t, grads)
 
 
 # --- per-member ensemble reference ------------------------------------------

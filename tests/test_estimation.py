@@ -12,7 +12,8 @@ from spdekit.errors import SingularTransition, UnsupportedAlpha
 from spdekit.estimation import PARAM_NAMES
 from spdekit.state_space import transition_from_drift
 
-from oracles import cholesky_adjoint_trace_gradient, random_theta
+from oracles import (cholesky_adjoint_trace_gradient,
+                     moments_from_trajectories, random_theta)
 
 
 def test_nll_identity_precision_at_zero():
@@ -201,13 +202,12 @@ def test_score_identity_at_true_parameters():
 def test_expected_gradient_matches_data_gradient_identity():
     # with moments built from the trajectory itself the expected-variant
     # reduces to the plain gradient
-    from spdekit.estimation import (TrajectoryMoments,
-                                    _trace_gradient_moments)
+    from spdekit.estimation import _trace_gradient_moments
     g = SpaceTimeGrid(nx=3, ny=3, nt=3)
     theta = random_theta(g, 15)
     xs = sample_prior(theta, g, n_members=3, base_seed=10).members
     direct = nll_grad(xs, theta, mode="trace")
-    moments = TrajectoryMoments.from_trajectories(xs)
+    moments = moments_from_trajectories(xs)
     via_moments = _trace_gradient_moments(
         moments, theta, dict(p0_mode="burnin", sigma0=1.0, burn_in=20))
     for name in PARAM_NAMES:

@@ -7,7 +7,7 @@ from spdekit import (ObservationSet, ParamFields, PosteriorSolver,
                      SpaceTimeGrid, assemble_block_precision,
                      dense_trajectory_covariance, oi_solve_dense_oracle,
                      oi_solve_precision, variational_cost, variational_grad)
-from spdekit.errors import DimensionGuard
+from spdekit.errors import DimensionGuard, SolveFailure
 
 from oracles import random_theta
 
@@ -96,6 +96,32 @@ def test_posterior_solver_reusable_across_values():
     x2 = solver.solve(new_values)
     direct = oi_solve_precision(q, obs.replace_values(new_values))
     assert np.max(np.abs(x2.flat - direct.flat)) < 1e-12
+
+
+@pytest.mark.parametrize("method", ["direct", "pcg"])
+def test_nan_column_fails_typed(method):
+    g = SpaceTimeGrid(nx=4, ny=4, nt=3)
+    theta = random_theta(g, 4)
+    obs = _random_obs(g, 5)
+    solver = PosteriorSolver(assemble_block_precision(theta, g), obs,
+                             method=method)
+    values = np.ones((obs.n_obs, 3))
+    values[2, 1] = np.nan
+    if method == "direct":
+        with pytest.raises(SolveFailure) as err:
+            solver.solve_columns(values)
+        assert err.value.column == 1
+    else:
+        with pytest.raises(ValueError, match="non-finite"):
+            solver.solve_columns(values)
+
+
+def test_observation_set_rejects_nan_value():
+    g = SpaceTimeGrid(nx=4, ny=4, nt=3)
+    mask = np.zeros(g.shape, dtype=bool)
+    mask[1, 2, 2] = mask[2, 0, 1] = True
+    with pytest.raises(ValueError, match="finite"):
+        ObservationSet(g, mask, [0.5, np.nan], [0.1, 0.1])
 
 
 def test_variational_cost_zero_and_decomposition():

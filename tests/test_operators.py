@@ -6,8 +6,11 @@ import pytest
 from spdekit import (ParamFields, SpaceTimeGrid, apply_fractional,
                      assemble_fdm_operator, project_params, validate_params)
 from spdekit.errors import InvalidParams, UnsupportedAlpha
+from spdekit.estimation import PARAM_NAMES
+from spdekit.operators import _stencil_table, operator_adjoint
 
-from oracles import dense_operator_oracle, random_theta
+from oracles import (dense_operator_oracle, operator_adjoint_reference,
+                     random_theta)
 
 
 def test_laplacian_stencil_interior_row():
@@ -78,6 +81,70 @@ def test_stencil_locality():
         yj, xj = divmod(int(j), g.nx)
         assert abs(yi - yj) <= 1 and abs(xi - xj) <= 1
     assert np.max(np.diff(op.tocsr().indptr)) <= 9
+
+
+@pytest.mark.parametrize("advect, anisotropic",
+                         [(True, True), (False, True), (True, False)])
+@pytest.mark.parametrize("nx, ny", [(3, 3), (5, 4), (8, 8)])
+def test_pattern_is_oracle_nonzeros(nx, ny, advect, anisotropic):
+    g = SpaceTimeGrid(nx=nx, ny=ny, nt=2, dx=0.8, dy=1.3)
+    theta = random_theta(g, nx + ny, advect=advect, anisotropic=anisotropic)
+    op = assemble_fdm_operator(theta, 1)
+    assert op.has_canonical_format
+    assert np.all(op.data != 0)
+    assert np.array_equal(op.toarray() != 0,
+                          dense_operator_oracle(theta, 1) != 0)
+
+
+@pytest.mark.parametrize("advect, anisotropic",
+                         [(True, True), (False, True), (True, False)])
+@pytest.mark.parametrize("nx, ny", [(3, 3), (5, 4), (8, 8)])
+def test_table_adjoint_matches_reference(nx, ny, advect, anisotropic):
+    # advect=False puts every advection component at exactly 0, where both
+    # sides must take the u+ branch
+    g = SpaceTimeGrid(nx=nx, ny=ny, nt=3, dx=0.8, dy=1.3)
+    theta = random_theta(g, 3 * nx + ny, advect=advect,
+                         anisotropic=anisotropic)
+    rng = np.random.default_rng(nx * ny)
+    for t in range(g.nt):
+        l_bar = rng.standard_normal((g.m, g.m))
+        ours = {n: np.zeros(g.shape) for n in PARAM_NAMES}
+        ref = {n: np.zeros(g.shape) for n in PARAM_NAMES}
+        operator_adjoint(l_bar, theta, t, ours)
+        operator_adjoint_reference(l_bar, theta, t, ref)
+        for name in PARAM_NAMES:
+            scale = max(np.max(np.abs(ref[name])), 1e-300)
+            assert np.max(np.abs(ours[name] - ref[name])) <= 1e-12 * scale
+
+
+def test_table_adjoint_is_transpose_of_assembly():
+    # <l_bar, dL> equals <theta_bar, dtheta> for a perturbation that keeps
+    # every advection sign, where L is linear in (kappa^2, m, H)
+    g = SpaceTimeGrid(nx=5, ny=4, nt=2, dx=0.8, dy=1.3)
+    theta = random_theta(g, 21)
+    rng = np.random.default_rng(5)
+    l_bar = rng.standard_normal((g.m, g.m))
+    grads = {n: np.zeros(g.shape) for n in PARAM_NAMES}
+    operator_adjoint(l_bar, theta, 1, grads)
+    names = ("m_u", "m_v", "h11", "h12", "h22")
+    arrays = theta.field_arrays()
+    step = {n: 1e-3 * arrays[n] * rng.random(g.shape) for n in names}
+    moved = theta.replace_fields(**{n: arrays[n] + step[n] for n in names})
+    d_op = (assemble_fdm_operator(moved, 1)
+            - assemble_fdm_operator(theta, 1)).toarray()
+    lhs = np.sum(l_bar * d_op)
+    rhs = sum(np.sum(grads[n][1] * step[n][1]) for n in names)
+    assert lhs == pytest.approx(rhs, rel=1e-9)
+
+
+def test_table_built_once_per_grid():
+    g = SpaceTimeGrid(nx=6, ny=5, nt=2, dx=0.8, dy=1.3)
+    theta = random_theta(g, 8)
+    _stencil_table.cache_clear()
+    for _ in range(99):
+        assemble_fdm_operator(theta, 1)
+    info = _stencil_table.cache_info()
+    assert (info.misses, info.hits) == (1, 98)
 
 
 def test_non_spd_cell_raises_with_coordinates():
