@@ -192,9 +192,9 @@ def _stencil_table(grid: SpaceTimeGrid) -> _StencilTable:
         add(cell, cell, feature + 1, cell, -1.0 / step)
         add(cell, minus, feature + 1, cell, 1.0 / step)
 
-    rows, cols, feats, coeffs = (np.concatenate(a) for a in zip(*entries))
-    slots, slot_of = np.unique(rows * m + cols, return_inverse=True)
-    jac = sparse.csr_array((coeffs, (slot_of.ravel(), feats)),
+    row, col, feature, coeff = (np.concatenate(a) for a in zip(*entries))
+    slots, slot_of = np.unique(row * m + col, return_inverse=True)
+    jac = sparse.csr_array((coeff, (slot_of, feature)),
                            shape=(slots.size, _N_FEATURES * m))
     jac.eliminate_zeros()
     rows, indices = np.divmod(slots, m)
