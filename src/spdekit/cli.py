@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConfigError, SpdekitError
-from .estimation import fit_params
+from .estimation import PARAM_NAMES, fit_params
 from .experiment import (ExperimentConfig, benchmark, benchmark_csv,
                          build_grid, build_theta, evaluate, generate_obs_mask,
                          load_config, pattern_from_config, read_observations,
@@ -30,6 +30,10 @@ from .precision import ObservationSet, assemble_block_precision
 from .solver import SolverConfig, run_solver
 from .state_space import sample_prior
 from .uncertainty import conditional_sample, ensemble_stats
+
+_P0_MODES = ("burnin", "white")
+_STEP_KINDS = ("plain", "momentum", "adam")
+_GRAD_MODES = ("trace", "finite_diff")
 
 
 def _write_manifest(cfg: ExperimentConfig, args, out_dir: Path,
@@ -55,7 +59,8 @@ def _sampler_opts(cfg: ExperimentConfig) -> dict:
     burn_in = cfg.get_int("sampler", "burn_in", 20)
     if burn_in < 0:
         raise ConfigError(f"[sampler] burn_in = {burn_in}: must be >= 0")
-    return dict(p0_mode=cfg.get_str("sampler", "p0_mode", "burnin"),
+    return dict(p0_mode=cfg.get_choice("sampler", "p0_mode", _P0_MODES,
+                                       "burnin"),
                 sigma0=cfg.get_float("sampler", "sigma0", 1.0),
                 burn_in=burn_in)
 
@@ -67,12 +72,11 @@ def _load_or_make_obs(cfg, grid, theta, seed, out_dir):
     configured pattern, adds N(0, R) noise, and writes truth + observation
     files next to the outputs.
     """
-    source = cfg.get_str("observations", "source", "simulate")
+    source = cfg.get_choice("observations", "source", ("simulate", "files"),
+                            "simulate")
     if source == "files":
         stem = cfg.get_path("observations", "obs_file", required=True)
         return read_observations(stem, grid), None
-    if source != "simulate":
-        raise ConfigError(f"[observations] source = {source!r}")
     noise_var = cfg.get_float("observations", "noise_var", 0.01)
     pattern = pattern_from_config(cfg)
     mask = generate_obs_mask(grid, pattern, seed=seed + 1)
@@ -100,9 +104,10 @@ def _cmd_simulate(cfg, args, out_dir):
 def _cmd_interpolate(cfg, args, out_dir):
     grid = build_grid(cfg)
     theta = build_theta(cfg, grid)
+    method = cfg.get_choice("solver", "oi_method", ("direct", "pcg"),
+                            "direct")
     obs, truth = _load_or_make_obs(cfg, grid, theta, args.seed, out_dir)
     q = assemble_block_precision(theta, grid, **_sampler_opts(cfg))
-    method = cfg.get_str("solver", "oi_method", "direct")
     x_star = oi_solve_precision(q, obs, method=method)
     write_field(x_star.to_field(), out_dir / "x_star.stgf")
     extra = {"n_obs": obs.n_obs,
@@ -117,7 +122,7 @@ def _cmd_interpolate(cfg, args, out_dir):
 
 
 def _solver_config(cfg: ExperimentConfig) -> SolverConfig:
-    step = {"kind": cfg.get_str("solver", "step", "adam"),
+    step = {"kind": cfg.get_choice("solver", "step", _STEP_KINDS, "adam"),
             "lr": cfg.get_float("solver", "lr", 0.1)}
     if step["kind"] == "momentum":
         step["beta"] = cfg.get_float("solver", "beta", 0.9)
@@ -125,21 +130,24 @@ def _solver_config(cfg: ExperimentConfig) -> SolverConfig:
         step["beta1"] = cfg.get_float("solver", "beta1", 0.9)
         step["beta2"] = cfg.get_float("solver", "beta2", 0.999)
         step["eps"] = cfg.get_float("solver", "eps", 1e-2)
-    theta_step = {"kind": cfg.get_str("solver", "theta_step", "plain"),
+    theta_step = {"kind": cfg.get_choice("solver", "theta_step", _STEP_KINDS,
+                                         "plain"),
                   "lr": cfg.get_float("solver", "theta_lr", 1e-3)}
-    names = cfg.get_str("solver", "theta_params",
-                        "kappa,m_u,m_v,h11,h12,h22,tau")
     sampler = _sampler_opts(cfg)
     return SolverConfig(
         n_iterations=cfg.get_int("solver", "n_iterations", 200),
         step=step,
         lam=cfg.get_float("solver", "lambda", 1.0),
-        update_mode=cfg.get_str("solver", "update_mode", "x_only"),
+        update_mode=cfg.get_choice("solver", "update_mode",
+                                   ("x_only", "joint", "alternating"),
+                                   "x_only"),
         x_steps=cfg.get_int("solver", "x_steps", 10),
         theta_steps=cfg.get_int("solver", "theta_steps", 1),
         theta_step=theta_step,
-        theta_params=tuple(n.strip() for n in names.split(",") if n.strip()),
-        theta_grad_mode=cfg.get_str("solver", "theta_grad_mode", "trace"),
+        theta_params=cfg.get_choice("solver", "theta_params", PARAM_NAMES,
+                                    ",".join(PARAM_NAMES), many=True),
+        theta_grad_mode=cfg.get_choice("solver", "theta_grad_mode",
+                                       _GRAD_MODES, "trace"),
         p0_mode=sampler["p0_mode"], sigma0=sampler["sigma0"],
         burn_in=sampler["burn_in"])
 
@@ -147,8 +155,8 @@ def _solver_config(cfg: ExperimentConfig) -> SolverConfig:
 def _cmd_joint_solve(cfg, args, out_dir):
     grid = build_grid(cfg)
     theta0 = build_theta(cfg, grid)
-    obs, truth = _load_or_make_obs(cfg, grid, theta0, args.seed, out_dir)
     solver_cfg = _solver_config(cfg)
+    obs, truth = _load_or_make_obs(cfg, grid, theta0, args.seed, out_dir)
     result = run_solver(Trajectory.zeros(grid), theta0, obs, solver_cfg)
     write_field(result.x.to_field(), out_dir / "x_star.stgf")
     write_theta(result.theta, out_dir / "theta_star")
@@ -198,11 +206,11 @@ def _cmd_fit(cfg, args, out_dir):
     sampler = _sampler_opts(cfg)
     theta_star, curve = fit_params(
         trajectories, theta0,
-        step_kind=cfg.get_str("fit", "step", "adam"),
+        step_kind=cfg.get_choice("fit", "step", _STEP_KINDS, "adam"),
         step_params={"lr": cfg.get_float("fit", "lr", 0.02)},
         max_steps=cfg.get_int("fit", "max_steps", 100),
         stationary=cfg.get_bool("fit", "stationary", True),
-        grad_mode=cfg.get_str("fit", "grad_mode", None),
+        grad_mode=cfg.get_choice("fit", "grad_mode", _GRAD_MODES),
         **sampler)
     write_theta(theta_star, out_dir / "theta_star")
     with open(out_dir / "loss.csv", "w", newline="", encoding="utf-8") as fh:
@@ -251,15 +259,15 @@ def _cmd_evaluate(cfg, args, out_dir):
 def _cmd_benchmark(cfg, args, out_dir):
     sizes_raw = cfg.get_str("benchmark", "sizes", "8,12,16,24")
     sizes = [int(s) for s in sizes_raw.split(",") if s.strip()]
-    methods_raw = cfg.get_str("benchmark", "methods",
-                              "dense,direct_sparse,pcg")
-    methods = tuple(s.strip() for s in methods_raw.split(",") if s.strip())
+    methods = cfg.get_choice("benchmark", "methods",
+                             ("dense", "direct_sparse", "pcg"),
+                             "dense,direct_sparse,pcg", many=True)
     rows = benchmark(
         sizes,
         nt=cfg.get_int("benchmark", "nt", 10),
         obs_density=cfg.get_float("benchmark", "density", 0.2),
         methods=methods, seed=args.seed,
-        p0_mode=cfg.get_str("benchmark", "p0_mode", "white"))
+        p0_mode=cfg.get_choice("benchmark", "p0_mode", _P0_MODES, "white"))
     benchmark_csv(rows, out_dir / "benchmark.csv")
     _write_manifest(cfg, args, out_dir, {"cases": len(rows)})
     for row in rows:

@@ -3,23 +3,31 @@
 The negative log-likelihood of a trajectory x under the prior with
 precision Q(theta) is
 
-    nll = 1/2 (x^T Q x - log|Q|) + dim/2 * log(2 pi).
+    nll = 1/2 (x^T Q x - log|Q|) + dim/2 * log(2 pi),
+
+and both terms are evaluated in the residual form of the step recursion,
+never through Q itself. With r_t = A_t x_t - x_{t-1} and
+w_t = 1/(dt tau_t)^2,
+
+    x^T Q x = x_0^T P_0^{-1} x_0 + sum_t sum_i w_t,i r_t,i^2
+    log|Q|  = log|P_0^{-1}| + sum_t [2 log|det A_t| + sum(log w_t)],
+
+the second being the GMRF identity log|S_t^{-1}| = 2 log|det A_t| +
+sum(log w_t) (Rue & Held 2005, ch. 2; ``precision._prior_log_det``).
 
 Two gradient modes are provided. "finite_diff" differentiates the nll
 numerically (cheap under the stationarity constraint: 7 scalars). "trace"
-is the exact adjoint of the assembly; its last link, from d/dL_t to the
+is the exact adjoint of the same residual form: the quadratic term reads
+the step residuals of the stacked trajectories, and the step
+log-determinant's adjoint is A_bar = -A_t^{-T} and tau_bar = 1/tau_t,
+taken from a dense inverse of A_t. Its last link, from d/dL_t to the
 per-cell fields, is the transpose of the stencil table that assembles L_t
-(``operators.operator_adjoint``). The quadratic term is differentiated
-through the step residuals r_t = A_t x_t - x_{t-1}, computed from the
-stacked data trajectories. The step log-determinant is closed form, the
-GMRF identity (Rue & Held 2005, ch. 2)
+(``operators.operator_adjoint``). The trace mode covers alpha=2 (use
+finite differences for higher powers).
 
-    log|S_t^{-1}| = 2 log|det A_t| + sum(log w_t),   w_t = 1/(dt tau_t)^2,
-
-whose adjoint is A_bar = -A_t^{-T} and tau_bar = 1/tau_t, taken from a
-dense inverse of A_t. Both terms land on the same per-cell parameter
-gradients. The trace mode covers alpha=2 (use finite differences for
-higher powers).
+The expected-nll gradient runs the same data path: E[x x^T] = x* x*^T +
+V V^T for a posterior mean x* and a factor V of the posterior covariance,
+so the columns [x*, V] stand in for the trajectories.
 
 Parameter slab 0 never enters the model (transitions run from step 1, and
 the burn-in initial condition uses step 1 too), so its gradients are
@@ -40,11 +48,11 @@ import numpy as np
 
 from .errors import DimensionGuard, DivergedFit, UnsupportedAlpha
 from .grid import SpaceTimeGrid, Trajectory
-from .linalg import log_det_block
 from .operators import ParamFields, operator_adjoint, project_params
-from .precision import assemble_block_precision, quadratic_form
-from .state_space import (TransitionStep, _burnin_doubling, build_transition,
-                          initial_condition)
+from .precision import (_prior_log_det, _step_weights,
+                        assemble_block_precision, posterior_precision)
+from .state_space import (InitialCondition, TransitionStep, _burnin_doubling,
+                          build_transition, initial_condition)
 from .steps import make_step_operator
 
 PARAM_NAMES = ("kappa", "m_u", "m_v", "h11", "h12", "h22", "tau")
@@ -65,9 +73,6 @@ class ParamGradients:
     def pack(self, names=PARAM_NAMES) -> np.ndarray:
         return np.concatenate([self.fields[n].ravel() for n in names])
 
-    def norm(self) -> float:
-        return float(np.sqrt(sum(np.sum(f**2) for f in self.fields.values())))
-
 
 def _as_list(x) -> list[Trajectory]:
     return list(x) if isinstance(x, (list, tuple)) else [x]
@@ -79,15 +84,27 @@ def _stack_states(xs: list[Trajectory]) -> np.ndarray:
 
 
 def nll(x, theta: ParamFields, p0_mode: str = "burnin", sigma0: float = 1.0,
-        burn_in: int = 20, q=None) -> float:
+        burn_in: int = 20) -> float:
     """Mean negative log-likelihood of one or more trajectories."""
-    xs = _as_list(x)
-    if q is None:
-        q = assemble_block_precision(theta, p0_mode=p0_mode, sigma0=sigma0,
-                                     burn_in=burn_in)
-    quad = quadratic_form(q, _stack_states(xs)) / len(xs)
-    ld = log_det_block(q)
-    return 0.5 * (quad - ld) + 0.5 * q.dim * math.log(2.0 * math.pi)
+    steps = build_transition(theta, theta.grid)
+    ic = initial_condition(theta, theta.grid, p0_mode=p0_mode, sigma0=sigma0,
+                           burn_in=burn_in, transitions=steps)
+    return _mean_nll(_stack_states(_as_list(x)), steps, ic, theta.grid.dt)
+
+
+def _mean_nll(states: np.ndarray, transitions: list[TransitionStep],
+              ic: InitialCondition, dt: float) -> float:
+    """nll of the (nt, m, n) stack, averaged over its n trajectories, in the
+    residual form of the module docstring."""
+    nt, m, n = states.shape
+    log_det = _prior_log_det(ic, transitions, dt)
+    x0 = states[0]
+    quad = float(np.sum(x0 * (x0 / ic.sigma0**2 if ic.mode == "white"
+                              else ic.prec @ x0)))
+    for step in transitions:
+        r = step.a_solve @ states[step.t] - states[step.t - 1]
+        quad += float(np.sum(_step_weights(step, dt)[:, None] * r * r))
+    return 0.5 * (quad / n - log_det) + 0.5 * nt * m * math.log(2.0 * math.pi)
 
 
 # --- finite-difference gradient ----------------------------------------------
@@ -131,122 +148,48 @@ def _fd_gradient_stationary(xs, theta, p0_opts, step_scale=1e-5) -> np.ndarray:
 
 # --- exact adjoint ("trace") gradient ----------------------------------------
 
-class TrajectoryMoments:
-    """Second moments E[x_t x_t^T] and E[x_{t-1} x_t^T] driving the
-    quadratic part of the expected-nll gradient.
+def _trace_gradient(states: np.ndarray, theta: ParamFields, p0_opts: dict,
+                    transitions=None, ic=None) -> ParamGradients:
+    """Trace gradient of the mean nll of the (nt, m, n) stack.
 
-    From a posterior they are covariance blocks plus the mean outer
-    products, which is exactly the expectation step of the classical
-    alternating (EM-style) parameter update. From data they are empirical
-    means of outer products; the data gradient itself reads the step
-    residuals instead and never forms these m x m blocks.
-    """
-
-    def __init__(self, diag: list[np.ndarray], cross: list[np.ndarray]):
-        self.diag = diag      # nt entries, m x m
-        self.cross = cross    # nt-1 entries, E[x_{t-1} x_t^T]
-
-    @classmethod
-    def from_posterior(cls, x_star: Trajectory,
-                       cov: np.ndarray) -> "TrajectoryMoments":
-        grid = x_star.grid
-        m, nt = grid.m, grid.nt
-        diag, cross = [], []
-        for t in range(nt):
-            mean = x_star.states[t]
-            block = cov[t * m:(t + 1) * m, t * m:(t + 1) * m]
-            diag.append(block + np.outer(mean, mean))
-            if t > 0:
-                prev = x_star.states[t - 1]
-                cblock = cov[(t - 1) * m: t * m, t * m:(t + 1) * m]
-                cross.append(cblock + np.outer(prev, mean))
-        return cls(diag, cross)
-
-
-def _step_adjoint(step: TransitionStep, inverse: np.ndarray, rx: np.ndarray,
-                  r_sq: np.ndarray, theta: ParamFields,
-                  grads: dict[str, np.ndarray]) -> None:
-    """Add step t's share of the mean-nll gradient to grads.
-
-    The step contributes 1/2 sum(w r_t^2) - 1/2 log|S_t^{-1}|. rx =
-    E[r_t x_t^T] and r_sq = E[r_t^2] (per row) carry the quadratic term;
+    Step t contributes 1/2 mean(sum w r_t^2) - 1/2 log|S_t^{-1}|: the
+    quadratic term reads the rank-n residuals r_t, never m x m moments, and
     the log-determinant term is the closed form of the module docstring,
-    read from inverse = A_t^{-1}.
-    """
-    grid = theta.grid
-    dt = grid.dt
-    tau = step.noise_scale
-    w = 1.0 / (dt * tau)**2
-    a_bar = w[:, None] * rx - inverse.T
-    tau_bar = 1.0 / tau - r_sq / (dt**2 * tau**3)
-    grads["tau"][step.t] += tau_bar.reshape(grid.ny, grid.nx)
-    operator_adjoint(dt * a_bar, theta, step.t, grads)
-
-
-def _trace_gradient_from(theta: ParamFields, p0_opts: dict, quadratic,
-                         second_moment_0, transitions=None, ic=None
-                         ) -> ParamGradients:
-    """Shared driver of the data and the moments gradient paths.
-
-    quadratic(step) returns (rx, r_sq) of _step_adjoint for that step;
-    second_moment_0() returns E[x_0 x_0^T], read only by the burn-in
-    adjoint. transitions and ic may come prebuilt for the same theta.
+    read from A_t^{-1}. transitions and ic may come prebuilt for the same
+    theta.
     """
     if theta.alpha != 2:
         raise UnsupportedAlpha(
             "trace-mode gradients are implemented for alpha=2; "
             "use finite_diff for higher powers")
     grid = theta.grid
+    dt = grid.dt
+    n = states.shape[2]
     if transitions is None:
         transitions = build_transition(theta, grid)
     if ic is None:
         ic = initial_condition(theta, grid, transitions=transitions,
                                **p0_opts)
-    grads = {n: np.zeros(grid.shape) for n in PARAM_NAMES}
+    grads = {name: np.zeros(grid.shape) for name in PARAM_NAMES}
     # A_1^{-1} serves step 1 and the burn-in adjoint
     first_inverse = transitions[0].dense_inverse()
     for step in transitions:
         inverse = first_inverse if step is transitions[0] \
             else step.dense_inverse()
-        _step_adjoint(step, inverse, *quadratic(step), theta, grads)
-    # time-zero marginal: white is parameter-free, burn-in backpropagates
-    if ic.mode == "burnin":
-        _burnin_adjoint(second_moment_0(), theta, transitions[0], ic, grads,
-                        first_inverse)
-    return ParamGradients(grid, grads)
-
-
-def _trace_gradient_moments(moments: TrajectoryMoments, theta: ParamFields,
-                            p0_opts: dict) -> ParamGradients:
-    """Trace gradient from second moments (the expected-nll path)."""
-    def quadratic(step):
-        t = step.t
-        a_dense = step.a_solve.toarray()
-        c_t = moments.cross[t - 1]             # E[x_{t-1} x_t^T]
-        am = step.a_solve @ moments.diag[t]
-        r_sq = (np.einsum("ij,ij->i", am, a_dense)
-                - 2.0 * np.einsum("ij,ij->i", a_dense, c_t)
-                + np.diag(moments.diag[t - 1]))
-        return am - c_t, r_sq
-
-    return _trace_gradient_from(theta, p0_opts, quadratic,
-                                lambda: moments.diag[0])
-
-
-def _trace_gradient(xs: list[Trajectory], theta: ParamFields, p0_opts: dict,
-                    transitions=None, ic=None) -> ParamGradients:
-    """Trace gradient from data: rank-n step residuals, no m x m moments."""
-    states = _stack_states(xs)                 # (nt, m, n)
-    n = len(xs)
-
-    def quadratic(step):
         x_t = states[step.t]
         r = step.a_solve @ x_t - states[step.t - 1]
-        return r @ x_t.T / n, np.einsum("ij,ij->i", r, r) / n
-
-    return _trace_gradient_from(theta, p0_opts, quadratic,
-                                lambda: states[0] @ states[0].T / n,
-                                transitions, ic)
+        tau = step.noise_scale
+        a_bar = _step_weights(step, dt)[:, None] * (r @ x_t.T / n) \
+            - inverse.T
+        r_sq = np.einsum("ij,ij->i", r, r) / n
+        tau_bar = 1.0 / tau - r_sq / (dt**2 * tau**3)
+        grads["tau"][step.t] += tau_bar.reshape(grid.ny, grid.nx)
+        operator_adjoint(dt * a_bar, theta, step.t, grads)
+    # time-zero marginal: white is parameter-free, burn-in backpropagates
+    if ic.mode == "burnin":
+        _burnin_adjoint(states[0] @ states[0].T / n, theta, transitions[0],
+                        ic, grads, first_inverse)
+    return ParamGradients(grid, grads)
 
 
 def _burnin_adjoint(second_moment_0, theta, step, ic, grads, prop) -> None:
@@ -319,7 +262,8 @@ def _gradient(xs, theta, mode, stationary, p0_opts, transitions=None,
     """nll_grad on a list of trajectories; the trace mode reuses
     transitions and ic when they were prebuilt for the same theta."""
     if mode == "trace":
-        grads = _trace_gradient(xs, theta, p0_opts, transitions, ic)
+        grads = _trace_gradient(_stack_states(xs), theta, p0_opts,
+                                transitions, ic)
         return grads.stationary_vector() if stationary else grads
     if mode == "finite_diff":
         if stationary:
@@ -337,19 +281,25 @@ def expected_nll_grad(x_star: Trajectory, obs, theta: ParamFields,
     Replaces the point iterate's outer products with the full posterior
     second moments (mean plus covariance). Fitting parameters to a
     smoothed point estimate alone is biased toward over-dissipative
-    parameters; the covariance term removes that bias. Dense posterior
-    covariance, so desk-scale grids only.
+    parameters; the covariance term removes that bias. With the posterior
+    covariance C = V V^T (V its Cholesky factor), E[x x^T] = x* x*^T +
+    V V^T, so the data gradient over the 1 + dim columns [x*, V], scaled
+    by sqrt(1 + dim) to undo its mean, is exactly this gradient. Dense
+    posterior covariance, so desk-scale grids only.
     """
     grid = theta.grid
     if grid.dim > guard:
         raise DimensionGuard(grid.dim, guard)
-    from .precision import assemble_block_precision, posterior_precision
     p0_opts = dict(p0_mode=p0_mode, sigma0=sigma0, burn_in=burn_in)
     q = assemble_block_precision(theta, grid, **p0_opts)
-    q_post = posterior_precision(q, obs)
-    cov = np.linalg.inv(q_post.to_csr().toarray())
-    moments = TrajectoryMoments.from_posterior(x_star, cov)
-    grads = _trace_gradient_moments(moments, theta, p0_opts)
+    cov = np.linalg.inv(posterior_precision(q, obs).to_csr().toarray())
+    factor = np.linalg.cholesky(cov)
+    del cov
+    columns = np.concatenate([x_star.flat[:, None], factor], axis=1)
+    del factor
+    columns *= math.sqrt(columns.shape[1])
+    grads = _trace_gradient(columns.reshape(grid.nt, grid.m, -1), theta,
+                            p0_opts, q.prior.transitions, q.prior.ic)
     return grads.stationary_vector() if stationary else grads
 
 
@@ -385,14 +335,14 @@ def fit_params(trajectories, theta0: ParamFields, step_kind: str = "adam",
     p0_opts = dict(p0_mode=p0_mode, sigma0=sigma0, burn_in=burn_in)
     grid = theta0.grid
     stepper = make_step_operator(step_kind, **(step_params or {"lr": 0.02}))
+    states = _stack_states(xs)
 
     def loss_at(theta):
         # the transitions and x_0 marginal built for the loss at theta are
         # reused by the gradient at the same theta
         steps = build_transition(theta, grid)
-        q = assemble_block_precision(theta, grid, transitions=steps,
-                                     **p0_opts)
-        return nll(xs, theta, q=q), (steps, q.prior.ic)
+        ic = initial_condition(theta, grid, transitions=steps, **p0_opts)
+        return _mean_nll(states, steps, ic, grid.dt), (steps, ic)
 
     theta = project_params(theta0)
     best_loss, built = loss_at(theta)

@@ -83,6 +83,19 @@ class ExperimentConfig:
             return raw.lower() == "true"
         raise ConfigError(f"[{section}] {key} = {raw!r}: expected true/false")
 
+    def get_choice(self, section, key, choices, default=None, many=False):
+        """One of choices, or with many=True a tuple of comma-separated
+        ones; any other value is a ConfigError naming the allowed ones."""
+        raw = self._raw(section, key, default)
+        if raw is None:
+            return None
+        items = [s.strip() for s in raw.split(",") if s.strip()] if many \
+            else [raw]
+        if any(item not in choices for item in items):
+            raise ConfigError(f"[{section}] {key} = {raw!r}: expected one of "
+                              f"{', '.join(choices)}")
+        return tuple(items) if many else raw
+
     def get_path(self, section, key, default=None, required=False):
         raw = self._raw(section, key, default, required)
         if raw is None:
@@ -127,8 +140,9 @@ def build_grid(cfg: ExperimentConfig) -> SpaceTimeGrid:
 
 
 def build_theta(cfg: ExperimentConfig, grid: SpaceTimeGrid) -> ParamFields:
-    source = cfg.get_str("params", "source", "preset")
-    alpha = cfg.get_int("params", "alpha", 2)
+    source = cfg.get_choice("params", "source", ("preset", "files"),
+                            "preset")
+    alpha = int(cfg.get_choice("params", "alpha", ("2", "4", "6"), "2"))
     if source == "preset":
         return ParamFields.stationary(
             grid,
@@ -140,10 +154,8 @@ def build_theta(cfg: ExperimentConfig, grid: SpaceTimeGrid) -> ParamFields:
                cfg.get_float("params", "h22", 1.0)),
             tau=cfg.get_float("params", "tau", 1.0),
             alpha=alpha)
-    if source == "files":
-        stem = cfg.get_path("params", "theta_dir", required=True)
-        return read_theta(stem, grid, alpha=alpha)
-    raise ConfigError(f"[params] source = {source!r}: expected preset/files")
+    stem = cfg.get_path("params", "theta_dir", required=True)
+    return read_theta(stem, grid, alpha=alpha)
 
 
 # --- parameter and observation files -----------------------------------------
@@ -288,7 +300,8 @@ def _tracks_mask(grid: SpaceTimeGrid, pattern: TracksPattern, rng
 
 
 def pattern_from_config(cfg: ExperimentConfig) -> object:
-    kind = cfg.get_str("observations", "pattern", "random")
+    kind = cfg.get_choice("observations", "pattern",
+                          ("random", "tracks", "blocks"), "random")
     if kind == "random":
         return RandomPattern(cfg.get_float("observations", "density", 0.2))
     if kind == "tracks":
@@ -297,12 +310,10 @@ def pattern_from_config(cfg: ExperimentConfig) -> object:
             width=cfg.get_float("observations", "width", 1.0),
             angle_range=(cfg.get_float("observations", "angle_min", 25.0),
                          cfg.get_float("observations", "angle_max", 65.0)))
-    if kind == "blocks":
-        return BlocksPattern(
-            n_blocks=cfg.get_int("observations", "n_blocks", 2),
-            block_ny=cfg.get_int("observations", "block_ny", 4),
-            block_nx=cfg.get_int("observations", "block_nx", 4))
-    raise ConfigError(f"[observations] pattern = {kind!r}")
+    return BlocksPattern(
+        n_blocks=cfg.get_int("observations", "n_blocks", 2),
+        block_ny=cfg.get_int("observations", "block_ny", 4),
+        block_nx=cfg.get_int("observations", "block_nx", 4))
 
 
 # --- metrics ------------------------------------------------------------------

@@ -19,7 +19,14 @@ and everything collapses to sparse expressions in A_t:
     M_t^T S_t^{-1}      = dt^{-2} diag(1/tau_t^2) A_t
 
 so Q is, by construction, exactly the inverse covariance of ``sample_prior``
-(the dense-oracle tests enforce this).
+(the dense-oracle tests enforce this). The same split gives log|Q| in
+closed form, the GMRF identity (Rue & Held 2005, ch. 2)
+
+    log|Q| = log|P_0^{-1}| + sum_t [2 log|det A_t| + sum(log w_t)],
+    w_t = 1/(dt tau_t)^2,
+
+which ``_prior_log_det`` evaluates from the transitions and the x_0
+marginal alone, without Q.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .errors import DegenerateNoise
+from .errors import DegenerateNoise, SingularTransition
 from .grid import SpaceTimeGrid, Trajectory
 from .operators import ParamFields
 from .state_space import (InitialCondition, TransitionStep, build_transition,
@@ -40,12 +47,42 @@ _TAU_FLOOR = 1e-8
 
 @dataclass
 class PriorStructure:
-    """Generator-side ingredients the precision was assembled from, kept
-    for the blockwise log-determinant and for gradients at the same theta."""
+    """Generator-side ingredients the precision was assembled from: the x_0
+    marginal and the transitions, kept for the blockwise log-determinant
+    and for gradients at the same theta."""
 
-    s_inv: list[sparse.csr_array]
     ic: InitialCondition
     transitions: list[TransitionStep]
+
+
+def _step_weights(step: TransitionStep, dt: float) -> np.ndarray:
+    """w_t = 1/(dt tau_t)^2, the precision of step t's residual
+    A_t x_t - x_{t-1}; a tau below the floor raises DegenerateNoise(t)."""
+    tau = step.noise_scale
+    tau_min = float(tau.min()) if tau.size else 0.0
+    if tau_min < _TAU_FLOOR:
+        raise DegenerateNoise(step.t, tau_min)
+    return 1.0 / (dt * tau)**2
+
+
+def _prior_log_det(ic: InitialCondition, transitions: list[TransitionStep],
+                   dt: float) -> float:
+    """log|Q| of the prior by the closed form of the module docstring.
+
+    log|det A_t| comes from a dense LU (numpy's LAPACK, like the
+    gradient's dense inverse). A white start with sigma0 <= 0 raises
+    DegenerateNoise(0), a singular A_t SingularTransition(t).
+    """
+    if ic.mode == "white" and ic.sigma0 <= 0:
+        raise DegenerateNoise(0, ic.sigma0)
+    total = ic.logdet_prec
+    for step in transitions:
+        log_w = np.log(_step_weights(step, dt))
+        sign, log_abs_det = np.linalg.slogdet(step.a_solve.toarray())
+        if sign == 0:
+            raise SingularTransition(step.t, "zero determinant")
+        total += 2.0 * log_abs_det + float(np.sum(log_w))
+    return float(total)
 
 
 @dataclass
@@ -171,39 +208,22 @@ def assemble_block_precision(theta: ParamFields,
     if ic.mode == "white" and ic.sigma0 <= 0:
         raise DegenerateNoise(0, ic.sigma0)
 
-    dt = grid.dt
-    s_inv: list[sparse.csr_array] = []
-    cross_diag: list[np.ndarray] = []   # M_t^T S_t^{-1} M_t = diag
-    couplings: list[sparse.csr_array] = []
+    diag: list[sparse.csr_array] = [ic.prec_sparse()]
+    upper: list[sparse.csr_array] = []
     for step in transitions:
-        tau = step.noise_scale
-        tau_min = float(tau.min()) if tau.size else 0.0
-        if tau_min < _TAU_FLOOR:
-            raise DegenerateNoise(step.t, tau_min)
-        w = 1.0 / (dt * tau)**2
+        w = _step_weights(step, grid.dt)
         a = step.a_solve
         wa = sparse.csr_array(sparse.diags_array(w) @ a)
-        si = sparse.csr_array(a.T @ wa)
-        si.sum_duplicates(); si.sort_indices(); si.eliminate_zeros()
-        s_inv.append(si)
-        cross_diag.append(w)
-        couplings.append(-wa)
-
-    nt = grid.nt
-    diag: list[sparse.csr_array] = []
-    first = ic.prec_sparse() + sparse.diags_array(cross_diag[0])
-    first = sparse.csr_array(first)
-    first.sort_indices()
-    diag.append(first)
-    for t in range(1, nt - 1):
-        block = s_inv[t - 1] + sparse.diags_array(cross_diag[t])
-        block = sparse.csr_array(block)
+        s_inv = sparse.csr_array(a.T @ wa)
+        s_inv.sum_duplicates(); s_inv.sort_indices(); s_inv.eliminate_zeros()
+        # the block before gains M_t^T S_t^{-1} M_t = diag(w_t)
+        block = sparse.csr_array(diag[-1] + sparse.diags_array(w))
         block.sort_indices()
-        diag.append(block)
-    diag.append(s_inv[nt - 2])
-    upper = couplings
+        diag[-1] = block
+        diag.append(s_inv)
+        upper.append(-wa)
     return BlockPrecision(grid=grid, diag=diag, upper=upper,
-                          prior=PriorStructure(s_inv=s_inv, ic=ic,
+                          prior=PriorStructure(ic=ic,
                                                transitions=list(transitions)))
 
 

@@ -293,6 +293,8 @@ def sample_prior(theta: ParamFields, grid: SpaceTimeGrid | None = None,
         raise ValueError("base_seed must be non-negative")
     if burn_in < 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+    if p0_mode not in ("burnin", "white"):
+        raise ValueError(f"unknown p0_mode {p0_mode!r}")
     if transitions is None:
         transitions = build_transition(theta, grid)
     ic = InitialCondition(mode=p0_mode, sigma0=sigma0, burn_in=burn_in,

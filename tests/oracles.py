@@ -182,20 +182,6 @@ def operator_adjoint_reference(l_bar: np.ndarray, theta: ParamFields,
     grads["h12"][t] += (c * (term1 + term2)).reshape(ny, nx)
 
 
-def moments_from_trajectories(xs):
-    """TrajectoryMoments of sample trajectories: the empirical means of
-    x_t x_t^T and x_{t-1} x_t^T."""
-    from spdekit.estimation import TrajectoryMoments
-
-    nt = xs[0].grid.nt
-    n = len(xs)
-    diag = [sum(np.outer(x.states[t], x.states[t]) for x in xs) / n
-            for t in range(nt)]
-    cross = [sum(np.outer(x.states[t - 1], x.states[t]) for x in xs) / n
-             for t in range(1, nt)]
-    return TrajectoryMoments(diag, cross)
-
-
 def dense_q_from_blocks(q) -> np.ndarray:
     return q.to_csr().toarray()
 
@@ -209,9 +195,21 @@ def dense_posterior_cov(q, obs) -> np.ndarray:
 
 
 def cholesky_adjoint_trace_gradient(xs, theta, p0_opts) -> dict:
-    """Trace gradient with the step log-determinant differentiated through
-    the per-step Cholesky factors of S_t^{-1} (``cholesky_backward``) and
-    the quadratic term through dense m x m trajectory moments.
+    """cholesky_adjoint_moments_gradient fed the empirical moments of the
+    sample trajectories xs: the means of x_t x_t^T and x_{t-1} x_t^T."""
+    states = np.stack([x.states for x in xs])          # (n, nt, m)
+    n = states.shape[0]
+    diag = np.einsum("kti,ktj->tij", states, states) / n
+    cross = np.einsum("kti,ktj->tij", states[:, :-1], states[:, 1:]) / n
+    return cholesky_adjoint_moments_gradient(diag, cross, theta, p0_opts)
+
+
+def cholesky_adjoint_moments_gradient(diag, cross, theta, p0_opts) -> dict:
+    """Trace gradient from second moments diag[t] = E[x_t x_t^T] and
+    cross[t-1] = E[x_{t-1} x_t^T], with the step log-determinant
+    differentiated through the per-step Cholesky factors of S_t^{-1}
+    (``cholesky_backward``) and the quadratic term through the dense m x m
+    moments.
 
     This is the algorithm the library used before the closed-form step
     log-determinant; the x_0 marginal and its adjoint come from the SuperLU
@@ -227,10 +225,6 @@ def cholesky_adjoint_trace_gradient(xs, theta, p0_opts) -> dict:
 
     grid = theta.grid
     dt, m = grid.dt, grid.m
-    states = np.stack([x.states for x in xs])          # (n, nt, m)
-    n = states.shape[0]
-    diag = np.einsum("kti,ktj->tij", states, states) / n
-    cross = np.einsum("kti,ktj->tij", states[:, :-1], states[:, 1:]) / n
     transitions = build_transition(theta, grid)
     grads = {name: np.zeros(grid.shape) for name in PARAM_NAMES}
     for step in transitions:

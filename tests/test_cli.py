@@ -170,6 +170,31 @@ def test_bad_config_value_exits_2(workdir, capsys):
     (workdir / "experiment.cfg").write_text(
         BASE.replace("nx = 6", "nx = banana"), encoding="utf-8")
     assert _run(workdir, "simulate", out_dir=workdir / "x") == 2
+    # an unknown choice is refused before any work, naming the allowed ones
+    for command, old, new, message in [
+            ("simulate", "p0_mode = white", "p0_mode = whte",
+             "[sampler] p0_mode = 'whte': expected one of burnin, white"),
+            ("interpolate", "p0_mode = white", "p0_mode = whte",
+             "[sampler] p0_mode = 'whte': expected one of burnin, white"),
+            ("interpolate", "[solver]\n", "[solver]\noi_method = qr\n",
+             "[solver] oi_method = 'qr': expected one of direct, pcg"),
+            ("joint-solve", "[solver]\n", "[solver]\nupdate_mode = both\n",
+             "[solver] update_mode = 'both': expected one of x_only, joint, "
+             "alternating"),
+            ("joint-solve", "step = adam", "step = sgd",
+             "[solver] step = 'sgd': expected one of plain, momentum, adam"),
+            ("simulate", "tau = 1.0", "tau = 1.0\nalpha = 3",
+             "[params] alpha = '3': expected one of 2, 4, 6"),
+            ("joint-solve", "[solver]\n",
+             "[solver]\ntheta_params = kappa,kapa\n",
+             "[solver] theta_params = 'kappa,kapa': expected one of kappa, "
+             "m_u")]:
+        (workdir / "experiment.cfg").write_text(BASE.replace(old, new),
+                                                encoding="utf-8")
+        out = workdir / "bad"
+        assert _run(workdir, command, out_dir=out) == 2, (command, new)
+        assert message in capsys.readouterr().err
+        assert not list(out.glob("*.stgf")), (command, new)
 
 
 @pytest.mark.parametrize("command", ["simulate", "interpolate"])

@@ -2,27 +2,48 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import sparse
 from scipy.stats import multivariate_normal
 
-from spdekit import (BlockPrecision, ParamFields, SpaceTimeGrid, Trajectory,
-                     dense_trajectory_covariance, fit_params, nll, nll_grad,
-                     sample_prior, validate_params)
-from spdekit.errors import SingularTransition, UnsupportedAlpha
-from spdekit.estimation import PARAM_NAMES
-from spdekit.state_space import transition_from_drift
+import spdekit.linalg
+from spdekit import (ObservationSet, ParamFields, SpaceTimeGrid,
+                     assemble_block_precision, dense_trajectory_covariance,
+                     fit_params, log_det_block, nll, nll_grad,
+                     oi_solve_precision, quadratic_form, sample_prior,
+                     validate_params)
+from spdekit.errors import (DegenerateNoise, SingularTransition,
+                            UnsupportedAlpha)
+from spdekit.estimation import (PARAM_NAMES, _mean_nll, _stack_states,
+                                _trace_gradient, expected_nll_grad)
+from spdekit.state_space import initial_condition, transition_from_drift
 
-from oracles import (cholesky_adjoint_trace_gradient,
-                     moments_from_trajectories, random_theta)
+from oracles import (cholesky_adjoint_moments_gradient,
+                     cholesky_adjoint_trace_gradient, dense_posterior_cov,
+                     random_theta)
 
 
-def test_nll_identity_precision_at_zero():
-    g = SpaceTimeGrid(nx=3, ny=3, nt=2)
-    eye = sparse.csr_array(sparse.identity(g.m, format="csr"))
-    q = BlockPrecision(grid=g, diag=[eye, eye],
-                       upper=[sparse.csr_array((g.m, g.m))])
-    val = nll(Trajectory.zeros(g), None, q=q)
-    assert val == pytest.approx(0.5 * g.dim * np.log(2 * np.pi))
+def _singular_step(g):
+    # A = I - dt*F vanishes for F = I/dt
+    return transition_from_drift(sparse.identity(g.m, format="csr"),
+                                 dt=1.0, t=1, noise_scale=np.ones(g.m))
+
+
+@pytest.mark.parametrize("p0_mode", ["burnin", "white"])
+@pytest.mark.parametrize("nx, ny, nt", [(12, 12, 6), (16, 16, 4)])
+def test_nll_matches_assembled_precision(p0_mode, nx, ny, nt):
+    # the residual form against x^T Q x and a Cholesky of the assembled Q,
+    # on grids beyond the dense Gaussian oracle's reach
+    g = SpaceTimeGrid(nx=nx, ny=ny, nt=nt)
+    theta = random_theta(g, 31)
+    xs = sample_prior(theta, g, n_members=3, base_seed=21,
+                      p0_mode=p0_mode).members
+    q = assemble_block_precision(theta, g, p0_mode=p0_mode)
+    quad = quadratic_form(q, _stack_states(xs)) / len(xs)
+    assembled = 0.5 * (quad - log_det_block(q, method="cholesky")) \
+        + 0.5 * g.dim * np.log(2 * np.pi)
+    ours = nll(xs, theta, p0_mode=p0_mode)
+    assert abs(ours - assembled) <= 1e-10 * abs(assembled)
 
 
 @pytest.mark.parametrize("p0_mode", ["burnin", "white"])
@@ -92,43 +113,68 @@ def test_trace_gradient_matches_cholesky_adjoint_oracle(p0_mode, burn_in, nx,
 
 
 def test_singular_transition_in_trace_gradient_is_typed():
-    # A = I - dt*F vanishes for F = I/dt: the dense inverse must fail typed
-    from spdekit.estimation import _trace_gradient
+    # the dense inverse of a singular A_t must fail typed
     g = SpaceTimeGrid(nx=3, ny=3, nt=2)
     theta = random_theta(g, 18)
     xs = sample_prior(theta, g, n_members=2, base_seed=15,
                       p0_mode="white").members
-    singular = transition_from_drift(sparse.identity(g.m, format="csr"),
-                                     dt=1.0, t=1,
-                                     noise_scale=np.ones(g.m))
     with pytest.raises(SingularTransition) as info:
-        _trace_gradient(xs, theta,
+        _trace_gradient(_stack_states(xs), theta,
                         dict(p0_mode="white", sigma0=1.0, burn_in=5),
-                        transitions=[singular])
+                        transitions=[_singular_step(g)])
     assert info.value.t == 1
 
 
 def test_singular_first_transition_with_burnin_start_is_typed():
     # the burn-in marginal inverts A_1 densely: LAPACK's failure is typed
-    from spdekit.estimation import _trace_gradient
     g = SpaceTimeGrid(nx=3, ny=3, nt=2)
     theta = random_theta(g, 18)
     xs = sample_prior(theta, g, n_members=2, base_seed=15).members
-    singular = transition_from_drift(sparse.identity(g.m, format="csr"),
-                                     dt=1.0, t=1,
-                                     noise_scale=np.ones(g.m))
     with pytest.raises(SingularTransition) as info:
-        _trace_gradient(xs, theta,
+        _trace_gradient(_stack_states(xs), theta,
                         dict(p0_mode="burnin", sigma0=1.0, burn_in=5),
-                        transitions=[singular])
+                        transitions=[_singular_step(g)])
     assert info.value.t == 1
+
+
+def test_singular_transition_in_nll_is_typed():
+    # slogdet reports a singular A_t as sign 0 and -inf, not an exception;
+    # the loss must not turn that into +inf
+    g = SpaceTimeGrid(nx=3, ny=3, nt=2)
+    theta = random_theta(g, 18)
+    xs = sample_prior(theta, g, n_members=2, base_seed=15,
+                      p0_mode="white").members
+    ic = initial_condition(theta, g, p0_mode="white")
+    with pytest.raises(SingularTransition) as info:
+        _mean_nll(_stack_states(xs), [_singular_step(g)], ic, g.dt)
+    assert info.value.t == 1
+
+
+@pytest.mark.parametrize("p0_mode", ["burnin", "white"])
+def test_degenerate_noise_in_nll_names_the_step(p0_mode):
+    g = SpaceTimeGrid(nx=3, ny=3, nt=4)
+    theta = random_theta(g, 19)
+    xs = sample_prior(theta, g, n_members=2, base_seed=16).members
+    tau = theta.tau.values.copy()
+    tau[2] = 1e-12
+    with pytest.raises(DegenerateNoise) as info:
+        nll(xs, theta.replace_fields(tau=tau), p0_mode=p0_mode)
+    assert info.value.t == 2
+
+
+def test_degenerate_white_start_in_nll_is_typed():
+    g = SpaceTimeGrid(nx=3, ny=3, nt=3)
+    theta = random_theta(g, 20)
+    xs = sample_prior(theta, g, n_members=2, base_seed=17,
+                      p0_mode="white").members
+    with pytest.raises(DegenerateNoise) as info:
+        nll(xs, theta, p0_mode="white", sigma0=0.0)
+    assert info.value.t == 0
 
 
 def test_trace_gradient_inverts_each_transition_once(monkeypatch):
     # A_1^{-1} serves both step 1's log-determinant and the burn-in adjoint
-    from spdekit.estimation import _trace_gradient
-    from spdekit.state_space import (TransitionStep, build_transition,
-                                     initial_condition)
+    from spdekit.state_space import TransitionStep, build_transition
     g = SpaceTimeGrid(nx=3, ny=3, nt=4)
     theta = random_theta(g, 25)
     xs = sample_prior(theta, g, n_members=2, base_seed=18).members
@@ -143,7 +189,7 @@ def test_trace_gradient_inverts_each_transition_once(monkeypatch):
         return dense_inverse(step)
 
     monkeypatch.setattr(TransitionStep, "dense_inverse", counted)
-    _trace_gradient(xs, theta, p0_opts, steps, ic)
+    _trace_gradient(_stack_states(xs), theta, p0_opts, steps, ic)
     assert sorted(inverted) == [1, 2, 3]
 
 
@@ -199,20 +245,52 @@ def test_score_identity_at_true_parameters():
     assert np.linalg.norm(at_truth) < 0.2 * np.linalg.norm(away)
 
 
-def test_expected_gradient_matches_data_gradient_identity():
-    # with moments built from the trajectory itself the expected-variant
-    # reduces to the plain gradient
-    from spdekit.estimation import _trace_gradient_moments
-    g = SpaceTimeGrid(nx=3, ny=3, nt=3)
+@pytest.mark.parametrize("p0_mode", ["burnin", "white"])
+@pytest.mark.parametrize("nx, ny, nt", [(3, 3, 3), (4, 4, 3)])
+def test_expected_gradient_matches_cholesky_adjoint_oracle(p0_mode, nx, ny,
+                                                           nt):
+    # posterior moments E[x_t x_t^T] and E[x_{t-1} x_t^T] from the dense
+    # posterior covariance, fed to the moments oracle
+    g = SpaceTimeGrid(nx=nx, ny=ny, nt=nt)
     theta = random_theta(g, 15)
-    xs = sample_prior(theta, g, n_members=3, base_seed=10).members
-    direct = nll_grad(xs, theta, mode="trace")
-    moments = moments_from_trajectories(xs)
-    via_moments = _trace_gradient_moments(
-        moments, theta, dict(p0_mode="burnin", sigma0=1.0, burn_in=20))
+    p0_opts = dict(p0_mode=p0_mode, sigma0=1.0, burn_in=20)
+    truth = sample_prior(theta, g, n_members=1, base_seed=10,
+                         p0_mode=p0_mode).members[0]
+    mask = np.random.default_rng(4).random(g.shape) < 0.4
+    obs = ObservationSet.from_truth(truth, mask, 0.05, seed=5)
+    q = assemble_block_precision(theta, g, **p0_opts)
+    x_star = oi_solve_precision(q, obs)
+    cov = dense_posterior_cov(q, obs).reshape(nt, g.m, nt, g.m)
+    mean = x_star.states
+    diag = [cov[t, :, t] + np.outer(mean[t], mean[t]) for t in range(nt)]
+    cross = [cov[t - 1, :, t] + np.outer(mean[t - 1], mean[t])
+             for t in range(1, nt)]
+    ours = expected_nll_grad(x_star, obs, theta, **p0_opts)
+    oracle = cholesky_adjoint_moments_gradient(diag, cross, theta, p0_opts)
     for name in PARAM_NAMES:
-        assert np.allclose(direct.fields[name], via_moments.fields[name],
-                           atol=1e-12)
+        a, b = ours.fields[name], oracle[name]
+        assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b)), name
+
+
+@pytest.mark.parametrize("p0_mode", ["burnin", "white"])
+@pytest.mark.parametrize("grad_mode, stationary",
+                         [("trace", False), ("finite_diff", True)])
+def test_fit_loop_never_factors(monkeypatch, p0_mode, grad_mode, stationary):
+    # the loss is in residual form: no sparse or banded Cholesky anywhere
+    # in the descent loop
+    def refuse(*args, **kwargs):
+        raise AssertionError("Cholesky factorization in the fit loop")
+
+    monkeypatch.setattr(spdekit.linalg, "sparse_cholesky", refuse)
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", refuse)
+    g = SpaceTimeGrid(nx=4, ny=4, nt=3)
+    theta = ParamFields.stationary(g, kappa=0.6, m=(0.1, 0.0),
+                                   h=(0.8, 0.0, 0.8), tau=1.0)
+    xs = sample_prior(theta, g, n_members=2, base_seed=22,
+                      p0_mode=p0_mode, burn_in=5).members
+    _, curve = fit_params(xs, theta, max_steps=2, stationary=stationary,
+                          grad_mode=grad_mode, p0_mode=p0_mode, burn_in=5)
+    assert len(curve) == 3 and np.all(np.isfinite(curve))
 
 
 def test_fit_zero_steps_returns_start():

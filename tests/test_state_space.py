@@ -219,7 +219,7 @@ def test_burnin_path_stays_off_scipy_lapack(monkeypatch):
     import scipy.linalg
     from scipy.linalg import lapack
 
-    from spdekit.estimation import _trace_gradient
+    from spdekit.estimation import _stack_states, _trace_gradient
 
     def refuse(*args, **kwargs):
         raise AssertionError("scipy LAPACK called on the burn-in path")
@@ -233,6 +233,13 @@ def test_burnin_path_stays_off_scipy_lapack(monkeypatch):
     assert ic.logdet_prec != 0.0
     xs = sample_prior(theta, g, n_members=2, base_seed=17,
                       burn_in=7).members
-    grads = _trace_gradient(xs, theta,
+    grads = _trace_gradient(_stack_states(xs), theta,
                             dict(p0_mode="burnin", sigma0=1.0, burn_in=7))
     assert np.all(np.isfinite(grads.fields["tau"]))
+
+
+def test_unknown_p0_mode_is_rejected():
+    g = SpaceTimeGrid(nx=3, ny=3, nt=2)
+    theta = random_theta(g, 23)
+    with pytest.raises(ValueError, match="p0_mode"):
+        sample_prior(theta, g, p0_mode="whte")
