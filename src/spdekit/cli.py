@@ -258,7 +258,17 @@ def _cmd_evaluate(cfg, args, out_dir):
 
 def _cmd_benchmark(cfg, args, out_dir):
     sizes_raw = cfg.get_str("benchmark", "sizes", "8,12,16,24")
-    sizes = [int(s) for s in sizes_raw.split(",") if s.strip()]
+    sizes = []
+    for item in (s.strip() for s in sizes_raw.split(",")):
+        if item:
+            try:
+                size = int(item)
+            except ValueError:
+                size = 0
+            if size < 1:
+                raise ConfigError(f"[benchmark] sizes = {sizes_raw!r}: "
+                                  f"{item!r} is not a positive integer")
+            sizes.append(size)
     methods = cfg.get_choice("benchmark", "methods",
                              ("dense", "direct_sparse", "pcg"),
                              "dense,direct_sparse,pcg", many=True)

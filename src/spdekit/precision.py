@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .errors import DegenerateNoise, SingularTransition
+from .errors import DegenerateNoise
 from .grid import SpaceTimeGrid, Trajectory
 from .operators import ParamFields
 from .state_space import (InitialCondition, TransitionStep, build_transition,
@@ -69,19 +69,17 @@ def _prior_log_det(ic: InitialCondition, transitions: list[TransitionStep],
                    dt: float) -> float:
     """log|Q| of the prior by the closed form of the module docstring.
 
-    log|det A_t| comes from a dense LU (numpy's LAPACK, like the
-    gradient's dense inverse). A white start with sigma0 <= 0 raises
-    DegenerateNoise(0), a singular A_t SingularTransition(t).
+    log|det A_t| comes from the step's banded LU, the factor its
+    propagator and the gradient's dense inverse also read. A white start
+    with sigma0 <= 0 raises DegenerateNoise(0), a singular A_t
+    SingularTransition(t).
     """
     if ic.mode == "white" and ic.sigma0 <= 0:
         raise DegenerateNoise(0, ic.sigma0)
     total = ic.logdet_prec
     for step in transitions:
         log_w = np.log(_step_weights(step, dt))
-        sign, log_abs_det = np.linalg.slogdet(step.a_solve.toarray())
-        if sign == 0:
-            raise SingularTransition(step.t, "zero determinant")
-        total += 2.0 * log_abs_det + float(np.sum(log_w))
+        total += 2.0 * step.log_abs_det() + float(np.sum(log_w))
     return float(total)
 
 

@@ -9,6 +9,7 @@ no use of the package's stencil table.
 from types import SimpleNamespace
 
 import numpy as np
+from scipy.sparse.linalg import splu
 
 from spdekit import ParamFields, SpaceTimeGrid
 
@@ -262,15 +263,16 @@ def cholesky_adjoint_moments_gradient(diag, cross, theta, p0_opts) -> dict:
     return grads
 
 
-def _burnin_covariances(step, dt, burn_in) -> list:
-    """P_0 = I, ..., P_B of the burn-in recursion, each step two SuperLU
-    solves with m right-hand sides: P_k = M (P_{k-1} + diag(d)) M^T."""
+def _burnin_covariances(step, lu, dt, burn_in) -> list:
+    """P_0 = I, ..., P_B of the burn-in recursion, each step two solves
+    with m right-hand sides against the SuperLU factor lu of A_1:
+    P_k = M (P_{k-1} + diag(d)) M^T."""
     m = step.a_solve.shape[0]
     noise_var = (dt * step.noise_scale)**2
     covs = [np.eye(m)]
     for _ in range(burn_in):
-        y = step.propagate(covs[-1] + np.diag(noise_var))
-        p_next = step.propagate(y.T).T
+        y = lu.solve(covs[-1] + np.diag(noise_var))
+        p_next = lu.solve(np.ascontiguousarray(y.T)).T
         covs.append(0.5 * (p_next + p_next.T))
     return covs
 
@@ -281,7 +283,8 @@ def burnin_marginal_oracle(theta, burn_in) -> tuple:
     from spdekit.state_space import build_transition
 
     step = build_transition(theta, theta.grid)[0]
-    cov = _burnin_covariances(step, theta.grid.dt, burn_in)[-1]
+    lu = splu(step.a_solve.tocsc())
+    cov = _burnin_covariances(step, lu, theta.grid.dt, burn_in)[-1]
     prec = np.linalg.inv(cov)
     sign, logdet = np.linalg.slogdet(cov)
     assert sign > 0
@@ -291,27 +294,32 @@ def burnin_marginal_oracle(theta, burn_in) -> tuple:
 def burnin_adjoint_oracle(second_moment_0, theta, step, burn_in,
                           grads) -> None:
     """Adds the burn-in marginal's share of the mean-nll gradient to grads,
-    applying M = A_1^{-1} and M^T only through SuperLU solves."""
+    applying M = A_1^{-1} and M^T only through SuperLU solves against
+    its own factor of A_1."""
     grid = theta.grid
     dt = grid.dt
     tau1 = step.noise_scale
     noise_var = (dt * tau1)**2
+    lu = splu(step.a_solve.tocsc())
+
+    def solve(v):                                     # M v
+        return lu.solve(np.ascontiguousarray(v))
 
     def solve_t(v):                                   # M^T v
-        return step.lu.solve(np.ascontiguousarray(v), trans="T")
+        return lu.solve(np.ascontiguousarray(v), trans="T")
 
-    covs = _burnin_covariances(step, dt, burn_in)
+    covs = _burnin_covariances(step, lu, dt, burn_in)
     w_mat = np.linalg.inv(covs[-1])
     p_bar = 0.5 * (w_mat - w_mat @ second_moment_0 @ w_mat)
     m_bar = np.zeros((grid.m, grid.m))
     tau_bar = np.zeros(grid.m)
     for k in range(burn_in, 0, -1):
-        mx = step.propagate(covs[k - 1] + np.diag(noise_var))
+        mx = solve(covs[k - 1] + np.diag(noise_var))
         m_bar += 2.0 * p_bar @ mx
         x_bar = solve_t(solve_t(p_bar).T).T           # M^T pbar M
         tau_bar += np.diag(x_bar) * 2.0 * dt**2 * tau1
         p_bar = 0.5 * (x_bar + x_bar.T)
-    a_bar = -solve_t(step.propagate(m_bar.T).T)       # -M^T m_bar M^T
+    a_bar = -solve_t(solve(m_bar.T).T)                # -M^T m_bar M^T
     grads["tau"][step.t] += tau_bar.reshape(grid.ny, grid.nx)
     operator_adjoint_reference(dt * a_bar, theta, step.t, grads)
 

@@ -188,7 +188,11 @@ def test_bad_config_value_exits_2(workdir, capsys):
             ("joint-solve", "[solver]\n",
              "[solver]\ntheta_params = kappa,kapa\n",
              "[solver] theta_params = 'kappa,kapa': expected one of kappa, "
-             "m_u")]:
+             "m_u"),
+            ("benchmark", "[solver]\n", "[benchmark]\nsizes = 4,x\n[solver]\n",
+             "[benchmark] sizes = '4,x': 'x' is not a positive integer"),
+            ("benchmark", "[solver]\n", "[benchmark]\nsizes = 4,0\n[solver]\n",
+             "[benchmark] sizes = '4,0': '0' is not a positive integer")]:
         (workdir / "experiment.cfg").write_text(BASE.replace(old, new),
                                                 encoding="utf-8")
         out = workdir / "bad"

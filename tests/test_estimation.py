@@ -138,8 +138,7 @@ def test_singular_first_transition_with_burnin_start_is_typed():
 
 
 def test_singular_transition_in_nll_is_typed():
-    # slogdet reports a singular A_t as sign 0 and -inf, not an exception;
-    # the loss must not turn that into +inf
+    # a zero pivot of the banded LU must not turn into an infinite loss
     g = SpaceTimeGrid(nx=3, ny=3, nt=2)
     theta = random_theta(g, 18)
     xs = sample_prior(theta, g, n_members=2, base_seed=15,
@@ -191,6 +190,35 @@ def test_trace_gradient_inverts_each_transition_once(monkeypatch):
     monkeypatch.setattr(TransitionStep, "dense_inverse", counted)
     _trace_gradient(_stack_states(xs), theta, p0_opts, steps, ic)
     assert sorted(inverted) == [1, 2, 3]
+
+
+def test_fit_factors_each_transition_once_per_theta(monkeypatch):
+    # the loss's step objects carry their banded LU into the gradient at
+    # the same theta, and no A_t goes through a dense LU
+    from spdekit import state_space
+    g = SpaceTimeGrid(nx=4, ny=3, nt=4)
+    theta = random_theta(g, 26)
+    xs = sample_prior(theta, g, n_members=2, base_seed=19,
+                      p0_mode="white").members
+    factored = []
+    dgbtrf = state_space.dgbtrf
+
+    def counted(ab, kl, ku, **kwargs):
+        factored.append(ab.shape[1])
+        return dgbtrf(ab, kl, ku, **kwargs)
+
+    def refuse(dense):
+        def patched(a, *args, **kwargs):
+            assert np.shape(a)[-2:] != (g.m, g.m), "dense LU of an A_t"
+            return dense(a, *args, **kwargs)
+        return patched
+
+    monkeypatch.setattr(state_space, "dgbtrf", counted)
+    monkeypatch.setattr(np.linalg, "slogdet", refuse(np.linalg.slogdet))
+    monkeypatch.setattr(np.linalg, "inv", refuse(np.linalg.inv))
+    k = 3
+    fit_params(xs, theta, max_steps=k, grad_mode="trace", p0_mode="white")
+    assert factored == [g.m] * ((k + 1) * (g.nt - 1))
 
 
 def test_stationary_gradient_is_cell_sum():

@@ -27,10 +27,65 @@ def test_scalar_transition():
 
 def test_singular_transition_raises_with_step_index():
     from spdekit.errors import SingularTransition
-    # drift I/dt makes A = I - dt*F exactly zero
-    step = transition_from_drift(np.eye(2), dt=1.0, t=3)
-    with pytest.raises(SingularTransition, match="t=3"):
-        step.propagate(np.ones(2))
+    from spdekit.estimation import _mean_nll
+    # drift I/dt makes A = I - dt*F exactly zero: the banded LU meets a
+    # zero pivot, and each of its readers fails typed
+    ic = state_space.InitialCondition(mode="white", m=2)
+    for call in (lambda s: s.propagate(np.ones(2)),
+                 lambda s: s.dense_inverse(),
+                 lambda s: _mean_nll(np.ones((4, 2, 1)), [s], ic, 1.0)):
+        step = transition_from_drift(np.eye(2), dt=1.0, t=3,
+                                     noise_scale=np.ones(2))
+        with pytest.raises(SingularTransition, match="t=3") as info:
+            call(step)
+        assert info.value.t == 3
+
+
+def _rel_err(ours, dense) -> float:
+    return float(np.max(np.abs(ours - dense)) / np.max(np.abs(dense)))
+
+
+def _factor_cases():
+    square = SpaceTimeGrid(nx=3, ny=3, nt=2)
+    oblong = SpaceTimeGrid(nx=5, ny=4, nt=2, dx=0.7, dy=1.3)
+    mixed = SpaceTimeGrid(nx=8, ny=8, nt=2)
+    theta = random_theta(mixed, 31)
+    assert theta.m_u.values[1].min() < 0 < theta.m_u.values[1].max()
+    assert theta.m_v.values[1].min() < 0 < theta.m_v.values[1].max()
+    assert np.all(theta.h12.values[1] != 0)
+    return [("3x3", random_theta(square, 30)),
+            ("5x4, dx != dy", random_theta(oblong, 32)),
+            ("8x8, mixed advection, h12", theta),
+            ("6x6, alpha=4", random_theta(SpaceTimeGrid(nx=6, ny=6, nt=2),
+                                          33, alpha=4))]
+
+
+@pytest.mark.parametrize("name, theta", _factor_cases())
+def test_banded_factor_matches_dense_lu(name, theta):
+    step = build_transition(theta, theta.grid)[0]
+    a = step.a_solve.toarray()
+    sign, log_abs_det = np.linalg.slogdet(a)
+    assert sign != 0
+    assert abs(step.log_abs_det() - log_abs_det) <= 1e-12 * abs(log_abs_det)
+    inverse = np.linalg.inv(a)
+    assert _rel_err(step.propagate(np.eye(theta.grid.m)), inverse) <= 1e-12
+    assert _rel_err(step.dense_inverse(), inverse) <= 1e-12
+    # the band is read from the pattern: nx + 1 at alpha = 2, twice that
+    # at alpha = 4 (the squared stencil)
+    _, _, kl, ku = step._banded_lu()
+    reach = (theta.alpha // 2) * (theta.grid.nx + 1)
+    assert kl == ku == reach, name
+
+
+def test_blocked_inverse_is_bit_identical_to_one_solve():
+    from scipy.linalg.lapack import dgbtrs
+    g = SpaceTimeGrid(nx=17, ny=16, nt=2)
+    assert g.m > state_space._SOLVE_BLOCK
+    step = build_transition(random_theta(g, 34), g)[0]
+    lu, piv, kl, ku = step._banded_lu()
+    whole, info = dgbtrs(lu, kl, ku, np.eye(g.m), piv)
+    assert info == 0
+    assert np.array_equal(step.dense_inverse(), whole)
 
 
 @pytest.mark.parametrize("seed", range(3))
