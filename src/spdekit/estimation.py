@@ -19,11 +19,13 @@ Two gradient modes are provided. "finite_diff" differentiates the nll
 numerically (cheap under the stationarity constraint: 7 scalars). "trace"
 is the exact adjoint of the same residual form: the quadratic term reads
 the step residuals of the stacked trajectories, and the step
-log-determinant's adjoint is A_bar = -A_t^{-T} and tau_bar = 1/tau_t,
-taken from a dense inverse of A_t. Its last link, from d/dL_t to the
-per-cell fields, is the transpose of the stencil table that assembles L_t
-(``operators.operator_adjoint``). The trace mode covers alpha=2 (use
-finite differences for higher powers).
+log-determinant's adjoint is A_bar = -A_t^{-T} and tau_bar = 1/tau_t.
+Its last link, from d/dL_t to the per-cell fields, is the transpose of
+the stencil table that assembles L_t (``operators.operator_adjoint``),
+which reads A_bar only at L_t's stencil pattern; so A_t^{-T} is taken
+there alone, from a selected inverse of the block-tridiagonal A_t
+(``state_space.selected_inverse``), and the residual products likewise.
+The trace mode covers alpha=2 (use finite differences for higher powers).
 
 The expected-nll gradient runs the same data path: E[x x^T] = x* x*^T +
 V V^T for a posterior mean x* and a factor V of the posterior covariance,
@@ -41,6 +43,7 @@ to 7 degrees of freedom, which the twin tests recover reliably.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,11 +51,13 @@ import numpy as np
 
 from .errors import DimensionGuard, DivergedFit, UnsupportedAlpha
 from .grid import SpaceTimeGrid, Trajectory
-from .operators import ParamFields, operator_adjoint, project_params
+from .operators import (ParamFields, _stencil_table, operator_adjoint,
+                        project_params)
 from .precision import (_prior_log_det, _step_weights,
                         assemble_block_precision, posterior_precision)
 from .state_space import (InitialCondition, TransitionStep, _burnin_doubling,
-                          build_transition, initial_condition)
+                          build_transition, initial_condition,
+                          selected_inverse)
 from .steps import make_step_operator
 
 PARAM_NAMES = ("kappa", "m_u", "m_v", "h11", "h12", "h22", "tau")
@@ -154,9 +159,11 @@ def _trace_gradient(states: np.ndarray, theta: ParamFields, p0_opts: dict,
 
     Step t contributes 1/2 mean(sum w r_t^2) - 1/2 log|S_t^{-1}|: the
     quadratic term reads the rank-n residuals r_t, never m x m moments, and
-    the log-determinant term is the closed form of the module docstring,
-    read from A_t^{-1}. transitions and ic may come prebuilt for the same
-    theta.
+    the log-determinant term is the closed form of the module docstring.
+    Both are needed only at L_t's stencil pattern, where the operator
+    adjoint reads them: A_bar = w r x_t^T / n - A_t^{-T} there, with A_t^{-1}
+    from the selected inverse of every step at once. transitions and ic
+    may come prebuilt for the same theta.
     """
     if theta.alpha != 2:
         raise UnsupportedAlpha(
@@ -171,16 +178,16 @@ def _trace_gradient(states: np.ndarray, theta: ParamFields, p0_opts: dict,
         ic = initial_condition(theta, grid, transitions=transitions,
                                **p0_opts)
     grads = {name: np.zeros(grid.shape) for name in PARAM_NAMES}
-    # A_1^{-1} serves step 1 and the burn-in adjoint
-    first_inverse = transitions[0].dense_inverse()
-    for step in transitions:
-        inverse = first_inverse if step is transitions[0] \
-            else step.dense_inverse()
+    table = _stencil_table(grid)
+    # (A_t^{-T})[rows, indices] = A_t^{-1}[indices, rows]
+    inverse_t = selected_inverse(transitions, grid.nx, table.indices,
+                                 table.rows)
+    for step, inv_t in zip(transitions, inverse_t):
         x_t = states[step.t]
         r = step.a_solve @ x_t - states[step.t - 1]
         tau = step.noise_scale
-        a_bar = _step_weights(step, dt)[:, None] * (r @ x_t.T / n) \
-            - inverse.T
+        rx = _pattern_products(r, x_t, grid) / n
+        a_bar = _step_weights(step, dt)[table.rows] * rx - inv_t
         r_sq = np.einsum("ij,ij->i", r, r) / n
         tau_bar = 1.0 / tau - r_sq / (dt**2 * tau**3)
         grads["tau"][step.t] += tau_bar.reshape(grid.ny, grid.nx)
@@ -188,18 +195,48 @@ def _trace_gradient(states: np.ndarray, theta: ParamFields, p0_opts: dict,
     # time-zero marginal: white is parameter-free, burn-in backpropagates
     if ic.mode == "burnin":
         _burnin_adjoint(states[0] @ states[0].T / n, theta, transitions[0],
-                        ic, grads, first_inverse)
+                        ic, grads)
     return ParamGradients(grid, grads)
 
 
-def _burnin_adjoint(second_moment_0, theta, step, ic, grads, prop) -> None:
+@functools.lru_cache(maxsize=8)
+def _offset_runs(grid: SpaceTimeGrid) -> list:
+    """The stencil pattern grouped by offset d = col - row: for each d, its
+    slots, the row range [lo, hi) whose pairs (i, i + d) stay inside the
+    grid, and each slot's row relative to lo."""
+    table = _stencil_table(grid)
+    offsets = table.indices - table.rows
+    runs = []
+    for d in np.unique(offsets):
+        slots = np.flatnonzero(offsets == d)
+        lo, hi = max(0, -d), grid.m - max(0, d)
+        at = table.rows[slots] - lo
+        for arr in (slots, at):
+            arr.setflags(write=False)
+        runs.append((int(d), lo, hi, slots, at))
+    return runs
+
+
+def _pattern_products(r: np.ndarray, x: np.ndarray,
+                      grid: SpaceTimeGrid) -> np.ndarray:
+    """sum_n r[row_k, n] x[col_k, n] at every stencil slot k, one offset at
+    a time: each offset pairs a slice of r with a shifted slice of x, so
+    neither a (slots, n) gather nor an m x m product is formed."""
+    out = np.empty(_stencil_table(grid).rows.size)
+    for d, lo, hi, slots, at in _offset_runs(grid):
+        out[slots] = np.einsum("ij,ij->i", r[lo:hi], x[lo + d:hi + d])[at]
+    return out
+
+
+def _burnin_adjoint(second_moment_0, theta, step, ic, grads) -> None:
     """Backpropagate the x_0 marginal through the burn-in doubling.
 
-    prop is M = A_1^{-1}. The forward pass of initial_condition,
-    P_B = G_B G_B^T + S_B built by squaring runs (G, S) -> (G G, S + G S G^T)
-    and applying them, P <- S + G P G^T, is rerun to record its operations,
-    then walked backwards from P_bar = d(nll)/dP_B, with G_bar and the
-    symmetric S_bar of the current run:
+    With M = A_1^{-1} from the step's banded LU, the forward pass of
+    initial_condition, P_B = G_B G_B^T + S_B built by squaring runs
+    (G, S) -> (G G, S + G S G^T) and applying them, P <- S + G P G^T, is
+    rerun to record its operations, then walked backwards from
+    P_bar = d(nll)/dP_B, with G_bar and the symmetric S_bar of the current
+    run:
 
         apply:   S_bar += P_bar,  G_bar += 2 P_bar G P,  P_bar <- G^T P_bar G
         square:  G_bar <- G_bar G^T + G^T G_bar + 2 S_bar G S,
@@ -207,11 +244,13 @@ def _burnin_adjoint(second_moment_0, theta, step, ic, grads, prop) -> None:
 
     The base run G = M, S = M D M^T gives M_bar = G_bar + 2 S_bar M D and
     D_bar = diag(M^T S_bar M), which feeds tau_1; finally
-    A_bar = -M^T M_bar M^T. Each recorded operation is dropped once used.
+    A_bar = -M^T M_bar M^T, read at the stencil pattern. Each recorded
+    operation is dropped once used.
     """
     grid = theta.grid
     dt = grid.dt
     m = grid.m
+    prop = step.dense_inverse()
     tau1 = step.noise_scale
     noise_var = (dt * tau1)**2
     tape = []
@@ -241,8 +280,10 @@ def _burnin_adjoint(second_moment_0, theta, step, ic, grads, prop) -> None:
     m_bar = g_bar + 2.0 * s_m * noise_var
     tau_bar = np.einsum("ij,ij->j", prop, s_m) * 2.0 * dt**2 * tau1
     a_bar = -prop.T @ m_bar @ prop.T
+    table = _stencil_table(grid)
     grads["tau"][step.t] += tau_bar.reshape(grid.ny, grid.nx)
-    operator_adjoint(dt * a_bar, theta, step.t, grads)
+    operator_adjoint(dt * a_bar[table.rows, table.indices], theta, step.t,
+                     grads)
 
 
 def nll_grad(x, theta: ParamFields, mode: str = "finite_diff",

@@ -243,17 +243,20 @@ def assemble_fdm_operator(theta: ParamFields, t: int,
 
 def operator_adjoint(l_bar: np.ndarray, theta: ParamFields, t: int,
                      grads: dict[str, np.ndarray]) -> None:
-    """Add d(loss)/d(theta_t) to grads[name][t], given the dense gradient
-    l_bar = d(loss)/dL_t.
+    """Add d(loss)/d(theta_t) to grads[name][t], given the operator gradient
+    l_bar = d(loss)/dL_t at the stencil pattern, l_bar[k] at slot
+    (rows[k], indices[k]) of the grid's table.
 
-    phi_bar = J^T l_bar[pattern], then kappa_bar = 2 kappa phi_bar_kappa^2
-    and each advection component reads the upwind side in use (u+ where
-    u >= 0, else u-).
+    phi_bar = J^T l_bar, then kappa_bar = 2 kappa phi_bar_kappa^2 and each
+    advection component reads the upwind side in use (u+ where u >= 0,
+    else u-).
     """
     grid = theta.grid
     table = _stencil_table(grid)
-    phi_bar = (table.jac.T @ l_bar[table.rows, table.indices]) \
-        .reshape(_N_FEATURES, grid.ny, grid.nx)
+    if l_bar.shape != table.rows.shape:
+        raise ValueError(f"l_bar must hold the {table.rows.size} pattern "
+                         f"entries, got shape {l_bar.shape}")
+    phi_bar = (table.jac.T @ l_bar).reshape(_N_FEATURES, grid.ny, grid.nx)
     kappa2, h11, h22, h12, u_pos, u_neg, v_pos, v_neg = phi_bar
     grads["kappa"][t] += 2.0 * theta.kappa.values[t] * kappa2
     grads["h11"][t] += h11

@@ -70,8 +70,9 @@ def _prior_log_det(ic: InitialCondition, transitions: list[TransitionStep],
     """log|Q| of the prior by the closed form of the module docstring.
 
     log|det A_t| comes from the step's banded LU, the factor its
-    propagator and the gradient's dense inverse also read. A white start
-    with sigma0 <= 0 raises DegenerateNoise(0), a singular A_t
+    propagator solves also read; the gradient's selected inverse checks
+    that factor before its block recursion. A white start with
+    sigma0 <= 0 raises DegenerateNoise(0), a singular A_t
     SingularTransition(t).
     """
     if ic.mode == "white" and ic.sigma0 <= 0:

@@ -10,7 +10,9 @@ L_t^{alpha/2} and the propagator M_t = A_t^{-1} is contractive. The noise
 z is i.i.d. standard normal per cell; the per-step noise map is therefore
 T_t = M_t * dt * diag(tau_t). A_t is a stencil matrix, banded in row-major
 cell order, and each step keeps one LAPACK banded LU of it: every solve
-with M_t, the dense M_t and log|det A_t| read that one factor.
+with M_t, the dense M_t and log|det A_t| read that one factor. At alpha = 2
+it is also block tridiagonal, and ``selected_inverse`` reads A_t^{-1} at
+the stencil pattern from its block recursion.
 
 Draws are keyed by (base_seed, member_id, stream, step) through a
 counter-style seed sequence, and members run together in fixed blocks, so
@@ -60,8 +62,10 @@ class TransitionStep:
 
     A_t is a stencil matrix, banded in row-major cell order. Its LAPACK
     banded LU (dgbtrf) is computed once, on first use, straight from the
-    CSR, and serves propagate, dense_inverse and log_abs_det; a zero pivot
-    raises SingularTransition(t) from each of them.
+    CSR, and serves propagate, dense_inverse (the burn-in's dense M_1) and
+    log_abs_det; a zero pivot raises SingularTransition(t) from each of
+    them. The trace gradient needs A_t^{-1} only at the stencil pattern and
+    reads it from ``selected_inverse``, never from dense_inverse.
     """
 
     t: int
@@ -136,6 +140,90 @@ def build_transition(theta: ParamFields,
     """One TransitionStep per t = 1..nt-1."""
     grid = grid or theta.grid
     return [build_transition_step(theta, t, grid) for t in range(1, grid.nt)]
+
+
+def selected_inverse(transitions: list[TransitionStep], nx: int,
+                     rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Entries A_t^{-1}[rows, cols] of every step, as a (steps, k) array.
+
+    In row-major cell order an alpha = 2 step matrix is block tridiagonal,
+    with ny block rows of nx x nx blocks; the entries asked for must lie
+    in its three block diagonals. They are read from the diagonal and
+    first off-diagonal blocks G of A_t^{-1}, which the recursive
+    Green's-function form of Takahashi's recursion gives without forming
+    the dense inverse, for all steps at once, batched along a step axis:
+
+        S_0 = D_0,  S_i = D_i - A_{i,i-1} S_{i-1}^{-1} A_{i-1,i}
+        G_{ny-1}   = S_{ny-1}^{-1}
+        G_{i,i+1}  = -S_i^{-1} A_{i,i+1} G_{i+1}
+        G_{i+1,i}  = -G_{i+1} A_{i+1,i} S_i^{-1}
+        G_i        = S_i^{-1} - G_{i,i+1} A_{i+1,i} S_i^{-1}
+
+    That is O(ny nx^3) per step and no m x m array. A zero pivot of A_t
+    raises SingularTransition(t) from the step's banded LU; a singular or
+    numerically singular Schur block S_i of a nonsingular A_t (the
+    recursion does not pivot across block rows) raises it naming block
+    row i.
+    """
+    m = transitions[0].a_solve.shape[0]
+    ny, rem = divmod(m, nx)
+    if rem:
+        raise ValueError(f"{m} cells do not split into rows of {nx}")
+    # blocks[i, d + 1, s] is A_{i, i+d} of step s, for d = -1, 0, 1; the
+    # step axis is inside so that each batched product reads contiguous
+    # stacks of blocks
+    blocks = np.zeros((ny, 3, len(transitions), nx, nx))
+    for s, step in enumerate(transitions):
+        step._banded_lu()
+        a = step.a_solve
+        by, bx = np.divmod(np.repeat(np.arange(m), np.diff(a.indptr)), nx)
+        cy, cx = np.divmod(a.indices, nx)
+        if np.any(np.abs(cy - by) > 1):
+            raise ValueError("step matrix is not block tridiagonal "
+                             f"with blocks of {nx} cells")
+        blocks[by, cy - by + 1, s, bx, cx] = a.data
+
+    lower, diag, upper = blocks[:, 0], blocks[:, 1], blocks[:, 2]
+    s_inv = np.empty(diag.shape)
+    schur = diag[0]
+    for i in range(ny):
+        if i:
+            schur = diag[i] - lower[i] @ s_inv[i - 1] @ upper[i - 1]
+        s_inv[i] = _invert_schur(schur, transitions, i)
+    green = np.empty_like(blocks)      # same layout: green[i, d + 1, s]
+    green[ny - 1, 1] = s_inv[ny - 1]
+    for i in range(ny - 2, -1, -1):
+        lower_s = lower[i + 1] @ s_inv[i]          # A_{i+1,i} S_i^{-1}
+        green[i, 2] = -(s_inv[i] @ upper[i]) @ green[i + 1, 1]
+        green[i + 1, 0] = -green[i + 1, 1] @ lower_s
+        green[i, 1] = s_inv[i] - green[i, 2] @ lower_s
+    (ry, rx), (cy, cx) = np.divmod(rows, nx), np.divmod(cols, nx)
+    if np.any(np.abs(cy - ry) > 1):
+        raise ValueError("entries outside the three block diagonals")
+    return green[ry, cy - ry + 1, :, rx, cx].T
+
+
+def _invert_schur(schur: np.ndarray, transitions: list[TransitionStep],
+                  i: int) -> np.ndarray:
+    """Inverse of each step's Schur block of block row i. A block that is
+    singular, or whose 1-norm condition number reaches 1/eps, raises
+    SingularTransition for the first such step."""
+    try:
+        inv = np.linalg.inv(schur)
+    except np.linalg.LinAlgError:
+        inv = np.empty(schur.shape)
+        for s, block in enumerate(schur):
+            try:
+                inv[s] = np.linalg.inv(block)
+            except np.linalg.LinAlgError:
+                inv[s] = np.inf
+    norm = np.abs(schur).sum(axis=-2).max(axis=-1)
+    cond = norm * np.abs(inv).sum(axis=-2).max(axis=-1)
+    bad = np.flatnonzero(~(cond < 1.0 / np.finfo(float).eps))
+    if bad.size:
+        raise SingularTransition(transitions[bad[0]].t,
+                                 f"singular Schur block in block row {i}")
+    return inv
 
 
 @dataclass

@@ -16,7 +16,8 @@ from spdekit.errors import (DegenerateNoise, SingularTransition,
                             UnsupportedAlpha)
 from spdekit.estimation import (PARAM_NAMES, _mean_nll, _stack_states,
                                 _trace_gradient, expected_nll_grad)
-from spdekit.state_space import initial_condition, transition_from_drift
+from spdekit.state_space import (build_transition, initial_condition,
+                                 transition_from_drift)
 
 from oracles import (cholesky_adjoint_moments_gradient,
                      cholesky_adjoint_trace_gradient, dense_posterior_cov,
@@ -113,7 +114,8 @@ def test_trace_gradient_matches_cholesky_adjoint_oracle(p0_mode, burn_in, nx,
 
 
 def test_singular_transition_in_trace_gradient_is_typed():
-    # the dense inverse of a singular A_t must fail typed
+    # a singular A_t fails typed in its banded LU before the selected
+    # inverse runs
     g = SpaceTimeGrid(nx=3, ny=3, nt=2)
     theta = random_theta(g, 18)
     xs = sample_prior(theta, g, n_members=2, base_seed=15,
@@ -122,6 +124,26 @@ def test_singular_transition_in_trace_gradient_is_typed():
         _trace_gradient(_stack_states(xs), theta,
                         dict(p0_mode="white", sigma0=1.0, burn_in=5),
                         transitions=[_singular_step(g)])
+    assert info.value.t == 1
+
+
+def test_singular_schur_block_in_trace_gradient_is_typed():
+    # A_1 swaps cells 2 and 5 and is the identity elsewhere: its banded LU
+    # pivots and succeeds, but the leading block diag(1, 1, 0) of the
+    # selected inverse's recursion is singular
+    g = SpaceTimeGrid(nx=3, ny=3, nt=2)
+    theta = random_theta(g, 18)
+    xs = sample_prior(theta, g, n_members=2, base_seed=15,
+                      p0_mode="white").members
+    a = np.eye(g.m)
+    a[2, 2] = a[5, 5] = 0.0
+    a[2, 5] = a[5, 2] = 1.0
+    step = transition_from_drift(np.eye(g.m) - a, dt=1.0, t=1,
+                                 noise_scale=np.ones(g.m))
+    with pytest.raises(SingularTransition, match="block row 0") as info:
+        _trace_gradient(_stack_states(xs), theta,
+                        dict(p0_mode="white", sigma0=1.0, burn_in=5),
+                        transitions=[step])
     assert info.value.t == 1
 
 
@@ -171,15 +193,13 @@ def test_degenerate_white_start_in_nll_is_typed():
     assert info.value.t == 0
 
 
-def test_trace_gradient_inverts_each_transition_once(monkeypatch):
-    # A_1^{-1} serves both step 1's log-determinant and the burn-in adjoint
+def test_trace_gradient_inverts_only_the_burnin_step(monkeypatch):
+    # the step log-determinants read the selected inverse; only the burn-in
+    # adjoint still needs the dense M = A_1^{-1}
     from spdekit.state_space import TransitionStep, build_transition
     g = SpaceTimeGrid(nx=3, ny=3, nt=4)
     theta = random_theta(g, 25)
     xs = sample_prior(theta, g, n_members=2, base_seed=18).members
-    p0_opts = dict(p0_mode="burnin", sigma0=1.0, burn_in=5)
-    steps = build_transition(theta, g)
-    ic = initial_condition(theta, g, transitions=steps, **p0_opts)
     inverted = []
     dense_inverse = TransitionStep.dense_inverse
 
@@ -188,8 +208,29 @@ def test_trace_gradient_inverts_each_transition_once(monkeypatch):
         return dense_inverse(step)
 
     monkeypatch.setattr(TransitionStep, "dense_inverse", counted)
-    _trace_gradient(_stack_states(xs), theta, p0_opts, steps, ic)
-    assert sorted(inverted) == [1, 2, 3]
+    for p0_mode, expect in (("burnin", [1]), ("white", [])):
+        p0_opts = dict(p0_mode=p0_mode, sigma0=1.0, burn_in=5)
+        steps = build_transition(theta, g)
+        ic = initial_condition(theta, g, transitions=steps, **p0_opts)
+        inverted.clear()
+        _trace_gradient(_stack_states(xs), theta, p0_opts, steps, ic)
+        assert inverted == expect, p0_mode
+
+
+def test_white_start_fit_makes_no_dense_inverse(monkeypatch):
+    from spdekit.state_space import TransitionStep
+    g = SpaceTimeGrid(nx=4, ny=3, nt=4)
+    theta = random_theta(g, 27)
+    xs = sample_prior(theta, g, n_members=2, base_seed=20,
+                      p0_mode="white").members
+
+    def refuse(step):
+        raise AssertionError(f"dense inverse of A_{step.t}")
+
+    monkeypatch.setattr(TransitionStep, "dense_inverse", refuse)
+    _, losses = fit_params(xs, theta, max_steps=2, grad_mode="trace",
+                           p0_mode="white")
+    assert len(losses) == 3 and np.all(np.isfinite(losses))
 
 
 def test_fit_factors_each_transition_once_per_theta(monkeypatch):
@@ -298,6 +339,28 @@ def test_expected_gradient_matches_cholesky_adjoint_oracle(p0_mode, nx, ny,
     for name in PARAM_NAMES:
         a, b = ours.fields[name], oracle[name]
         assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b)), name
+
+
+def test_trace_gradient_memory_is_linear_in_columns():
+    # the expected gradient feeds 1 + dim columns: the residual products at
+    # the stencil pattern must not gather a (slots, n) copy (about 9 m n
+    # doubles); the step residual itself is m n
+    import tracemalloc
+    g = SpaceTimeGrid(nx=8, ny=8, nt=3)
+    theta = random_theta(g, 28)
+    p0_opts = dict(p0_mode="white", sigma0=1.0, burn_in=5)
+    n = 1 + g.dim
+    columns = np.random.default_rng(6).standard_normal((g.nt, g.m, n))
+    steps = build_transition(theta, g)
+    ic = initial_condition(theta, g, transitions=steps, **p0_opts)
+    _trace_gradient(columns, theta, p0_opts, steps, ic)
+    tracemalloc.start()
+    try:
+        _trace_gradient(columns, theta, p0_opts, steps, ic)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * g.m * n * 8, peak
 
 
 @pytest.mark.parametrize("p0_mode", ["burnin", "white"])

@@ -106,11 +106,12 @@ def test_table_adjoint_matches_reference(nx, ny, advect, anisotropic):
     theta = random_theta(g, 3 * nx + ny, advect=advect,
                          anisotropic=anisotropic)
     rng = np.random.default_rng(nx * ny)
+    table = _stencil_table(g)
     for t in range(g.nt):
         l_bar = rng.standard_normal((g.m, g.m))
         ours = {n: np.zeros(g.shape) for n in PARAM_NAMES}
         ref = {n: np.zeros(g.shape) for n in PARAM_NAMES}
-        operator_adjoint(l_bar, theta, t, ours)
+        operator_adjoint(l_bar[table.rows, table.indices], theta, t, ours)
         operator_adjoint_reference(l_bar, theta, t, ref)
         for name in PARAM_NAMES:
             scale = max(np.max(np.abs(ref[name])), 1e-300)
@@ -125,7 +126,10 @@ def test_table_adjoint_is_transpose_of_assembly():
     rng = np.random.default_rng(5)
     l_bar = rng.standard_normal((g.m, g.m))
     grads = {n: np.zeros(g.shape) for n in PARAM_NAMES}
-    operator_adjoint(l_bar, theta, 1, grads)
+    table = _stencil_table(g)
+    operator_adjoint(l_bar[table.rows, table.indices], theta, 1, grads)
+    with pytest.raises(ValueError, match="pattern entries"):
+        operator_adjoint(l_bar, theta, 1, grads)
     names = ("m_u", "m_v", "h11", "h12", "h22")
     arrays = theta.field_arrays()
     step = {n: 1e-3 * arrays[n] * rng.random(g.shape) for n in names}

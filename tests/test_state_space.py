@@ -77,6 +77,96 @@ def test_banded_factor_matches_dense_lu(name, theta):
     assert kl == ku == reach, name
 
 
+def _block_tridiagonal_entries(nx, m):
+    """Every (row, col) whose cells lie at most one block row apart."""
+    block = np.arange(m) // nx
+    return np.nonzero(np.abs(block[:, None] - block[None, :]) <= 1)
+
+
+def _assert_selected_inverse_matches(steps, nx):
+    rows, cols = _block_tridiagonal_entries(nx, steps[0].a_solve.shape[0])
+    ours = state_space.selected_inverse(steps, nx, rows, cols)
+    assert ours.shape == (len(steps), rows.size)
+    for step, entries in zip(steps, ours):
+        inverse = np.linalg.inv(step.a_solve.toarray())
+        assert _rel_err(entries, inverse[rows, cols]) <= 1e-12, step.t
+
+
+@pytest.mark.parametrize("name, theta",
+                         [c for c in _factor_cases() if c[1].alpha == 2])
+def test_selected_inverse_matches_dense_inverse(name, theta):
+    g = theta.grid
+    _assert_selected_inverse_matches(build_transition(theta, g), g.nx)
+
+
+@pytest.mark.parametrize("nx, ny", [(6, 1), (1, 6)])
+def test_selected_inverse_on_a_single_block_row_or_column(nx, ny):
+    # ny = 1: one dense block, no off-diagonal blocks; nx = 1: scalar
+    # blocks, so A is tridiagonal
+    rng = np.random.default_rng(nx)
+    m = nx * ny
+    steps = []
+    for t in (1, 2):
+        a = rng.standard_normal((m, m)) + 4.0 * np.eye(m)
+        if nx == 1:
+            a = np.triu(np.tril(a, 1), -1)
+        steps.append(transition_from_drift(np.eye(m) - a, dt=1.0, t=t))
+    _assert_selected_inverse_matches(steps, nx)
+
+
+def test_selected_inverse_stress_draws():
+    # mixed-sign advection up to several cells per step, near-degenerate
+    # diffusion tensors and long steps on oblong cells
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        nx, ny = rng.integers(3, 12, size=2)
+        dx, dy = rng.choice([0.5, 1.0, 2.0], size=2)
+        g = SpaceTimeGrid(nx=int(nx), ny=int(ny), nt=3, dx=dx, dy=dy,
+                          dt=rng.uniform(0.05, 20.0))
+        h11 = rng.uniform(0.2, 2.0, g.shape)
+        h22 = rng.uniform(0.2, 2.0, g.shape)
+        theta = ParamFields.from_arrays(
+            g, kappa=rng.uniform(0.1, 2.0, g.shape),
+            m_u=rng.normal(0.0, 3.0, g.shape),
+            m_v=rng.normal(0.0, 3.0, g.shape), h11=h11,
+            h12=0.99 * np.sqrt(h11 * h22) * rng.uniform(-1, 1, g.shape),
+            h22=h22, tau=1.0)
+        _assert_selected_inverse_matches(build_transition(theta, g), g.nx)
+
+
+def _swap_step(t, pivot):
+    """A 9-cell step whose A is nonsingular but whose leading 3x3 block
+    diag(1, 1, pivot) is (numerically) singular: cells 2 and 5 are
+    coupled by ones across the first two block rows."""
+    a = np.eye(9)
+    a[2, 2] = pivot
+    a[5, 5] = 0.0
+    a[2, 5] = a[5, 2] = 1.0
+    return transition_from_drift(np.eye(9) - a, dt=1.0, t=t)
+
+
+@pytest.mark.parametrize("pivot", [0.0, 1e-300])
+def test_singular_schur_block_is_typed(pivot):
+    from spdekit.errors import SingularTransition
+    steps = [transition_from_drift(-np.eye(9), dt=1.0, t=1),
+             _swap_step(2, pivot)]
+    # the banded LU pivots and succeeds; the block recursion does not
+    assert abs(steps[1].log_abs_det()) < 1e-12
+    rows, cols = _block_tridiagonal_entries(3, 9)
+    with pytest.raises(SingularTransition, match="block row 0") as info:
+        state_space.selected_inverse(steps, 3, rows, cols)
+    assert info.value.t == 2
+
+
+def test_zero_pivot_in_selected_inverse_raises_from_banded_lu():
+    from spdekit.errors import SingularTransition
+    step = transition_from_drift(np.eye(9), dt=1.0, t=4)     # A = 0
+    rows, cols = _block_tridiagonal_entries(3, 9)
+    with pytest.raises(SingularTransition, match="zero pivot") as info:
+        state_space.selected_inverse([step], 3, rows, cols)
+    assert info.value.t == 4
+
+
 def test_blocked_inverse_is_bit_identical_to_one_solve():
     from scipy.linalg.lapack import dgbtrs
     g = SpaceTimeGrid(nx=17, ny=16, nt=2)
