@@ -56,13 +56,10 @@ def _write_manifest(cfg: ExperimentConfig, args, out_dir: Path,
 
 
 def _sampler_opts(cfg: ExperimentConfig) -> dict:
-    burn_in = cfg.get_int("sampler", "burn_in", 20)
-    if burn_in < 0:
-        raise ConfigError(f"[sampler] burn_in = {burn_in}: must be >= 0")
     return dict(p0_mode=cfg.get_choice("sampler", "p0_mode", _P0_MODES,
                                        "burnin"),
                 sigma0=cfg.get_float("sampler", "sigma0", 1.0),
-                burn_in=burn_in)
+                burn_in=cfg.get_int("sampler", "burn_in", 20, minimum=0))
 
 
 def _load_or_make_obs(cfg, grid, theta, seed, out_dir):
@@ -78,6 +75,9 @@ def _load_or_make_obs(cfg, grid, theta, seed, out_dir):
         stem = cfg.get_path("observations", "obs_file", required=True)
         return read_observations(stem, grid), None
     noise_var = cfg.get_float("observations", "noise_var", 0.01)
+    if not noise_var > 0:
+        raise ConfigError(f"[observations] noise_var = {noise_var}: "
+                          "must be > 0")
     pattern = pattern_from_config(cfg)
     mask = generate_obs_mask(grid, pattern, seed=seed + 1)
     truth = sample_prior(theta, grid, n_members=1, base_seed=seed,
@@ -91,7 +91,7 @@ def _load_or_make_obs(cfg, grid, theta, seed, out_dir):
 def _cmd_simulate(cfg, args, out_dir):
     grid = build_grid(cfg)
     theta = build_theta(cfg, grid)
-    n_members = cfg.get_int("sampler", "n_members", 1)
+    n_members = cfg.get_int("sampler", "n_members", 1, minimum=1)
     ens = sample_prior(theta, grid, n_members=n_members, base_seed=args.seed,
                        **_sampler_opts(cfg))
     for i, member in enumerate(ens.members):
@@ -134,15 +134,23 @@ def _solver_config(cfg: ExperimentConfig) -> SolverConfig:
                                          "plain"),
                   "lr": cfg.get_float("solver", "theta_lr", 1e-3)}
     sampler = _sampler_opts(cfg)
+    lam = cfg.get_float("solver", "lambda", 1.0)
+    if not lam > 0:
+        raise ConfigError(f"[solver] lambda = {lam}: must be > 0")
+    x_steps = cfg.get_int("solver", "x_steps", 10, minimum=0)
+    theta_steps = cfg.get_int("solver", "theta_steps", 1, minimum=0)
+    if x_steps + theta_steps < 1:
+        raise ConfigError("[solver] x_steps = 0 and theta_steps = 0: "
+                          "their sum must be >= 1")
     return SolverConfig(
-        n_iterations=cfg.get_int("solver", "n_iterations", 200),
+        n_iterations=cfg.get_int("solver", "n_iterations", 200, minimum=1),
         step=step,
-        lam=cfg.get_float("solver", "lambda", 1.0),
+        lam=lam,
         update_mode=cfg.get_choice("solver", "update_mode",
                                    ("x_only", "joint", "alternating"),
                                    "x_only"),
-        x_steps=cfg.get_int("solver", "x_steps", 10),
-        theta_steps=cfg.get_int("solver", "theta_steps", 1),
+        x_steps=x_steps,
+        theta_steps=theta_steps,
         theta_step=theta_step,
         theta_params=cfg.get_choice("solver", "theta_params", PARAM_NAMES,
                                     ",".join(PARAM_NAMES), many=True),
@@ -177,11 +185,11 @@ def _cmd_joint_solve(cfg, args, out_dir):
 def _cmd_sample_posterior(cfg, args, out_dir):
     grid = build_grid(cfg)
     theta = build_theta(cfg, grid)
+    n_members = cfg.get_int("sampler", "n_members", 100, minimum=1)
     obs, _ = _load_or_make_obs(cfg, grid, theta, args.seed, out_dir)
     q = assemble_block_precision(theta, grid, **_sampler_opts(cfg))
     post = PosteriorSolver(q, obs)
     x_star = post.solve()
-    n_members = cfg.get_int("sampler", "n_members", 100)
     ens = conditional_sample(x_star, post, n_members=n_members,
                              base_seed=args.seed)
     mean, std = ensemble_stats(ens)

@@ -78,6 +78,57 @@ class ParamGradients:
     def pack(self, names=PARAM_NAMES) -> np.ndarray:
         return np.concatenate([self.fields[n].ravel() for n in names])
 
+    @classmethod
+    def unpack(cls, grid: SpaceTimeGrid, vec: np.ndarray) -> "ParamGradients":
+        """The inverse of pack over every parameter."""
+        parts = vec.reshape(len(PARAM_NAMES), *grid.shape)
+        return cls(grid, dict(zip(PARAM_NAMES, parts)))
+
+
+@dataclass(frozen=True)
+class _Coords:
+    """The coordinates descent and finite differences move theta in: the 7
+    broadcast values when stationary, else every cell of the 7 fields, in
+    PARAM_NAMES order."""
+
+    stationary: bool
+
+    def values(self, theta: ParamFields) -> np.ndarray:
+        arrays = theta.field_arrays()
+        if self.stationary:
+            return np.array([float(arrays[n].reshape(-1)[0])
+                             for n in PARAM_NAMES])
+        return np.concatenate([arrays[n].ravel() for n in PARAM_NAMES])
+
+    def theta(self, theta: ParamFields, vec: np.ndarray) -> ParamFields:
+        """theta with every coordinate set from vec, not projected."""
+        shape = theta.grid.shape
+        if self.stationary:
+            parts = [np.full(shape, float(v)) for v in vec]
+        else:
+            parts = vec.reshape(len(PARAM_NAMES), *shape)
+        return theta.replace_fields(**dict(zip(PARAM_NAMES, parts)))
+
+    def with_value(self, theta: ParamFields, k: int, v: float) -> ParamFields:
+        """theta with coordinate k set to v and nothing else moved."""
+        if self.stationary:
+            name = PARAM_NAMES[k]
+            return theta.replace_fields(**{name: np.full(theta.grid.shape, v)})
+        i, cell = divmod(k, theta.grid.dim)
+        name = PARAM_NAMES[i]
+        field = theta.field_arrays()[name].copy()
+        field.reshape(-1)[cell] = v
+        return theta.replace_fields(**{name: field})
+
+    def reduce(self, grads: ParamGradients) -> np.ndarray:
+        """Per-cell gradients as a vector in these coordinates."""
+        return grads.stationary_vector() if self.stationary else grads.pack()
+
+    def select(self, grid: SpaceTimeGrid, names) -> np.ndarray:
+        """True at the coordinates of the named parameters."""
+        chosen = np.array([n in names for n in PARAM_NAMES])
+        return chosen if self.stationary else np.repeat(chosen, grid.dim)
+
 
 def _as_list(x) -> list[Trajectory]:
     return list(x) if isinstance(x, (list, tuple)) else [x]
@@ -114,40 +165,19 @@ def _mean_nll(states: np.ndarray, transitions: list[TransitionStep],
 
 # --- finite-difference gradient ----------------------------------------------
 
-def _fd_gradient(xs, theta, p0_opts, step_scale=1e-5) -> ParamGradients:
-    grid = theta.grid
-    if grid.dim > FD_GUARD:
-        raise DimensionGuard(grid.dim, FD_GUARD)
-    fields = {n: np.zeros(grid.shape) for n in PARAM_NAMES}
-    arrays = theta.field_arrays()
-    for name in PARAM_NAMES:
-        base = arrays[name]
-        grad = fields[name]
-        flat = grad.reshape(-1)
-        base_flat = base.reshape(-1)
-        for k in range(base_flat.size):
-            h = step_scale * (1.0 + abs(base_flat[k]))
-            for sign in (+1.0, -1.0):
-                pert = base.copy()
-                pert.reshape(-1)[k] = base_flat[k] + sign * h
-                th = theta.replace_fields(**{name: pert})
-                val = nll(xs, th, **p0_opts)
-                flat[k] += sign * val / (2.0 * h)
-    return ParamGradients(grid, fields)
-
-
-def _fd_gradient_stationary(xs, theta, p0_opts, step_scale=1e-5) -> np.ndarray:
-    arrays = theta.field_arrays()
-    out = np.zeros(len(PARAM_NAMES))
-    for i, name in enumerate(PARAM_NAMES):
-        base = float(arrays[name].reshape(-1)[0])
-        h = step_scale * (1.0 + abs(base))
-        vals = []
-        for sign in (+1.0, -1.0):
-            th = theta.replace_fields(
-                **{name: np.full(theta.grid.shape, base + sign * h)})
-            vals.append(nll(xs, th, **p0_opts))
-        out[i] = (vals[0] - vals[1]) / (2.0 * h)
+def _fd_gradient(xs, theta, p0_opts, coords: _Coords,
+                 step_scale=1e-5) -> np.ndarray:
+    """Central differences of the mean nll, one coordinate at a time.
+    Per-cell coordinates (7 per cell) are refused above FD_GUARD cells."""
+    base = coords.values(theta)
+    if base.size > len(PARAM_NAMES) * FD_GUARD:
+        raise DimensionGuard(theta.grid.dim, FD_GUARD)
+    out = np.empty(base.size)
+    for k, v in enumerate(base):
+        h = step_scale * (1.0 + abs(v))
+        plus = nll(xs, coords.with_value(theta, k, v + h), **p0_opts)
+        minus = nll(xs, coords.with_value(theta, k, v - h), **p0_opts)
+        out[k] = (plus - minus) / (2.0 * h)
     return out
 
 
@@ -231,7 +261,7 @@ def _pattern_products(r: np.ndarray, x: np.ndarray,
 def _burnin_adjoint(second_moment_0, theta, step, ic, grads) -> None:
     """Backpropagate the x_0 marginal through the burn-in doubling.
 
-    With M = A_1^{-1} from the step's banded LU, the forward pass of
+    With M = A_1^{-1} as the marginal holds it, the forward pass of
     initial_condition, P_B = G_B G_B^T + S_B built by squaring runs
     (G, S) -> (G G, S + G S G^T) and applying them, P <- S + G P G^T, is
     rerun to record its operations, then walked backwards from
@@ -250,7 +280,7 @@ def _burnin_adjoint(second_moment_0, theta, step, ic, grads) -> None:
     grid = theta.grid
     dt = grid.dt
     m = grid.m
-    prop = step.dense_inverse()
+    prop = ic.prop
     tau1 = step.noise_scale
     noise_var = (dt * tau1)**2
     tape = []
@@ -295,21 +325,20 @@ def nll_grad(x, theta: ParamFields, mode: str = "finite_diff",
     The two modes agree to finite-difference accuracy on small grids.
     """
     p0_opts = dict(p0_mode=p0_mode, sigma0=sigma0, burn_in=burn_in)
-    return _gradient(_as_list(x), theta, mode, stationary, p0_opts)
+    g = _gradient(_as_list(x), theta, mode, _Coords(stationary), p0_opts)
+    return g if stationary else ParamGradients.unpack(theta.grid, g)
 
 
-def _gradient(xs, theta, mode, stationary, p0_opts, transitions=None,
-              ic=None):
-    """nll_grad on a list of trajectories; the trace mode reuses
-    transitions and ic when they were prebuilt for the same theta."""
+def _gradient(xs, theta, mode, coords: _Coords, p0_opts, transitions=None,
+              ic=None) -> np.ndarray:
+    """nll gradient of a list of trajectories as a vector in coords; the
+    trace mode reuses transitions and ic when they were prebuilt for the
+    same theta."""
     if mode == "trace":
-        grads = _trace_gradient(_stack_states(xs), theta, p0_opts,
-                                transitions, ic)
-        return grads.stationary_vector() if stationary else grads
+        return coords.reduce(_trace_gradient(_stack_states(xs), theta,
+                                             p0_opts, transitions, ic))
     if mode == "finite_diff":
-        if stationary:
-            return _fd_gradient_stationary(xs, theta, p0_opts)
-        return _fd_gradient(xs, theta, p0_opts)
+        return _fd_gradient(xs, theta, p0_opts, coords)
     raise ValueError(f"unknown gradient mode {mode!r}")
 
 
@@ -346,16 +375,6 @@ def expected_nll_grad(x_star: Trajectory, obs, theta: ParamFields,
 
 # --- descent ----------------------------------------------------------------
 
-def _theta_from_stationary(grid, vec, alpha) -> ParamFields:
-    return ParamFields.from_arrays(
-        grid, *[np.full(grid.shape, float(v)) for v in vec], alpha=alpha)
-
-
-def _stationary_values(theta) -> np.ndarray:
-    return np.array([float(getattr(theta, n).values.reshape(-1)[0])
-                     for n in PARAM_NAMES])
-
-
 def fit_params(trajectories, theta0: ParamFields, step_kind: str = "adam",
                step_params: dict | None = None, max_steps: int = 100,
                stationary: bool = False, grad_mode: str | None = None,
@@ -375,6 +394,7 @@ def fit_params(trajectories, theta0: ParamFields, step_kind: str = "adam",
         grad_mode = "finite_diff" if stationary else "trace"
     p0_opts = dict(p0_mode=p0_mode, sigma0=sigma0, burn_in=burn_in)
     grid = theta0.grid
+    coords = _Coords(stationary)
     stepper = make_step_operator(step_kind, **(step_params or {"lr": 0.02}))
     states = _stack_states(xs)
 
@@ -390,19 +410,9 @@ def fit_params(trajectories, theta0: ParamFields, step_kind: str = "adam",
     best_theta = theta
     loss_curve = [best_loss]
     for it in range(max_steps):
-        g = _gradient(xs, theta, grad_mode, stationary, p0_opts, *built)
-        if stationary:
-            vec = _stationary_values(theta)
-            new_vec = stepper.update(vec, g)
-            theta = project_params(
-                _theta_from_stationary(grid, new_vec, theta.alpha))
-        else:
-            vec = np.concatenate(
-                [theta.field_arrays()[n].ravel() for n in PARAM_NAMES])
-            new_vec = stepper.update(vec, g.pack())
-            parts = new_vec.reshape(len(PARAM_NAMES), *grid.shape)
-            theta = project_params(theta.replace_fields(
-                **dict(zip(PARAM_NAMES, parts))))
+        g = _gradient(xs, theta, grad_mode, coords, p0_opts, *built)
+        theta = project_params(
+            coords.theta(theta, stepper.update(coords.values(theta), g)))
         loss, built = loss_at(theta)
         if not math.isfinite(loss):
             raise DivergedFit(f"non-finite loss at step {it}")

@@ -55,15 +55,21 @@ class ExperimentConfig:
     def get_str(self, section, key, default=None, required=False):
         return self._raw(section, key, default, required)
 
-    def get_int(self, section, key, default=None, required=False):
+    def get_int(self, section, key, default=None, required=False,
+                minimum=None):
+        """An integer; with minimum given, a smaller one is a ConfigError."""
         raw = self._raw(section, key, default, required)
         if raw is default and not isinstance(raw, str):
             return raw
         try:
-            return int(raw)
+            value = int(raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"[{section}] {key} = {raw!r}: not an integer") \
                 from exc
+        if minimum is not None and value < minimum:
+            raise ConfigError(f"[{section}] {key} = {value}: must be >= "
+                              f"{minimum}")
+        return value
 
     def get_float(self, section, key, default=None, required=False):
         raw = self._raw(section, key, default, required)

@@ -124,9 +124,10 @@ def log_det_block(q, method: str = "auto") -> float:
 
     "blockwise" uses the generative split log|Q| = log|P_0^{-1}| +
     sum_t log|S_t^{-1}| with log|S_t^{-1}| = 2 log|det A_t| + sum(log w_t)
-    in closed form (``precision._prior_log_det``), so nothing is factored
-    but the dense A_t; it is exact for an unmodified prior precision and
-    only available when the generator metadata is present. "cholesky"
+    in closed form (``precision._prior_log_det``), where log|det A_t| is
+    read off each step's banded LU and nothing else is factored; it is
+    exact for an unmodified prior precision and only available when the
+    generator metadata is present. "cholesky"
     factorizes the assembled matrix and is always available (and is the
     arbiter if the two ever disagree).
     """

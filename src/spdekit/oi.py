@@ -22,7 +22,8 @@ from .linalg import block_diagonal_preconditioner, pcg_solve, sparse_cholesky
 from .operators import ParamFields
 from .precision import (BlockPrecision, ObservationSet, apply_precision,
                         posterior_precision)
-from .state_space import build_transition, initial_condition
+from .state_space import (build_transition, burnin_covariance,
+                          initial_condition)
 
 DENSE_GUARD = 5000
 RESIDUAL_TOL = 1e-8
@@ -142,7 +143,7 @@ def dense_trajectory_covariance(theta: ParamFields,
     if ic.mode == "white":
         p0 = ic.sigma0**2 * np.eye(m)
     else:
-        p0 = ic.cov
+        p0 = burnin_covariance(ic, transitions[0], dt)
     cov = np.zeros((nt, nt, m, m))
     cov[0, 0] = p0
     for k, step in enumerate(transitions):
@@ -180,6 +181,15 @@ def variational_cost_grad(x: Trajectory, obs: ObservationSet,
                           ) -> tuple[tuple[float, float, float], Trajectory]:
     """variational_cost and variational_grad of x from one application
     of Q."""
+    costs, g = _cost_flat_grad(x, obs, q, lam)
+    return costs, Trajectory.from_flat(x.grid, g)
+
+
+def _cost_flat_grad(x: Trajectory, obs: ObservationSet, q: BlockPrecision,
+                    lam: float) -> tuple[tuple[float, float, float],
+                                         np.ndarray]:
+    """variational_cost_grad with the gradient as a flat array, which may
+    hold non-finite values."""
     if lam <= 0:
         raise ValueError("lam must be positive")
     qx = apply_precision(q, x.states)
@@ -191,7 +201,7 @@ def variational_cost_grad(x: Trajectory, obs: ObservationSet,
         g = g - 2.0 * scatter_obs(obs, resid / obs.noise_var)
     else:
         data = 0.0
-    return (data + prior, data, prior), Trajectory.from_flat(x.grid, g)
+    return (data + prior, data, prior), g
 
 
 def variational_cost(x: Trajectory, obs: ObservationSet, q: BlockPrecision,

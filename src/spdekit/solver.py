@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergedStep
-from .estimation import PARAM_NAMES, _gradient, expected_nll_grad, nll
+from .estimation import (PARAM_NAMES, _Coords, _gradient, expected_nll_grad,
+                         nll)
 from .grid import Trajectory
-from .oi import variational_cost_grad, variational_grad
+from .oi import _cost_flat_grad
 from .operators import ParamFields, project_params
 from .precision import BlockPrecision, assemble_block_precision
 from .state_space import build_transition_step, initial_condition
@@ -37,7 +38,7 @@ class SolverConfig:
 
     update_mode: "x_only" freezes theta; "joint" updates both every
     iteration; "alternating" runs x_steps state updates then theta_steps
-    parameter updates, repeating.
+    parameter updates, repeating (both >= 0, with a positive sum).
     """
 
     n_iterations: int = 200
@@ -59,6 +60,12 @@ class SolverConfig:
     def __post_init__(self):
         if self.n_iterations < 1:
             raise ValueError("n_iterations must be >= 1")
+        if not self.lam > 0:
+            raise ValueError("lam must be positive")
+        if min(self.x_steps, self.theta_steps) < 0 \
+                or self.x_steps + self.theta_steps < 1:
+            raise ValueError("x_steps and theta_steps must be >= 0 with a "
+                             "positive sum")
         if self.update_mode not in ("x_only", "joint", "alternating"):
             raise ValueError(f"unknown update_mode {self.update_mode!r}")
         unknown = set(self.theta_params) - set(PARAM_NAMES)
@@ -132,54 +139,41 @@ class SolverRuntime:
                    cache=PrecisionCache(cfg))
 
 
-def _theta_nll_gradient(x, obs, theta, cfg, runtime, stationary):
-    """nll gradient at theta; the trace mode reads the transitions and x_0
-    marginal of the cached precision for this same theta."""
+def _theta_gradient(x, obs, theta, cfg, runtime,
+                    coords: _Coords) -> np.ndarray:
+    """nll gradient at theta as a vector in coords; the trace mode reads the
+    transitions and x_0 marginal of the cached precision for this same
+    theta."""
     if cfg.theta_expected:
-        return expected_nll_grad(x, obs, theta, stationary=stationary,
-                                 **cfg.p0_opts())
+        return coords.reduce(expected_nll_grad(x, obs, theta,
+                                               **cfg.p0_opts()))
     prior = runtime.cache.get(theta).prior
-    return _gradient([x], theta, cfg.theta_grad_mode, stationary,
-                     cfg.p0_opts(), prior.transitions, prior.ic)
-
-
-def _theta_gradient_vector(x, obs, theta, cfg, runtime) -> np.ndarray:
-    grads = _theta_nll_gradient(x, obs, theta, cfg, runtime,
-                                stationary=False)
-    parts = []
-    for name in PARAM_NAMES:
-        g = grads.fields[name]
-        parts.append(g.ravel() if name in cfg.theta_params
-                     else np.zeros(g.size))
-    return np.concatenate(parts)
+    return _gradient([x], theta, cfg.theta_grad_mode, coords, cfg.p0_opts(),
+                     prior.transitions, prior.ic)
 
 
 def _update_theta(x, obs, theta, cfg, runtime) -> ParamFields:
-    if cfg.theta_stationary:
-        from .estimation import _stationary_values, _theta_from_stationary
-        g = _theta_nll_gradient(x, obs, theta, cfg, runtime,
-                                stationary=True)
-        select = np.array([1.0 if n in cfg.theta_params else 0.0
-                           for n in PARAM_NAMES])
-        if not np.all(np.isfinite(g)):
-            raise DivergedStep(runtime.iteration, "non-finite theta gradient")
-        new_vec = runtime.theta_step.update(_stationary_values(theta),
-                                            g * select)
-        if not np.all(np.isfinite(new_vec)):
-            raise DivergedStep(runtime.iteration, "non-finite theta update")
-        return project_params(_theta_from_stationary(
-            theta.grid, new_vec, theta.alpha))
-    g = _theta_gradient_vector(x, obs, theta, cfg, runtime)
+    """One descent step on the parameters named in cfg.theta_params; the
+    other coordinates get a zero gradient."""
+    coords = _Coords(cfg.theta_stationary)
+    g = np.where(coords.select(theta.grid, cfg.theta_params),
+                 _theta_gradient(x, obs, theta, cfg, runtime, coords), 0.0)
     if not np.all(np.isfinite(g)):
         raise DivergedStep(runtime.iteration, "non-finite theta gradient")
-    vec = np.concatenate([theta.field_arrays()[n].ravel()
-                          for n in PARAM_NAMES])
-    new_vec = runtime.theta_step.update(vec, g)
+    new_vec = runtime.theta_step.update(coords.values(theta), g)
     if not np.all(np.isfinite(new_vec)):
         raise DivergedStep(runtime.iteration, "non-finite theta update")
-    parts = new_vec.reshape(len(PARAM_NAMES), *theta.grid.shape)
-    return project_params(theta.replace_fields(
-        **dict(zip(PARAM_NAMES, parts))))
+    return project_params(coords.theta(theta, new_vec))
+
+
+def _state_gradient(x: Trajectory, obs, q: BlockPrecision, cfg: SolverConfig,
+                    iteration: int):
+    """(cost terms, flat state gradient) at x; a non-finite gradient raises
+    DivergedStep(iteration)."""
+    costs, g = _cost_flat_grad(x, obs, q, cfg.lam)
+    if not np.all(np.isfinite(g)):
+        raise DivergedStep(iteration, "non-finite state gradient")
+    return costs, g
 
 
 def solver_step(state: AugmentedState, obs, cfg: SolverConfig,
@@ -188,16 +182,15 @@ def solver_step(state: AugmentedState, obs, cfg: SolverConfig,
     if runtime is None:
         runtime = SolverRuntime.fresh(cfg)
     q = runtime.cache.get(state.theta)
-    return _advance(state, variational_grad(state.x, obs, q, cfg.lam), obs,
-                    cfg, runtime)
+    _, g = _state_gradient(state.x, obs, q, cfg, runtime.iteration)
+    return _advance(state, g, obs, cfg, runtime)
 
 
-def _advance(state: AugmentedState, g: Trajectory, obs, cfg: SolverConfig,
+def _advance(state: AugmentedState, g: np.ndarray, obs, cfg: SolverConfig,
              runtime: SolverRuntime) -> AugmentedState:
-    """solver_step from g, the state gradient at (state.x, state.theta)."""
-    if not np.all(np.isfinite(g.states)):
-        raise DivergedStep(runtime.iteration, "non-finite state gradient")
-    new_flat = runtime.x_step.update(state.x.flat, g.flat)
+    """solver_step from g, the flat state gradient at (state.x,
+    state.theta)."""
+    new_flat = runtime.x_step.update(state.x.flat, g)
     if not np.all(np.isfinite(new_flat)):
         raise DivergedStep(runtime.iteration, "non-finite state update")
     new_x = Trajectory.from_flat(state.x.grid, new_flat)
@@ -236,27 +229,18 @@ def run_solver(x0: Trajectory, theta0: ParamFields, obs,
     state = AugmentedState(x=x0.copy(), theta=project_params(theta0))
     rows: list[dict] = []
     rebuilds_seen = 0
-    # the state gradient at the current state: the gradient computed with
-    # the diagnostics of one iteration drives the step of the next, so Q is
-    # applied once per iteration
-    g = None
     try:
+        # the state gradient at the current state: the gradient computed
+        # with the diagnostics of one iteration drives the step of the next,
+        # so Q is applied once per iteration
+        _, g = _state_gradient(state.x, obs, runtime.cache.get(state.theta),
+                               cfg, 0)
         for it in range(cfg.n_iterations):
             prev_theta = state.theta
-            try:
-                if g is None:
-                    g = variational_grad(state.x, obs,
-                                         runtime.cache.get(state.theta),
-                                         cfg.lam)
-                state = _advance(state, g, obs, cfg, runtime)
-                q = runtime.cache.get(state.theta)
-                (total, data, prior), g = variational_cost_grad(
-                    state.x, obs, q, cfg.lam)
-                gnorm = float(np.linalg.norm(g.flat))
-            except ValueError as exc:
-                if "non-finite" in str(exc):
-                    raise DivergedStep(it, str(exc)) from exc
-                raise
+            state = _advance(state, g, obs, cfg, runtime)
+            (total, data, prior), g = _state_gradient(
+                state.x, obs, runtime.cache.get(state.theta), cfg, it)
+            gnorm = float(np.linalg.norm(g))
             tchange = 0.0
             if state.theta is not prev_theta:
                 tchange = float(np.sqrt(sum(

@@ -249,8 +249,11 @@ class InitialCondition:
     mode: str                      # "burnin" or "white"
     sigma0: float = 1.0
     burn_in: int = 20
-    cov: np.ndarray | None = None  # dense (m, m), burnin mode only
-    prec: np.ndarray | None = None
+    # always None: P_0 is not held (burnin_covariance rebuilds it); the
+    # field stays because perfbench's tracer reads r.cov
+    cov: np.ndarray | None = None
+    prec: np.ndarray | None = None  # dense (m, m) P_0^{-1}, burnin mode only
+    prop: np.ndarray | None = None  # dense (m, m) M = A_1^{-1}, burnin only
     logdet_prec: float = 0.0
     m: int = 0
 
@@ -278,8 +281,10 @@ def initial_condition(theta: ParamFields, grid: SpaceTimeGrid | None = None,
     steps compose as (G_a G_b, S_a + G_a S_b G_a^T), so P_B is built from
     the binary digits of B by doubling (`_burnin_doubling`). Its inverse
     becomes the first precision block, so sampler and precision stay
-    consistent by construction. A singular A_1 raises SingularTransition(1);
-    a negative burn_in raises ValueError.
+    consistent by construction. The marginal keeps P_B^{-1} and M (which
+    the burn-in adjoint reads), not P_B itself; ``burnin_covariance``
+    rebuilds that. A singular A_1 raises SingularTransition(1); a negative
+    burn_in raises ValueError.
     """
     grid = grid or theta.grid
     m = grid.m
@@ -298,18 +303,28 @@ def initial_condition(theta: ParamFields, grid: SpaceTimeGrid | None = None,
     if transitions is None:
         transitions = build_transition(theta, grid)
     step = transitions[0]
-    cov = _burnin_doubling(step.dense_inverse(),
-                           (grid.dt * step.noise_scale)**2, burn_in)
+    prop = step.dense_inverse()
+    cov = _burnin_doubling(prop, (grid.dt * step.noise_scale)**2, burn_in)
     # numpy's LAPACK, not scipy.linalg: numpy and scipy each bundle their
     # own OpenBLAS with its own thread pool. On a 2-core VM with 2 BLAS
     # threads, a scipy potrf right after numpy's dense products took
     # 65-120 ms instead of 1-2 ms per call inside a joint-solve op.
-    chol = np.linalg.cholesky(cov)
+    logdet_prec = -2.0 * float(np.sum(np.log(np.diag(
+        np.linalg.cholesky(cov)))))
     prec = np.linalg.inv(cov)
+    del cov
     prec = 0.5 * (prec + prec.T)
-    logdet_prec = -2.0 * float(np.sum(np.log(np.diag(chol))))
     return InitialCondition(mode="burnin", sigma0=sigma0, burn_in=burn_in,
-                            cov=cov, prec=prec, logdet_prec=logdet_prec, m=m)
+                            prec=prec, prop=prop, logdet_prec=logdet_prec,
+                            m=m)
+
+
+def burnin_covariance(ic: InitialCondition, step: TransitionStep,
+                      dt: float) -> np.ndarray:
+    """The dense P_B of a burn-in marginal, which it does not hold: the
+    doubling rerun on its M, for step = A_1 at grid step dt. For dense
+    oracles and checks."""
+    return _burnin_doubling(ic.prop, (dt * step.noise_scale)**2, ic.burn_in)
 
 
 def _burnin_doubling(prop: np.ndarray, noise_var: np.ndarray, burn_in: int,

@@ -192,7 +192,24 @@ def test_bad_config_value_exits_2(workdir, capsys):
             ("benchmark", "[solver]\n", "[benchmark]\nsizes = 4,x\n[solver]\n",
              "[benchmark] sizes = '4,x': 'x' is not a positive integer"),
             ("benchmark", "[solver]\n", "[benchmark]\nsizes = 4,0\n[solver]\n",
-             "[benchmark] sizes = '4,0': '0' is not a positive integer")]:
+             "[benchmark] sizes = '4,0': '0' is not a positive integer"),
+            # values the library refuses are refused before the twin files
+            ("joint-solve", "[solver]\n",
+             "[solver]\nupdate_mode = alternating\nx_steps = 0\n"
+             "theta_steps = 0\n",
+             "[solver] x_steps = 0 and theta_steps = 0: their sum must be"),
+            ("joint-solve", "[solver]\n", "[solver]\ntheta_steps = -1\n",
+             "[solver] theta_steps = -1: must be >= 0"),
+            ("joint-solve", "n_iterations = 40", "n_iterations = 0",
+             "[solver] n_iterations = 0: must be >= 1"),
+            ("joint-solve", "[solver]\n", "[solver]\nlambda = 0\n",
+             "[solver] lambda = 0.0: must be > 0"),
+            ("simulate", "n_members = 3", "n_members = 0",
+             "[sampler] n_members = 0: must be >= 1"),
+            ("sample-posterior", "n_members = 3", "n_members = 0",
+             "[sampler] n_members = 0: must be >= 1"),
+            ("interpolate", "noise_var = 0.05", "noise_var = 0",
+             "[observations] noise_var = 0.0: must be > 0")]:
         (workdir / "experiment.cfg").write_text(BASE.replace(old, new),
                                                 encoding="utf-8")
         out = workdir / "bad"

@@ -195,7 +195,8 @@ def test_degenerate_white_start_in_nll_is_typed():
 
 def test_trace_gradient_inverts_only_the_burnin_step(monkeypatch):
     # the step log-determinants read the selected inverse; only the burn-in
-    # adjoint still needs the dense M = A_1^{-1}
+    # marginal needs the dense M = A_1^{-1}, once, and its adjoint reads it
+    # from the marginal
     from spdekit.state_space import TransitionStep, build_transition
     g = SpaceTimeGrid(nx=3, ny=3, nt=4)
     theta = random_theta(g, 25)
@@ -211,10 +212,12 @@ def test_trace_gradient_inverts_only_the_burnin_step(monkeypatch):
     for p0_mode, expect in (("burnin", [1]), ("white", [])):
         p0_opts = dict(p0_mode=p0_mode, sigma0=1.0, burn_in=5)
         steps = build_transition(theta, g)
+        inverted.clear()
         ic = initial_condition(theta, g, transitions=steps, **p0_opts)
+        assert inverted == expect, p0_mode
         inverted.clear()
         _trace_gradient(_stack_states(xs), theta, p0_opts, steps, ic)
-        assert inverted == expect, p0_mode
+        assert inverted == [], p0_mode
 
 
 def test_white_start_fit_makes_no_dense_inverse(monkeypatch):
@@ -365,7 +368,8 @@ def test_trace_gradient_memory_is_linear_in_columns():
 
 @pytest.mark.parametrize("p0_mode", ["burnin", "white"])
 @pytest.mark.parametrize("grad_mode, stationary",
-                         [("trace", False), ("finite_diff", True)])
+                         [("trace", False), ("trace", True),
+                          ("finite_diff", True)])
 def test_fit_loop_never_factors(monkeypatch, p0_mode, grad_mode, stationary):
     # the loss is in residual form: no sparse or banded Cholesky anywhere
     # in the descent loop

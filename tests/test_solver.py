@@ -105,6 +105,67 @@ def test_diverged_step_carries_partial_diagnostics():
     assert exc.value.iteration >= 1
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_state_gradient_raises_diverged_step():
+    # a finite state whose gradient overflows fails typed, from solver_step
+    # as from run_solver
+    g = SpaceTimeGrid(nx=4, ny=4, nt=3)
+    theta = random_theta(g, 30)
+    obs = ObservationSet(g, np.zeros(g.shape, dtype=bool), [], [])
+    x = Trajectory.from_flat(g, np.full(g.dim, 1e308))
+    cfg = SolverConfig(n_iterations=3, update_mode="x_only")
+    with pytest.raises(DivergedStep, match="non-finite state gradient") \
+            as exc:
+        solver_step(AugmentedState(x=x, theta=theta), obs, cfg)
+    assert exc.value.iteration == 0
+    with pytest.raises(DivergedStep, match="non-finite state gradient") \
+            as exc:
+        run_solver(x, theta, obs, cfg)
+    assert exc.value.iteration == 0 and exc.value.diagnostics == []
+
+
+@pytest.mark.parametrize("stationary", [False, True])
+def test_theta_step_moves_only_selected_parameters(monkeypatch, stationary):
+    # a joint-solve theta step leaves the parameters outside theta_params
+    # bit-unchanged, even where their gradient is not finite
+    from spdekit import solver
+    g = SpaceTimeGrid(nx=4, ny=4, nt=3)
+    if stationary:
+        theta = ParamFields.stationary(g, kappa=0.7, m=(0.2, 0.1),
+                                       h=(0.8, 0.05, 0.7), tau=1.1)
+    else:
+        theta = random_theta(g, 29)
+    x = sample_prior(theta, g, n_members=1, base_seed=23).members[0]
+    mask = np.random.default_rng(7).random(g.shape) < 0.5
+    obs = ObservationSet.from_truth(x, mask, 0.05, seed=8)
+    selected = ("kappa", "m_u")
+    cfg = SolverConfig(n_iterations=1, update_mode="joint",
+                       theta_params=selected, theta_stationary=stationary,
+                       theta_step={"kind": "plain", "lr": 1e-2})
+    gradient = solver._gradient
+
+    def spoiled(xs, th, mode, coords, *args):
+        out = gradient(xs, th, mode, coords, *args)
+        out[~coords.select(th.grid, selected)] = np.nan
+        return out
+
+    monkeypatch.setattr(solver, "_gradient", spoiled)
+    out = solver_step(AugmentedState(x=x, theta=theta), obs, cfg)
+    for name in PARAM_NAMES:
+        before = theta.field_arrays()[name]
+        after = out.theta.field_arrays()[name]
+        assert np.array_equal(after, before) == (name not in selected), name
+
+
+@pytest.mark.parametrize("bad", [dict(x_steps=0, theta_steps=0),
+                                 dict(x_steps=-1), dict(theta_steps=-1),
+                                 dict(lam=0.0), dict(lam=float("nan")),
+                                 dict(n_iterations=0)])
+def test_solver_config_refuses_bad_values(bad):
+    with pytest.raises(ValueError):
+        SolverConfig(update_mode="alternating", **bad)
+
+
 @pytest.mark.parametrize("update_mode", ["x_only", "alternating"])
 def test_one_precision_application_per_iteration(monkeypatch, update_mode):
     # the gradient computed with an iteration's diagnostics drives the next
@@ -157,7 +218,8 @@ def test_cached_theta_gradient_matches_fresh_gradient(p0_mode, stationary):
     # the joint-solve gradient reads the transitions and x_0 marginal of the
     # cached precision; after each theta update they must be those of the
     # new theta, bit for bit
-    from spdekit.solver import SolverRuntime, _theta_nll_gradient
+    from spdekit.estimation import _Coords
+    from spdekit.solver import SolverRuntime, _theta_gradient
     g = SpaceTimeGrid(nx=4, ny=4, nt=4)
     theta = random_theta(g, 21)
     x = sample_prior(theta, g, n_members=1, base_seed=16,
@@ -173,14 +235,11 @@ def test_cached_theta_gradient_matches_fresh_gradient(p0_mode, stationary):
     tau[3] *= 0.9                        # a later slab only
     later = first.replace_fields(tau=tau)
     for k, th in enumerate((first, later), start=1):
-        ours = _theta_nll_gradient(x, None, th, cfg, runtime, stationary)
+        ours = _theta_gradient(x, None, th, cfg, runtime,
+                               _Coords(stationary))
         fresh = nll_grad(x, th, mode="trace", stationary=stationary,
                          **cfg.p0_opts())
-        if stationary:
-            assert np.array_equal(ours, fresh)
-        else:
-            for name in PARAM_NAMES:
-                assert np.array_equal(ours.fields[name], fresh.fields[name])
+        assert np.array_equal(ours, fresh if stationary else fresh.pack())
         # one slab rebuilt per update: the cache was updated, not replaced
         assert runtime.cache.total_rebuilds == g.nt - 1 + k
 

@@ -7,6 +7,7 @@ from spdekit import (ParamFields, SpaceTimeGrid, build_transition,
                      dense_trajectory_covariance, initial_condition,
                      propagate, sample_prior, transition_from_drift)
 from spdekit import state_space
+from spdekit.state_space import burnin_covariance
 
 from oracles import (burnin_marginal_oracle, random_theta,
                      sample_prior_reference)
@@ -304,9 +305,13 @@ def test_empirical_covariance_matches_precision_inverse():
 def test_burnin_initial_condition_consistency():
     g = SpaceTimeGrid(nx=4, ny=4, nt=3)
     theta = random_theta(g, 8, advect=False)
-    ic = initial_condition(theta, g, p0_mode="burnin", burn_in=10)
+    steps = build_transition(theta, g)
+    ic = initial_condition(theta, g, p0_mode="burnin", burn_in=10,
+                           transitions=steps)
+    assert ic.cov is None                # P_0 is rebuilt, not held
     # the dense covariance and precision really are inverses
-    assert np.max(np.abs(ic.cov @ ic.prec - np.eye(g.m))) < 1e-8
+    cov = burnin_covariance(ic, steps[0], g.dt)
+    assert np.max(np.abs(cov @ ic.prec - np.eye(g.m))) < 1e-8
     sign, logdet = np.linalg.slogdet(ic.prec)
     assert sign > 0
     assert ic.logdet_prec == pytest.approx(logdet, abs=1e-8)
@@ -319,9 +324,12 @@ def test_burnin_initial_condition_consistency():
 def test_burnin_marginal_matches_superlu_oracle(nx, ny, burn_in):
     g = SpaceTimeGrid(nx=nx, ny=ny, nt=3)
     theta = random_theta(g, 19, advect=True)
-    ic = initial_condition(theta, g, p0_mode="burnin", burn_in=burn_in)
+    steps = build_transition(theta, g)
+    ic = initial_condition(theta, g, p0_mode="burnin", burn_in=burn_in,
+                           transitions=steps)
     cov, prec, logdet_prec = burnin_marginal_oracle(theta, burn_in)
-    assert np.max(np.abs(ic.cov - cov)) <= 1e-12 * np.max(np.abs(cov))
+    ours = burnin_covariance(ic, steps[0], g.dt)
+    assert np.max(np.abs(ours - cov)) <= 1e-12 * np.max(np.abs(cov))
     assert np.max(np.abs(ic.prec - prec)) <= 1e-12 * np.max(np.abs(prec))
     assert abs(ic.logdet_prec - logdet_prec) <= 1e-12 * abs(logdet_prec)
 
@@ -341,9 +349,12 @@ def test_singular_first_transition_in_burnin_is_typed():
 
 def test_zero_burn_in_is_unit_white():
     g = SpaceTimeGrid(nx=4, ny=3, nt=2)
-    ic = initial_condition(random_theta(g, 22), g, p0_mode="burnin",
-                           burn_in=0)
-    assert np.array_equal(ic.cov, np.eye(g.m))
+    theta = random_theta(g, 22)
+    steps = build_transition(theta, g)
+    ic = initial_condition(theta, g, p0_mode="burnin", burn_in=0,
+                           transitions=steps)
+    cov = burnin_covariance(ic, steps[0], g.dt)
+    assert np.array_equal(cov, np.eye(g.m))
     assert np.array_equal(ic.prec, np.eye(g.m))
     assert ic.logdet_prec == 0.0
 
