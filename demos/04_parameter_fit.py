@@ -2,8 +2,8 @@
 
 Classic twin setup: simulate a handful of trajectories from known
 parameters, perturb the damping and noise scales by a factor of two, and
-descend the exact likelihood gradient under the stationarity constraint
-(7 scalar degrees of freedom). Damping and noise both scale the marginal
+descend the exact likelihood gradient with each field's step tied (from
+this flat start, 7 scalar degrees of freedom). Damping and noise both scale the marginal
 variance, so the descent first fixes the overall level and then crawls
 along the weakly identified ridge separating the two.
 """

@@ -55,10 +55,16 @@ def _write_manifest(cfg: ExperimentConfig, args, out_dir: Path,
                                           encoding="utf-8")
 
 
-def _sampler_opts(cfg: ExperimentConfig) -> dict:
+def _sampler_opts(cfg: ExperimentConfig, zero_start: bool = False) -> dict:
+    """The [sampler] start options. sigma0 must be > 0 wherever a precision
+    is built; prior draws alone (zero_start) may start from x_0 = 0."""
+    sigma0 = cfg.get_float("sampler", "sigma0", 1.0)
+    if not (sigma0 >= 0 if zero_start else sigma0 > 0):
+        raise ConfigError(f"[sampler] sigma0 = {sigma0}: must be "
+                          f"{'>= 0' if zero_start else '> 0'}")
     return dict(p0_mode=cfg.get_choice("sampler", "p0_mode", _P0_MODES,
                                        "burnin"),
-                sigma0=cfg.get_float("sampler", "sigma0", 1.0),
+                sigma0=sigma0,
                 burn_in=cfg.get_int("sampler", "burn_in", 20, minimum=0))
 
 
@@ -93,7 +99,7 @@ def _cmd_simulate(cfg, args, out_dir):
     theta = build_theta(cfg, grid)
     n_members = cfg.get_int("sampler", "n_members", 1, minimum=1)
     ens = sample_prior(theta, grid, n_members=n_members, base_seed=args.seed,
-                       **_sampler_opts(cfg))
+                       **_sampler_opts(cfg, zero_start=True))
     for i, member in enumerate(ens.members):
         write_field(member.to_field(), out_dir / f"member_{i:04d}.stgf")
     _write_manifest(cfg, args, out_dir, {"n_members": n_members})
@@ -206,20 +212,19 @@ def _cmd_sample_posterior(cfg, args, out_dir):
 def _cmd_fit(cfg, args, out_dir):
     grid = build_grid(cfg)
     theta0 = build_theta(cfg, grid)
+    options = dict(
+        step_kind=cfg.get_choice("fit", "step", _STEP_KINDS, "adam"),
+        step_params={"lr": cfg.get_float("fit", "lr", 0.02)},
+        max_steps=cfg.get_int("fit", "max_steps", 100, minimum=0),
+        stationary=cfg.get_bool("fit", "stationary", True),
+        grad_mode=cfg.get_choice("fit", "grad_mode", _GRAD_MODES),
+        **_sampler_opts(cfg))
     traj_glob = cfg.get_str("fit", "trajectories", required=True)
     paths = sorted(cfg.base_dir.glob(traj_glob))
     if not paths:
         raise ConfigError(f"[fit] trajectories = {traj_glob!r}: no files")
     trajectories = [Trajectory.from_field(read_field(p, grid)) for p in paths]
-    sampler = _sampler_opts(cfg)
-    theta_star, curve = fit_params(
-        trajectories, theta0,
-        step_kind=cfg.get_choice("fit", "step", _STEP_KINDS, "adam"),
-        step_params={"lr": cfg.get_float("fit", "lr", 0.02)},
-        max_steps=cfg.get_int("fit", "max_steps", 100),
-        stationary=cfg.get_bool("fit", "stationary", True),
-        grad_mode=cfg.get_choice("fit", "grad_mode", _GRAD_MODES),
-        **sampler)
+    theta_star, curve = fit_params(trajectories, theta0, **options)
     write_theta(theta_star, out_dir / "theta_star")
     with open(out_dir / "loss.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -273,17 +278,22 @@ def _cmd_benchmark(cfg, args, out_dir):
                 size = int(item)
             except ValueError:
                 size = 0
-            if size < 1:
+            if size < 3:
                 raise ConfigError(f"[benchmark] sizes = {sizes_raw!r}: "
-                                  f"{item!r} is not a positive integer")
+                                  f"{item!r} is not a positive integer >= 3")
             sizes.append(size)
+    nt = cfg.get_int("benchmark", "nt", 10, minimum=2)
+    density = cfg.get_float("benchmark", "density", 0.2)
+    if not 0.0 < density <= 1.0:
+        raise ConfigError(f"[benchmark] density = {density}: must be in "
+                          "(0, 1]")
     methods = cfg.get_choice("benchmark", "methods",
                              ("dense", "direct_sparse", "pcg"),
                              "dense,direct_sparse,pcg", many=True)
     rows = benchmark(
         sizes,
-        nt=cfg.get_int("benchmark", "nt", 10),
-        obs_density=cfg.get_float("benchmark", "density", 0.2),
+        nt=nt,
+        obs_density=density,
         methods=methods, seed=args.seed,
         p0_mode=cfg.get_choice("benchmark", "p0_mode", _P0_MODES, "white"))
     benchmark_csv(rows, out_dir / "benchmark.csv")

@@ -57,15 +57,20 @@ class SingularTransition(SpdekitError):
 
 
 class DegenerateNoise(SpdekitError):
-    """Noise regularization too close to zero for a precision block."""
+    """Noise regularization too close to zero for a precision block: tau at
+    a step t >= 1, or at t = 0 the white start's sigma0."""
 
     def __init__(self, t, tau_min):
         self.t = t
         self.tau_min = tau_min
-        super().__init__(
-            f"noise scale tau ~ {tau_min:.3e} at step t={t} makes the "
-            "precision block numerically singular; floor tau (e.g. 1e-6) "
-            "before assembling")
+        if t == 0:
+            message = (f"white-start scale sigma0 = {tau_min:.3e} gives x_0 "
+                       "no precision; use sigma0 > 0")
+        else:
+            message = (f"noise scale tau ~ {tau_min:.3e} at step t={t} makes "
+                       "the precision block numerically singular; floor tau "
+                       "(e.g. 1e-6) before assembling")
+        super().__init__(message)
 
 
 # --- linear algebra --------------------------------------------------------

@@ -16,7 +16,7 @@ the second being the GMRF identity log|S_t^{-1}| = 2 log|det A_t| +
 sum(log w_t) (Rue & Held 2005, ch. 2; ``precision._prior_log_det``).
 
 Two gradient modes are provided. "finite_diff" differentiates the nll
-numerically (cheap under the stationarity constraint: 7 scalars). "trace"
+numerically (cheap when stationary: one direction per field). "trace"
 is the exact adjoint of the same residual form: the quadratic term reads
 the step residuals of the stacked trajectories, and the step
 log-determinant's adjoint is A_bar = -A_t^{-T} and tau_bar = 1/tau_t.
@@ -37,8 +37,10 @@ identically zero.
 
 kappa and tau both scale the marginal variance; from short records they
 are only weakly separable (kappa also shapes the correlation, tau does
-not). The stationarity flag is the practical remedy: it cuts the problem
-to 7 degrees of freedom, which the twin tests recover reliably.
+not). The stationarity flag is the practical remedy: it ties each
+field's step (every cell moves by the step of the field's gradient, its
+cell sum), and the twin tests recover the tied fields reliably. The start
+need not be stationary: theta always moves as every cell of the 7 fields.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ class ParamGradients:
     fields: dict[str, np.ndarray]
 
     def stationary_vector(self) -> np.ndarray:
-        """Reduce to the 7 broadcast degrees of freedom (sum over cells)."""
+        """The gradient along each whole field: its sum over cells."""
         return np.array([self.fields[n].sum() for n in PARAM_NAMES])
 
     def pack(self, names=PARAM_NAMES) -> np.ndarray:
@@ -85,49 +87,21 @@ class ParamGradients:
         return cls(grid, dict(zip(PARAM_NAMES, parts)))
 
 
-@dataclass(frozen=True)
-class _Coords:
-    """The coordinates descent and finite differences move theta in: the 7
-    broadcast values when stationary, else every cell of the 7 fields, in
-    PARAM_NAMES order."""
+def _theta_vector(theta: ParamFields) -> np.ndarray:
+    """Every cell of the 7 fields, laid out as the per-cell gradients."""
+    return ParamGradients(theta.grid, theta.field_arrays()).pack()
 
-    stationary: bool
 
-    def values(self, theta: ParamFields) -> np.ndarray:
-        arrays = theta.field_arrays()
-        if self.stationary:
-            return np.array([float(arrays[n].reshape(-1)[0])
-                             for n in PARAM_NAMES])
-        return np.concatenate([arrays[n].ravel() for n in PARAM_NAMES])
+def _theta_from_vector(theta: ParamFields, vec: np.ndarray) -> ParamFields:
+    """theta with every field set from vec, not projected."""
+    return theta.replace_fields(
+        **ParamGradients.unpack(theta.grid, vec).fields)
 
-    def theta(self, theta: ParamFields, vec: np.ndarray) -> ParamFields:
-        """theta with every coordinate set from vec, not projected."""
-        shape = theta.grid.shape
-        if self.stationary:
-            parts = [np.full(shape, float(v)) for v in vec]
-        else:
-            parts = vec.reshape(len(PARAM_NAMES), *shape)
-        return theta.replace_fields(**dict(zip(PARAM_NAMES, parts)))
 
-    def with_value(self, theta: ParamFields, k: int, v: float) -> ParamFields:
-        """theta with coordinate k set to v and nothing else moved."""
-        if self.stationary:
-            name = PARAM_NAMES[k]
-            return theta.replace_fields(**{name: np.full(theta.grid.shape, v)})
-        i, cell = divmod(k, theta.grid.dim)
-        name = PARAM_NAMES[i]
-        field = theta.field_arrays()[name].copy()
-        field.reshape(-1)[cell] = v
-        return theta.replace_fields(**{name: field})
-
-    def reduce(self, grads: ParamGradients) -> np.ndarray:
-        """Per-cell gradients as a vector in these coordinates."""
-        return grads.stationary_vector() if self.stationary else grads.pack()
-
-    def select(self, grid: SpaceTimeGrid, names) -> np.ndarray:
-        """True at the coordinates of the named parameters."""
-        chosen = np.array([n in names for n in PARAM_NAMES])
-        return chosen if self.stationary else np.repeat(chosen, grid.dim)
+def _tie(g: np.ndarray, grid: SpaceTimeGrid, stationary: bool) -> np.ndarray:
+    """The per-cell step direction of a _gradient result: when stationary,
+    each field's gradient is shared by all of its cells."""
+    return np.repeat(g, grid.dim) if stationary else g
 
 
 def _as_list(x) -> list[Trajectory]:
@@ -165,20 +139,27 @@ def _mean_nll(states: np.ndarray, transitions: list[TransitionStep],
 
 # --- finite-difference gradient ----------------------------------------------
 
-def _fd_gradient(xs, theta, p0_opts, coords: _Coords,
+def _fd_gradient(xs, theta, p0_opts, stationary: bool,
                  step_scale=1e-5) -> np.ndarray:
-    """Central differences of the mean nll, one coordinate at a time.
-    Per-cell coordinates (7 per cell) are refused above FD_GUARD cells."""
-    base = coords.values(theta)
-    if base.size > len(PARAM_NAMES) * FD_GUARD:
-        raise DimensionGuard(theta.grid.dim, FD_GUARD)
-    out = np.empty(base.size)
-    for k, v in enumerate(base):
-        h = step_scale * (1.0 + abs(v))
-        plus = nll(xs, coords.with_value(theta, k, v + h), **p0_opts)
-        minus = nll(xs, coords.with_value(theta, k, v - h), **p0_opts)
-        out[k] = (plus - minus) / (2.0 * h)
-    return out
+    """Central differences of the mean nll along each direction: a whole
+    field when stationary (so the cell sum of the per-cell gradient), else
+    one cell. Per-cell directions are refused above FD_GUARD cells."""
+    grid = theta.grid
+    if not stationary and grid.dim > FD_GUARD:
+        raise DimensionGuard(grid.dim, FD_GUARD)
+    arrays = theta.field_arrays()
+    out = []
+    for name in PARAM_NAMES:
+        for cells in [slice(None)] if stationary else range(grid.dim):
+            h = step_scale * (1.0 + np.max(np.abs(arrays[name].flat[cells])))
+            ends = []
+            for shift in (h, -h):
+                field = arrays[name].copy()
+                field.flat[cells] += shift
+                ends.append(nll(xs, theta.replace_fields(**{name: field}),
+                                **p0_opts))
+            out.append((ends[0] - ends[1]) / (2.0 * h))
+    return np.array(out)
 
 
 # --- exact adjoint ("trace") gradient ----------------------------------------
@@ -321,24 +302,30 @@ def nll_grad(x, theta: ParamFields, mode: str = "finite_diff",
              sigma0: float = 1.0, burn_in: int = 20):
     """Gradient of the mean nll with respect to every parameter entry.
 
-    Returns ParamGradients, or the reduced 7-vector when stationary=True.
-    The two modes agree to finite-difference accuracy on small grids.
+    Returns ParamGradients, or with stationary=True the 7 gradients along
+    whole fields (cell sums) at theta, which need not be stationary. The
+    two modes agree to finite-difference accuracy on small grids.
     """
     p0_opts = dict(p0_mode=p0_mode, sigma0=sigma0, burn_in=burn_in)
-    g = _gradient(_as_list(x), theta, mode, _Coords(stationary), p0_opts)
+    g = _gradient(_as_list(x), theta, mode, stationary, p0_opts)
     return g if stationary else ParamGradients.unpack(theta.grid, g)
 
 
-def _gradient(xs, theta, mode, coords: _Coords, p0_opts, transitions=None,
+def _reduce(grads: ParamGradients, stationary: bool) -> np.ndarray:
+    """Per-cell gradients as one value per field (stationary) or per cell."""
+    return grads.stationary_vector() if stationary else grads.pack()
+
+
+def _gradient(xs, theta, mode, stationary: bool, p0_opts, transitions=None,
               ic=None) -> np.ndarray:
-    """nll gradient of a list of trajectories as a vector in coords; the
-    trace mode reuses transitions and ic when they were prebuilt for the
-    same theta."""
+    """nll gradient of a list of trajectories, one value per field when
+    stationary, else per cell; the trace mode reuses transitions and ic
+    when they were prebuilt for the same theta."""
     if mode == "trace":
-        return coords.reduce(_trace_gradient(_stack_states(xs), theta,
-                                             p0_opts, transitions, ic))
+        return _reduce(_trace_gradient(_stack_states(xs), theta, p0_opts,
+                                       transitions, ic), stationary)
     if mode == "finite_diff":
-        return _fd_gradient(xs, theta, p0_opts, coords)
+        return _fd_gradient(xs, theta, p0_opts, stationary)
     raise ValueError(f"unknown gradient mode {mode!r}")
 
 
@@ -383,9 +370,10 @@ def fit_params(trajectories, theta0: ParamFields, step_kind: str = "adam",
                ) -> tuple[ParamFields, list[float]]:
     """First-order descent on the mean nll, tracking the best-seen theta.
 
-    grad_mode defaults to finite differences under the stationarity
-    constraint and to the exact adjoint otherwise. Every iterate is
-    projected back onto the valid parameter set.
+    stationary ties each field's step (the start need not be stationary).
+    grad_mode defaults to finite differences when stationary and to the
+    exact adjoint otherwise. Every iterate is projected back onto the
+    valid parameter set.
     """
     xs = _as_list(trajectories)
     if not xs:
@@ -394,7 +382,6 @@ def fit_params(trajectories, theta0: ParamFields, step_kind: str = "adam",
         grad_mode = "finite_diff" if stationary else "trace"
     p0_opts = dict(p0_mode=p0_mode, sigma0=sigma0, burn_in=burn_in)
     grid = theta0.grid
-    coords = _Coords(stationary)
     stepper = make_step_operator(step_kind, **(step_params or {"lr": 0.02}))
     states = _stack_states(xs)
 
@@ -410,9 +397,10 @@ def fit_params(trajectories, theta0: ParamFields, step_kind: str = "adam",
     best_theta = theta
     loss_curve = [best_loss]
     for it in range(max_steps):
-        g = _gradient(xs, theta, grad_mode, coords, p0_opts, *built)
+        g = _tie(_gradient(xs, theta, grad_mode, stationary, p0_opts, *built),
+                 grid, stationary)
         theta = project_params(
-            coords.theta(theta, stepper.update(coords.values(theta), g)))
+            _theta_from_vector(theta, stepper.update(_theta_vector(theta), g)))
         loss, built = loss_at(theta)
         if not math.isfinite(loss):
             raise DivergedFit(f"non-finite loss at step {it}")

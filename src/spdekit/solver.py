@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergedStep
-from .estimation import (PARAM_NAMES, _Coords, _gradient, expected_nll_grad,
-                         nll)
+from .estimation import (PARAM_NAMES, _gradient, _reduce, _theta_from_vector,
+                         _theta_vector, _tie, expected_nll_grad, nll)
 from .grid import Trajectory
 from .oi import _cost_flat_grad
 from .operators import ParamFields, project_params
@@ -139,31 +139,32 @@ class SolverRuntime:
                    cache=PrecisionCache(cfg))
 
 
-def _theta_gradient(x, obs, theta, cfg, runtime,
-                    coords: _Coords) -> np.ndarray:
-    """nll gradient at theta as a vector in coords; the trace mode reads the
-    transitions and x_0 marginal of the cached precision for this same
-    theta."""
+def _theta_gradient(x, obs, theta, cfg, runtime) -> np.ndarray:
+    """nll gradient at theta, per field under cfg.theta_stationary, else
+    per cell; the trace mode reads the transitions and x_0 marginal of the
+    cached precision for this same theta."""
     if cfg.theta_expected:
-        return coords.reduce(expected_nll_grad(x, obs, theta,
-                                               **cfg.p0_opts()))
+        return _reduce(expected_nll_grad(x, obs, theta, **cfg.p0_opts()),
+                       cfg.theta_stationary)
     prior = runtime.cache.get(theta).prior
-    return _gradient([x], theta, cfg.theta_grad_mode, coords, cfg.p0_opts(),
-                     prior.transitions, prior.ic)
+    return _gradient([x], theta, cfg.theta_grad_mode, cfg.theta_stationary,
+                     cfg.p0_opts(), prior.transitions, prior.ic)
 
 
 def _update_theta(x, obs, theta, cfg, runtime) -> ParamFields:
-    """One descent step on the parameters named in cfg.theta_params; the
-    other coordinates get a zero gradient."""
-    coords = _Coords(cfg.theta_stationary)
-    g = np.where(coords.select(theta.grid, cfg.theta_params),
-                 _theta_gradient(x, obs, theta, cfg, runtime, coords), 0.0)
+    """One descent step on the cells of the fields named in
+    cfg.theta_params; the other cells get a zero gradient."""
+    grid = theta.grid
+    selected = np.repeat([n in cfg.theta_params for n in PARAM_NAMES],
+                         grid.dim)
+    g = np.where(selected, _tie(_theta_gradient(x, obs, theta, cfg, runtime),
+                                grid, cfg.theta_stationary), 0.0)
     if not np.all(np.isfinite(g)):
         raise DivergedStep(runtime.iteration, "non-finite theta gradient")
-    new_vec = runtime.theta_step.update(coords.values(theta), g)
+    new_vec = runtime.theta_step.update(_theta_vector(theta), g)
     if not np.all(np.isfinite(new_vec)):
         raise DivergedStep(runtime.iteration, "non-finite theta update")
-    return project_params(coords.theta(theta, new_vec))
+    return project_params(_theta_from_vector(theta, new_vec))
 
 
 def _state_gradient(x: Trajectory, obs, q: BlockPrecision, cfg: SolverConfig,

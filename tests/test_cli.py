@@ -209,13 +209,45 @@ def test_bad_config_value_exits_2(workdir, capsys):
             ("sample-posterior", "n_members = 3", "n_members = 0",
              "[sampler] n_members = 0: must be >= 1"),
             ("interpolate", "noise_var = 0.05", "noise_var = 0",
-             "[observations] noise_var = 0.0: must be > 0")]:
+             "[observations] noise_var = 0.0: must be > 0"),
+            ("interpolate", "burn_in = 10", "burn_in = 10\nsigma0 = -1.0",
+             "[sampler] sigma0 = -1.0: must be > 0"),
+            ("sample-posterior", "burn_in = 10", "burn_in = 10\nsigma0 = 0",
+             "[sampler] sigma0 = 0.0: must be > 0"),
+            ("joint-solve", "burn_in = 10", "burn_in = 10\nsigma0 = 0",
+             "[sampler] sigma0 = 0.0: must be > 0"),
+            ("fit", "burn_in = 10", "burn_in = 10\nsigma0 = 0",
+             "[sampler] sigma0 = 0.0: must be > 0"),
+            ("simulate", "burn_in = 10", "burn_in = 10\nsigma0 = -1.0",
+             "[sampler] sigma0 = -1.0: must be >= 0"),
+            ("fit", "max_steps = 3", "max_steps = -3",
+             "[fit] max_steps = -3: must be >= 0"),
+            ("benchmark", "[solver]\n", "[benchmark]\nsizes = 2\n[solver]\n",
+             "[benchmark] sizes = '2': '2' is not a positive integer >= 3"),
+            ("benchmark", "[solver]\n", "[benchmark]\nnt = 1\n[solver]\n",
+             "[benchmark] nt = 1: must be >= 2"),
+            ("benchmark", "[solver]\n", "[benchmark]\ndensity = 0\n[solver]\n",
+             "[benchmark] density = 0.0: must be in (0, 1]"),
+            ("benchmark", "[solver]\n",
+             "[benchmark]\ndensity = 1.5\n[solver]\n",
+             "[benchmark] density = 1.5: must be in (0, 1]")]:
         (workdir / "experiment.cfg").write_text(BASE.replace(old, new),
                                                 encoding="utf-8")
         out = workdir / "bad"
         assert _run(workdir, command, out_dir=out) == 2, (command, new)
         assert message in capsys.readouterr().err
         assert not list(out.glob("*.stgf")), (command, new)
+        assert not list(out.glob("*.csv")), (command, new)
+
+
+def test_simulate_accepts_zero_sigma0(workdir):
+    # prior draws may start from x_0 = 0; only a precision needs sigma0 > 0
+    (workdir / "experiment.cfg").write_text(
+        BASE.replace("burn_in = 10", "burn_in = 10\nsigma0 = 0"),
+        encoding="utf-8")
+    out = workdir / "out"
+    assert _run(workdir, "simulate", out_dir=out) == 0
+    assert np.all(read_array(out / "member_0000.stgf")[0] == 0.0)
 
 
 @pytest.mark.parametrize("command", ["simulate", "interpolate"])

@@ -191,6 +191,8 @@ def test_degenerate_white_start_in_nll_is_typed():
     with pytest.raises(DegenerateNoise) as info:
         nll(xs, theta, p0_mode="white", sigma0=0.0)
     assert info.value.t == 0
+    # the message names the start's scale, not the step noise tau
+    assert "sigma0" in str(info.value) and "tau" not in str(info.value)
 
 
 def test_trace_gradient_inverts_only_the_burnin_step(monkeypatch):
@@ -271,13 +273,20 @@ def test_stationary_gradient_is_cell_sum():
     xs = sample_prior(theta, g, n_members=1, base_seed=6).members
     full = nll_grad(xs, theta, mode="trace")
     reduced = full.stationary_vector()
-    # a stationary theta makes the broadcast finite difference match the sum
+    # the field-wide finite difference matches the cell sum at a stationary
+    # theta
     stat_theta = ParamFields.stationary(
         g, kappa=0.6, m=(0.2, -0.1), h=(0.9, 0.1, 0.8), tau=1.0)
     fd7 = nll_grad(xs, stat_theta, mode="finite_diff", stationary=True)
     tr7 = nll_grad(xs, stat_theta, mode="trace", stationary=True)
     assert np.max(np.abs(fd7 - tr7)) < 1e-4 * max(1.0, np.max(np.abs(fd7)))
     assert reduced.shape == (7,)
+    # so does the field-wide finite difference at the non-stationary theta
+    fd7 = nll_grad(xs, theta, mode="finite_diff", stationary=True)
+    assert np.max(np.abs(fd7 - reduced)) \
+        < 1e-4 * max(1.0, np.max(np.abs(fd7)))
+    assert np.array_equal(nll_grad(xs, theta, mode="trace", stationary=True),
+                          reduced)
 
 
 def test_first_slab_gradient_is_zero():
@@ -386,6 +395,26 @@ def test_fit_loop_never_factors(monkeypatch, p0_mode, grad_mode, stationary):
     _, curve = fit_params(xs, theta, max_steps=2, stationary=stationary,
                           grad_mode=grad_mode, p0_mode=p0_mode, burn_in=5)
     assert len(curve) == 3 and np.all(np.isfinite(curve))
+
+
+@pytest.mark.parametrize("grad_mode", ["finite_diff", "trace"])
+def test_stationary_fit_keeps_fields_flat(grad_mode):
+    # the tie steps every cell of a field by the same arithmetic, so a
+    # stationary start stays constant over cells, bit for bit
+    g = SpaceTimeGrid(nx=4, ny=4, nt=3)
+    theta = ParamFields.stationary(g, kappa=0.9, m=(0.1, -0.1),
+                                   h=(0.8, 0.1, 0.6), tau=1.3)
+    xs = sample_prior(random_theta(g, 17), g, n_members=2,
+                      base_seed=24).members
+    iterates = []
+    fit_params(xs, theta, max_steps=4, stationary=True, grad_mode=grad_mode,
+               step_params={"lr": 0.05},
+               callback=lambda it, loss, th: iterates.append(th))
+    assert len(iterates) == 4
+    for th in iterates:
+        for name, field in th.field_arrays().items():
+            assert np.all(field == field.flat[0]), name
+    assert iterates[-1].kappa.values.flat[0] != 0.9
 
 
 def test_fit_zero_steps_returns_start():

@@ -127,34 +127,42 @@ def test_overflowing_state_gradient_raises_diverged_step():
 @pytest.mark.parametrize("stationary", [False, True])
 def test_theta_step_moves_only_selected_parameters(monkeypatch, stationary):
     # a joint-solve theta step leaves the parameters outside theta_params
-    # bit-unchanged, even where their gradient is not finite
+    # bit-unchanged, even where their gradient is not finite; a stationary
+    # step moves each selected field by one shared amount, from a flat
+    # start or from a non-stationary one alike
     from spdekit import solver
     g = SpaceTimeGrid(nx=4, ny=4, nt=3)
+    starts = [random_theta(g, 29)]
     if stationary:
-        theta = ParamFields.stationary(g, kappa=0.7, m=(0.2, 0.1),
-                                       h=(0.8, 0.05, 0.7), tau=1.1)
-    else:
-        theta = random_theta(g, 29)
-    x = sample_prior(theta, g, n_members=1, base_seed=23).members[0]
-    mask = np.random.default_rng(7).random(g.shape) < 0.5
-    obs = ObservationSet.from_truth(x, mask, 0.05, seed=8)
+        starts.append(ParamFields.stationary(g, kappa=0.7, m=(0.2, 0.1),
+                                             h=(0.8, 0.05, 0.7), tau=1.1))
     selected = ("kappa", "m_u")
+    chosen = np.array([n in selected for n in PARAM_NAMES])
     cfg = SolverConfig(n_iterations=1, update_mode="joint",
                        theta_params=selected, theta_stationary=stationary,
                        theta_step={"kind": "plain", "lr": 1e-2})
     gradient = solver._gradient
 
-    def spoiled(xs, th, mode, coords, *args):
-        out = gradient(xs, th, mode, coords, *args)
-        out[~coords.select(th.grid, selected)] = np.nan
+    def spoiled(xs, th, mode, per_field, *args):
+        out = gradient(xs, th, mode, per_field, *args)
+        out[~(chosen if per_field else np.repeat(chosen, th.grid.dim))] \
+            = np.nan
         return out
 
     monkeypatch.setattr(solver, "_gradient", spoiled)
-    out = solver_step(AugmentedState(x=x, theta=theta), obs, cfg)
-    for name in PARAM_NAMES:
-        before = theta.field_arrays()[name]
-        after = out.theta.field_arrays()[name]
-        assert np.array_equal(after, before) == (name not in selected), name
+    for theta in starts:
+        x = sample_prior(theta, g, n_members=1, base_seed=23).members[0]
+        mask = np.random.default_rng(7).random(g.shape) < 0.5
+        obs = ObservationSet.from_truth(x, mask, 0.05, seed=8)
+        out = solver_step(AugmentedState(x=x, theta=theta), obs, cfg)
+        for name in PARAM_NAMES:
+            before = theta.field_arrays()[name]
+            after = out.theta.field_arrays()[name]
+            assert np.array_equal(after, before) == (name not in selected), \
+                name
+            if stationary and name in selected:
+                shift = after - before
+                assert np.ptp(shift) <= 1e-14, (name, np.ptp(shift))
 
 
 @pytest.mark.parametrize("bad", [dict(x_steps=0, theta_steps=0),
@@ -218,7 +226,6 @@ def test_cached_theta_gradient_matches_fresh_gradient(p0_mode, stationary):
     # the joint-solve gradient reads the transitions and x_0 marginal of the
     # cached precision; after each theta update they must be those of the
     # new theta, bit for bit
-    from spdekit.estimation import _Coords
     from spdekit.solver import SolverRuntime, _theta_gradient
     g = SpaceTimeGrid(nx=4, ny=4, nt=4)
     theta = random_theta(g, 21)
@@ -235,8 +242,7 @@ def test_cached_theta_gradient_matches_fresh_gradient(p0_mode, stationary):
     tau[3] *= 0.9                        # a later slab only
     later = first.replace_fields(tau=tau)
     for k, th in enumerate((first, later), start=1):
-        ours = _theta_gradient(x, None, th, cfg, runtime,
-                               _Coords(stationary))
+        ours = _theta_gradient(x, None, th, cfg, runtime)
         fresh = nll_grad(x, th, mode="trace", stationary=stationary,
                          **cfg.p0_opts())
         assert np.array_equal(ours, fresh if stationary else fresh.pack())
