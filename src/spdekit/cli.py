@@ -20,10 +20,11 @@ from pathlib import Path
 from . import __version__
 from .errors import ConfigError, SpdekitError
 from .estimation import PARAM_NAMES, fit_params
-from .experiment import (ExperimentConfig, benchmark, benchmark_csv,
-                         build_grid, build_theta, evaluate, generate_obs_mask,
-                         load_config, pattern_from_config, read_observations,
-                         resolved_scales, write_observations, write_theta)
+from .experiment import (FRACTION, POSITIVE, ExperimentConfig, benchmark,
+                         benchmark_csv, build_grid, build_theta, evaluate,
+                         generate_obs_mask, load_config, pattern_from_config,
+                         read_observations, resolved_scales,
+                         write_observations, write_theta)
 from .grid import Trajectory, read_field, write_field
 from .oi import PosteriorSolver, oi_solve_precision
 from .precision import ObservationSet, assemble_block_precision
@@ -80,10 +81,8 @@ def _load_or_make_obs(cfg, grid, theta, seed, out_dir):
     if source == "files":
         stem = cfg.get_path("observations", "obs_file", required=True)
         return read_observations(stem, grid), None
-    noise_var = cfg.get_float("observations", "noise_var", 0.01)
-    if not noise_var > 0:
-        raise ConfigError(f"[observations] noise_var = {noise_var}: "
-                          "must be > 0")
+    noise_var = cfg.get_float("observations", "noise_var", 0.01,
+                              valid=POSITIVE)
     pattern = pattern_from_config(cfg)
     mask = generate_obs_mask(grid, pattern, seed=seed + 1)
     truth = sample_prior(theta, grid, n_members=1, base_seed=seed,
@@ -140,9 +139,7 @@ def _solver_config(cfg: ExperimentConfig) -> SolverConfig:
                                          "plain"),
                   "lr": cfg.get_float("solver", "theta_lr", 1e-3)}
     sampler = _sampler_opts(cfg)
-    lam = cfg.get_float("solver", "lambda", 1.0)
-    if not lam > 0:
-        raise ConfigError(f"[solver] lambda = {lam}: must be > 0")
+    lam = cfg.get_float("solver", "lambda", 1.0, valid=POSITIVE)
     x_steps = cfg.get_int("solver", "x_steps", 10, minimum=0)
     theta_steps = cfg.get_int("solver", "theta_steps", 1, minimum=0)
     if x_steps + theta_steps < 1:
@@ -283,10 +280,7 @@ def _cmd_benchmark(cfg, args, out_dir):
                                   f"{item!r} is not a positive integer >= 3")
             sizes.append(size)
     nt = cfg.get_int("benchmark", "nt", 10, minimum=2)
-    density = cfg.get_float("benchmark", "density", 0.2)
-    if not 0.0 < density <= 1.0:
-        raise ConfigError(f"[benchmark] density = {density}: must be in "
-                          "(0, 1]")
+    density = cfg.get_float("benchmark", "density", 0.2, valid=FRACTION)
     methods = cfg.get_choice("benchmark", "methods",
                              ("dense", "direct_sparse", "pcg"),
                              "dense,direct_sparse,pcg", many=True)

@@ -143,11 +143,18 @@ def _fd_gradient(xs, theta, p0_opts, stationary: bool,
                  step_scale=1e-5) -> np.ndarray:
     """Central differences of the mean nll along each direction: a whole
     field when stationary (so the cell sum of the per-cell gradient), else
-    one cell. Per-cell directions are refused above FD_GUARD cells."""
+    one cell. Per-cell directions are refused above FD_GUARD cells.
+
+    A probe that ``project_params`` would move lies outside the valid set
+    and is not evaluated: the difference is then one-sided from theta on
+    the side that stays valid, and 0 when neither does (the projection
+    would undo a step along that direction).
+    """
     grid = theta.grid
     if not stationary and grid.dim > FD_GUARD:
         raise DimensionGuard(grid.dim, FD_GUARD)
     arrays = theta.field_arrays()
+    at_theta = None
     out = []
     for name in PARAM_NAMES:
         for cells in [slice(None)] if stationary else range(grid.dim):
@@ -156,9 +163,14 @@ def _fd_gradient(xs, theta, p0_opts, stationary: bool,
             for shift in (h, -h):
                 field = arrays[name].copy()
                 field.flat[cells] += shift
-                ends.append(nll(xs, theta.replace_fields(**{name: field}),
-                                **p0_opts))
-            out.append((ends[0] - ends[1]) / (2.0 * h))
+                probe = theta.replace_fields(**{name: field})
+                ends.append(nll(xs, probe, **p0_opts)
+                            if project_params(probe) is probe else None)
+            sides = 2 - ends.count(None)
+            if sides == 1 and at_theta is None:
+                at_theta = nll(xs, theta, **p0_opts)
+            up, down = (at_theta if end is None else end for end in ends)
+            out.append((up - down) / (sides * h) if sides else 0.0)
     return np.array(out)
 
 

@@ -24,6 +24,8 @@ from .operators import ParamFields
 from .precision import ObservationSet, assemble_block_precision
 
 PARAM_FILE_KEYS = ("kappa", "m_u", "m_v", "diffusion", "tau")
+POSITIVE = (lambda v: v > 0, "must be > 0")
+FRACTION = (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]")
 
 
 # --- configuration -----------------------------------------------------------
@@ -71,15 +73,21 @@ class ExperimentConfig:
                               f"{minimum}")
         return value
 
-    def get_float(self, section, key, default=None, required=False):
+    def get_float(self, section, key, default=None, required=False,
+                  valid=None):
+        """A number; with valid = (test, rule) given, a value that fails
+        test is a ConfigError quoting rule."""
         raw = self._raw(section, key, default, required)
         if raw is default and not isinstance(raw, str):
             return raw
         try:
-            return float(raw)
+            value = float(raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"[{section}] {key} = {raw!r}: not a number") \
                 from exc
+        if valid is not None and not valid[0](value):
+            raise ConfigError(f"[{section}] {key} = {value}: {valid[1]}")
+        return value
 
     def get_bool(self, section, key, default=None, required=False):
         raw = self._raw(section, key, default, required)
@@ -309,17 +317,19 @@ def pattern_from_config(cfg: ExperimentConfig) -> object:
     kind = cfg.get_choice("observations", "pattern",
                           ("random", "tracks", "blocks"), "random")
     if kind == "random":
-        return RandomPattern(cfg.get_float("observations", "density", 0.2))
+        return RandomPattern(cfg.get_float("observations", "density", 0.2,
+                                           valid=FRACTION))
     if kind == "tracks":
         return TracksPattern(
-            n_tracks=cfg.get_int("observations", "n_tracks", 3),
-            width=cfg.get_float("observations", "width", 1.0),
+            n_tracks=cfg.get_int("observations", "n_tracks", 3, minimum=1),
+            width=cfg.get_float("observations", "width", 1.0,
+                                valid=(lambda v: v >= 1.0, "must be >= 1")),
             angle_range=(cfg.get_float("observations", "angle_min", 25.0),
                          cfg.get_float("observations", "angle_max", 65.0)))
     return BlocksPattern(
-        n_blocks=cfg.get_int("observations", "n_blocks", 2),
-        block_ny=cfg.get_int("observations", "block_ny", 4),
-        block_nx=cfg.get_int("observations", "block_nx", 4))
+        n_blocks=cfg.get_int("observations", "n_blocks", 2, minimum=0),
+        block_ny=cfg.get_int("observations", "block_ny", 4, minimum=1),
+        block_nx=cfg.get_int("observations", "block_nx", 4, minimum=1))
 
 
 # --- metrics ------------------------------------------------------------------

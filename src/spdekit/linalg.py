@@ -189,9 +189,12 @@ def jacobi_preconditioner(diag: np.ndarray) -> Callable[[np.ndarray], np.ndarray
 
 
 def block_diagonal_preconditioner(q) -> Callable[[np.ndarray], np.ndarray]:
-    """Per-time-step Cholesky of the diagonal blocks of a BlockPrecision."""
-    factors = [sparse_cholesky(block) for block in q.diag]
+    """Per-time-step Cholesky of the diagonal blocks of a BlockPrecision,
+    each sliced out of its matrix: r -> blockdiag(D_0, ..., D_N)^{-1} r."""
+    a = q.to_csr()
     m = q.m
+    factors = [sparse_cholesky(a[t * m:(t + 1) * m, t * m:(t + 1) * m])
+               for t in range(q.nt)]
 
     def apply(r: np.ndarray) -> np.ndarray:
         out = np.empty_like(r)

@@ -1,29 +1,28 @@
-"""Block-tridiagonal trajectory precision assembled from the step recursion.
+"""Trajectory precision: the Gram matrix of the step recursion's residuals.
 
-The joint density of the sampled recursion
+The sampled recursion x_0 ~ N(0, P_0), A_t x_t = x_{t-1} + dt tau_t z_t
+(z_t ~ N(0, I), t = 1..N) has residuals r_t = A_t x_t - x_{t-1} that are
+independent of each other and of x_0, with precision diag(w_t),
+w_t = 1/(dt tau_t)^2. So x^T Q x = x_0^T P_0^{-1} x_0 + sum_t w_t . r_t^2,
+the residual form the likelihood evaluates. With r = R x, where block
+row t-1 of R holds -I at column block t-1 and A_t at column block t,
 
-    x_0 ~ N(0, P_0),    x_t = M_t x_{t-1} + w_t,   w_t ~ N(0, S_t),
+    Q = R^T diag(w) R + P_0^{-1} in block (0, 0),
 
-with M_t = A_t^{-1} and S_t = M_t (dt^2 diag(tau_t^2)) M_t^T, has precision
-blocks
+which ``assemble_block_precision`` forms as one sparse product and holds
+as one CSR matrix: exactly the inverse covariance of ``sample_prior``
+(the dense-oracle tests enforce this). Its block-tridiagonal form follows:
 
-    D_0 = P_0^{-1} + M_1^T S_1^{-1} M_1
-    D_t = S_t^{-1} + M_{t+1}^T S_{t+1}^{-1} M_{t+1}     (0 < t < N)
-    D_N = S_N^{-1}
-    U_t = -M_{t+1}^T S_{t+1}^{-1}                        (block (t, t+1))
+    D_0 = P_0^{-1} + diag(w_1)
+    D_t = A_t^T diag(w_t) A_t + diag(w_{t+1})     (0 < t < N)
+    D_N = A_N^T diag(w_N) A_N
+    U_t = -diag(w_{t+1}) A_{t+1}                   (block (t, t+1))
 
-and everything collapses to sparse expressions in A_t:
-
-    S_t^{-1}            = dt^{-2} A_t^T diag(1/tau_t^2) A_t
-    M_t^T S_t^{-1} M_t  = dt^{-2} diag(1/tau_t^2)
-    M_t^T S_t^{-1}      = dt^{-2} diag(1/tau_t^2) A_t
-
-so Q is, by construction, exactly the inverse covariance of ``sample_prior``
-(the dense-oracle tests enforce this). The same split gives log|Q| in
-closed form, the GMRF identity (Rue & Held 2005, ch. 2)
+The map x -> (x_0, r) is block lower-triangular with diagonal blocks
+I, A_1, ..., A_N, which gives log|Q| in closed form, the GMRF identity
+(Rue & Held 2005, ch. 2)
 
     log|Q| = log|P_0^{-1}| + sum_t [2 log|det A_t| + sum(log w_t)],
-    w_t = 1/(dt tau_t)^2,
 
 which ``_prior_log_det`` evaluates from the transitions and the x_0
 marginal alone, without Q.
@@ -88,43 +87,40 @@ def _prior_log_det(ic: InitialCondition, transitions: list[TransitionStep],
 class BlockPrecision:
     """Symmetric positive-definite block-tridiagonal precision.
 
-    diag[t] are the m x m diagonal blocks; upper[t] couples steps t and
-    t+1 (the lower blocks are their transposes). ``prior`` carries the
+    ``matrix`` is Q as one (dim, dim) CSR matrix in the grid's t-major
+    ordering: block (t, t) couples the cells of step t, block (t, t+1)
+    steps t and t+1, and every other block is zero. ``prior`` carries the
     generative ingredients when this is an unmodified prior precision.
     """
 
     grid: SpaceTimeGrid
-    diag: list[sparse.csr_array]
-    upper: list[sparse.csr_array]
+    matrix: sparse.csr_array
     prior: PriorStructure | None = None
+
+    def __post_init__(self):
+        dim = self.grid.dim
+        if self.matrix.shape != (dim, dim):
+            raise ValueError(f"precision shape {self.matrix.shape} != "
+                             f"({dim}, {dim}) of the grid")
 
     @property
     def nt(self) -> int:
-        return len(self.diag)
+        return self.grid.nt
 
     @property
     def m(self) -> int:
-        return self.diag[0].shape[0]
+        return self.grid.m
 
     @property
     def dim(self) -> int:
-        return self.nt * self.m
+        return self.grid.dim
 
     @property
     def nnz(self) -> int:
-        return (sum(int(b.nnz) for b in self.diag)
-                + 2 * sum(int(b.nnz) for b in self.upper))
+        return int(self.matrix.nnz)
 
     def to_csr(self) -> sparse.csr_array:
-        nt = self.nt
-        blocks = [[None] * nt for _ in range(nt)]
-        for t in range(nt):
-            blocks[t][t] = self.diag[t]
-        for t in range(nt - 1):
-            blocks[t][t + 1] = self.upper[t]
-            blocks[t + 1][t] = self.upper[t].T
-        out = sparse.bmat(blocks, format="csr")
-        return sparse.csr_array(out)
+        return self.matrix
 
 
 @dataclass
@@ -197,7 +193,7 @@ def assemble_block_precision(theta: ParamFields,
                              transitions: list[TransitionStep] | None = None,
                              ic: InitialCondition | None = None
                              ) -> BlockPrecision:
-    """Assemble the prior trajectory precision for the given parameters."""
+    """The prior precision Q = R^T diag(w) R + P_0^{-1} at theta."""
     grid = grid or theta.grid
     if transitions is None:
         transitions = build_transition(theta, grid)
@@ -207,28 +203,31 @@ def assemble_block_precision(theta: ParamFields,
     if ic.mode == "white" and ic.sigma0 <= 0:
         raise DegenerateNoise(0, ic.sigma0)
 
-    diag: list[sparse.csr_array] = [ic.prec_sparse()]
-    upper: list[sparse.csr_array] = []
-    for step in transitions:
-        w = _step_weights(step, grid.dt)
-        a = step.a_solve
-        wa = sparse.csr_array(sparse.diags_array(w) @ a)
-        s_inv = sparse.csr_array(a.T @ wa)
-        s_inv.sum_duplicates(); s_inv.sort_indices(); s_inv.eliminate_zeros()
-        # the block before gains M_t^T S_t^{-1} M_t = diag(w_t)
-        block = sparse.csr_array(diag[-1] + sparse.diags_array(w))
-        block.sort_indices()
-        diag[-1] = block
-        diag.append(s_inv)
-        upper.append(-wa)
-    return BlockPrecision(grid=grid, diag=diag, upper=upper,
+    m = grid.m
+    w = np.concatenate([_step_weights(step, grid.dt) for step in transitions])
+    minus_eye = -sparse.identity(m, format="csr")
+    blocks = [[None] * grid.nt for _ in transitions]
+    for t, step in enumerate(transitions):
+        blocks[t][t] = minus_eye
+        blocks[t][t + 1] = step.a_solve
+    residual = sparse.bmat(blocks, format="csr")
+    # residual.T is CSC and so is the product; the CSR copy sorts indices
+    gram = sparse.csr_array(residual.T @ (sparse.diags_array(w) @ residual))
+    if ic.mode == "white":
+        p0_inv = sparse.identity(m, format="csr") / ic.sigma0**2
+    else:
+        p0_inv = sparse.csr_array(ic.prec)
+    p0_block = sparse.block_diag(
+        [p0_inv, sparse.csr_array((grid.dim - m, grid.dim - m))],
+        format="csr")
+    return BlockPrecision(grid=grid, matrix=gram + p0_block,
                           prior=PriorStructure(ic=ic,
                                                transitions=list(transitions)))
 
 
 def posterior_precision(q: BlockPrecision, obs: ObservationSet
                         ) -> BlockPrecision:
-    """Add the observation information H^T R^{-1} H to the diagonal.
+    """Q + H^T R^{-1} H: the observation information on the diagonal.
 
     Only the diagonal entries of observed cells change; the generator
     metadata is dropped because the result is no longer the recursion
@@ -236,55 +235,37 @@ def posterior_precision(q: BlockPrecision, obs: ObservationSet
     """
     if obs.grid != q.grid:
         raise ValueError("observations live on a different grid")
-    m = q.m
-    mask2d = obs.mask.reshape(q.nt, m)
-    add = np.zeros((q.nt, m))
-    add[mask2d] = 1.0 / obs.noise_var
-    diag = []
-    for t in range(q.nt):
-        if np.any(add[t]):
-            block = sparse.csr_array(q.diag[t] + sparse.diags_array(add[t]))
-            block.sort_indices()
-            diag.append(block)
-        else:
-            diag.append(q.diag[t])
-    return BlockPrecision(grid=q.grid, diag=diag, upper=q.upper, prior=None)
+    add = np.zeros(q.dim)
+    add[obs.indices] = 1.0 / obs.noise_var
+    return BlockPrecision(grid=q.grid,
+                          matrix=q.matrix + sparse.diags_array(add),
+                          prior=None)
 
 
 def apply_precision(q: BlockPrecision, v):
-    """Block-tridiagonal matvec Q v in O(nnz).
+    """Matvec Q v in O(nnz).
 
     Accepts a Trajectory (returns a Trajectory), an (nt, m) / flat array
     (returns an (nt, m) array), or an (nt, m, n) stack of n trajectories
-    (returns the stack of their products, in one pass over the blocks).
+    (returns the stack of their products, in one sparse product).
     """
     as_traj = isinstance(v, Trajectory)
-    states = v.states if as_traj else np.asarray(v, dtype=np.float64)
-    states = _as_blocks(q, states)
-    out = np.empty_like(states)
-    for t in range(q.nt):
-        acc = q.diag[t] @ states[t]
-        if t + 1 < q.nt:
-            acc = acc + q.upper[t] @ states[t + 1]
-        if t > 0:
-            acc = acc + q.upper[t - 1].T @ states[t - 1]
-        out[t] = acc
+    states = _as_blocks(q, v.states if as_traj else v)
+    out = (q.matrix @ states.reshape(q.dim, -1)).reshape(states.shape)
     return Trajectory(q.grid, out) if as_traj else out
 
 
 def quadratic_form(q: BlockPrecision, v) -> float:
     """x^T Q x (non-negative, zero only at zero for PD Q); summed over the
     trajectories of an (nt, m, n) stack."""
-    states = v.states if isinstance(v, Trajectory) else \
-        _as_blocks(q, np.asarray(v, dtype=np.float64))
+    states = _as_blocks(q, v.states if isinstance(v, Trajectory) else v)
     return float(np.sum(states * apply_precision(q, states)))
 
 
 def _as_blocks(q: BlockPrecision, states: np.ndarray) -> np.ndarray:
-    """(nt, m) view of one trajectory; an (nt, m, n) stack stays 3-D."""
-    if states.ndim == 3:
-        return states.reshape(q.nt, q.m, states.shape[2])
-    return states.reshape(q.nt, q.m)
+    """(nt, m) float view of one trajectory; an (nt, m, n) stack stays 3-D."""
+    states = np.asarray(states, dtype=np.float64)
+    return states.reshape((q.nt, q.m) + states.shape[2:])
 
 
 def dump_coordinate_triplets(q: BlockPrecision, path) -> None:

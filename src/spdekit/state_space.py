@@ -257,11 +257,6 @@ class InitialCondition:
     logdet_prec: float = 0.0
     m: int = 0
 
-    def prec_sparse(self) -> sparse.csr_array:
-        if self.mode == "white":
-            return sparse.identity(self.m, format="csr") / self.sigma0**2
-        return sparse.csr_array(self.prec)
-
 
 def initial_condition(theta: ParamFields, grid: SpaceTimeGrid | None = None,
                       p0_mode: str = "burnin", sigma0: float = 1.0,

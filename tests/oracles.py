@@ -9,6 +9,7 @@ no use of the package's stencil table.
 from types import SimpleNamespace
 
 import numpy as np
+from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from spdekit import ParamFields, SpaceTimeGrid
@@ -181,6 +182,45 @@ def operator_adjoint_reference(l_bar: np.ndarray, theta: ParamFields,
     term2 = (l_bar[nb.yp, nb.xp] - l_bar[nb.ym, nb.xp]
              - l_bar[nb.yp, nb.xm] + l_bar[nb.ym, nb.xm])
     grads["h12"][t] += (c * (term1 + term2)).reshape(ny, nx)
+
+
+def block_precision_reference(transitions, ic, dt, add=None
+                              ) -> sparse.csr_array:
+    """Q assembled block by block from the D_t / U_t formulas and glued
+    with one bmat, plus the observation information ``add`` (flat, dim)
+    on the diagonal when given."""
+    m = ic.m
+    if ic.mode == "white":
+        diag = [sparse.identity(m, format="csr") / ic.sigma0**2]
+    else:
+        diag = [sparse.csr_array(ic.prec)]
+    upper = []
+    for step in transitions:
+        w = 1.0 / (dt * step.noise_scale)**2
+        a = step.a_solve
+        wa = sparse.csr_array(sparse.diags_array(w) @ a)
+        s_inv = sparse.csr_array(a.T @ wa)
+        s_inv.sum_duplicates(); s_inv.sort_indices(); s_inv.eliminate_zeros()
+        block = sparse.csr_array(diag[-1] + sparse.diags_array(w))
+        block.sort_indices()
+        diag[-1] = block
+        diag.append(s_inv)
+        upper.append(-wa)
+    nt = len(diag)
+    if add is not None:
+        add = np.asarray(add).reshape(nt, m)
+        for t in range(nt):
+            if np.any(add[t]):
+                block = sparse.csr_array(diag[t] + sparse.diags_array(add[t]))
+                block.sort_indices()
+                diag[t] = block
+    blocks = [[None] * nt for _ in range(nt)]
+    for t in range(nt):
+        blocks[t][t] = diag[t]
+    for t in range(nt - 1):
+        blocks[t][t + 1] = upper[t]
+        blocks[t + 1][t] = upper[t].T
+    return sparse.csr_array(sparse.bmat(blocks, format="csr"))
 
 
 def dense_q_from_blocks(q) -> np.ndarray:

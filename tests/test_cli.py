@@ -210,6 +210,28 @@ def test_bad_config_value_exits_2(workdir, capsys):
              "[sampler] n_members = 0: must be >= 1"),
             ("interpolate", "noise_var = 0.05", "noise_var = 0",
              "[observations] noise_var = 0.0: must be > 0"),
+            ("interpolate", "density = 0.3", "density = 0",
+             "[observations] density = 0.0: must be in (0, 1]"),
+            ("sample-posterior", "density = 0.3", "density = 1.5",
+             "[observations] density = 1.5: must be in (0, 1]"),
+            ("interpolate", "pattern = random",
+             "pattern = tracks\nn_tracks = 0",
+             "[observations] n_tracks = 0: must be >= 1"),
+            ("interpolate", "pattern = random",
+             "pattern = tracks\nwidth = 0.5",
+             "[observations] width = 0.5: must be >= 1"),
+            ("interpolate", "pattern = random",
+             "pattern = blocks\nn_blocks = -1",
+             "[observations] n_blocks = -1: must be >= 0"),
+            ("joint-solve", "pattern = random",
+             "pattern = blocks\nblock_ny = 0",
+             "[observations] block_ny = 0: must be >= 1"),
+            ("interpolate", "pattern = random",
+             "pattern = blocks\nblock_ny = -3",
+             "[observations] block_ny = -3: must be >= 1"),
+            ("interpolate", "pattern = random",
+             "pattern = blocks\nblock_nx = 0",
+             "[observations] block_nx = 0: must be >= 1"),
             ("interpolate", "burn_in = 10", "burn_in = 10\nsigma0 = -1.0",
              "[sampler] sigma0 = -1.0: must be > 0"),
             ("sample-posterior", "burn_in = 10", "burn_in = 10\nsigma0 = 0",

@@ -1,7 +1,7 @@
-"""The quick demo scripts run to completion against the current library.
+"""Every demo script runs to completion against the current library.
 
-The parameter-fit and joint-solve demos (04, 05) take minutes and are left
-to manual runs.
+Each takes a few seconds; 05 is the one demo that drives the joint solve
+(and so ``apply_precision``) end to end.
 """
 
 import os
@@ -19,6 +19,8 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 @pytest.mark.parametrize("script", ["01_prior_sampling.py",
                                     "02_interpolation.py",
                                     "03_posterior_ensemble.py",
+                                    "04_parameter_fit.py",
+                                    "05_joint_nonstationary.py",
                                     "06_scaling.py"])
 def test_demo_runs(script, tmp_path):
     # the child imports the same spdekit as the tests, installed or not

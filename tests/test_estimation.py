@@ -417,6 +417,44 @@ def test_stationary_fit_keeps_fields_flat(grad_mode):
     assert iterates[-1].kappa.values.flat[0] != 0.9
 
 
+def test_stationary_fd_fit_steps_on_from_the_floor():
+    # plain steps floor kappa, h11 and h22 at 1e-6 after step 2; the -h
+    # probes below the floor used to raise InvalidParams mid-fit
+    g = SpaceTimeGrid(nx=5, ny=5, nt=4)
+    start = ParamFields.stationary(g, kappa=0.8, h=(0.7, 0.05, 0.6),
+                                   tau=1.0)
+    xs = sample_prior(start, g, n_members=4, base_seed=1).members
+    iterates = []
+    _, curve = fit_params(xs, start, step_kind="plain",
+                          step_params={"lr": 0.02}, max_steps=4,
+                          stationary=True, grad_mode="finite_diff",
+                          callback=lambda it, loss, th: iterates.append(th))
+    assert len(curve) == 5 and np.all(np.isfinite(curve))
+    assert iterates[2].h11.values.flat[0] == 1e-6
+    assert all(validate_params(th).ok for th in iterates)
+
+
+def test_fd_gradient_is_one_sided_at_the_floor():
+    g = SpaceTimeGrid(nx=4, ny=4, nt=3)
+    theta = ParamFields.stationary(g, kappa=1e-6, h=(1e-6, 0.0, 1e-6),
+                                   tau=1.0)
+    xs = sample_prior(random_theta(g, 3), g, n_members=2,
+                      base_seed=25).members
+    grad = nll_grad(xs, theta, mode="finite_diff", stationary=True)
+    by_name = dict(zip(PARAM_NAMES, grad))
+    # h12 = +-h leaves H indefinite on both sides: no valid probe
+    assert by_name["h12"] == 0.0
+    h = 1e-5 * (1.0 + 1e-6)
+    up = nll(xs, theta.replace_fields(
+        kappa=theta.kappa.values + h))
+    assert by_name["kappa"] == (up - nll(xs, theta)) / h
+    # interior directions keep the central difference
+    h = 1e-5 * 2.0
+    ends = [nll(xs, theta.replace_fields(tau=theta.tau.values + s))
+            for s in (h, -h)]
+    assert by_name["tau"] == (ends[0] - ends[1]) / (2.0 * h)
+
+
 def test_fit_zero_steps_returns_start():
     g = SpaceTimeGrid(nx=3, ny=3, nt=3)
     theta = random_theta(g, 16)

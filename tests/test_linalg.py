@@ -76,10 +76,8 @@ def test_solve_random_spd_residual():
 def _manual_block(grid, diag_value):
     m = grid.m
     eye = sparse.identity(m, format="csr") * diag_value
-    zero = sparse.csr_array((m, m))
-    return BlockPrecision(grid=grid,
-                          diag=[sparse.csr_array(eye)] * grid.nt,
-                          upper=[zero] * (grid.nt - 1))
+    return BlockPrecision(grid=grid, matrix=sparse.block_diag(
+        [sparse.csr_array(eye)] * grid.nt, format="csr"))
 
 
 def test_log_det_identity_and_scaled():
@@ -97,9 +95,8 @@ def test_log_det_block_diagonal_additivity():
     g = SpaceTimeGrid(nx=3, ny=3, nt=2)
     b = rng.standard_normal((g.m, g.m))
     a = b @ b.T + np.eye(g.m)
-    q = BlockPrecision(grid=g,
-                       diag=[sparse.csr_array(a), sparse.csr_array(a)],
-                       upper=[sparse.csr_array((g.m, g.m))])
+    q = BlockPrecision(grid=g, matrix=sparse.block_diag(
+        [sparse.csr_array(a), sparse.csr_array(a)], format="csr"))
     assert log_det_block(q) == pytest.approx(
         2.0 * sparse_cholesky(a).logdet(), abs=1e-8)
 

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from spdekit import (InitialCondition, ObservationSet, SpaceTimeGrid,
-                     apply_precision, assemble_block_precision,
+from spdekit import (BlockPrecision, InitialCondition, ObservationSet,
+                     SpaceTimeGrid, apply_precision, assemble_block_precision,
                      dense_trajectory_covariance, dump_coordinate_triplets,
                      posterior_precision, quadratic_form, sample_prior,
                      sparse_cholesky, transition_from_drift)
 from spdekit.errors import DegenerateNoise
 
-from oracles import random_theta
+from oracles import block_precision_reference, random_theta
 
 
 def _identity_dynamics_q(grid, tau=1.0, sigma0=1.0):
@@ -23,14 +23,20 @@ def _identity_dynamics_q(grid, tau=1.0, sigma0=1.0):
     return assemble_block_precision(None, grid, transitions=steps, ic=ic)
 
 
+def _block(q, i, j):
+    """Dense block (i, j) of Q, sliced out of its matrix."""
+    m = q.m
+    return q.to_csr()[i * m:(i + 1) * m, j * m:(j + 1) * m].toarray()
+
+
 def test_two_step_scalar_blocks():
     # M = 1, S = 1, P0 = 1 gives Q = [[2, -1], [-1, 1]] per cell
     g = SpaceTimeGrid(nx=3, ny=3, nt=2)
     q = _identity_dynamics_q(g)
     eye = np.eye(g.m)
-    assert np.max(np.abs(q.diag[0].toarray() - 2 * eye)) < 1e-14
-    assert np.max(np.abs(q.diag[1].toarray() - eye)) < 1e-14
-    assert np.max(np.abs(q.upper[0].toarray() + eye)) < 1e-14
+    assert np.max(np.abs(_block(q, 0, 0) - 2 * eye)) < 1e-14
+    assert np.max(np.abs(_block(q, 1, 1) - eye)) < 1e-14
+    assert np.max(np.abs(_block(q, 0, 1) + eye)) < 1e-14
 
 
 def test_random_walk_structure():
@@ -40,12 +46,14 @@ def test_random_walk_structure():
     q = _identity_dynamics_q(g, tau=tau, sigma0=3.0)
     eye = np.eye(g.m)
     for t in range(1, g.nt - 1):
-        assert np.max(np.abs(q.diag[t].toarray() - (2.0 / s) * eye)) < 1e-12
-    for u in q.upper:
-        assert np.max(np.abs(u.toarray() + (1.0 / s) * eye)) < 1e-12
-    assert np.max(np.abs(q.diag[0].toarray()
+        assert np.max(np.abs(_block(q, t, t) - (2.0 / s) * eye)) < 1e-12
+    for t in range(g.nt - 1):
+        assert np.max(np.abs(_block(q, t, t + 1) + (1.0 / s) * eye)) < 1e-12
+        assert np.max(np.abs(_block(q, t + 1, t) + (1.0 / s) * eye)) < 1e-12
+    assert np.max(np.abs(_block(q, 0, 0)
                          - (1 / 3.0**2 + 1 / s) * eye)) < 1e-12
-    assert np.max(np.abs(q.diag[-1].toarray() - (1.0 / s) * eye)) < 1e-12
+    last = g.nt - 1
+    assert np.max(np.abs(_block(q, last, last) - (1.0 / s) * eye)) < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -57,6 +65,51 @@ def test_precision_is_inverse_of_recursion_covariance(seed, p0_mode):
     p = dense_trajectory_covariance(theta, g, p0_mode=p0_mode)
     residual = q.to_csr().toarray() @ p - np.eye(g.dim)
     assert np.max(np.abs(residual)) < 1e-6
+
+
+_REFERENCE_GRIDS = [(4, 3, 3, 2), (4, 3, 3, 4), (5, 5, 4, 2), (5, 5, 4, 4),
+                    (8, 6, 5, 2), (8, 6, 5, 4), (12, 12, 6, 2),
+                    (12, 12, 6, 4), (24, 24, 10, 2)]
+
+
+def _same_csr(a, b) -> bool:
+    return all(np.array_equal(getattr(a, k), getattr(b, k))
+               for k in ("data", "indices", "indptr"))
+
+
+@pytest.mark.parametrize("p0_mode", ["burnin", "white"])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("nx,ny,nt,alpha", _REFERENCE_GRIDS)
+def test_gram_assembly_is_bit_identical_to_block_assembly(nx, ny, nt, alpha,
+                                                          seed, p0_mode):
+    # R^T diag(w) R + P_0^{-1} and the per-block D_t / U_t recipe store the
+    # same CSR bytes, prior and posterior, so every output built on Q is
+    # unchanged by the route Q is assembled along
+    g = SpaceTimeGrid(nx=nx, ny=ny, nt=nt, dy=1.3)
+    theta = random_theta(g, seed, alpha=alpha)
+    q = assemble_block_precision(theta, g, p0_mode=p0_mode)
+    ref = block_precision_reference(q.prior.transitions, q.prior.ic, g.dt)
+    assert _same_csr(q.to_csr(), ref)
+    assert q.nnz == ref.nnz
+
+    rng = np.random.default_rng(seed)
+    mask = rng.random(g.shape) < 0.3
+    noise = 0.1 + rng.random(int(mask.sum()))
+    obs = ObservationSet(g, mask, np.zeros(noise.size), noise)
+    add = np.zeros(g.dim)
+    add[obs.indices] = 1.0 / noise
+    ref_post = block_precision_reference(q.prior.transitions, q.prior.ic,
+                                         g.dt, add)
+    assert _same_csr(posterior_precision(q, obs).to_csr(), ref_post)
+
+
+def test_block_precision_refuses_wrong_shape():
+    g = SpaceTimeGrid(nx=3, ny=3, nt=2)
+    q = assemble_block_precision(random_theta(g, 0), g, p0_mode="white")
+    with pytest.raises(ValueError, match=r"\(18, 18\)"):
+        BlockPrecision(g, q.to_csr()[:9, :9])
+    with pytest.raises(ValueError, match="shape"):
+        BlockPrecision(SpaceTimeGrid(nx=3, ny=3, nt=3), q.to_csr())
 
 
 def test_degenerate_noise_raises_with_step_and_hint():

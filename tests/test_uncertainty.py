@@ -148,7 +148,7 @@ def test_failed_block_solve_names_the_member(monkeypatch):
 
 def test_conditional_sample_needs_prior_structure(monkeypatch):
     g, post, q, x_star = _posterior_case(seed=11)
-    bare = PosteriorSolver(BlockPrecision(g, q.diag, q.upper), post.obs)
+    bare = PosteriorSolver(BlockPrecision(g, q.to_csr()), post.obs)
 
     def no_draws(*args):
         raise AssertionError("drew members without a prior structure")
