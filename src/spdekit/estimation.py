@@ -139,7 +139,7 @@ def _mean_nll(states: np.ndarray, transitions: list[TransitionStep],
 
 # --- finite-difference gradient ----------------------------------------------
 
-def _fd_gradient(xs, theta, p0_opts, stationary: bool,
+def _fd_gradient(xs, theta, p0_opts, stationary: bool, at_theta=None,
                  step_scale=1e-5) -> np.ndarray:
     """Central differences of the mean nll along each direction: a whole
     field when stationary (so the cell sum of the per-cell gradient), else
@@ -148,13 +148,13 @@ def _fd_gradient(xs, theta, p0_opts, stationary: bool,
     A probe that ``project_params`` would move lies outside the valid set
     and is not evaluated: the difference is then one-sided from theta on
     the side that stays valid, and 0 when neither does (the projection
-    would undo a step along that direction).
+    would undo a step along that direction). A one-sided difference reads
+    the nll at theta from at_theta when the caller has it.
     """
     grid = theta.grid
     if not stationary and grid.dim > FD_GUARD:
         raise DimensionGuard(grid.dim, FD_GUARD)
     arrays = theta.field_arrays()
-    at_theta = None
     out = []
     for name in PARAM_NAMES:
         for cells in [slice(None)] if stationary else range(grid.dim):
@@ -329,15 +329,16 @@ def _reduce(grads: ParamGradients, stationary: bool) -> np.ndarray:
 
 
 def _gradient(xs, theta, mode, stationary: bool, p0_opts, transitions=None,
-              ic=None) -> np.ndarray:
+              ic=None, loss=None) -> np.ndarray:
     """nll gradient of a list of trajectories, one value per field when
-    stationary, else per cell; the trace mode reuses transitions and ic
-    when they were prebuilt for the same theta."""
+    stationary, else per cell; the trace mode reuses transitions and ic,
+    and the finite-difference mode the mean nll loss, when they were
+    computed for the same theta."""
     if mode == "trace":
         return _reduce(_trace_gradient(_stack_states(xs), theta, p0_opts,
                                        transitions, ic), stationary)
     if mode == "finite_diff":
-        return _fd_gradient(xs, theta, p0_opts, stationary)
+        return _fd_gradient(xs, theta, p0_opts, stationary, loss)
     raise ValueError(f"unknown gradient mode {mode!r}")
 
 
@@ -405,12 +406,12 @@ def fit_params(trajectories, theta0: ParamFields, step_kind: str = "adam",
         return _mean_nll(states, steps, ic, grid.dt), (steps, ic)
 
     theta = project_params(theta0)
-    best_loss, built = loss_at(theta)
-    best_theta = theta
+    loss, built = loss_at(theta)
+    best_loss, best_theta = loss, theta
     loss_curve = [best_loss]
     for it in range(max_steps):
-        g = _tie(_gradient(xs, theta, grad_mode, stationary, p0_opts, *built),
-                 grid, stationary)
+        g = _tie(_gradient(xs, theta, grad_mode, stationary, p0_opts, *built,
+                           loss=loss), grid, stationary)
         theta = project_params(
             _theta_from_vector(theta, stepper.update(_theta_vector(theta), g)))
         loss, built = loss_at(theta)

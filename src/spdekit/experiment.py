@@ -263,6 +263,13 @@ class BlocksPattern:
     block_ny: int
     block_nx: int
 
+    def __post_init__(self):
+        if self.n_blocks < 0:
+            raise ConfigError(f"n_blocks must be >= 0, got {self.n_blocks}")
+        if self.block_ny < 1 or self.block_nx < 1:
+            raise ConfigError(f"block sides must be >= 1 cell, got "
+                              f"{self.block_ny} x {self.block_nx}")
+
 
 def generate_obs_mask(grid: SpaceTimeGrid, pattern, seed: int = 0
                       ) -> np.ndarray:

@@ -2,8 +2,11 @@
 
 The trajectory precision is block-tridiagonal, so the natural (time-major)
 ordering is already near-optimal for fill: factorization works in banded
-storage (LAPACK *pbtrf/*pbtrs) with bandwidth about m + nx. No external
-ordering library is involved; the permutation is the identity.
+storage (LAPACK *pbtrf) with bandwidth about m + nx. No external ordering
+library is involved; the permutation is the identity. Solves read that
+band in place, 64 columns of L at a time, with numpy's level-3 BLAS on
+16-column panels of the right-hand side (``CholeskyFactor.solve``); the
+PCG block preconditioner's one-vector solves use LAPACK *pbtrs.
 
 Tolerances are fixed here: factorization residual 1e-10 (relative,
 max-norm), PCG default 1e-8.
@@ -11,7 +14,7 @@ max-norm), PCG default 1e-8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -22,12 +25,42 @@ from .errors import MaxIterations, NotPositiveDefinite
 from .precision import _prior_log_det
 
 FACTOR_TOL = 1e-10
+# Column-block width of the blocked substitution, and the fixed panel width
+# every right-hand side is solved in (see CholeskyFactor.solve).
+_BLOCK = 64
+_PANEL = 16
 
 
 def _to_coo(a) -> sparse.coo_array:
     if sparse.issparse(a):
         return sparse.coo_array(a)
     return sparse.coo_array(np.asarray(a, dtype=np.float64))
+
+
+def _tril_inverse(tri: np.ndarray) -> np.ndarray:
+    """Inverses of a C-ordered (b, s, s) stack of lower triangles, s a
+    power of two, read from the diagonal and below only.
+
+    Doubling: with the inverses of a diagonal block's two halves known,
+    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]], so each
+    level is one batched product over zero-copy views of the blocks.
+    """
+    b, s, _ = tri.shape
+    inv = np.zeros_like(tri)
+    d = range(s)
+    inv[:, d, d] = 1.0 / tri[:, d, d]
+    size = tri.itemsize
+    h = 1
+    while h < s:
+        # the (s/2h) diagonal blocks of side 2h of every triangle
+        shape = (b, s // (2 * h), 2 * h, 2 * h)
+        strides = (s * s * size, 2 * h * (s + 1) * size, s * size, size)
+        t = np.ndarray(shape, tri.dtype, buffer=tri, strides=strides)
+        blk = np.ndarray(shape, inv.dtype, buffer=inv, strides=strides)
+        blk[..., h:, :h] = -(blk[..., h:, h:] @ t[..., h:, :h]) \
+            @ blk[..., :h, :h]
+        h *= 2
+    return inv
 
 
 @dataclass
@@ -40,6 +73,8 @@ class CholeskyFactor:
     band: np.ndarray
     n: int
     bandwidth: int
+    _cache: list | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
     @property
     def diagonal(self) -> np.ndarray:
@@ -50,7 +85,17 @@ class CholeskyFactor:
         return 2.0 * float(np.sum(np.log(self.band[0])))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Forward+backward substitution for A x = b (2-D b solved columnwise).
+        """Forward+backward substitution for A x = b (b of shape (n,) or
+        (n, k)), blocked so that each pass reads the band once per call.
+
+        L is walked in column blocks of width ``_BLOCK``; each block costs
+        one product with its diagonal triangle's inverse, one with the
+        full rows below it (a zero-copy view of the band) and one with the
+        trailing upper trapezoid. The right-hand side is cut into
+        zero-padded panels of ``_PANEL`` columns, all solved together as
+        one stack, and every product runs at that one width: OpenBLAS
+        gives a column different bits at different widths, so this keeps
+        each column's result the same whatever else is solved with it.
 
         The band is not scanned for NaNs: it comes out of a checked
         factorization, and a non-finite b comes back non-finite, which
@@ -59,7 +104,83 @@ class CholeskyFactor:
         b = np.asarray(b, dtype=np.float64)
         if b.shape[0] != self.n:
             raise ValueError(f"rhs has {b.shape[0]} rows, factor is {self.n}")
-        return la.cho_solve_banded((self.band, True), b, check_finite=False)
+        cols = b.reshape(self.n, -1)
+        k = cols.shape[1]
+        panels = -(-k // _PANEL)
+        x = np.zeros((panels * _PANEL, self.n))
+        x[:k] = cols.T
+        # (panels, n, _PANEL): row block c:c+w of every panel is x[:, c:c+w]
+        x = np.ascontiguousarray(
+            x.reshape(panels, _PANEL, self.n).transpose(0, 2, 1))
+        blocks = self._blocks()
+        for c, w, inv, below, trap in blocks:        # L y = b
+            y = inv @ x[:, c:c + w]
+            x[:, c:c + w] = y
+            end = c + w + below.shape[0]
+            x[:, c + w:end] -= below @ y
+            x[:, end:end + trap.shape[0]] -= trap @ y
+        for c, w, inv, below, trap in reversed(blocks):  # L^T x = y
+            end = c + w + below.shape[0]
+            z = x[:, c:c + w]
+            z -= below.T @ x[:, c + w:end]
+            z -= trap.T @ x[:, end:end + trap.shape[0]]
+            x[:, c:c + w] = inv.T @ z
+        out = x.transpose(1, 0, 2).reshape(self.n, panels * _PANEL)[:, :k]
+        return np.ascontiguousarray(out).reshape(b.shape)
+
+    def _blocks(self) -> list:
+        """Per column block c:c+w of L: (c, w, inverse of the diagonal
+        triangle, view of the full rows c+w..c+p below it, copy of the
+        trailing upper trapezoid of rows c+p+1..c+p+w-1), made once.
+
+        In a Fortran band L[i, j] sits at flat offset i + j*p, so a view
+        with strides (8, 8p) reads any block of L in place. Entries such a
+        view reads outside the band belong to other columns: the triangle's
+        inverse reads none of them, and the trapezoid is cut out with triu.
+        The inverses and trapezoids take about 2*n*64*8 bytes in all.
+        """
+        if self._cache is not None:
+            return self._cache
+        n, p = self.n, self.bandwidth
+        band = np.asfortranarray(self.band)
+        size = band.itemsize
+
+        def view(row, col, shape, block_step=0):
+            """L[row:, col:] as a (rows, cols) view, or as a (blocks, rows,
+            cols) stack of such views, each block_step rows and columns
+            down the diagonal from the last."""
+            strides = (size, size * p)
+            if block_step:
+                strides = (size * block_step * (p + 1),) + strides
+            return np.ndarray(shape, band.dtype, buffer=band,
+                              offset=size * (row + col * p), strides=strides)
+
+        width = max(1, min(_BLOCK, p))
+        full_blocks, rest = divmod(n, width)
+        # the triangles, identity-padded to a power-of-two side; their upper
+        # parts hold other columns' entries, which _tril_inverse never reads
+        side = 1 << (width - 1).bit_length()
+        tri = np.zeros((full_blocks + (rest > 0), side, side))
+        tri[:, range(side), range(side)] = 1.0
+        tri[:full_blocks, :width, :width] = view(0, 0, (full_blocks, width,
+                                                      width), width)
+        if rest:
+            c = n - rest
+            tri[-1, :rest, :rest] = view(c, c, (rest, rest))
+        inverses = _tril_inverse(tri)
+        # rows past n in a full block's trapezoid are cut off below
+        traps = np.triu(view(p + 1, 0, (full_blocks, width - 1, width),
+                             width), 1)
+        self._cache = []
+        for i, c in enumerate(range(0, n, width)):
+            w = min(width, n - c)
+            full = max(0, min(c + p + 1, n) - (c + w))
+            tail = max(0, min(c + p + w, n) - (c + p + 1))
+            self._cache.append((c, w, inverses[i, :w, :w],
+                                view(c + w, c, (full, w)),
+                                # a short last block has no trapezoid
+                                traps[min(i, full_blocks - 1), :tail, :w]))
+        return self._cache
 
     def as_sparse_lower(self) -> sparse.csr_array:
         rows, cols, vals = [], [], []
@@ -190,16 +311,21 @@ def jacobi_preconditioner(diag: np.ndarray) -> Callable[[np.ndarray], np.ndarray
 
 def block_diagonal_preconditioner(q) -> Callable[[np.ndarray], np.ndarray]:
     """Per-time-step Cholesky of the diagonal blocks of a BlockPrecision,
-    each sliced out of its matrix: r -> blockdiag(D_0, ..., D_N)^{-1} r."""
+    each sliced out of its matrix: r -> blockdiag(D_0, ..., D_N)^{-1} r.
+
+    PCG applies it to one vector per iteration, so each block's band goes
+    to LAPACK *pbtrs as is: CholeskyFactor.solve would pad every vector
+    to a 16-column panel."""
     a = q.to_csr()
     m = q.m
-    factors = [sparse_cholesky(a[t * m:(t + 1) * m, t * m:(t + 1) * m])
-               for t in range(q.nt)]
+    bands = [sparse_cholesky(a[t * m:(t + 1) * m, t * m:(t + 1) * m]).band
+             for t in range(q.nt)]
 
     def apply(r: np.ndarray) -> np.ndarray:
         out = np.empty_like(r)
-        for t, fac in enumerate(factors):
-            out[t * m:(t + 1) * m] = fac.solve(r[t * m:(t + 1) * m])
+        for t, band in enumerate(bands):
+            out[t * m:(t + 1) * m] = la.cho_solve_banded(
+                (band, True), r[t * m:(t + 1) * m], check_finite=False)
         return out
 
     return apply

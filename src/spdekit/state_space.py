@@ -377,12 +377,14 @@ def propagate(transitions: list[TransitionStep], x0: np.ndarray,
     return states
 
 
-# Members drawn (and, in conditional sampling, solved) together. On the
-# 24x24x10, 100-member white-start ensemble (seeds 1-3, 20 ops each), one
-# member at a time took 0.94 s per op; blocks of 8, 16 and 32 took about
-# 0.67, 0.64 and 0.58 s at the same peak RSS, while 64 and 100 added 5 and
-# 14 MB. 16 keeps most of the gain with small (dim, n) block arrays.
-_MEMBER_BLOCK = 16
+# Members drawn (and, in conditional sampling, solved) together. The
+# posterior solve works on 16-column panels and reads the banded factor once
+# per substitution pass of a call, so a block of 32 shares each read between
+# two panels. On the 24x24x10, 100-member white-start ensemble (perfbench,
+# 2-core VM), blocks of 8, 16 and 32 took medians of 0.64, 0.54 and 0.43 s
+# per op (2, 6 and 6 runs) at the same 134 MB peak RSS. Blocks of 64 and
+# 100 added 5 and 14 MB when last measured, with a column-by-column solve.
+_MEMBER_BLOCK = 32
 
 
 def _draw_block(transitions, grid, ic: InitialCondition, base_seed,

@@ -6,6 +6,7 @@ import scipy.linalg
 from scipy import sparse
 from scipy.stats import multivariate_normal
 
+import spdekit.estimation as estimation
 import spdekit.linalg
 from spdekit import (ObservationSet, ParamFields, SpaceTimeGrid,
                      assemble_block_precision, dense_trajectory_covariance,
@@ -453,6 +454,39 @@ def test_fd_gradient_is_one_sided_at_the_floor():
     ends = [nll(xs, theta.replace_fields(tau=theta.tau.values + s))
             for s in (h, -h)]
     assert by_name["tau"] == (ends[0] - ends[1]) / (2.0 * h)
+
+
+def test_fd_fit_at_the_floor_reuses_its_loss(monkeypatch):
+    g = SpaceTimeGrid(nx=4, ny=4, nt=3)
+    theta = ParamFields.stationary(g, kappa=1e-6, h=(1e-6, 0.0, 1e-6),
+                                   tau=1.0)
+    xs = sample_prior(random_theta(g, 3), g, n_members=2,
+                      base_seed=25).members
+    calls = []
+    real_nll = estimation.nll
+    monkeypatch.setattr(estimation, "nll", lambda *a, **k:
+                        calls.append(None) or real_nll(*a, **k))
+
+    def fit(steps):
+        calls.clear()
+        best, curve = fit_params(xs, theta, step_kind="plain",
+                                 step_params={"lr": 0.02}, max_steps=steps,
+                                 stationary=True, grad_mode="finite_diff")
+        return best, curve, len(calls)
+
+    runs = [fit(1), fit(4)]
+    # the loss at theta recomputed inside the gradient, as it used to be
+    real_gradient = estimation._gradient
+    monkeypatch.setattr(estimation, "_gradient", lambda *a, loss=None, **k:
+                        real_gradient(*a, **k))
+    again = [fit(1), fit(4)]
+    # a floor-case gradient makes one nll call fewer
+    assert runs[0][2] == again[0][2] - 1
+    for (best, curve, _), (best_again, curve_again, _) in zip(runs, again):
+        assert curve == curve_again
+        for name in PARAM_NAMES:
+            assert np.array_equal(best.field_arrays()[name],
+                                  best_again.field_arrays()[name])
 
 
 def test_fit_zero_steps_returns_start():

@@ -57,6 +57,20 @@ def test_blocks_pattern_cuts_rectangles():
     assert np.all(missing >= 16)                 # at least one full block
 
 
+@pytest.mark.parametrize("n_blocks,block_ny,block_nx",
+                         [(2, -3, 4), (-1, 4, 4), (2, 0, 4)])
+def test_blocks_pattern_refuses_bad_sizes(n_blocks, block_ny, block_nx):
+    # unchecked, these observed 0.778 of a 6x6x3 grid through negative
+    # slice stops, or every cell
+    with pytest.raises(ConfigError):
+        BlocksPattern(n_blocks, block_ny, block_nx)
+
+
+def test_blocks_pattern_without_blocks_observes_everything():
+    g = SpaceTimeGrid(nx=6, ny=6, nt=3)
+    assert generate_obs_mask(g, BlocksPattern(0, 4, 4), seed=1).all()
+
+
 def test_evaluate_perfect_and_zero():
     g = SpaceTimeGrid(nx=4, ny=4, nt=3)
     rng = np.random.default_rng(0)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 from scipy import sparse
 
 from spdekit import (BlockPrecision, SpaceTimeGrid, assemble_block_precision,
@@ -71,6 +72,63 @@ def test_solve_random_spd_residual():
     rhs = rng.standard_normal(40)
     x = sparse_cholesky(a).solve(rhs)
     assert np.linalg.norm(a @ x - rhs) / np.linalg.norm(rhs) < 1e-9
+
+
+def _banded_spd(n, p, seed):
+    """A well-conditioned SPD matrix of half-bandwidth p: a random
+    symmetric band made diagonally dominant."""
+    rng = np.random.default_rng(seed)
+    a = np.triu(np.tril(rng.uniform(-1.0, 1.0, (n, n)), 0), -p)
+    a = a + np.tril(a, -1).T
+    a[np.diag_indices(n)] = np.abs(a).sum(axis=1) + 1.0
+    return a
+
+
+# (n, p): p below the 64-column block width, p = 0, n a multiple of the
+# block width or not, trapezoids cut off by n, and a full (p = n - 1) band
+@pytest.mark.parametrize("n,p", [(50, 0), (37, 1), (200, 7), (256, 64),
+                                 (300, 100), (130, 129)])
+@pytest.mark.parametrize("k", [None, 1, 15, 16, 17, 40])
+def test_blocked_solve_matches_dense_oracle(n, p, k):
+    a = _banded_spd(n, p, seed=n + p)
+    fac = sparse_cholesky(a)
+    assert fac.bandwidth == p
+    rng = np.random.default_rng(k or 0)
+    b = rng.standard_normal(n if k is None else (n, k))
+    x = fac.solve(b)
+    assert x.shape == b.shape
+    ref = np.linalg.solve(a, b)
+    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_blocked_solve_column_bits_do_not_depend_on_neighbours():
+    # every column is solved in a 16-column panel, so its bits are the
+    # same alone, at any position of a wider right-hand side, and next to
+    # any other columns
+    fac = sparse_cholesky(_banded_spd(700, 150, seed=3))
+    rng = np.random.default_rng(4)
+    for k in (2, 16, 17, 40):
+        b = rng.standard_normal((700, k))
+        together = fac.solve(b)
+        for j in rng.choice(k, size=min(k, 5), replace=False):
+            alone = fac.solve(b[:, j])
+            assert alone.tobytes() == together[:, j].tobytes()
+        others = rng.standard_normal((700, 20))
+        others[:, 18] = b[:, 0]
+        assert fac.solve(others)[:, 18].tobytes() == together[:, 0].tobytes()
+
+
+def test_block_preconditioner_is_lapack_banded_solve_per_step():
+    g = SpaceTimeGrid(nx=5, ny=4, nt=3)
+    q = assemble_block_precision(random_theta(g, 2), g)
+    r = np.random.default_rng(5).standard_normal(g.dim)
+    out = block_diagonal_preconditioner(q)(r)
+    a = q.to_csr()
+    for t in range(g.nt):
+        part = slice(t * g.m, (t + 1) * g.m)
+        band = sparse_cholesky(a[part, part]).band
+        expected = la.cho_solve_banded((band, True), r[part])
+        assert np.array_equal(out[part], expected)
 
 
 def _manual_block(grid, diag_value):
