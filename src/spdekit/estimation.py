@@ -25,7 +25,10 @@ the stencil table that assembles L_t (``operators.operator_adjoint``),
 which reads A_bar only at L_t's stencil pattern; so A_t^{-T} is taken
 there alone, from a selected inverse of the block-tridiagonal A_t
 (``state_space.selected_inverse``), and the residual products likewise.
-The trace mode covers alpha=2 (use finite differences for higher powers).
+One J^T product serves every step. A burn-in start's marginal adjoint
+walks the doubling's tape, which the marginal keeps where this gradient
+follows. The trace mode covers alpha=2 (use finite differences for higher
+powers).
 
 The expected-nll gradient runs the same data path: E[x x^T] = x* x*^T +
 V V^T for a posterior mean x* and a factor V of the posterior covariance,
@@ -185,8 +188,10 @@ def _trace_gradient(states: np.ndarray, theta: ParamFields, p0_opts: dict,
     the log-determinant term is the closed form of the module docstring.
     Both are needed only at L_t's stencil pattern, where the operator
     adjoint reads them: A_bar = w r x_t^T / n - A_t^{-T} there, with A_t^{-1}
-    from the selected inverse of every step at once. transitions and ic
-    may come prebuilt for the same theta.
+    from the selected inverse of every step at once. dt A_bar of every step
+    is one column of a (slots, steps) array, the burn-in's added into the
+    first step's column, and one product with J^T maps them all to the
+    fields. transitions and ic may come prebuilt for the same theta.
     """
     if theta.alpha != 2:
         raise UnsupportedAlpha(
@@ -205,20 +210,24 @@ def _trace_gradient(states: np.ndarray, theta: ParamFields, p0_opts: dict,
     # (A_t^{-T})[rows, indices] = A_t^{-1}[indices, rows]
     inverse_t = selected_inverse(transitions, grid.nx, table.indices,
                                  table.rows)
-    for step, inv_t in zip(transitions, inverse_t):
+    a_bars = np.empty((table.rows.size, len(transitions)))
+    for k, (step, inv_t) in enumerate(zip(transitions, inverse_t)):
         x_t = states[step.t]
         r = step.a_solve @ x_t - states[step.t - 1]
         tau = step.noise_scale
         rx = _pattern_products(r, x_t, grid) / n
-        a_bar = _step_weights(step, dt)[table.rows] * rx - inv_t
+        a_bars[:, k] = dt * (_step_weights(step, dt)[table.rows] * rx - inv_t)
         r_sq = np.einsum("ij,ij->i", r, r) / n
         tau_bar = 1.0 / tau - r_sq / (dt**2 * tau**3)
         grads["tau"][step.t] += tau_bar.reshape(grid.ny, grid.nx)
-        operator_adjoint(dt * a_bar, theta, step.t, grads)
     # time-zero marginal: white is parameter-free, burn-in backpropagates
+    # through the first step
     if ic.mode == "burnin":
-        _burnin_adjoint(states[0] @ states[0].T / n, theta, transitions[0],
-                        ic, grads)
+        tau_bar, a_bar = _burnin_adjoint(states[0] @ states[0].T / n,
+                                         transitions[0], ic, dt)
+        grads["tau"][transitions[0].t] += tau_bar.reshape(grid.ny, grid.nx)
+        a_bars[:, 0] += dt * a_bar[table.rows, table.indices]
+    operator_adjoint(a_bars, theta, [step.t for step in transitions], grads)
     return ParamGradients(grid, grads)
 
 
@@ -251,15 +260,18 @@ def _pattern_products(r: np.ndarray, x: np.ndarray,
     return out
 
 
-def _burnin_adjoint(second_moment_0, theta, step, ic, grads) -> None:
-    """Backpropagate the x_0 marginal through the burn-in doubling.
+def _burnin_adjoint(second_moment_0, step, ic, dt: float) -> tuple:
+    """(tau_bar of the first step's slab, dense A_bar of A_1): the x_0
+    marginal's share of the gradient, backpropagated through the burn-in
+    doubling.
 
     With M = A_1^{-1} as the marginal holds it, the forward pass of
     initial_condition, P_B = G_B G_B^T + S_B built by squaring runs
     (G, S) -> (G G, S + G S G^T) and applying them, P <- S + G P G^T, is
-    rerun to record its operations, then walked backwards from
-    P_bar = d(nll)/dP_B, with G_bar and the symmetric S_bar of the current
-    run:
+    walked backwards from its recorded operations (the marginal's tape,
+    which this takes; a marginal without one runs the doubling again to
+    record it), from P_bar = d(nll)/dP_B, with G_bar and the symmetric
+    S_bar of the current run:
 
         apply:   S_bar += P_bar,  G_bar += 2 P_bar G P,  P_bar <- G^T P_bar G
         square:  G_bar <- G_bar G^T + G^T G_bar + 2 S_bar G S,
@@ -267,17 +279,16 @@ def _burnin_adjoint(second_moment_0, theta, step, ic, grads) -> None:
 
     The base run G = M, S = M D M^T gives M_bar = G_bar + 2 S_bar M D and
     D_bar = diag(M^T S_bar M), which feeds tau_1; finally
-    A_bar = -M^T M_bar M^T, read at the stencil pattern. Each recorded
-    operation is dropped once used.
+    A_bar = -M^T M_bar M^T. Each recorded operation is dropped once used.
     """
-    grid = theta.grid
-    dt = grid.dt
-    m = grid.m
+    m = ic.m
     prop = ic.prop
     tau1 = step.noise_scale
     noise_var = (dt * tau1)**2
-    tape = []
-    _burnin_doubling(prop, noise_var, ic.burn_in, tape)
+    tape, ic.tape = ic.tape, None
+    if tape is None:
+        tape = []
+        _burnin_doubling(prop, noise_var, ic.burn_in, tape)
 
     w_mat = ic.prec
     p_bar = 0.5 * (w_mat - w_mat @ second_moment_0 @ w_mat)
@@ -302,11 +313,7 @@ def _burnin_adjoint(second_moment_0, theta, step, ic, grads) -> None:
     s_m = s_bar @ prop
     m_bar = g_bar + 2.0 * s_m * noise_var
     tau_bar = np.einsum("ij,ij->j", prop, s_m) * 2.0 * dt**2 * tau1
-    a_bar = -prop.T @ m_bar @ prop.T
-    table = _stencil_table(grid)
-    grads["tau"][step.t] += tau_bar.reshape(grid.ny, grid.nx)
-    operator_adjoint(dt * a_bar[table.rows, table.indices], theta, step.t,
-                     grads)
+    return tau_bar, -prop.T @ m_bar @ prop.T
 
 
 def nll_grad(x, theta: ParamFields, mode: str = "finite_diff",
@@ -400,9 +407,11 @@ def fit_params(trajectories, theta0: ParamFields, step_kind: str = "adam",
 
     def loss_at(theta):
         # the transitions and x_0 marginal built for the loss at theta are
-        # reused by the gradient at the same theta
+        # reused by the gradient at the same theta, the trace gradient
+        # taking the burn-in doubling's tape too
         steps = build_transition(theta, grid)
-        ic = initial_condition(theta, grid, transitions=steps, **p0_opts)
+        ic = initial_condition(theta, grid, transitions=steps,
+                               keep_tape=grad_mode == "trace", **p0_opts)
         return _mean_nll(states, steps, ic, grid.dt), (steps, ic)
 
     theta = project_params(theta0)

@@ -22,10 +22,19 @@ that maps the coefficients to the pattern's values. Assembly is J @ phi;
 the parameter adjoint is J^T applied to the operator gradient at the
 pattern. The boundary closure lives only in the table's builder. Every
 row touches at most itself and its 8 spatial neighbors.
+
+The table is made once per grid and also holds what the step matrices
+A_t = I + dt L_t, stored as values on its pattern, need: the diagonal
+slots, J^T as CSR (one product maps the gradients of many slabs, one
+column each), and each slot's place in the LAPACK band and in the
+block-tridiagonal view (``SlotPattern``). ``assemble_fdm_operator``
+returns L_t itself with exact zeros dropped; a step matrix keeps unused
+slots as explicit zeros.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass, replace
 
@@ -136,17 +145,89 @@ class ValidationReport:
 _N_FEATURES = 8     # kappa^2, h11, h22, h12, u+, u-, v+, v-
 
 
-@dataclass(frozen=True)
-class _StencilTable:
-    """The fixed CSR pattern of a grid's slab operators and the sparse map J
+class SlotPattern:
+    """A canonical CSR pattern (columns sorted within each row, no
+    duplicates) of an m x m step matrix, with the place of every stored
+    slot in the two factorizations that read the values:
+
+    * ``band_slots``: flat offsets into the Fortran-ordered LAPACK dgbtrf
+      band ab of shape (2 kl + ku + 1, m), ab[kl + ku + i - j, j] = A[i, j]
+      (kl extra rows on top take the fill-in of row pivoting);
+    * ``block_slots(nx)``: block index 3 by + (cy - by + 1) and position
+      nx bx + cx of each slot in the block-tridiagonal view with ny block
+      rows of nx x nx blocks, (by, bx) and (cy, cx) the slot's row and
+      column cells split by nx.
+
+    Both are computed once per pattern, so a matrix stored on it is
+    scattered straight to those positions.
+    """
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray):
+        m = indptr.size - 1
+        self.indptr = indptr
+        self.indices = indices
+        self.rows = np.repeat(np.arange(m), np.diff(indptr))
+        cols = indices.astype(np.int64)
+        offsets = cols - self.rows                          # j - i
+        self.kl = int(-offsets.min(initial=0))
+        self.ku = int(offsets.max(initial=0))
+        self.band_slots = (cols * (2 * self.kl + self.ku + 1)
+                           + self.kl + self.ku - offsets)
+        self._blocks: dict[int, tuple] = {}
+        for arr in (indptr, indices, self.rows, self.band_slots):
+            arr.setflags(write=False)
+
+    def block_slots(self, nx: int) -> tuple[np.ndarray, np.ndarray]:
+        """(block, position) of every slot for blocks of nx cells; a pattern
+        outside the three block diagonals raises ValueError."""
+        if nx not in self._blocks:
+            (by, bx), (cy, cx) = (np.divmod(self.rows, nx),
+                                  np.divmod(self.indices, nx))
+            if np.any(np.abs(cy - by) > 1):
+                raise ValueError("step matrix is not block tridiagonal "
+                                 f"with blocks of {nx} cells")
+            slots = (3 * by + cy - by + 1, nx * bx + cx)
+            for arr in slots:
+                arr.setflags(write=False)
+            self._blocks[nx] = slots
+        return self._blocks[nx]
+
+
+class _StencilTable(SlotPattern):
+    """The fixed pattern of a grid's slab operators and the sparse map J
     (pattern slots x 8m) from the features phi to the stored values, so
     L_t = csr(J @ phi_t) and, L_t being linear in phi, phi_bar = J^T l_bar
-    read at the pattern slots."""
+    read at the pattern slots. ``jac_t`` is J^T as CSR and ``diag`` the
+    slot of each row's diagonal entry."""
 
-    indptr: np.ndarray
-    indices: np.ndarray
-    rows: np.ndarray
-    jac: sparse.csr_array
+    def __init__(self, m: int, slots: np.ndarray, jac: sparse.csr_array):
+        rows, indices = np.divmod(slots, m)
+        super().__init__(
+            np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))]),
+            indices)
+        self.jac = jac
+        self.jac_t = sparse.csr_array(jac.T)
+        self.diag = np.flatnonzero(self.rows == self.indices)
+        self.diag.setflags(write=False)
+        # scipy's own index width for this size (int32 unless it overflows),
+        # which a matrix given int64 indices would keep, and so would every
+        # product of it, Q included
+        index = np.int32 if slots.size < 2**31 else np.int64
+        self._template = sparse.csr_array(
+            (np.zeros(slots.size), self.indices.astype(index),
+             self.indptr.astype(index)), shape=(m, m))
+        # every step matrix shares these: an in-place change must fail
+        for arr in (self._template.indices, self._template.indptr):
+            arr.setflags(write=False)
+
+    def matrix(self, data: np.ndarray) -> sparse.csr_array:
+        """The m x m CSR matrix holding data at the pattern slots. It is a
+        shallow copy of a template that scipy checked once, sharing its
+        read-only index arrays: at 16x16 that takes 5 us, a checked
+        construction 32 us, and a fit builds one per step per theta."""
+        out = copy.copy(self._template)
+        out.data = data
+        return out
 
 
 @functools.lru_cache(maxsize=8)
@@ -197,16 +278,37 @@ def _stencil_table(grid: SpaceTimeGrid) -> _StencilTable:
     jac = sparse.csr_array((coeff, (slot_of, feature)),
                            shape=(slots.size, _N_FEATURES * m))
     jac.eliminate_zeros()
-    rows, indices = np.divmod(slots, m)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))])
-    for arr in (indptr, indices, rows):
-        arr.setflags(write=False)
-    return _StencilTable(indptr, indices, rows, jac)
+    return _StencilTable(m, slots, jac)
+
+
+def _slab_features(theta: ParamFields, ts) -> np.ndarray:
+    """The features phi of slabs ts as the columns of an (8m, len(ts))
+    array. Raises InvalidParams naming the first cell (t, y, x), t in the
+    order of ts, whose diffusion tensor is not positive definite."""
+    ts = list(ts)
+    kappa, m_u, m_v, h11, h12, h22 = (
+        getattr(theta, name).values[ts]
+        for name in ("kappa", "m_u", "m_v", "h11", "h12", "h22"))
+    bad = (h11 <= 0) | (h22 <= 0) | (h11 * h22 - h12**2 <= 0)
+    if np.any(bad):
+        k, y, x = np.argwhere(bad)[0]
+        raise InvalidParams(
+            f"diffusion tensor not positive definite at cell "
+            f"(t={ts[k]}, y={y}, x={x}): h11={h11[k, y, x]:.4g}, "
+            f"h12={h12[k, y, x]:.4g}, h22={h22[k, y, x]:.4g}")
+    phi = np.empty((_N_FEATURES, theta.grid.m, len(ts)))
+    features = (kappa**2, h11, h22, h12,
+                np.maximum(m_u, 0.0), np.minimum(m_u, 0.0),
+                np.maximum(m_v, 0.0), np.minimum(m_v, 0.0))
+    for feature, value in zip(phi, features):
+        feature[...] = value.reshape(len(ts), -1).T
+    return phi.reshape(-1, len(ts))
 
 
 def assemble_fdm_operator(theta: ParamFields, t: int,
                           grid: SpaceTimeGrid | None = None) -> sparse.csr_array:
-    """Assemble the m x m slab operator L_t for the core (alpha=2) case.
+    """Assemble the m x m slab operator L_t for the core (alpha=2) case,
+    with exact zeros dropped.
 
     Raises InvalidParams naming the first offending cell when the diffusion
     tensor is not positive definite there.
@@ -214,38 +316,21 @@ def assemble_fdm_operator(theta: ParamFields, t: int,
     grid = grid or theta.grid
     if not 0 <= t < grid.nt:
         raise IndexError(f"t axis out of range: {t} not in [0, {grid.nt})")
-    kappa = theta.kappa.values[t]
-    m_u = theta.m_u.values[t]
-    m_v = theta.m_v.values[t]
-    h11 = theta.h11.values[t]
-    h12 = theta.h12.values[t]
-    h22 = theta.h22.values[t]
-
-    det = h11 * h22 - h12**2
-    bad = (h11 <= 0) | (h22 <= 0) | (det <= 0)
-    if np.any(bad):
-        y, x = np.argwhere(bad)[0]
-        raise InvalidParams(
-            f"diffusion tensor not positive definite at cell "
-            f"(t={t}, y={y}, x={x}): h11={h11[y, x]:.4g}, "
-            f"h12={h12[y, x]:.4g}, h22={h22[y, x]:.4g}")
-
-    phi = np.concatenate([kappa**2, h11, h22, h12,
-                          np.maximum(m_u, 0.0), np.minimum(m_u, 0.0),
-                          np.maximum(m_v, 0.0), np.minimum(m_v, 0.0)],
-                         axis=None)
     table = _stencil_table(grid)
-    op = sparse.csr_array((table.jac @ phi, table.indices, table.indptr),
+    op = sparse.csr_array((table.jac @ _slab_features(theta, [t])[:, 0],
+                           table.indices, table.indptr),
                           shape=(grid.m, grid.m), copy=True)
     op.eliminate_zeros()
     return op
 
 
-def operator_adjoint(l_bar: np.ndarray, theta: ParamFields, t: int,
+def operator_adjoint(l_bar: np.ndarray, theta: ParamFields, t,
                      grads: dict[str, np.ndarray]) -> None:
     """Add d(loss)/d(theta_t) to grads[name][t], given the operator gradient
     l_bar = d(loss)/dL_t at the stencil pattern, l_bar[k] at slot
-    (rows[k], indices[k]) of the grid's table.
+    (rows[k], indices[k]) of the grid's table. For a sequence of distinct
+    slabs t, column j of the (slots, len(t)) l_bar belongs to slab t[j],
+    and one product with J^T serves them all.
 
     phi_bar = J^T l_bar, then kappa_bar = 2 kappa phi_bar_kappa^2 and each
     advection component reads the upwind side in use (u+ where u >= 0,
@@ -253,17 +338,23 @@ def operator_adjoint(l_bar: np.ndarray, theta: ParamFields, t: int,
     """
     grid = theta.grid
     table = _stencil_table(grid)
-    if l_bar.shape != table.rows.shape:
+    ts = np.atleast_1d(t)
+    shape = (table.rows.size,) + np.shape(t)
+    if l_bar.shape != shape:
         raise ValueError(f"l_bar must hold the {table.rows.size} pattern "
-                         f"entries, got shape {l_bar.shape}")
-    phi_bar = (table.jac.T @ l_bar).reshape(_N_FEATURES, grid.ny, grid.nx)
+                         f"entries of each slab, got shape {l_bar.shape}")
+    if np.unique(ts).size != ts.size:
+        # grads[name][ts] += ... would keep one update of a repeated slab
+        raise ValueError(f"slabs must be distinct, got {ts.tolist()}")
+    phi_bar = (table.jac_t @ l_bar.reshape(table.rows.size, -1)).reshape(
+        _N_FEATURES, grid.ny, grid.nx, ts.size).transpose(0, 3, 1, 2)
     kappa2, h11, h22, h12, u_pos, u_neg, v_pos, v_neg = phi_bar
-    grads["kappa"][t] += 2.0 * theta.kappa.values[t] * kappa2
-    grads["h11"][t] += h11
-    grads["h22"][t] += h22
-    grads["h12"][t] += h12
-    grads["m_u"][t] += np.where(theta.m_u.values[t] >= 0, u_pos, u_neg)
-    grads["m_v"][t] += np.where(theta.m_v.values[t] >= 0, v_pos, v_neg)
+    grads["kappa"][ts] += 2.0 * theta.kappa.values[ts] * kappa2
+    grads["h11"][ts] += h11
+    grads["h22"][ts] += h22
+    grads["h12"][ts] += h12
+    grads["m_u"][ts] += np.where(theta.m_u.values[ts] >= 0, u_pos, u_neg)
+    grads["m_v"][ts] += np.where(theta.m_v.values[ts] >= 0, v_pos, v_neg)
 
 
 class FractionalOperator:

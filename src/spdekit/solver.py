@@ -28,7 +28,7 @@ from .grid import Trajectory
 from .oi import _cost_flat_grad
 from .operators import ParamFields, project_params
 from .precision import BlockPrecision, assemble_block_precision
-from .state_space import build_transition_step, initial_condition
+from .state_space import build_transition, initial_condition
 from .steps import make_step_operator
 
 
@@ -88,7 +88,9 @@ class PrecisionCache:
 
     The cached precision carries the transitions and x_0 marginal it was
     assembled from (``BlockPrecision.prior``), so a gradient taken at the
-    same theta reads them instead of rebuilding.
+    same theta reads them instead of rebuilding. When a trace theta
+    gradient follows, the burn-in marginal also holds its doubling's tape
+    for that gradient's burn-in adjoint.
     """
 
     def __init__(self, cfg: SolverConfig):
@@ -96,28 +98,32 @@ class PrecisionCache:
         self._keys: list[bytes] | None = None
         self._q: BlockPrecision | None = None
         self.total_rebuilds = 0
+        self._keep_tape = (cfg.update_mode != "x_only"
+                           and cfg.theta_grad_mode == "trace"
+                           and not cfg.theta_expected)
 
     def get(self, theta: ParamFields) -> BlockPrecision:
         grid = theta.grid
         keys = [theta.slab_key(t) for t in range(grid.nt)]
         if self._q is None:
-            self._q = assemble_block_precision(theta, grid,
-                                               **self.cfg.p0_opts())
-            self.total_rebuilds += grid.nt - 1
+            changed = list(range(1, grid.nt))
+            steps, ic = [None] * len(changed), None
         else:
             changed = [t for t in range(1, grid.nt)
                        if keys[t] != self._keys[t]]
-            if changed:
-                prior = self._q.prior
-                steps = list(prior.transitions)
-                for t in changed:
-                    steps[t - 1] = build_transition_step(theta, t, grid)
-                ic = prior.ic
-                if 1 in changed and self.cfg.p0_mode == "burnin":
-                    ic = initial_condition(theta, grid, transitions=steps,
-                                           **self.cfg.p0_opts())
-                self._q = assemble_block_precision(theta, grid,
-                                                   transitions=steps, ic=ic)
+            steps, ic = list(self._q.prior.transitions), self._q.prior.ic
+        if changed:
+            for step in build_transition(theta, grid, slabs=changed):
+                steps[step.t - 1] = step
+            if ic is None or (1 in changed and self.cfg.p0_mode == "burnin"):
+                # the old precision and marginal go before the new marginal
+                # and its tape are built, which keeps the peak memory down
+                self._q = ic = None
+                ic = initial_condition(theta, grid, transitions=steps,
+                                       keep_tape=self._keep_tape,
+                                       **self.cfg.p0_opts())
+            self._q = assemble_block_precision(theta, grid,
+                                               transitions=steps, ic=ic)
             self.total_rebuilds += len(changed)
         self._keys = keys
         return self._q

@@ -14,6 +14,14 @@ with M_t, the dense M_t and log|det A_t| read that one factor. At alpha = 2
 it is also block tridiagonal, and ``selected_inverse`` reads A_t^{-1} at
 the stencil pattern from its block recursion.
 
+At alpha = 2, ``build_transition`` makes every A_t as values on the grid's
+stencil pattern, dt (J @ phi_t) + 1 at the diagonal, for all slabs asked
+for in one product; unused slots (h12 = 0) are explicit zeros. Each step
+holds its pattern, whose precomputed band and block positions the LU and
+the selected inverse scatter the values to. A hand-built drift
+(``transition_from_drift``) gets the pattern of its own nonzeros, made by
+the same code, so both kinds of step take one path.
+
 Draws are keyed by (base_seed, member_id, stream, step) through a
 counter-style seed sequence, and members run together in fixed blocks, so
 ensembles are bit-identical whatever the block size.
@@ -29,7 +37,9 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import SingularTransition
 from .grid import SpaceTimeGrid, Trajectory
-from .operators import ParamFields, apply_fractional, assemble_fdm_operator
+from .operators import (ParamFields, SlotPattern, _slab_features,
+                        _stencil_table, apply_fractional,
+                        assemble_fdm_operator)
 
 _STREAM_INIT = 0
 _STREAM_STEP = 1
@@ -60,35 +70,33 @@ _SOLVE_BLOCK = 256
 class TransitionStep:
     """One implicit step: holds A_t = I - dt*F_t and its banded LU.
 
-    A_t is a stencil matrix, banded in row-major cell order. Its LAPACK
-    banded LU (dgbtrf) is computed once, on first use, straight from the
-    CSR, and serves propagate, dense_inverse (the burn-in's dense M_1) and
-    log_abs_det; a zero pivot raises SingularTransition(t) from each of
-    them. The trace gradient needs A_t^{-1} only at the stencil pattern and
-    reads it from ``selected_inverse``, never from dense_inverse.
+    A_t is a stencil matrix, banded in row-major cell order, stored on
+    ``pattern``: the grid's stencil table, or the pattern of a hand-built
+    drift. Its LAPACK banded LU (dgbtrf) is computed once, on first use,
+    by scattering the values to the pattern's band slots, and serves
+    propagate, dense_inverse (the burn-in's dense M_1) and log_abs_det; a
+    zero pivot raises SingularTransition(t) from each of them. The trace
+    gradient needs A_t^{-1} only at the stencil pattern and reads it from
+    ``selected_inverse``, never from dense_inverse.
     """
 
     t: int
     a_solve: sparse.csr_array
     noise_scale: np.ndarray  # tau slab, flattened (m,)
+    pattern: SlotPattern     # a_solve's indptr and indices
     _factor: tuple | None = None  # (lu band, pivots, kl, ku)
 
     def _banded_lu(self) -> tuple:
         if self._factor is None:
-            a = self.a_solve
-            rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
-            offsets = a.indices - rows                    # j - i
-            kl = int(-offsets.min(initial=0))
-            ku = int(offsets.max(initial=0))
-            # LAPACK band storage ab[kl + ku + i - j, j] = A[i, j], with kl
-            # extra rows on top for the fill-in of row pivoting
-            ab = np.zeros((2 * kl + ku + 1, a.shape[0]), order="F")
-            ab[kl + ku - offsets, a.indices] = a.data
-            lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
+            p = self.pattern
+            ab = np.zeros((2 * p.kl + p.ku + 1, self.a_solve.shape[0]),
+                          order="F")
+            ab.reshape(-1, order="F")[p.band_slots] = self.a_solve.data
+            lu, piv, info = dgbtrf(ab, p.kl, p.ku, overwrite_ab=1)
             if info > 0:
                 raise SingularTransition(self.t,
                                          f"zero pivot in row {info - 1}")
-            self._factor = (lu, piv, kl, ku)
+            self._factor = (lu, piv, p.kl, p.ku)
         return self._factor
 
     def propagate(self, v: np.ndarray) -> np.ndarray:
@@ -115,31 +123,45 @@ class TransitionStep:
 
 def transition_from_drift(f_drift, dt: float, t: int = 0,
                           noise_scale=None) -> TransitionStep:
-    """Build a step directly from a drift matrix F (A = I - dt*F)."""
+    """Build a step directly from a drift matrix F (A = I - dt*F), on the
+    pattern of A's nonzero entries."""
     f = sparse.csr_array(f_drift) if not sparse.issparse(f_drift) \
         else f_drift.tocsr()
     n = f.shape[0]
     a = (sparse.identity(n, format="csr") - dt * f).tocsr()
     a.sum_duplicates()
     scale = np.zeros(n) if noise_scale is None else np.asarray(noise_scale)
-    return TransitionStep(t=t, a_solve=a, noise_scale=scale)
+    return TransitionStep(t=t, a_solve=a, noise_scale=scale,
+                          pattern=SlotPattern(a.indptr, a.indices))
 
 
-def build_transition_step(theta: ParamFields, t: int,
-                          grid: SpaceTimeGrid | None = None) -> TransitionStep:
-    """The TransitionStep of slab t, with F_t = -L_t^{alpha/2}."""
+def build_transition(theta: ParamFields, grid: SpaceTimeGrid | None = None,
+                     slabs=None) -> list[TransitionStep]:
+    """The TransitionStep of each slab t in slabs (default 1..nt-1), with
+    F_t = -L_t^{alpha/2}.
+
+    At alpha = 2, A_t = I + dt L_t is linear in the slab features phi_t,
+    so the steps are values on the grid's stencil pattern: one product
+    dt (J @ Phi) over the stacked features of every slab asked for, plus
+    1 at the diagonal slots. These are the bits of I - dt (-L_t), with the
+    pattern's unused slots (the diagonal neighbours when h12 = 0) kept as
+    explicit zeros. Higher powers take the sparse product of the operator.
+    """
     grid = grid or theta.grid
-    core = assemble_fdm_operator(theta, t, grid)
-    power = apply_fractional(core, theta.alpha).to_sparse()
-    return transition_from_drift(-power, grid.dt, t=t,
-                                 noise_scale=theta.tau.values[t].ravel())
-
-
-def build_transition(theta: ParamFields,
-                     grid: SpaceTimeGrid | None = None) -> list[TransitionStep]:
-    """One TransitionStep per t = 1..nt-1."""
-    grid = grid or theta.grid
-    return [build_transition_step(theta, t, grid) for t in range(1, grid.nt)]
+    slabs = list(range(1, grid.nt) if slabs is None else slabs)
+    taus = theta.tau.values
+    if theta.alpha != 2:
+        return [transition_from_drift(
+                    -apply_fractional(assemble_fdm_operator(theta, t, grid),
+                                      theta.alpha).to_sparse(),
+                    grid.dt, t=t, noise_scale=taus[t].ravel())
+                for t in slabs]
+    table = _stencil_table(grid)
+    values = grid.dt * (table.jac @ _slab_features(theta, slabs))
+    values[table.diag] += 1.0
+    return [TransitionStep(t=t, a_solve=table.matrix(data),
+                           noise_scale=taus[t].ravel(), pattern=table)
+            for t, data in zip(slabs, np.ascontiguousarray(values.T))]
 
 
 def selected_inverse(transitions: list[TransitionStep], nx: int,
@@ -171,17 +193,13 @@ def selected_inverse(transitions: list[TransitionStep], nx: int,
         raise ValueError(f"{m} cells do not split into rows of {nx}")
     # blocks[i, d + 1, s] is A_{i, i+d} of step s, for d = -1, 0, 1; the
     # step axis is inside so that each batched product reads contiguous
-    # stacks of blocks
-    blocks = np.zeros((ny, 3, len(transitions), nx, nx))
+    # stacks of blocks. Each step's values go to its pattern's block slots.
+    blocks = np.zeros((3 * ny, len(transitions), nx * nx))
     for s, step in enumerate(transitions):
         step._banded_lu()
-        a = step.a_solve
-        by, bx = np.divmod(np.repeat(np.arange(m), np.diff(a.indptr)), nx)
-        cy, cx = np.divmod(a.indices, nx)
-        if np.any(np.abs(cy - by) > 1):
-            raise ValueError("step matrix is not block tridiagonal "
-                             f"with blocks of {nx} cells")
-        blocks[by, cy - by + 1, s, bx, cx] = a.data
+        block, position = step.pattern.block_slots(nx)
+        blocks[block, s, position] = step.a_solve.data
+    blocks = blocks.reshape(ny, 3, len(transitions), nx, nx)
 
     lower, diag, upper = blocks[:, 0], blocks[:, 1], blocks[:, 2]
     s_inv = np.empty(diag.shape)
@@ -256,13 +274,16 @@ class InitialCondition:
     prop: np.ndarray | None = None  # dense (m, m) M = A_1^{-1}, burnin only
     logdet_prec: float = 0.0
     m: int = 0
+    # the doubling's recorded operations, held only where the burn-in
+    # adjoint follows (which takes them); about 9 dense (m, m) arrays
+    tape: list | None = None
 
 
 def initial_condition(theta: ParamFields, grid: SpaceTimeGrid | None = None,
                       p0_mode: str = "burnin", sigma0: float = 1.0,
                       burn_in: int = 20,
-                      transitions: list[TransitionStep] | None = None
-                      ) -> InitialCondition:
+                      transitions: list[TransitionStep] | None = None,
+                      keep_tape: bool = False) -> InitialCondition:
     """Build the x_0 marginal.
 
     "white" is N(0, sigma0^2 I). "burnin" approximates the stationary
@@ -278,8 +299,10 @@ def initial_condition(theta: ParamFields, grid: SpaceTimeGrid | None = None,
     becomes the first precision block, so sampler and precision stay
     consistent by construction. The marginal keeps P_B^{-1} and M (which
     the burn-in adjoint reads), not P_B itself; ``burnin_covariance``
-    rebuilds that. A singular A_1 raises SingularTransition(1); a negative
-    burn_in raises ValueError.
+    rebuilds that. With keep_tape, it also holds the doubling's tape for
+    estimation._burnin_adjoint, which then need not run the doubling again.
+    A singular A_1 raises SingularTransition(1); a negative burn_in raises
+    ValueError.
     """
     grid = grid or theta.grid
     m = grid.m
@@ -299,7 +322,9 @@ def initial_condition(theta: ParamFields, grid: SpaceTimeGrid | None = None,
         transitions = build_transition(theta, grid)
     step = transitions[0]
     prop = step.dense_inverse()
-    cov = _burnin_doubling(prop, (grid.dt * step.noise_scale)**2, burn_in)
+    tape = [] if keep_tape else None
+    cov = _burnin_doubling(prop, (grid.dt * step.noise_scale)**2, burn_in,
+                           tape)
     # numpy's LAPACK, not scipy.linalg: numpy and scipy each bundle their
     # own OpenBLAS with its own thread pool. On a 2-core VM with 2 BLAS
     # threads, a scipy potrf right after numpy's dense products took
@@ -311,7 +336,7 @@ def initial_condition(theta: ParamFields, grid: SpaceTimeGrid | None = None,
     prec = 0.5 * (prec + prec.T)
     return InitialCondition(mode="burnin", sigma0=sigma0, burn_in=burn_in,
                             prec=prec, prop=prop, logdet_prec=logdet_prec,
-                            m=m)
+                            m=m, tape=tape)
 
 
 def burnin_covariance(ic: InitialCondition, step: TransitionStep,

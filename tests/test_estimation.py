@@ -196,6 +196,77 @@ def test_degenerate_white_start_in_nll_is_typed():
     assert "sigma0" in str(info.value) and "tau" not in str(info.value)
 
 
+def test_burnin_term_lands_on_the_first_step():
+    # one J^T product maps every step's column: a burn-in start adds its
+    # adjoint into the first step's column and leaves the later slabs'
+    # gradients bit for bit those of a white start
+    from oracles import burnin_adjoint_oracle
+    g = SpaceTimeGrid(nx=5, ny=4, nt=4)
+    theta = random_theta(g, 29)
+    xs = sample_prior(theta, g, n_members=3, base_seed=23).members
+    white = nll_grad(xs, theta, mode="trace", p0_mode="white")
+    burnin = nll_grad(xs, theta, mode="trace", p0_mode="burnin", burn_in=6)
+    states = _stack_states(xs)
+    oracle = {name: np.zeros(g.shape) for name in PARAM_NAMES}
+    burnin_adjoint_oracle(states[0] @ states[0].T / states.shape[2], theta,
+                          build_transition(theta, g)[0], 6, oracle)
+    for name in PARAM_NAMES:
+        a, b = burnin.fields[name], white.fields[name]
+        assert np.array_equal(a[2:], b[2:]), name
+        expect = b[1] + oracle[name][1]
+        assert np.max(np.abs(a[1] - expect)) <= 1e-10 * np.max(np.abs(expect))
+        assert np.max(np.abs(oracle[name][1])) > 1e-3 * np.max(np.abs(b[1]))
+
+
+def _count_doublings(monkeypatch):
+    from spdekit import state_space
+    calls = []
+    doubling = state_space._burnin_doubling
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return doubling(*args, **kwargs)
+
+    monkeypatch.setattr(state_space, "_burnin_doubling", counted)
+    monkeypatch.setattr(estimation, "_burnin_doubling", counted)
+    return calls
+
+
+def test_burnin_adjoint_takes_the_marginals_tape(monkeypatch):
+    # a marginal built with keep_tape hands its doubling to the adjoint,
+    # which then runs none; without one the adjoint reruns it, to the same
+    # bits
+    g = SpaceTimeGrid(nx=4, ny=4, nt=3)
+    theta = random_theta(g, 30)
+    states = _stack_states(sample_prior(theta, g, n_members=2,
+                                        base_seed=24).members)
+    p0_opts = dict(p0_mode="burnin", sigma0=1.0, burn_in=13)
+    calls = _count_doublings(monkeypatch)
+    steps = build_transition(theta, g)
+    grads = []
+    for keep_tape, doublings in ((True, 1), (False, 2)):
+        calls.clear()
+        ic = initial_condition(theta, g, transitions=steps,
+                               keep_tape=keep_tape, **p0_opts)
+        assert (ic.tape is not None) == keep_tape
+        grads.append(_trace_gradient(states, theta, p0_opts, steps, ic))
+        assert len(calls) == doublings
+        assert ic.tape is None
+    for name in PARAM_NAMES:
+        assert np.array_equal(grads[0].fields[name], grads[1].fields[name])
+
+
+def test_trace_fit_runs_one_doubling_per_theta(monkeypatch):
+    # the loss's marginal keeps its tape for the gradient at the same theta
+    g = SpaceTimeGrid(nx=3, ny=3, nt=3)
+    theta = random_theta(g, 31)
+    xs = sample_prior(theta, g, n_members=2, base_seed=25).members
+    calls = _count_doublings(monkeypatch)
+    k = 2
+    fit_params(xs, theta, max_steps=k, grad_mode="trace", burn_in=5)
+    assert len(calls) == k + 1
+
+
 def test_trace_gradient_inverts_only_the_burnin_step(monkeypatch):
     # the step log-determinants read the selected inverse; only the burn-in
     # marginal needs the dense M = A_1^{-1}, once, and its adjoint reads it

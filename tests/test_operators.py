@@ -141,6 +141,26 @@ def test_table_adjoint_is_transpose_of_assembly():
     assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
+def test_batched_adjoint_is_the_per_slab_adjoint():
+    # one J^T product over a column per slab gives each slab's gradient bit
+    # for bit; a repeated slab would lose an update and is refused
+    g = SpaceTimeGrid(nx=5, ny=4, nt=4, dx=0.8, dy=1.3)
+    theta = random_theta(g, 22)
+    l_bar = np.random.default_rng(7).standard_normal(
+        (_stencil_table(g).rows.size, 3))
+    one = {n: np.zeros(g.shape) for n in PARAM_NAMES}
+    for column, t in zip(l_bar.T, (3, 1, 2)):
+        operator_adjoint(column, theta, t, one)
+    batch = {n: np.zeros(g.shape) for n in PARAM_NAMES}
+    operator_adjoint(l_bar, theta, [3, 1, 2], batch)
+    for name in PARAM_NAMES:
+        assert np.array_equal(batch[name], one[name]), name
+    with pytest.raises(ValueError, match="distinct"):
+        operator_adjoint(l_bar, theta, [1, 2, 1], batch)
+    with pytest.raises(ValueError, match="pattern entries"):
+        operator_adjoint(l_bar, theta, [1, 2], batch)
+
+
 def test_table_built_once_per_grid():
     g = SpaceTimeGrid(nx=6, ny=5, nt=2, dx=0.8, dy=1.3)
     theta = random_theta(g, 8)

@@ -241,3 +241,29 @@ def test_coordinate_triplet_dump(tmp_path):
         i, j, v = line.split()
         rebuilt[int(i), int(j)] = float(v)
     assert np.max(np.abs(rebuilt - q.to_csr().toarray())) < 1e-15
+
+
+def test_interpolation_precision_keeps_no_tape():
+    # the burn-in doubling's tape (about 9 dense m x m arrays) is held only
+    # where a trace gradient follows, never by the precision an
+    # interpolation or an ensemble builds
+    import tracemalloc
+    from spdekit import initial_condition
+    g = SpaceTimeGrid(nx=8, ny=8, nt=3)
+    theta = random_theta(g, 38)
+
+    def retained(build):
+        build()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = build()
+            return kept, tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    q, plain = retained(lambda: assemble_block_precision(theta, g))
+    assert q.prior.ic.tape is None
+    _, taped = retained(lambda: assemble_block_precision(
+        theta, g, ic=initial_condition(theta, g, keep_tape=True)))
+    assert taped - plain > 8 * g.m**2 * 8, (plain, taped)

@@ -250,6 +250,51 @@ def test_cached_theta_gradient_matches_fresh_gradient(p0_mode, stationary):
         assert runtime.cache.total_rebuilds == g.nt - 1 + k
 
 
+def test_joint_solve_runs_each_burnin_doubling_once(monkeypatch):
+    # the alternating joint-solve of the benchmark (two x/theta cycles from
+    # a burn-in start): each cached marginal keeps its doubling's tape for
+    # the burn-in adjoint of the theta gradient that follows, so the run
+    # makes one doubling per marginal (3) where rerunning it in the
+    # adjoint made 5, and the run is bit for bit the same either way
+    from spdekit import solver, state_space
+    import spdekit.estimation as estimation
+    g = SpaceTimeGrid(nx=5, ny=4, nt=4)
+    theta = random_theta(g, 1)
+    truth = sample_prior(theta, g, n_members=1, base_seed=1).members[0]
+    obs = ObservationSet.from_truth(truth, np.random.default_rng(1).random(
+        g.shape) < 0.2, 0.05, seed=1)
+    cfg = SolverConfig(n_iterations=22, update_mode="alternating",
+                       x_steps=10, theta_steps=1, p0_mode="burnin",
+                       burn_in=20, step={"kind": "adam", "lr": 0.1},
+                       theta_step={"kind": "plain", "lr": 1e-3})
+    calls = []
+    doubling = state_space._burnin_doubling
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return doubling(*args, **kwargs)
+
+    monkeypatch.setattr(state_space, "_burnin_doubling", counted)
+    monkeypatch.setattr(estimation, "_burnin_doubling", counted)
+    held = run_solver(Trajectory.zeros(g), theta, obs, cfg)
+    assert len(calls) == 3
+
+    original = solver.initial_condition
+
+    def without_tape(*args, keep_tape=False, **kwargs):
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "initial_condition", without_tape)
+    calls.clear()
+    rerun = run_solver(Trajectory.zeros(g), theta, obs, cfg)
+    assert len(calls) == 5
+    assert held.x.states.tobytes() == rerun.x.states.tobytes()
+    for name in PARAM_NAMES:
+        assert np.array_equal(getattr(held.theta, name).values,
+                              getattr(rerun.theta, name).values)
+    assert held.diagnostics == rerun.diagnostics
+
+
 def test_joint_mode_improves_parameters():
     # twin: truth has advection, start from a poor guess; the parameter
     # iterates should move toward the truth. The expectation-corrected

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from spdekit import (ParamFields, SpaceTimeGrid, build_transition,
+from spdekit import (ParamFields, SpaceTimeGrid, apply_fractional,
+                     assemble_fdm_operator, build_transition,
                      dense_trajectory_covariance, initial_condition,
                      propagate, sample_prior, transition_from_drift)
 from spdekit import state_space
+from spdekit.operators import _stencil_table
 from spdekit.state_space import burnin_covariance
 
 from oracles import (burnin_marginal_oracle, random_theta,
@@ -76,6 +78,116 @@ def test_banded_factor_matches_dense_lu(name, theta):
     _, _, kl, ku = step._banded_lu()
     reach = (theta.alpha // 2) * (theta.grid.nx + 1)
     assert kl == ku == reach, name
+
+
+def _sparse_product_step(theta, t):
+    """A_t by the sparse-product recipe the alpha != 2 path keeps: the
+    assembled operator (exact zeros dropped), its power and I - dt F."""
+    g = theta.grid
+    power = apply_fractional(assemble_fdm_operator(theta, t),
+                             theta.alpha).to_sparse()
+    return transition_from_drift(-power, g.dt, t=t,
+                                 noise_scale=theta.tau.values[t].ravel())
+
+
+def _values_path_cases():
+    cases = [(name, theta) for name, theta in _factor_cases()
+             if theta.alpha == 2]
+    for n in (16, 24):
+        g = SpaceTimeGrid(nx=n, ny=n, nt=3)
+        cases.append((f"{n}x{n}", random_theta(g, n)))
+        cases.append((f"{n}x{n}, h12 = 0, no advection",
+                      random_theta(g, n, advect=False, anisotropic=False)))
+    return cases
+
+
+@pytest.mark.parametrize("name, theta", _values_path_cases())
+def test_values_path_is_bit_identical_to_sparse_product_path(name, theta):
+    # A_t = I + dt L_t straight on the stencil pattern stores the bits of
+    # the sparse-product recipe; pattern slots that recipe drops (h12 = 0,
+    # zero advection) are explicit zeros, inert in the LU and its solves
+    g = theta.grid
+    table = _stencil_table(g)
+    for step in build_transition(theta, g):
+        ref = _sparse_product_step(theta, step.t)
+        assert step.pattern is table
+        assert np.array_equal(step.a_solve.toarray(), ref.a_solve.toarray())
+        # scipy's index width at this size, which Q's products inherit
+        assert step.a_solve.indices.dtype == step.a_solve.indptr.dtype \
+            == np.int32
+        assert np.array_equal(step.noise_scale, ref.noise_scale)
+        assert step.log_abs_det() == ref.log_abs_det(), name
+        assert np.array_equal(step.dense_inverse(), ref.dense_inverse())
+
+
+def test_one_slab_build_is_the_batched_build():
+    # the precision cache rebuilds single slabs: the same bits as the
+    # batched build of every slab
+    g = SpaceTimeGrid(nx=5, ny=4, nt=4, dx=0.7, dy=1.3)
+    theta = random_theta(g, 36)
+    batched = build_transition(theta, g)
+    for t in (3, 1):
+        alone, = build_transition(theta, g, slabs=[t])
+        assert alone.t == t
+        assert np.array_equal(alone.a_solve.data, batched[t - 1].a_solve.data)
+
+
+def test_non_spd_tensor_in_build_transition_names_first_cell():
+    from spdekit.errors import InvalidParams
+    g = SpaceTimeGrid(nx=4, ny=4, nt=4)
+    h12 = np.zeros(g.shape)
+    h12[3, 0, 0] = 5.0                          # det = 1 - 25 < 0
+    h12[2, 3, 1] = 5.0
+    h12[2, 1, 2] = -5.0
+    theta = ParamFields.stationary(g).replace_fields(h12=h12)
+    for build in (lambda: build_transition(theta, g),
+                  lambda: assemble_fdm_operator(theta, 2)):
+        with pytest.raises(InvalidParams, match=r"\(t=2, y=1, x=2\): "
+                           r"h11=1, h12=-5, h22=1"):
+            build()
+    with pytest.raises(InvalidParams, match=r"t=3, y=0, x=0"):
+        build_transition(theta, g, slabs=[3])
+
+
+def _old_banded_lu(a):
+    """dgbtrf on the band read from a CSR's own entries, every call."""
+    from scipy.linalg.lapack import dgbtrf
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    offsets = a.indices - rows
+    kl, ku = int(-offsets.min(initial=0)), int(offsets.max(initial=0))
+    ab = np.zeros((2 * kl + ku + 1, a.shape[0]), order="F")
+    ab[kl + ku - offsets, a.indices] = a.data
+    lu, piv, info = dgbtrf(ab, kl, ku)
+    assert info == 0
+    return lu, piv, kl, ku
+
+
+def test_hand_built_pattern_matches_table_pattern():
+    # a step on the pattern of its nonzeros (as transition_from_drift
+    # builds it) and the same matrix on the stencil table give one banded
+    # LU, bit for bit where the bands overlap, and one selected inverse;
+    # the hand-built LU is dgbtrf on the band read from the CSR itself
+    g = SpaceTimeGrid(nx=6, ny=5, nt=2)
+    theta = random_theta(g, 37, advect=False, anisotropic=False)
+    step = build_transition(theta, g)[0]
+    nonzero = step.a_solve.copy()
+    nonzero.eliminate_zeros()
+    assert nonzero.nnz < step.a_solve.nnz
+    hand = state_space.TransitionStep(
+        t=1, a_solve=nonzero, noise_scale=step.noise_scale,
+        pattern=state_space.SlotPattern(nonzero.indptr, nonzero.indices))
+    old = _old_banded_lu(nonzero)
+    for ours, ref in zip(hand._banded_lu(), old):
+        assert np.array_equal(ours, ref)
+    lu, piv, kl, ku = step._banded_lu()
+    assert (kl, ku) == (old[2] + 1, old[3] + 1)
+    assert np.array_equal(lu[kl + ku], old[0][old[2] + old[3]])
+    assert np.array_equal(piv, old[1])
+    assert np.array_equal(hand.dense_inverse(), step.dense_inverse())
+    rows, cols = _block_tridiagonal_entries(g.nx, g.m)
+    assert np.array_equal(
+        state_space.selected_inverse([hand], g.nx, rows, cols),
+        state_space.selected_inverse([step], g.nx, rows, cols))
 
 
 def _block_tridiagonal_entries(nx, m):
