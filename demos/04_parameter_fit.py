@@ -26,8 +26,7 @@ print(f"starting from kappa={2 * true_kappa}, tau={2 * true_tau} "
 
 history = []
 fitted, curve = fit_params(
-    trajectories, theta0, max_steps=150, stationary=True,
-    grad_mode="trace", p0_mode="white",
+    trajectories, theta0, max_steps=150, stationary=True, p0_mode="white",
     step_kind="adam", step_params={"lr": 0.05},
     callback=lambda it, loss, th: history.append(
         (it, th.kappa.values[1, 0, 0], th.tau.values[1, 0, 0])))

@@ -34,7 +34,6 @@ from .uncertainty import conditional_sample, ensemble_stats
 
 _P0_MODES = ("burnin", "white")
 _STEP_KINDS = ("plain", "momentum", "adam")
-_GRAD_MODES = ("trace", "finite_diff")
 
 
 def _write_manifest(cfg: ExperimentConfig, args, out_dir: Path,
@@ -157,8 +156,6 @@ def _solver_config(cfg: ExperimentConfig) -> SolverConfig:
         theta_step=theta_step,
         theta_params=cfg.get_choice("solver", "theta_params", PARAM_NAMES,
                                     ",".join(PARAM_NAMES), many=True),
-        theta_grad_mode=cfg.get_choice("solver", "theta_grad_mode",
-                                       _GRAD_MODES, "trace"),
         p0_mode=sampler["p0_mode"], sigma0=sampler["sigma0"],
         burn_in=sampler["burn_in"])
 
@@ -214,7 +211,6 @@ def _cmd_fit(cfg, args, out_dir):
         step_params={"lr": cfg.get_float("fit", "lr", 0.02)},
         max_steps=cfg.get_int("fit", "max_steps", 100, minimum=0),
         stationary=cfg.get_bool("fit", "stationary", True),
-        grad_mode=cfg.get_choice("fit", "grad_mode", _GRAD_MODES),
         **_sampler_opts(cfg))
     traj_glob = cfg.get_str("fit", "trajectories", required=True)
     paths = sorted(cfg.base_dir.glob(traj_glob))

@@ -15,10 +15,9 @@ w_t = 1/(dt tau_t)^2,
 the second being the GMRF identity log|S_t^{-1}| = 2 log|det A_t| +
 sum(log w_t) (Rue & Held 2005, ch. 2; ``precision._prior_log_det``).
 
-Two gradient modes are provided. "finite_diff" differentiates the nll
-numerically (cheap when stationary: one direction per field). "trace"
-is the exact adjoint of the same residual form: the quadratic term reads
-the step residuals of the stacked trajectories, and the step
+The gradient follows from the power alpha. At alpha = 2 it is the exact
+adjoint of the same residual form (``_trace_gradient``): the quadratic
+term reads the step residuals of the stacked trajectories, and the step
 log-determinant's adjoint is A_bar = -A_t^{-T} and tau_bar = 1/tau_t.
 Its last link, from d/dL_t to the per-cell fields, is the transpose of
 the stencil table that assembles L_t (``operators.operator_adjoint``),
@@ -27,8 +26,10 @@ there alone, from a selected inverse of the block-tridiagonal A_t
 (``state_space.selected_inverse``), and the residual products likewise.
 One J^T product serves every step. A burn-in start's marginal adjoint
 walks the doubling's tape, which the marginal keeps where this gradient
-follows. The trace mode covers alpha=2 (use finite differences for higher
-powers).
+follows. At alpha = 4 and 6, which have no adjoint, it is a finite
+difference of the nll (``_fd_gradient``). A fit forms each step's r_t and
+w_t once per theta (``_step_terms``), and its loss hands them on to the
+adjoint at the same theta.
 
 The expected-nll gradient runs the same data path: E[x x^T] = x* x*^T +
 V V^T for a posterior mean x* and a factor V of the posterior covariance,
@@ -125,18 +126,28 @@ def nll(x, theta: ParamFields, p0_mode: str = "burnin", sigma0: float = 1.0,
     return _mean_nll(_stack_states(_as_list(x)), steps, ic, theta.grid.dt)
 
 
+def _step_terms(states: np.ndarray, transitions: list[TransitionStep],
+                dt: float):
+    """Yield each step's weights w_t and residual r_t = A_t x_t - x_{t-1}
+    of the (nt, m, n) stack, one step at a time."""
+    for step in transitions:
+        w = _step_weights(step, dt)
+        yield w, step.a_solve @ states[step.t] - states[step.t - 1]
+
+
 def _mean_nll(states: np.ndarray, transitions: list[TransitionStep],
-              ic: InitialCondition, dt: float) -> float:
+              ic: InitialCondition, dt: float, terms=None) -> float:
     """nll of the (nt, m, n) stack, averaged over its n trajectories, in the
-    residual form of the module docstring."""
+    residual form of the module docstring, from its step terms if given."""
     nt, m, n = states.shape
-    log_det = _prior_log_det(ic, transitions, dt)
+    if terms is None:
+        terms = list(_step_terms(states, transitions, dt))
+    log_det = _prior_log_det(ic, transitions, dt, [w for w, _ in terms])
     x0 = states[0]
     quad = float(np.sum(x0 * (x0 / ic.sigma0**2 if ic.mode == "white"
                               else ic.prec @ x0)))
-    for step in transitions:
-        r = step.a_solve @ states[step.t] - states[step.t - 1]
-        quad += float(np.sum(_step_weights(step, dt)[:, None] * r * r))
+    for w, r in terms:
+        quad += float(np.sum(w[:, None] * r * r))
     return 0.5 * (quad / n - log_det) + 0.5 * nt * m * math.log(2.0 * math.pi)
 
 
@@ -180,7 +191,7 @@ def _fd_gradient(xs, theta, p0_opts, stationary: bool, at_theta=None,
 # --- exact adjoint ("trace") gradient ----------------------------------------
 
 def _trace_gradient(states: np.ndarray, theta: ParamFields, p0_opts: dict,
-                    transitions=None, ic=None) -> ParamGradients:
+                    transitions=None, ic=None, terms=None) -> ParamGradients:
     """Trace gradient of the mean nll of the (nt, m, n) stack.
 
     Step t contributes 1/2 mean(sum w r_t^2) - 1/2 log|S_t^{-1}|: the
@@ -191,12 +202,13 @@ def _trace_gradient(states: np.ndarray, theta: ParamFields, p0_opts: dict,
     from the selected inverse of every step at once. dt A_bar of every step
     is one column of a (slots, steps) array, the burn-in's added into the
     first step's column, and one product with J^T maps them all to the
-    fields. transitions and ic may come prebuilt for the same theta.
+    fields. transitions, ic and the step terms may come prebuilt for the
+    same theta; without terms, one step's residual is held at a time.
     """
     if theta.alpha != 2:
         raise UnsupportedAlpha(
-            "trace-mode gradients are implemented for alpha=2; "
-            "use finite_diff for higher powers")
+            "the adjoint gradient is implemented for alpha=2; higher powers "
+            "take finite differences")
     grid = theta.grid
     dt = grid.dt
     n = states.shape[2]
@@ -205,18 +217,19 @@ def _trace_gradient(states: np.ndarray, theta: ParamFields, p0_opts: dict,
     if ic is None:
         ic = initial_condition(theta, grid, transitions=transitions,
                                **p0_opts)
+    if terms is None:
+        terms = _step_terms(states, transitions, dt)
     grads = {name: np.zeros(grid.shape) for name in PARAM_NAMES}
     table = _stencil_table(grid)
     # (A_t^{-T})[rows, indices] = A_t^{-1}[indices, rows]
     inverse_t = selected_inverse(transitions, grid.nx, table.indices,
                                  table.rows)
     a_bars = np.empty((table.rows.size, len(transitions)))
-    for k, (step, inv_t) in enumerate(zip(transitions, inverse_t)):
-        x_t = states[step.t]
-        r = step.a_solve @ x_t - states[step.t - 1]
+    for k, (step, inv_t, (w, r)) in enumerate(zip(transitions, inverse_t,
+                                                  terms)):
         tau = step.noise_scale
-        rx = _pattern_products(r, x_t, grid) / n
-        a_bars[:, k] = dt * (_step_weights(step, dt)[table.rows] * rx - inv_t)
+        rx = _pattern_products(r, states[step.t], grid) / n
+        a_bars[:, k] = dt * (w[table.rows] * rx - inv_t)
         r_sq = np.einsum("ij,ij->i", r, r) / n
         tau_bar = 1.0 / tau - r_sq / (dt**2 * tau**3)
         grads["tau"][step.t] += tau_bar.reshape(grid.ny, grid.nx)
@@ -316,17 +329,16 @@ def _burnin_adjoint(second_moment_0, step, ic, dt: float) -> tuple:
     return tau_bar, -prop.T @ m_bar @ prop.T
 
 
-def nll_grad(x, theta: ParamFields, mode: str = "finite_diff",
-             stationary: bool = False, p0_mode: str = "burnin",
-             sigma0: float = 1.0, burn_in: int = 20):
+def nll_grad(x, theta: ParamFields, stationary: bool = False,
+             p0_mode: str = "burnin", sigma0: float = 1.0, burn_in: int = 20):
     """Gradient of the mean nll with respect to every parameter entry.
 
     Returns ParamGradients, or with stationary=True the 7 gradients along
     whole fields (cell sums) at theta, which need not be stationary. The
-    two modes agree to finite-difference accuracy on small grids.
+    exact adjoint at alpha = 2, finite differences at alpha = 4 and 6.
     """
     p0_opts = dict(p0_mode=p0_mode, sigma0=sigma0, burn_in=burn_in)
-    g = _gradient(_as_list(x), theta, mode, stationary, p0_opts)
+    g = _gradient(_as_list(x), theta, stationary, p0_opts)
     return g if stationary else ParamGradients.unpack(theta.grid, g)
 
 
@@ -335,18 +347,16 @@ def _reduce(grads: ParamGradients, stationary: bool) -> np.ndarray:
     return grads.stationary_vector() if stationary else grads.pack()
 
 
-def _gradient(xs, theta, mode, stationary: bool, p0_opts, transitions=None,
-              ic=None, loss=None) -> np.ndarray:
+def _gradient(xs, theta, stationary: bool, p0_opts, transitions=None,
+              ic=None, terms=None, loss=None) -> np.ndarray:
     """nll gradient of a list of trajectories, one value per field when
-    stationary, else per cell; the trace mode reuses transitions and ic,
-    and the finite-difference mode the mean nll loss, when they were
-    computed for the same theta."""
-    if mode == "trace":
+    stationary, else per cell. At alpha = 2 the adjoint reuses transitions,
+    ic and the step terms, at higher powers the finite differences the
+    mean nll loss, when they were computed for the same theta."""
+    if theta.alpha == 2:
         return _reduce(_trace_gradient(_stack_states(xs), theta, p0_opts,
-                                       transitions, ic), stationary)
-    if mode == "finite_diff":
-        return _fd_gradient(xs, theta, p0_opts, stationary, loss)
-    raise ValueError(f"unknown gradient mode {mode!r}")
+                                       transitions, ic, terms), stationary)
+    return _fd_gradient(xs, theta, p0_opts, stationary, loss)
 
 
 def expected_nll_grad(x_star: Trajectory, obs, theta: ParamFields,
@@ -384,43 +394,41 @@ def expected_nll_grad(x_star: Trajectory, obs, theta: ParamFields,
 
 def fit_params(trajectories, theta0: ParamFields, step_kind: str = "adam",
                step_params: dict | None = None, max_steps: int = 100,
-               stationary: bool = False, grad_mode: str | None = None,
-               p0_mode: str = "burnin", sigma0: float = 1.0,
-               burn_in: int = 20, callback=None
+               stationary: bool = False, p0_mode: str = "burnin",
+               sigma0: float = 1.0, burn_in: int = 20, callback=None
                ) -> tuple[ParamFields, list[float]]:
     """First-order descent on the mean nll, tracking the best-seen theta.
 
     stationary ties each field's step (the start need not be stationary).
-    grad_mode defaults to finite differences when stationary and to the
-    exact adjoint otherwise. Every iterate is projected back onto the
-    valid parameter set.
+    The gradient is the exact adjoint at alpha = 2 and finite differences
+    at higher powers. Every iterate is projected back onto the valid
+    parameter set.
     """
     xs = _as_list(trajectories)
     if not xs:
         raise ValueError("need at least one trajectory")
-    if grad_mode is None:
-        grad_mode = "finite_diff" if stationary else "trace"
     p0_opts = dict(p0_mode=p0_mode, sigma0=sigma0, burn_in=burn_in)
     grid = theta0.grid
     stepper = make_step_operator(step_kind, **(step_params or {"lr": 0.02}))
     states = _stack_states(xs)
 
     def loss_at(theta):
-        # the transitions and x_0 marginal built for the loss at theta are
-        # reused by the gradient at the same theta, the trace gradient
-        # taking the burn-in doubling's tape too
+        # the transitions, x_0 marginal and step terms built for the loss
+        # at theta are reused by the gradient at the same theta, the
+        # adjoint taking the burn-in doubling's tape too
         steps = build_transition(theta, grid)
         ic = initial_condition(theta, grid, transitions=steps,
-                               keep_tape=grad_mode == "trace", **p0_opts)
-        return _mean_nll(states, steps, ic, grid.dt), (steps, ic)
+                               keep_tape=theta.alpha == 2, **p0_opts)
+        terms = list(_step_terms(states, steps, grid.dt))
+        return _mean_nll(states, steps, ic, grid.dt, terms), (steps, ic, terms)
 
     theta = project_params(theta0)
     loss, built = loss_at(theta)
     best_loss, best_theta = loss, theta
     loss_curve = [best_loss]
     for it in range(max_steps):
-        g = _tie(_gradient(xs, theta, grad_mode, stationary, p0_opts, *built,
-                           loss=loss), grid, stationary)
+        g = _tie(_gradient(xs, theta, stationary, p0_opts, *built, loss=loss),
+                 grid, stationary)
         theta = project_params(
             _theta_from_vector(theta, stepper.update(_theta_vector(theta), g)))
         loss, built = loss_at(theta)

@@ -65,21 +65,22 @@ def _step_weights(step: TransitionStep, dt: float) -> np.ndarray:
 
 
 def _prior_log_det(ic: InitialCondition, transitions: list[TransitionStep],
-                   dt: float) -> float:
+                   dt: float, weights=None) -> float:
     """log|Q| of the prior by the closed form of the module docstring.
 
     log|det A_t| comes from the step's banded LU, the factor its
     propagator solves also read; the gradient's selected inverse checks
-    that factor before its block recursion. A white start with
-    sigma0 <= 0 raises DegenerateNoise(0), a singular A_t
-    SingularTransition(t).
+    that factor before its block recursion; weights are the w_t if held.
+    A white start with sigma0 <= 0 raises DegenerateNoise(0), a singular
+    A_t SingularTransition(t).
     """
     if ic.mode == "white" and ic.sigma0 <= 0:
         raise DegenerateNoise(0, ic.sigma0)
+    if weights is None:
+        weights = (_step_weights(step, dt) for step in transitions)
     total = ic.logdet_prec
-    for step in transitions:
-        log_w = np.log(_step_weights(step, dt))
-        total += 2.0 * step.log_abs_det() + float(np.sum(log_w))
+    for step, w in zip(transitions, weights):
+        total += 2.0 * step.log_abs_det() + float(np.sum(np.log(w)))
     return float(total)
 
 

@@ -38,7 +38,10 @@ class SolverConfig:
 
     update_mode: "x_only" freezes theta; "joint" updates both every
     iteration; "alternating" runs x_steps state updates then theta_steps
-    parameter updates, repeating (both >= 0, with a positive sum).
+    parameter updates, repeating (both >= 0, with a positive sum). theta
+    descends the nll by its exact adjoint at alpha = 2, by finite
+    differences at higher powers, or with theta_expected (alpha = 2 only)
+    by the expected-nll gradient.
     """
 
     n_iterations: int = 200
@@ -51,7 +54,6 @@ class SolverConfig:
                                                       "lr": 1e-3})
     theta_params: tuple = PARAM_NAMES
     theta_stationary: bool = False
-    theta_grad_mode: str = "trace"
     theta_expected: bool = False
     p0_mode: str = "burnin"
     sigma0: float = 1.0
@@ -88,9 +90,9 @@ class PrecisionCache:
 
     The cached precision carries the transitions and x_0 marginal it was
     assembled from (``BlockPrecision.prior``), so a gradient taken at the
-    same theta reads them instead of rebuilding. When a trace theta
-    gradient follows, the burn-in marginal also holds its doubling's tape
-    for that gradient's burn-in adjoint.
+    same theta reads them instead of rebuilding. When the alpha = 2 adjoint
+    theta gradient follows, the burn-in marginal also holds its doubling's
+    tape for that gradient's burn-in adjoint.
     """
 
     def __init__(self, cfg: SolverConfig):
@@ -99,7 +101,6 @@ class PrecisionCache:
         self._q: BlockPrecision | None = None
         self.total_rebuilds = 0
         self._keep_tape = (cfg.update_mode != "x_only"
-                           and cfg.theta_grad_mode == "trace"
                            and not cfg.theta_expected)
 
     def get(self, theta: ParamFields) -> BlockPrecision:
@@ -120,7 +121,8 @@ class PrecisionCache:
                 # and its tape are built, which keeps the peak memory down
                 self._q = ic = None
                 ic = initial_condition(theta, grid, transitions=steps,
-                                       keep_tape=self._keep_tape,
+                                       keep_tape=self._keep_tape
+                                       and theta.alpha == 2,
                                        **self.cfg.p0_opts())
             self._q = assemble_block_precision(theta, grid,
                                                transitions=steps, ic=ic)
@@ -147,14 +149,14 @@ class SolverRuntime:
 
 def _theta_gradient(x, obs, theta, cfg, runtime) -> np.ndarray:
     """nll gradient at theta, per field under cfg.theta_stationary, else
-    per cell; the trace mode reads the transitions and x_0 marginal of the
-    cached precision for this same theta."""
+    per cell; it reads the transitions and x_0 marginal of the cached
+    precision for this same theta."""
     if cfg.theta_expected:
         return _reduce(expected_nll_grad(x, obs, theta, **cfg.p0_opts()),
                        cfg.theta_stationary)
     prior = runtime.cache.get(theta).prior
-    return _gradient([x], theta, cfg.theta_grad_mode, cfg.theta_stationary,
-                     cfg.p0_opts(), prior.transitions, prior.ic)
+    return _gradient([x], theta, cfg.theta_stationary, cfg.p0_opts(),
+                     prior.transitions, prior.ic)
 
 
 def _update_theta(x, obs, theta, cfg, runtime) -> ParamFields:

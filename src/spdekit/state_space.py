@@ -301,8 +301,8 @@ def initial_condition(theta: ParamFields, grid: SpaceTimeGrid | None = None,
     the burn-in adjoint reads), not P_B itself; ``burnin_covariance``
     rebuilds that. With keep_tape, it also holds the doubling's tape for
     estimation._burnin_adjoint, which then need not run the doubling again.
-    A singular A_1 raises SingularTransition(1); a negative burn_in raises
-    ValueError.
+    A singular A_1, or a P_B that is not numerically positive definite,
+    raises SingularTransition(1); a negative burn_in raises ValueError.
     """
     grid = grid or theta.grid
     m = grid.m
@@ -329,8 +329,12 @@ def initial_condition(theta: ParamFields, grid: SpaceTimeGrid | None = None,
     # own OpenBLAS with its own thread pool. On a 2-core VM with 2 BLAS
     # threads, a scipy potrf right after numpy's dense products took
     # 65-120 ms instead of 1-2 ms per call inside a joint-solve op.
-    logdet_prec = -2.0 * float(np.sum(np.log(np.diag(
-        np.linalg.cholesky(cov)))))
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        raise SingularTransition(step.t, "the burn-in marginal covariance "
+                                 "is not positive definite") from exc
+    logdet_prec = -2.0 * float(np.sum(np.log(np.diag(chol))))
     prec = np.linalg.inv(cov)
     del cov
     prec = 0.5 * (prec + prec.T)

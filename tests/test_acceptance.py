@@ -203,8 +203,7 @@ def test_criterion_7_parameter_recovery_twin():
             tau=2 * true_tau)
         fitted, curve = fit_params(
             trajectories, theta0, max_steps=150, stationary=True,
-            grad_mode="trace", p0_mode="white", step_kind="adam",
-            step_params={"lr": 0.05})
+            p0_mode="white", step_kind="adam", step_params={"lr": 0.05})
         kappa_hat = fitted.kappa.values[1, 0, 0]
         tau_hat = fitted.tau.values[1, 0, 0]
         kappa_err = abs(kappa_hat - true_kappa) / true_kappa

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,73 @@ def test_fit_command(workdir):
     loss = (out / "loss.csv").read_text().strip().splitlines()
     assert loss[0] == "step,nll"
     assert len(loss) == 5                        # header + start + 3 steps
+
+
+def test_fit_at_alpha_4_takes_finite_differences(workdir):
+    (workdir / "experiment.cfg").write_text(
+        BASE.replace("tau = 1.0", "tau = 1.0\nalpha = 4"), encoding="utf-8")
+    assert _run(workdir, "simulate", out_dir=workdir / "sim") == 0
+    out = workdir / "fitted"
+    assert _run(workdir, "fit", out_dir=out) == 0
+    assert len((out / "loss.csv").read_text().strip().splitlines()) == 5
+
+
+def test_retired_gradient_keys_are_ignored(workdir):
+    # configs written when [fit] grad_mode and [solver] theta_grad_mode
+    # picked the gradient still run, silently and to the same bits: alpha
+    # picks it now
+    assert "grad_mode = trace" in BASE
+    assert _run(workdir, "simulate", out_dir=workdir / "sim") == 0
+    outputs = []
+    for old, new in [("grad_mode = trace\n", ""),
+                     ("grad_mode = trace", "grad_mode = trace"),
+                     ("grad_mode = trace", "grad_mode = finite_diff"),
+                     ("[solver]\n", "[solver]\nupdate_mode = joint\n"),
+                     ("[solver]\n", "[solver]\nupdate_mode = joint\n"
+                      "theta_grad_mode = finite_diff\n")]:
+        (workdir / "experiment.cfg").write_text(BASE.replace(old, new),
+                                                encoding="utf-8")
+        out = workdir / f"run{len(outputs)}"
+        command = "joint-solve" if "joint" in new else "fit"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _run(workdir, command, out_dir=out) == 0, new
+        outputs.append({p.relative_to(out): p.read_bytes()
+                        for p in sorted(out.rglob("*"))
+                        if p.is_file() and p.name != "manifest.txt"})
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[3] == outputs[4]
+
+
+def test_fit_into_a_degenerate_burnin_exits_3(workdir, capsys):
+    assert _run(workdir, "simulate", out_dir=workdir / "sim") == 0
+    params = ("kappa = 1e-6\nm_u = -2452\nm_v = 2699\nh11 = 1e-6\n"
+              "h22 = 1e-6\ntau = 1.2e5\nalpha = 4\n")
+    cfg = BASE.replace("kappa = 0.8\nh11 = 0.5\nh22 = 0.5\ntau = 1.0\n",
+                       params).replace("p0_mode = white", "p0_mode = burnin")
+    assert params in cfg and "p0_mode = burnin" in cfg
+    (workdir / "experiment.cfg").write_text(cfg, encoding="utf-8")
+    assert _run(workdir, "fit", out_dir=workdir / "x") == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "t=1" in err \
+        and "burn-in marginal" in err
+
+
+def test_readme_config_keys_are_all_read():
+    # every key of the README's config reference is read by the CLI
+    import re
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    example = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    cfg = spdekit.experiment.parse_config(example)
+    src = Path(spdekit.__file__).resolve().parent
+    code = "".join((src / name).read_text(encoding="utf-8")
+                   for name in ("cli.py", "experiment.py"))
+    keys = list(cfg.items())
+    assert len(keys) > 50
+    for section, key, _ in keys:
+        call = rf'cfg\.get_\w+\(\s*"{section}",\s*"{key}"'
+        assert re.search(call, code), f"[{section}] {key}"
 
 
 def test_evaluate_command(workdir):

@@ -15,8 +15,9 @@ from spdekit import (ObservationSet, ParamFields, SpaceTimeGrid,
                      validate_params)
 from spdekit.errors import (DegenerateNoise, SingularTransition,
                             UnsupportedAlpha)
-from spdekit.estimation import (PARAM_NAMES, _mean_nll, _stack_states,
-                                _trace_gradient, expected_nll_grad)
+from spdekit.estimation import (PARAM_NAMES, ParamGradients, _mean_nll,
+                                _stack_states, _trace_gradient,
+                                expected_nll_grad)
 from spdekit.state_space import (build_transition, initial_condition,
                                  transition_from_drift)
 
@@ -82,8 +83,9 @@ def test_trace_gradient_matches_finite_differences(p0_mode):
     g = SpaceTimeGrid(nx=3, ny=3, nt=3)
     theta = random_theta(g, 11)
     xs = sample_prior(theta, g, n_members=2, base_seed=5).members
-    gt = nll_grad(xs, theta, mode="trace", p0_mode=p0_mode, burn_in=5)
-    gf = nll_grad(xs, theta, mode="finite_diff", p0_mode=p0_mode, burn_in=5)
+    gt = nll_grad(xs, theta, p0_mode=p0_mode, burn_in=5)
+    gf = ParamGradients.unpack(g, estimation._fd_gradient(
+        xs, theta, dict(p0_mode=p0_mode, sigma0=1.0, burn_in=5), False))
     for name in PARAM_NAMES:
         a, b = gt.fields[name], gf.fields[name]
         scale = max(np.max(np.abs(b)), 1.0)
@@ -106,7 +108,7 @@ def test_trace_gradient_matches_cholesky_adjoint_oracle(p0_mode, burn_in, nx,
     xs = sample_prior(theta, g, n_members=3, base_seed=14,
                       p0_mode=p0_mode).members
     p0_opts = dict(p0_mode=p0_mode, sigma0=1.0, burn_in=burn_in)
-    ours = nll_grad(xs, theta, mode="trace", **p0_opts)
+    ours = nll_grad(xs, theta, **p0_opts)
     oracle = cholesky_adjoint_trace_gradient(xs, theta, p0_opts)
     for name in PARAM_NAMES:
         a, b = ours.fields[name], oracle[name]
@@ -204,8 +206,8 @@ def test_burnin_term_lands_on_the_first_step():
     g = SpaceTimeGrid(nx=5, ny=4, nt=4)
     theta = random_theta(g, 29)
     xs = sample_prior(theta, g, n_members=3, base_seed=23).members
-    white = nll_grad(xs, theta, mode="trace", p0_mode="white")
-    burnin = nll_grad(xs, theta, mode="trace", p0_mode="burnin", burn_in=6)
+    white = nll_grad(xs, theta, p0_mode="white")
+    burnin = nll_grad(xs, theta, p0_mode="burnin", burn_in=6)
     states = _stack_states(xs)
     oracle = {name: np.zeros(g.shape) for name in PARAM_NAMES}
     burnin_adjoint_oracle(states[0] @ states[0].T / states.shape[2], theta,
@@ -263,7 +265,7 @@ def test_trace_fit_runs_one_doubling_per_theta(monkeypatch):
     xs = sample_prior(theta, g, n_members=2, base_seed=25).members
     calls = _count_doublings(monkeypatch)
     k = 2
-    fit_params(xs, theta, max_steps=k, grad_mode="trace", burn_in=5)
+    fit_params(xs, theta, max_steps=k, burn_in=5)
     assert len(calls) == k + 1
 
 
@@ -305,8 +307,7 @@ def test_white_start_fit_makes_no_dense_inverse(monkeypatch):
         raise AssertionError(f"dense inverse of A_{step.t}")
 
     monkeypatch.setattr(TransitionStep, "dense_inverse", refuse)
-    _, losses = fit_params(xs, theta, max_steps=2, grad_mode="trace",
-                           p0_mode="white")
+    _, losses = fit_params(xs, theta, max_steps=2, p0_mode="white")
     assert len(losses) == 3 and np.all(np.isfinite(losses))
 
 
@@ -335,29 +336,78 @@ def test_fit_factors_each_transition_once_per_theta(monkeypatch):
     monkeypatch.setattr(np.linalg, "slogdet", refuse(np.linalg.slogdet))
     monkeypatch.setattr(np.linalg, "inv", refuse(np.linalg.inv))
     k = 3
-    fit_params(xs, theta, max_steps=k, grad_mode="trace", p0_mode="white")
+    fit_params(xs, theta, max_steps=k, p0_mode="white")
     assert factored == [g.m] * ((k + 1) * (g.nt - 1))
+
+
+@pytest.mark.parametrize("p0_mode", ["burnin", "white"])
+def test_trace_fit_forms_each_step_term_once_per_theta(monkeypatch, p0_mode):
+    # the loss hands its step residuals and weights to the adjoint at the
+    # same theta: per theta, one w_t and one product A_t x_t per step
+    from spdekit import precision
+    g = SpaceTimeGrid(nx=4, ny=3, nt=4)
+    theta = random_theta(g, 26)
+    xs = sample_prior(theta, g, n_members=2, base_seed=19,
+                      p0_mode=p0_mode).members
+    weighed, products = [], []
+    step_weights = precision._step_weights
+    matmul = sparse.csr_array.__matmul__
+
+    def counted_weights(step, dt):
+        weighed.append(step.t)
+        return step_weights(step, dt)
+
+    def counted_matmul(a, b):
+        if a.shape == (g.m, g.m):
+            products.append(1)
+        return matmul(a, b)
+
+    for module in (precision, estimation):
+        monkeypatch.setattr(module, "_step_weights", counted_weights)
+    monkeypatch.setattr(sparse.csr_array, "__matmul__", counted_matmul)
+    k = 3
+    fit_params(xs, theta, max_steps=k, p0_mode=p0_mode, burn_in=5)
+    assert weighed == list(range(1, g.nt)) * (k + 1)
+    assert len(products) == (k + 1) * (g.nt - 1)
+
+
+def test_fd_fit_into_a_degenerate_burnin_is_typed():
+    # plain alpha = 4 steps drive theta to the floor, where the burn-in
+    # marginal of A_1 is not numerically positive definite: the loss at
+    # the third step's theta ends the fit with a typed error naming step 1
+    g = SpaceTimeGrid(nx=5, ny=5, nt=4)
+    start = ParamFields.stationary(g, kappa=0.8, h=(0.7, 0.05, 0.6),
+                                   tau=1.0, alpha=4)
+    xs = sample_prior(start, g, n_members=4, base_seed=1).members
+    iterates = []
+    with pytest.raises(SingularTransition, match="burn-in") as info:
+        fit_params(xs, start, step_kind="plain", step_params={"lr": 0.02},
+                   max_steps=4, stationary=True,
+                   callback=lambda it, loss, th: iterates.append(th))
+    assert info.value.t == 1
+    assert len(iterates) == 2
 
 
 def test_stationary_gradient_is_cell_sum():
     g = SpaceTimeGrid(nx=3, ny=3, nt=3)
     theta = random_theta(g, 12)
     xs = sample_prior(theta, g, n_members=1, base_seed=6).members
-    full = nll_grad(xs, theta, mode="trace")
+    full = nll_grad(xs, theta)
     reduced = full.stationary_vector()
     # the field-wide finite difference matches the cell sum at a stationary
     # theta
     stat_theta = ParamFields.stationary(
         g, kappa=0.6, m=(0.2, -0.1), h=(0.9, 0.1, 0.8), tau=1.0)
-    fd7 = nll_grad(xs, stat_theta, mode="finite_diff", stationary=True)
-    tr7 = nll_grad(xs, stat_theta, mode="trace", stationary=True)
+    p0_opts = dict(p0_mode="burnin", sigma0=1.0, burn_in=20)
+    fd7 = estimation._fd_gradient(xs, stat_theta, p0_opts, True)
+    tr7 = nll_grad(xs, stat_theta, stationary=True)
     assert np.max(np.abs(fd7 - tr7)) < 1e-4 * max(1.0, np.max(np.abs(fd7)))
     assert reduced.shape == (7,)
     # so does the field-wide finite difference at the non-stationary theta
-    fd7 = nll_grad(xs, theta, mode="finite_diff", stationary=True)
+    fd7 = estimation._fd_gradient(xs, theta, p0_opts, True)
     assert np.max(np.abs(fd7 - reduced)) \
         < 1e-4 * max(1.0, np.max(np.abs(fd7)))
-    assert np.array_equal(nll_grad(xs, theta, mode="trace", stationary=True),
+    assert np.array_equal(nll_grad(xs, theta, stationary=True),
                           reduced)
 
 
@@ -367,7 +417,7 @@ def test_first_slab_gradient_is_zero():
     g = SpaceTimeGrid(nx=3, ny=3, nt=3)
     theta = random_theta(g, 13)
     xs = sample_prior(theta, g, n_members=1, base_seed=7).members
-    grads = nll_grad(xs, theta, mode="trace")
+    grads = nll_grad(xs, theta)
     for name in PARAM_NAMES:
         assert np.max(np.abs(grads.fields[name][0])) == 0.0
 
@@ -377,9 +427,10 @@ def test_trace_mode_rejects_alpha4():
     theta = random_theta(g, 14, alpha=4)
     xs = sample_prior(theta, g, n_members=1, base_seed=8).members
     with pytest.raises(UnsupportedAlpha):
-        nll_grad(xs, theta, mode="trace")
-    # finite differences still work
-    g7 = nll_grad(xs, theta, mode="finite_diff", stationary=True)
+        _trace_gradient(_stack_states(xs), theta,
+                        dict(p0_mode="burnin", sigma0=1.0, burn_in=20))
+    # the public gradient takes finite differences there
+    g7 = nll_grad(xs, theta, stationary=True)
     assert np.all(np.isfinite(g7))
 
 
@@ -391,10 +442,10 @@ def test_score_identity_at_true_parameters():
     theta = ParamFields.stationary(g, kappa=0.5, m=(0.2, 0.1),
                                    h=(0.8, 0.0, 0.8), tau=1.0)
     xs = sample_prior(theta, g, n_members=200, base_seed=9).members
-    at_truth = nll_grad(xs, theta, mode="trace", stationary=True)
+    at_truth = nll_grad(xs, theta, stationary=True)
     perturbed = theta.replace_fields(kappa=1.5 * theta.kappa.values,
                                      tau=1.5 * theta.tau.values)
-    away = nll_grad(xs, perturbed, mode="trace", stationary=True)
+    away = nll_grad(xs, perturbed, stationary=True)
     assert np.linalg.norm(at_truth) < 0.2 * np.linalg.norm(away)
 
 
@@ -447,11 +498,16 @@ def test_trace_gradient_memory_is_linear_in_columns():
     assert peak <= 4 * g.m * n * 8, peak
 
 
+# alpha picks the gradient: the adjoint ("trace") at 2, finite differences
+# at 4
+_GRADIENTS = {"trace": 2, "finite_diff": 4}
+
+
 @pytest.mark.parametrize("p0_mode", ["burnin", "white"])
-@pytest.mark.parametrize("grad_mode, stationary",
+@pytest.mark.parametrize("gradient, stationary",
                          [("trace", False), ("trace", True),
                           ("finite_diff", True)])
-def test_fit_loop_never_factors(monkeypatch, p0_mode, grad_mode, stationary):
+def test_fit_loop_never_factors(monkeypatch, p0_mode, gradient, stationary):
     # the loss is in residual form: no sparse or banded Cholesky anywhere
     # in the descent loop
     def refuse(*args, **kwargs):
@@ -461,25 +517,27 @@ def test_fit_loop_never_factors(monkeypatch, p0_mode, grad_mode, stationary):
     monkeypatch.setattr(scipy.linalg, "cholesky_banded", refuse)
     g = SpaceTimeGrid(nx=4, ny=4, nt=3)
     theta = ParamFields.stationary(g, kappa=0.6, m=(0.1, 0.0),
-                                   h=(0.8, 0.0, 0.8), tau=1.0)
+                                   h=(0.8, 0.0, 0.8), tau=1.0,
+                                   alpha=_GRADIENTS[gradient])
     xs = sample_prior(theta, g, n_members=2, base_seed=22,
                       p0_mode=p0_mode, burn_in=5).members
     _, curve = fit_params(xs, theta, max_steps=2, stationary=stationary,
-                          grad_mode=grad_mode, p0_mode=p0_mode, burn_in=5)
+                          p0_mode=p0_mode, burn_in=5)
     assert len(curve) == 3 and np.all(np.isfinite(curve))
 
 
-@pytest.mark.parametrize("grad_mode", ["finite_diff", "trace"])
-def test_stationary_fit_keeps_fields_flat(grad_mode):
+@pytest.mark.parametrize("gradient", ["finite_diff", "trace"])
+def test_stationary_fit_keeps_fields_flat(gradient):
     # the tie steps every cell of a field by the same arithmetic, so a
     # stationary start stays constant over cells, bit for bit
     g = SpaceTimeGrid(nx=4, ny=4, nt=3)
     theta = ParamFields.stationary(g, kappa=0.9, m=(0.1, -0.1),
-                                   h=(0.8, 0.1, 0.6), tau=1.3)
+                                   h=(0.8, 0.1, 0.6), tau=1.3,
+                                   alpha=_GRADIENTS[gradient])
     xs = sample_prior(random_theta(g, 17), g, n_members=2,
                       base_seed=24).members
     iterates = []
-    fit_params(xs, theta, max_steps=4, stationary=True, grad_mode=grad_mode,
+    fit_params(xs, theta, max_steps=4, stationary=True,
                step_params={"lr": 0.05},
                callback=lambda it, loss, th: iterates.append(th))
     assert len(iterates) == 4
@@ -491,15 +549,17 @@ def test_stationary_fit_keeps_fields_flat(grad_mode):
 
 def test_stationary_fd_fit_steps_on_from_the_floor():
     # plain steps floor kappa, h11 and h22 at 1e-6 after step 2; the -h
-    # probes below the floor used to raise InvalidParams mid-fit
+    # probes below the floor used to raise InvalidParams mid-fit. A white
+    # start: from a burn-in start the floored theta's marginal is not
+    # positive definite (test_fd_fit_into_a_degenerate_burnin_is_typed)
     g = SpaceTimeGrid(nx=5, ny=5, nt=4)
     start = ParamFields.stationary(g, kappa=0.8, h=(0.7, 0.05, 0.6),
-                                   tau=1.0)
+                                   tau=1.0, alpha=4)
     xs = sample_prior(start, g, n_members=4, base_seed=1).members
     iterates = []
     _, curve = fit_params(xs, start, step_kind="plain",
                           step_params={"lr": 0.02}, max_steps=4,
-                          stationary=True, grad_mode="finite_diff",
+                          stationary=True, p0_mode="white",
                           callback=lambda it, loss, th: iterates.append(th))
     assert len(curve) == 5 and np.all(np.isfinite(curve))
     assert iterates[2].h11.values.flat[0] == 1e-6
@@ -512,7 +572,8 @@ def test_fd_gradient_is_one_sided_at_the_floor():
                                    tau=1.0)
     xs = sample_prior(random_theta(g, 3), g, n_members=2,
                       base_seed=25).members
-    grad = nll_grad(xs, theta, mode="finite_diff", stationary=True)
+    grad = estimation._fd_gradient(
+        xs, theta, dict(p0_mode="burnin", sigma0=1.0, burn_in=20), True)
     by_name = dict(zip(PARAM_NAMES, grad))
     # h12 = +-h leaves H indefinite on both sides: no valid probe
     assert by_name["h12"] == 0.0
@@ -530,7 +591,7 @@ def test_fd_gradient_is_one_sided_at_the_floor():
 def test_fd_fit_at_the_floor_reuses_its_loss(monkeypatch):
     g = SpaceTimeGrid(nx=4, ny=4, nt=3)
     theta = ParamFields.stationary(g, kappa=1e-6, h=(1e-6, 0.0, 1e-6),
-                                   tau=1.0)
+                                   tau=1.0, alpha=4)
     xs = sample_prior(random_theta(g, 3), g, n_members=2,
                       base_seed=25).members
     calls = []
@@ -542,7 +603,7 @@ def test_fd_fit_at_the_floor_reuses_its_loss(monkeypatch):
         calls.clear()
         best, curve = fit_params(xs, theta, step_kind="plain",
                                  step_params={"lr": 0.02}, max_steps=steps,
-                                 stationary=True, grad_mode="finite_diff")
+                                 stationary=True)
         return best, curve, len(calls)
 
     runs = [fit(1), fit(4)]
@@ -598,7 +659,7 @@ def test_fit_recovers_scale_parameters_small_twin():
     start = ParamFields.stationary(g, kappa=2 * true_kappa, m=(0.1, 0.0),
                                    h=(0.8, 0.0, 0.8), tau=2 * true_tau)
     fitted, curve = fit_params(xs, start, max_steps=200, stationary=True,
-                               grad_mode="trace", p0_mode="white",
+                               p0_mode="white",
                                step_kind="adam", step_params={"lr": 0.05})
     kappa_hat = fitted.kappa.values[1, 0, 0]
     tau_hat = fitted.tau.values[1, 0, 0]

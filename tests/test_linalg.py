@@ -37,7 +37,7 @@ def test_cholesky_reconstruction_residual():
     b = rng.standard_normal((50, 50))
     a = b @ b.T + np.eye(50)
     fac = sparse_cholesky(a)
-    lower = fac.as_sparse_lower().toarray()
+    lower = fac.as_dense_lower()
     resid = np.max(np.abs(a - lower @ lower.T))
     assert resid < 1e-10 * np.max(np.abs(a))
 

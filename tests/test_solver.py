@@ -143,8 +143,8 @@ def test_theta_step_moves_only_selected_parameters(monkeypatch, stationary):
                        theta_step={"kind": "plain", "lr": 1e-2})
     gradient = solver._gradient
 
-    def spoiled(xs, th, mode, per_field, *args):
-        out = gradient(xs, th, mode, per_field, *args)
+    def spoiled(xs, th, per_field, *args):
+        out = gradient(xs, th, per_field, *args)
         out[~(chosen if per_field else np.repeat(chosen, th.grid.dim))] \
             = np.nan
         return out
@@ -243,7 +243,7 @@ def test_cached_theta_gradient_matches_fresh_gradient(p0_mode, stationary):
     later = first.replace_fields(tau=tau)
     for k, th in enumerate((first, later), start=1):
         ours = _theta_gradient(x, None, th, cfg, runtime)
-        fresh = nll_grad(x, th, mode="trace", stationary=stationary,
+        fresh = nll_grad(x, th, stationary=stationary,
                          **cfg.p0_opts())
         assert np.array_equal(ours, fresh if stationary else fresh.pack())
         # one slab rebuilt per update: the cache was updated, not replaced
@@ -293,6 +293,38 @@ def test_joint_solve_runs_each_burnin_doubling_once(monkeypatch):
         assert np.array_equal(getattr(held.theta, name).values,
                               getattr(rerun.theta, name).values)
     assert held.diagnostics == rerun.diagnostics
+
+
+@pytest.mark.parametrize("stationary", [False, True])
+@pytest.mark.parametrize("p0_mode", ["burnin", "white"])
+@pytest.mark.parametrize("alpha, refused", [(2, "_fd_gradient"),
+                                            (4, "_trace_gradient")])
+def test_alpha_picks_the_theta_gradient(monkeypatch, alpha, refused,
+                                        p0_mode, stationary):
+    # the exact adjoint at alpha = 2, finite differences at alpha = 4: a fit
+    # and a joint solve never reach the other gradient
+    import spdekit.estimation as estimation
+    from spdekit import fit_params
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{refused} at alpha = {alpha}")
+
+    monkeypatch.setattr(estimation, refused, refuse)
+    g = SpaceTimeGrid(nx=3, ny=3, nt=3)
+    theta = random_theta(g, 2, alpha=alpha)
+    truth = sample_prior(theta, g, n_members=1, base_seed=4,
+                         p0_mode=p0_mode, burn_in=5).members[0]
+    _, curve = fit_params([truth], theta, max_steps=1, stationary=stationary,
+                          p0_mode=p0_mode, burn_in=5)
+    assert np.all(np.isfinite(curve))
+    obs = ObservationSet.from_truth(truth, np.ones(g.shape, dtype=bool),
+                                    0.05, seed=3)
+    cfg = SolverConfig(n_iterations=2, update_mode="joint",
+                       theta_stationary=stationary, p0_mode=p0_mode,
+                       burn_in=5, theta_step={"kind": "plain", "lr": 1e-4})
+    res = run_solver(Trajectory.zeros(g), theta, obs, cfg)
+    assert res.theta.alpha == alpha
+    assert any(r["theta_change"] > 0 for r in res.diagnostics)
 
 
 def test_joint_mode_improves_parameters():

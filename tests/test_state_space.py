@@ -511,3 +511,15 @@ def test_unknown_p0_mode_is_rejected():
     theta = random_theta(g, 23)
     with pytest.raises(ValueError, match="p0_mode"):
         sample_prior(theta, g, p0_mode="whte")
+
+
+def test_burnin_marginal_that_is_not_positive_definite_is_typed():
+    # near-pure advection at alpha = 4 leaves P_B numerically indefinite:
+    # LAPACK's failure is typed, naming step 1 and the burn-in marginal
+    from spdekit.errors import SingularTransition
+    g = SpaceTimeGrid(nx=5, ny=5, nt=4)
+    theta = ParamFields.stationary(g, kappa=1e-6, m=(-2452.0, 2699.0),
+                                   h=(1e-6, 0.0, 1e-6), tau=1.2e5, alpha=4)
+    with pytest.raises(SingularTransition, match="burn-in marginal") as info:
+        initial_condition(theta, g, p0_mode="burnin")
+    assert info.value.t == 1
