@@ -33,7 +33,8 @@ adjoint at the same theta.
 
 The expected-nll gradient runs the same data path: E[x x^T] = x* x*^T +
 V V^T for a posterior mean x* and a factor V of the posterior covariance,
-so the columns [x*, V] stand in for the trajectories.
+so the columns [x*, V] stand in for the trajectories. It reads the prior
+the caller's precision was assembled from and builds none of its own.
 
 Parameter slab 0 never enters the model (transitions run from step 1, and
 the burn-in initial condition uses step 1 too), so its gradients are
@@ -54,13 +55,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dtrtri
 
-from .errors import DimensionGuard, DivergedFit, UnsupportedAlpha
+from . import oi
+from .errors import (DimensionGuard, DivergedFit, NotPositiveDefinite,
+                     UnsupportedAlpha)
 from .grid import SpaceTimeGrid, Trajectory
 from .operators import (ParamFields, _stencil_table, operator_adjoint,
                         project_params)
-from .precision import (_prior_log_det, _step_weights,
-                        assemble_block_precision, posterior_precision)
+from .precision import (BlockPrecision, _prior_log_det, _step_weights,
+                        posterior_precision)
 from .state_space import (InitialCondition, TransitionStep, _burnin_doubling,
                           build_transition, initial_condition,
                           selected_inverse)
@@ -157,7 +161,9 @@ def _fd_gradient(xs, theta, p0_opts, stationary: bool, at_theta=None,
                  step_scale=1e-5) -> np.ndarray:
     """Central differences of the mean nll along each direction: a whole
     field when stationary (so the cell sum of the per-cell gradient), else
-    one cell. Per-cell directions are refused above FD_GUARD cells.
+    one cell. Per-cell directions are refused above FD_GUARD cells, and
+    the cells of slab 0, which never enter the model, are not probed:
+    their gradient is 0.
 
     A probe that ``project_params`` would move lies outside the valid set
     and is not evaluated: the difference is then one-sided from theta on
@@ -171,7 +177,9 @@ def _fd_gradient(xs, theta, p0_opts, stationary: bool, at_theta=None,
     arrays = theta.field_arrays()
     out = []
     for name in PARAM_NAMES:
-        for cells in [slice(None)] if stationary else range(grid.dim):
+        if not stationary:
+            out.extend([0.0] * grid.m)
+        for cells in [slice(None)] if stationary else range(grid.m, grid.dim):
             h = step_scale * (1.0 + np.max(np.abs(arrays[name].flat[cells])))
             ends = []
             for shift in (h, -h):
@@ -216,7 +224,7 @@ def _trace_gradient(states: np.ndarray, theta: ParamFields, p0_opts: dict,
         transitions = build_transition(theta, grid)
     if ic is None:
         ic = initial_condition(theta, grid, transitions=transitions,
-                               **p0_opts)
+                               keep_tape=True, **p0_opts)
     if terms is None:
         terms = _step_terms(states, transitions, dt)
     grads = {name: np.zeros(grid.shape) for name in PARAM_NAMES}
@@ -360,33 +368,48 @@ def _gradient(xs, theta, stationary: bool, p0_opts, transitions=None,
 
 
 def expected_nll_grad(x_star: Trajectory, obs, theta: ParamFields,
-                      stationary: bool = False, p0_mode: str = "burnin",
-                      sigma0: float = 1.0, burn_in: int = 20,
-                      guard: int = FD_GUARD):
+                      q: BlockPrecision, stationary: bool = False):
     """Gradient of E[nll(x; theta) | y] at the current parameters.
 
     Replaces the point iterate's outer products with the full posterior
     second moments (mean plus covariance). Fitting parameters to a
     smoothed point estimate alone is biased toward over-dissipative
-    parameters; the covariance term removes that bias. With the posterior
-    covariance C = V V^T (V its Cholesky factor), E[x x^T] = x* x*^T +
-    V V^T, so the data gradient over the 1 + dim columns [x*, V], scaled
-    by sqrt(1 + dim) to undo its mean, is exactly this gradient. Dense
-    posterior covariance, so desk-scale grids only.
+    parameters; the covariance term removes that bias. q is the prior
+    precision at theta, and its transitions and x_0 marginal (tape
+    included) are the ones the adjoint reads: nothing of the prior is
+    built here. One dense Cholesky of the posterior precision, P = L L^T,
+    and one triangular inverse give V = L^{-T} with V V^T = P^{-1}, so
+    E[x x^T] = x* x*^T + V V^T and the data gradient over the 1 + dim
+    columns [x*, V], scaled by sqrt(1 + dim) to undo its mean, is exactly
+    this gradient. Dense in dim^2, so desk-scale grids only: above
+    oi.DENSE_GUARD it raises DimensionGuard. Off alpha = 2 (the adjoint
+    has no other power) it is refused up front with UnsupportedAlpha, and
+    a q without its prior structure with ValueError.
     """
     grid = theta.grid
-    if grid.dim > guard:
-        raise DimensionGuard(grid.dim, guard)
-    p0_opts = dict(p0_mode=p0_mode, sigma0=sigma0, burn_in=burn_in)
-    q = assemble_block_precision(theta, grid, **p0_opts)
-    cov = np.linalg.inv(posterior_precision(q, obs).to_csr().toarray())
-    factor = np.linalg.cholesky(cov)
-    del cov
+    if theta.alpha != 2:
+        raise UnsupportedAlpha("the expected-moments gradient is "
+                               f"implemented for alpha=2, got {theta.alpha}")
+    if q.prior is None:
+        raise ValueError("the expected-moments gradient needs the prior "
+                         "structure of q; this precision was modified "
+                         "after assembly")
+    if grid.dim > oi.DENSE_GUARD:
+        raise DimensionGuard(grid.dim, oi.DENSE_GUARD)
+    # the dense P read in Fortran order is P^T, whose upper triangle is P's
+    # lower one: dpotrf overwrites it with L^T (P = L L^T, the triangle
+    # below cleared), and dtrtri overwrites that with V = L^{-T}
+    dense = posterior_precision(q, obs).to_csr().toarray()
+    upper, info = dpotrf(dense.T, lower=0, clean=1, overwrite_a=1)
+    if info:
+        raise NotPositiveDefinite(info - 1)
+    factor = dtrtri(upper, lower=0, overwrite_c=1)[0]
+    del dense, upper
     columns = np.concatenate([x_star.flat[:, None], factor], axis=1)
     del factor
     columns *= math.sqrt(columns.shape[1])
-    grads = _trace_gradient(columns.reshape(grid.nt, grid.m, -1), theta,
-                            p0_opts, q.prior.transitions, q.prior.ic)
+    grads = _trace_gradient(columns.reshape(grid.nt, grid.m, -1), theta, {},
+                            q.prior.transitions, q.prior.ic)
     return grads.stationary_vector() if stationary else grads
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import oi
 from .errors import ConfigError
 from .grid import (SpaceTimeGrid, Trajectory, read_array, read_field,
                    write_array)
@@ -445,11 +446,10 @@ class BenchmarkRow:
 
 def benchmark(sizes, nt: int = 10, obs_density: float = 0.2,
               methods=("dense", "direct_sparse", "pcg"), seed: int = 0,
-              theta_preset=None, p0_mode: str = "white",
-              dense_guard: int = 5000) -> list[BenchmarkRow]:
+              p0_mode: str = "white") -> list[BenchmarkRow]:
     """Time the interpolation paths over a ladder of grid sizes.
 
-    The dense path is skipped automatically above the dimension guard.
+    The dense path is skipped automatically above oi.DENSE_GUARD.
     All methods that run must agree on the posterior mean.
     """
     from .precision import apply_precision, posterior_precision
@@ -457,9 +457,8 @@ def benchmark(sizes, nt: int = 10, obs_density: float = 0.2,
     rows: list[BenchmarkRow] = []
     for size in sizes:
         grid = SpaceTimeGrid(nx=size, ny=size, nt=nt)
-        theta = theta_preset(grid) if theta_preset is not None else \
-            ParamFields.stationary(grid, kappa=0.6, h=(0.8, 0.0, 0.8),
-                                   tau=1.0)
+        theta = ParamFields.stationary(grid, kappa=0.6, h=(0.8, 0.0, 0.8),
+                                       tau=1.0)
         rng = np.random.default_rng((seed, size))
         mask = rng.random(grid.shape) < obs_density
         n_obs = int(mask.sum())
@@ -477,7 +476,7 @@ def benchmark(sizes, nt: int = 10, obs_density: float = 0.2,
             t0 = time.perf_counter()
             iterations = 0
             if method == "dense":
-                if grid.dim > dense_guard:
+                if grid.dim > oi.DENSE_GUARD:
                     continue
                 x = oi_solve_dense_oracle(theta, grid, obs, p0_mode=p0_mode)
             elif method == "direct_sparse":

@@ -228,27 +228,18 @@ def sparse_cholesky(a) -> CholeskyFactor:
     return CholeskyFactor(band=lb, n=n, bandwidth=p)
 
 
-def log_det_block(q, method: str = "auto") -> float:
+def log_det_block(q) -> float:
     """log-determinant of a BlockPrecision.
 
-    "blockwise" uses the generative split log|Q| = log|P_0^{-1}| +
-    sum_t log|S_t^{-1}| with log|S_t^{-1}| = 2 log|det A_t| + sum(log w_t)
-    in closed form (``precision._prior_log_det``), where log|det A_t| is
-    read off each step's banded LU and nothing else is factored; it is
-    exact for an unmodified prior precision and only available when the
-    generator metadata is present. "cholesky"
-    factorizes the assembled matrix and is always available (and is the
-    arbiter if the two ever disagree).
+    With the prior structure held (``q.prior``), the generative split
+    log|Q| = log|P_0^{-1}| + sum_t log|S_t^{-1}| with log|S_t^{-1}| =
+    2 log|det A_t| + sum(log w_t) in closed form
+    (``precision._prior_log_det``), where log|det A_t| is read off each
+    step's banded LU and nothing else is factored; it is exact for an
+    unmodified prior precision. Without it (a posterior or hand-built
+    precision), a sparse Cholesky of the held matrix.
     """
-    if method not in ("auto", "blockwise", "cholesky"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "blockwise" if q.prior is not None else "cholesky"
-    if method == "blockwise":
-        if q.prior is None:
-            raise ValueError(
-                "blockwise log-determinant needs the prior structure; "
-                "this precision was modified after assembly")
+    if q.prior is not None:
         return _prior_log_det(q.prior.ic, q.prior.transitions, q.grid.dt)
     return sparse_cholesky(q.to_csr()).logdet()
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergedStep
+from .errors import DivergedStep, UnsupportedAlpha
 from .estimation import (PARAM_NAMES, _gradient, _reduce, _theta_from_vector,
                          _theta_vector, _tie, expected_nll_grad, nll)
 from .grid import Trajectory
@@ -40,8 +40,11 @@ class SolverConfig:
     iteration; "alternating" runs x_steps state updates then theta_steps
     parameter updates, repeating (both >= 0, with a positive sum). theta
     descends the nll by its exact adjoint at alpha = 2, by finite
-    differences at higher powers, or with theta_expected (alpha = 2 only)
-    by the expected-nll gradient.
+    differences at higher powers, or with theta_expected by the
+    expected-nll gradient. That one reads the cached prior and one dense
+    Cholesky of the posterior precision, so it works at desk scale only
+    (DimensionGuard above oi.DENSE_GUARD), and run_solver refuses it up
+    front at alpha != 2 (UnsupportedAlpha).
     """
 
     n_iterations: int = 200
@@ -90,9 +93,9 @@ class PrecisionCache:
 
     The cached precision carries the transitions and x_0 marginal it was
     assembled from (``BlockPrecision.prior``), so a gradient taken at the
-    same theta reads them instead of rebuilding. When the alpha = 2 adjoint
-    theta gradient follows, the burn-in marginal also holds its doubling's
-    tape for that gradient's burn-in adjoint.
+    same theta reads them instead of rebuilding. When theta moves at
+    alpha = 2, the burn-in marginal also holds its doubling's tape for the
+    theta gradient's burn-in adjoint.
     """
 
     def __init__(self, cfg: SolverConfig):
@@ -100,8 +103,7 @@ class PrecisionCache:
         self._keys: list[bytes] | None = None
         self._q: BlockPrecision | None = None
         self.total_rebuilds = 0
-        self._keep_tape = (cfg.update_mode != "x_only"
-                           and not cfg.theta_expected)
+        self._keep_tape = cfg.update_mode != "x_only"
 
     def get(self, theta: ParamFields) -> BlockPrecision:
         grid = theta.grid
@@ -149,14 +151,14 @@ class SolverRuntime:
 
 def _theta_gradient(x, obs, theta, cfg, runtime) -> np.ndarray:
     """nll gradient at theta, per field under cfg.theta_stationary, else
-    per cell; it reads the transitions and x_0 marginal of the cached
-    precision for this same theta."""
+    per cell; either gradient reads the transitions and x_0 marginal of the
+    cached precision for this same theta."""
+    q = runtime.cache.get(theta)
     if cfg.theta_expected:
-        return _reduce(expected_nll_grad(x, obs, theta, **cfg.p0_opts()),
+        return _reduce(expected_nll_grad(x, obs, theta, q),
                        cfg.theta_stationary)
-    prior = runtime.cache.get(theta).prior
     return _gradient([x], theta, cfg.theta_stationary, cfg.p0_opts(),
-                     prior.transitions, prior.ic)
+                     q.prior.transitions, q.prior.ic)
 
 
 def _update_theta(x, obs, theta, cfg, runtime) -> ParamFields:
@@ -232,8 +234,12 @@ def run_solver(x0: Trajectory, theta0: ParamFields, obs,
 
     With update_mode "x_only" this converges toward the direct posterior
     mean of the frozen parameters. Deterministic: same inputs and config
-    give bit-identical outputs.
+    give bit-identical outputs. theta_expected at alpha != 2 raises
+    UnsupportedAlpha before the first iteration.
     """
+    if cfg.theta_expected and theta0.alpha != 2:
+        raise UnsupportedAlpha("the expected-moments theta gradient is "
+                               f"implemented for alpha=2, got {theta0.alpha}")
     runtime = SolverRuntime.fresh(cfg)
     state = AugmentedState(x=x0.copy(), theta=project_params(theta0))
     rows: list[dict] = []

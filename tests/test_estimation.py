@@ -8,12 +8,13 @@ from scipy.stats import multivariate_normal
 
 import spdekit.estimation as estimation
 import spdekit.linalg
-from spdekit import (ObservationSet, ParamFields, SpaceTimeGrid,
-                     assemble_block_precision, dense_trajectory_covariance,
-                     fit_params, log_det_block, nll, nll_grad,
-                     oi_solve_precision, quadratic_form, sample_prior,
-                     validate_params)
-from spdekit.errors import (DegenerateNoise, SingularTransition,
+from spdekit import (BlockPrecision, ObservationSet, ParamFields,
+                     SpaceTimeGrid, assemble_block_precision,
+                     dense_trajectory_covariance, fit_params, nll, nll_grad,
+                     oi_solve_precision, posterior_precision, quadratic_form,
+                     sample_prior, sparse_cholesky, validate_params)
+from spdekit.errors import (DegenerateNoise, DimensionGuard,
+                            NotPositiveDefinite, SingularTransition,
                             UnsupportedAlpha)
 from spdekit.estimation import (PARAM_NAMES, ParamGradients, _mean_nll,
                                 _stack_states, _trace_gradient,
@@ -43,7 +44,7 @@ def test_nll_matches_assembled_precision(p0_mode, nx, ny, nt):
                       p0_mode=p0_mode).members
     q = assemble_block_precision(theta, g, p0_mode=p0_mode)
     quad = quadratic_form(q, _stack_states(xs)) / len(xs)
-    assembled = 0.5 * (quad - log_det_block(q, method="cholesky")) \
+    assembled = 0.5 * (quad - sparse_cholesky(q.to_csr()).logdet()) \
         + 0.5 * g.dim * np.log(2 * np.pi)
     ours = nll(xs, theta, p0_mode=p0_mode)
     assert abs(ours - assembled) <= 1e-10 * abs(assembled)
@@ -258,6 +259,17 @@ def test_burnin_adjoint_takes_the_marginals_tape(monkeypatch):
         assert np.array_equal(grads[0].fields[name], grads[1].fields[name])
 
 
+def test_burnin_gradient_runs_one_doubling(monkeypatch):
+    # nll_grad builds its own burn-in marginal with the tape its adjoint
+    # walks, so the doubling is not run a second time
+    g = SpaceTimeGrid(nx=4, ny=4, nt=3)
+    theta = random_theta(g, 32)
+    xs = sample_prior(theta, g, n_members=2, base_seed=26).members
+    calls = _count_doublings(monkeypatch)
+    nll_grad(xs, theta, burn_in=7)
+    assert len(calls) == 1
+
+
 def test_trace_fit_runs_one_doubling_per_theta(monkeypatch):
     # the loss's marginal keeps its tape for the gradient at the same theta
     g = SpaceTimeGrid(nx=3, ny=3, nt=3)
@@ -422,6 +434,40 @@ def test_first_slab_gradient_is_zero():
         assert np.max(np.abs(grads.fields[name][0])) == 0.0
 
 
+def test_fd_gradient_skips_the_first_slab(monkeypatch):
+    # slab 0 never enters the model, so its cells are not probed: on
+    # 4x4x4 that saves 7 fields x 16 cells x 2 probes = 224 of 896 nll calls,
+    # and the gradient equals the central difference over every cell bit
+    # for bit
+    g = SpaceTimeGrid(nx=4, ny=4, nt=4)
+    theta = random_theta(g, 33, alpha=4)
+    xs = sample_prior(theta, g, n_members=2, base_seed=27).members
+    p0_opts = dict(p0_mode="burnin", sigma0=1.0, burn_in=5)
+    arrays = theta.field_arrays()
+    full = []
+    for name in PARAM_NAMES:
+        for cell in range(g.dim):
+            h = 1e-5 * (1.0 + abs(arrays[name].flat[cell]))
+            ends = []
+            for shift in (h, -h):
+                field = arrays[name].copy()
+                field.flat[cell] += shift
+                ends.append(nll(xs, theta.replace_fields(**{name: field}),
+                                **p0_opts))
+            full.append((ends[0] - ends[1]) / (2 * h))
+    calls = []
+    counted_nll = estimation.nll
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return counted_nll(*args, **kwargs)
+
+    monkeypatch.setattr(estimation, "nll", counted)
+    fd = estimation._fd_gradient(xs, theta, p0_opts, False)
+    assert len(calls) == 672
+    assert np.array_equal(fd, np.array(full))
+
+
 def test_trace_mode_rejects_alpha4():
     g = SpaceTimeGrid(nx=3, ny=3, nt=2)
     theta = random_theta(g, 14, alpha=4)
@@ -469,11 +515,66 @@ def test_expected_gradient_matches_cholesky_adjoint_oracle(p0_mode, nx, ny,
     diag = [cov[t, :, t] + np.outer(mean[t], mean[t]) for t in range(nt)]
     cross = [cov[t - 1, :, t] + np.outer(mean[t - 1], mean[t])
              for t in range(1, nt)]
-    ours = expected_nll_grad(x_star, obs, theta, **p0_opts)
+    ours = expected_nll_grad(x_star, obs, theta, q)
     oracle = cholesky_adjoint_moments_gradient(diag, cross, theta, p0_opts)
     for name in PARAM_NAMES:
         a, b = ours.fields[name], oracle[name]
         assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b)), name
+
+
+def _expected_case(p0_mode="burnin", alpha=2):
+    g = SpaceTimeGrid(nx=3, ny=3, nt=3)
+    theta = random_theta(g, 16, alpha=alpha)
+    truth = sample_prior(theta, g, n_members=1, base_seed=11,
+                         p0_mode=p0_mode, burn_in=5).members[0]
+    mask = np.random.default_rng(6).random(g.shape) < 0.5
+    obs = ObservationSet.from_truth(truth, mask, 0.05, seed=7)
+    return theta, obs
+
+
+@pytest.mark.parametrize("p0_mode", ["burnin", "white"])
+def test_expected_gradient_reads_the_given_prior(monkeypatch, p0_mode):
+    # the prior comes from q: no transitions, marginal or Q are built, and
+    # the posterior covariance is never formed by a dense inverse (the
+    # selected inverse still inverts its small Schur blocks)
+    theta, obs = _expected_case(p0_mode)
+    steps = build_transition(theta, theta.grid)
+    ic = initial_condition(theta, theta.grid, p0_mode=p0_mode, burn_in=5,
+                           transitions=steps, keep_tape=True)
+    q = assemble_block_precision(theta, theta.grid, transitions=steps, ic=ic)
+    x_star = oi_solve_precision(q, obs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built or inverted inside the gradient")
+
+    calls = _count_doublings(monkeypatch)
+    for name in ("build_transition", "initial_condition"):
+        monkeypatch.setattr(estimation, name, refuse)
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: refuse() if
+                        a.shape[-1] == theta.grid.dim else inv(a))
+    grads = expected_nll_grad(x_star, obs, theta, q)
+    assert calls == []                   # the burn-in adjoint took the tape
+    assert all(np.all(np.isfinite(grads.fields[n])) for n in PARAM_NAMES)
+
+
+def test_expected_gradient_refusals(monkeypatch):
+    theta, obs = _expected_case()
+    q = assemble_block_precision(theta, theta.grid, burn_in=5)
+    x_star = oi_solve_precision(q, obs)
+    with pytest.raises(ValueError, match="prior structure"):
+        expected_nll_grad(x_star, obs, theta, posterior_precision(q, obs))
+    flipped = BlockPrecision(theta.grid, -q.to_csr(), prior=q.prior)
+    with pytest.raises(NotPositiveDefinite):
+        expected_nll_grad(x_star, obs, theta, flipped)
+    monkeypatch.setattr(estimation.oi, "DENSE_GUARD", theta.grid.dim - 1)
+    with pytest.raises(DimensionGuard):
+        expected_nll_grad(x_star, obs, theta, q)
+    theta4, _ = _expected_case(alpha=4)
+    q4 = assemble_block_precision(theta4, theta4.grid, burn_in=5)
+    with pytest.raises(UnsupportedAlpha, match="alpha=2") as info:
+        expected_nll_grad(x_star, obs, theta4, q4)
+    assert "finite diff" not in str(info.value)
 
 
 def test_trace_gradient_memory_is_linear_in_columns():

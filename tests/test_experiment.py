@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spdekit import oi
 from spdekit import (BlocksPattern, ParamFields, RandomPattern, SpaceTimeGrid,
                      TracksPattern, Trajectory, benchmark, evaluate,
                      generate_obs_mask, read_observations, read_theta,
@@ -216,8 +217,8 @@ def test_benchmark_smoke():
             assert row.iterations > 0
 
 
-def test_benchmark_dense_guard_skips():
+def test_benchmark_dense_guard_skips(monkeypatch):
+    monkeypatch.setattr(oi, "DENSE_GUARD", 100)
     rows = benchmark(sizes=(10,), nt=4, obs_density=0.2,
-                     methods=("dense", "direct_sparse"), seed=0,
-                     dense_guard=100)
+                     methods=("dense", "direct_sparse"), seed=0)
     assert {r.method for r in rows} == {"direct_sparse"}

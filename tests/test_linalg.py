@@ -165,8 +165,8 @@ def test_log_det_blockwise_vs_assembled_vs_dense(seed, p0_mode):
     g = SpaceTimeGrid(nx=5, ny=5, nt=4)
     theta = random_theta(g, seed)
     q = assemble_block_precision(theta, g, p0_mode=p0_mode)
-    blockwise = log_det_block(q, method="blockwise")
-    assembled = log_det_block(q, method="cholesky")
+    blockwise = log_det_block(q)
+    assembled = sparse_cholesky(q.to_csr()).logdet()
     sign, dense = np.linalg.slogdet(q.to_csr().toarray())
     assert sign > 0
     assert blockwise == pytest.approx(dense, abs=1e-6)
@@ -180,8 +180,7 @@ def test_log_det_posterior_falls_back_to_cholesky():
     mask = np.zeros(g.shape, dtype=bool)
     mask[0, 0, 0] = True
     qp = posterior_precision(q, ObservationSet(g, mask, [1.0], [0.5]))
-    with pytest.raises(ValueError, match="blockwise"):
-        log_det_block(qp, method="blockwise")
+    assert qp.prior is None
     sign, dense = np.linalg.slogdet(qp.to_csr().toarray())
     assert log_det_block(qp) == pytest.approx(dense, abs=1e-6)
 

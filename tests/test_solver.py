@@ -8,7 +8,7 @@ from spdekit import (AugmentedState, ObservationSet, ParamFields,
                      apply_precision, assemble_block_precision, nll_grad,
                      oi_solve_precision, run_solver, sample_prior,
                      solver_step, training_loss)
-from spdekit.errors import DivergedStep
+from spdekit.errors import DivergedStep, UnsupportedAlpha
 from spdekit.estimation import PARAM_NAMES
 from spdekit.steps import PlainStep
 
@@ -325,6 +325,61 @@ def test_alpha_picks_the_theta_gradient(monkeypatch, alpha, refused,
     res = run_solver(Trajectory.zeros(g), theta, obs, cfg)
     assert res.theta.alpha == alpha
     assert any(r["theta_change"] > 0 for r in res.diagnostics)
+
+
+def test_expected_theta_gradient_reads_the_cached_prior(monkeypatch):
+    # two theta updates in 12 iterations: the expected gradient reads the
+    # precision the cache holds for its theta (and the marginal's tape), so
+    # the run assembles Q and runs the burn-in doubling once per theta
+    import spdekit.estimation as estimation
+    import spdekit.solver as solver
+    from spdekit import state_space
+    g = SpaceTimeGrid(nx=6, ny=6, nt=5)
+    theta = random_theta(g, 8)
+    truth = sample_prior(theta, g, n_members=1, base_seed=6,
+                         burn_in=5).members[0]
+    mask = np.random.default_rng(7).random(g.shape) < 0.5
+    obs = ObservationSet.from_truth(truth, mask, 0.05, seed=8)
+    counts = {"assemble": 0, "doubling": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(solver, "assemble_block_precision", counted(
+        "assemble", solver.assemble_block_precision))
+    doubling = counted("doubling", state_space._burnin_doubling)
+    monkeypatch.setattr(state_space, "_burnin_doubling", doubling)
+    monkeypatch.setattr(estimation, "_burnin_doubling", doubling)
+    cfg = SolverConfig(n_iterations=12, update_mode="alternating",
+                       x_steps=5, theta_steps=1, theta_expected=True,
+                       p0_mode="burnin", burn_in=5)
+    res = run_solver(Trajectory.zeros(g), theta, obs, cfg)
+    assert sum(r["theta_change"] > 0 for r in res.diagnostics) == 2
+    assert counts == {"assemble": 3, "doubling": 3}
+
+
+@pytest.mark.parametrize("alpha", [4, 6])
+def test_expected_theta_gradient_is_refused_off_alpha_2(monkeypatch, alpha):
+    # refused before the first iteration, not after the x updates
+    import spdekit.solver as solver
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a state update ran")
+
+    monkeypatch.setattr(solver, "_state_gradient", refuse)
+    monkeypatch.setattr(solver, "_advance", refuse)
+    g = SpaceTimeGrid(nx=3, ny=3, nt=3)
+    theta = random_theta(g, 9, alpha=alpha)
+    mask = np.ones(g.shape, dtype=bool)
+    obs = ObservationSet(g, mask, np.zeros(g.dim), np.full(g.dim, 0.1))
+    cfg = SolverConfig(n_iterations=20, update_mode="alternating",
+                       x_steps=10, theta_expected=True)
+    with pytest.raises(UnsupportedAlpha, match="alpha=2") as info:
+        run_solver(Trajectory.zeros(g), theta, obs, cfg)
+    assert "finite diff" not in str(info.value)
 
 
 def test_joint_mode_improves_parameters():
