@@ -66,8 +66,8 @@ from .operators import (ParamFields, _stencil_table, operator_adjoint,
 from .precision import (BlockPrecision, _prior_log_det, _step_weights,
                         posterior_precision)
 from .state_space import (InitialCondition, TransitionStep, _burnin_doubling,
-                          build_transition, initial_condition,
-                          selected_inverse)
+                          build_transition, dense_product as dot,
+                          initial_condition, selected_inverse)
 from .steps import make_step_operator
 
 PARAM_NAMES = ("kappa", "m_u", "m_v", "h11", "h12", "h22", "tau")
@@ -157,13 +157,18 @@ def _mean_nll(states: np.ndarray, transitions: list[TransitionStep],
 
 # --- finite-difference gradient ----------------------------------------------
 
-def _fd_gradient(xs, theta, p0_opts, stationary: bool, at_theta=None,
-                 step_scale=1e-5) -> np.ndarray:
+def _fd_gradient(xs, theta, p0_opts, stationary: bool, transitions=None,
+                 ic=None, at_theta=None, step_scale=1e-5) -> np.ndarray:
     """Central differences of the mean nll along each direction: a whole
     field when stationary (so the cell sum of the per-cell gradient), else
     one cell. Per-cell directions are refused above FD_GUARD cells, and
     the cells of slab 0, which never enter the model, are not probed:
     their gradient is 0.
+
+    A whole-field probe rebuilds the model. A cell of slab t moves only
+    step t, and the x_0 marginal when t = 1 under burn-in, so a per-cell
+    probe rebuilds just those and reuses the rest, built once at theta
+    (or handed in, built for the same theta).
 
     A probe that ``project_params`` would move lies outside the valid set
     and is not evaluated: the difference is then one-sided from theta on
@@ -172,8 +177,30 @@ def _fd_gradient(xs, theta, p0_opts, stationary: bool, at_theta=None,
     the nll at theta from at_theta when the caller has it.
     """
     grid = theta.grid
-    if not stationary and grid.dim > FD_GUARD:
-        raise DimensionGuard(grid.dim, FD_GUARD)
+    if stationary:
+        def loss(probe, cell=None):
+            return nll(xs, probe, **p0_opts)
+    else:
+        if grid.dim > FD_GUARD:
+            raise DimensionGuard(grid.dim, FD_GUARD)
+        states = _stack_states(xs)
+        if transitions is None:
+            transitions = build_transition(theta, grid)
+        if ic is None:
+            ic = initial_condition(theta, grid, transitions=transitions,
+                                   **p0_opts)
+
+        def loss(probe, cell=None):
+            if cell is None:
+                return _mean_nll(states, transitions, ic, grid.dt)
+            t = cell // grid.m
+            steps = list(transitions)
+            steps[t - 1] = build_transition(probe, grid, slabs=[t])[0]
+            probe_ic = ic
+            if t == 1 and ic.mode == "burnin":
+                probe_ic = initial_condition(probe, grid, transitions=steps,
+                                             **p0_opts)
+            return _mean_nll(states, steps, probe_ic, grid.dt)
     arrays = theta.field_arrays()
     out = []
     for name in PARAM_NAMES:
@@ -186,11 +213,11 @@ def _fd_gradient(xs, theta, p0_opts, stationary: bool, at_theta=None,
                 field = arrays[name].copy()
                 field.flat[cells] += shift
                 probe = theta.replace_fields(**{name: field})
-                ends.append(nll(xs, probe, **p0_opts)
+                ends.append(loss(probe, cells)
                             if project_params(probe) is probe else None)
             sides = 2 - ends.count(None)
             if sides == 1 and at_theta is None:
-                at_theta = nll(xs, theta, **p0_opts)
+                at_theta = loss(theta)
             up, down = (at_theta if end is None else end for end in ends)
             out.append((up - down) / (sides * h) if sides else 0.0)
     return np.array(out)
@@ -244,7 +271,8 @@ def _trace_gradient(states: np.ndarray, theta: ParamFields, p0_opts: dict,
     # time-zero marginal: white is parameter-free, burn-in backpropagates
     # through the first step
     if ic.mode == "burnin":
-        tau_bar, a_bar = _burnin_adjoint(states[0] @ states[0].T / n,
+        tau_bar, a_bar = _burnin_adjoint(dot(states[0], states[0],
+                                             trans_b=True) / n,
                                          transitions[0], ic, dt)
         grads["tau"][transitions[0].t] += tau_bar.reshape(grid.ny, grid.nx)
         a_bars[:, 0] += dt * a_bar[table.rows, table.indices]
@@ -292,7 +320,8 @@ def _burnin_adjoint(second_moment_0, step, ic, dt: float) -> tuple:
     walked backwards from its recorded operations (the marginal's tape,
     which this takes; a marginal without one runs the doubling again to
     record it), from P_bar = d(nll)/dP_B, with G_bar and the symmetric
-    S_bar of the current run:
+    S_bar of the current run (every dense product on scipy's BLAS, as in
+    the forward pass, through ``state_space.dense_product``):
 
         apply:   S_bar += P_bar,  G_bar += 2 P_bar G P,  P_bar <- G^T P_bar G
         square:  G_bar <- G_bar G^T + G^T G_bar + 2 S_bar G S,
@@ -312,29 +341,30 @@ def _burnin_adjoint(second_moment_0, step, ic, dt: float) -> tuple:
         _burnin_doubling(prop, noise_var, ic.burn_in, tape)
 
     w_mat = ic.prec
-    p_bar = 0.5 * (w_mat - w_mat @ second_moment_0 @ w_mat)
+    p_bar = 0.5 * (w_mat - dot(dot(w_mat, second_moment_0), w_mat))
     g_bar = np.zeros((m, m))
     s_bar = np.zeros((m, m))
     while tape:
         kind, g, held = tape.pop()
         if kind == "apply":
             s_bar += p_bar
-            pg = p_bar @ g
+            pg = dot(p_bar, g)
             if held is None:                   # applied to P = I
                 g_bar += 2.0 * pg
             else:
-                g_bar += 2.0 * pg @ held
-                p_bar = g.T @ pg
+                g_bar += 2.0 * dot(pg, held)
+                p_bar = dot(g, pg, trans_a=True)
                 p_bar = 0.5 * (p_bar + p_bar.T)
         else:                                  # held = G S
-            g_bar = g_bar @ g.T + g.T @ g_bar + 2.0 * s_bar @ held
-            s_bar = s_bar + g.T @ (s_bar @ g)
+            g_bar = (dot(g_bar, g, trans_b=True) + dot(g, g_bar, trans_a=True)
+                     + 2.0 * dot(s_bar, held))
+            s_bar = s_bar + dot(g, dot(s_bar, g), trans_a=True)
             s_bar = 0.5 * (s_bar + s_bar.T)
 
-    s_m = s_bar @ prop
+    s_m = dot(s_bar, prop)
     m_bar = g_bar + 2.0 * s_m * noise_var
     tau_bar = np.einsum("ij,ij->j", prop, s_m) * 2.0 * dt**2 * tau1
-    return tau_bar, -prop.T @ m_bar @ prop.T
+    return tau_bar, -dot(dot(prop, m_bar, trans_a=True), prop, trans_b=True)
 
 
 def nll_grad(x, theta: ParamFields, stationary: bool = False,
@@ -360,11 +390,12 @@ def _gradient(xs, theta, stationary: bool, p0_opts, transitions=None,
     """nll gradient of a list of trajectories, one value per field when
     stationary, else per cell. At alpha = 2 the adjoint reuses transitions,
     ic and the step terms, at higher powers the finite differences the
-    mean nll loss, when they were computed for the same theta."""
+    transitions, ic and mean nll loss, when they were computed for the same
+    theta."""
     if theta.alpha == 2:
         return _reduce(_trace_gradient(_stack_states(xs), theta, p0_opts,
                                        transitions, ic, terms), stationary)
-    return _fd_gradient(xs, theta, p0_opts, stationary, loss)
+    return _fd_gradient(xs, theta, p0_opts, stationary, transitions, ic, loss)
 
 
 def expected_nll_grad(x_star: Trajectory, obs, theta: ParamFields,

@@ -11,6 +11,20 @@ columns of L at a time, with numpy's level-3 BLAS on 16-column panels of
 the right-hand side (``CholeskyFactor.solve``); the PCG block
 preconditioner's one-vector solves use LAPACK *pbtrs.
 
+numpy and scipy each load their own OpenBLAS build (numpy
+``scipy_openblas64``, scipy ``scipy_openblas32``), each with its own
+thread pool, and a kernel that starts right after the other pool's
+threaded work runs slowly while that pool's workers still spin: dpbtrf
+of the 24x24x10 posterior band took 80 ms alone and 182 ms right after
+16 numpy products of 576 x 576 (2-core VM, 2 BLAS threads). The factor
+(``cholesky_banded``, LAPACK dpbtrf through scipy) runs on scipy's pool,
+as does everything before it on a burn-in start: the dense propagator
+(dgbtrs), the doubling and the marginal's dpotrf/dpotri and products
+(``state_space.dense_product``). The solve's panel products run on
+numpy's, because scipy's wrappers would copy the strided band views they
+read; that leaves one pool switch per posterior, from factor to solve,
+which measured no slower than a solve after numpy's own work.
+
 Tolerances are fixed here: factorization residual 1e-10 (relative,
 max-norm), PCG default 1e-8.
 """
@@ -212,10 +226,19 @@ def sparse_cholesky(a) -> CholeskyFactor:
     rows, cols = coo.row[lower], coo.col[lower]
     vals = coo.data[lower]
     p = int(np.max(rows - cols)) if rows.size else 0
-    # factor in place: a Fortran-ordered band is handed to LAPACK as is,
-    # so the factor takes no second band-sized copy
     band = np.zeros((p + 1, n), order="F")
     band[rows - cols, cols] = vals
+    return cholesky_banded(band)
+
+
+def cholesky_banded(band: np.ndarray) -> CholeskyFactor:
+    """Factor, in place, the Fortran-ordered lower band of a symmetric
+    positive-definite matrix (band[k, j] = A[j + k, j]) with LAPACK dpbtrf.
+
+    A Fortran-ordered band is handed to LAPACK as is, so the factor takes
+    no second band-sized copy. A failed pivot raises NotPositiveDefinite
+    with its row.
+    """
     try:
         lb = la.cholesky_banded(band, lower=True, overwrite_ab=True)
     except la.LinAlgError as exc:
@@ -225,7 +248,8 @@ def sparse_cholesky(a) -> CholeskyFactor:
                 row = int(token) - 1
                 break
         raise NotPositiveDefinite(row) from exc
-    return CholeskyFactor(band=lb, n=n, bandwidth=p)
+    return CholeskyFactor(band=lb, n=band.shape[1],
+                          bandwidth=band.shape[0] - 1)
 
 
 def log_det_block(q) -> float:

@@ -22,6 +22,11 @@ the selected inverse scatter the values to. A hand-built drift
 (``transition_from_drift``) gets the pattern of its own nonzeros, made by
 the same code, so both kinds of step take one path.
 
+The burn-in marginal is dense: its propagator is one banded solve of the
+identity, and its products and Cholesky run on scipy's BLAS and LAPACK
+(``dense_product``, dpotrf, dpotri), the OpenBLAS build and thread pool
+the banded calls before and after it use, never on numpy's.
+
 Draws are keyed by (base_seed, member_id, stream, step) through a
 counter-style seed sequence, and members run together in fixed blocks, so
 ensembles are bit-identical whatever the block size.
@@ -33,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.blas import dgemm
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpotrf, dpotri
 
 from .errors import SingularTransition
 from .grid import SpaceTimeGrid, Trajectory
@@ -56,14 +62,22 @@ def _keyed_normals(base_seed: int, member_ids, stream: int, step: int,
                      for key in keys], axis=1)
 
 
-# Right-hand-side columns per banded solve. LAPACK dgbtrs updates all of
-# its right-hand sides at once (dger); at 24x24 (kl = 25) a 576-column
-# identity solve is big enough for OpenBLAS to run it on scipy's thread
-# pool, and numpy's burn-in doubling (its own OpenBLAS pool) right after
-# it took 0.150 s per call against 0.088 s after an identity solved in
-# blocks of 256 columns (medians of 12 alternating calls, 2-core VM, 2
-# BLAS threads). The blocked inverse itself took 15.1 ms, against 15.5.
-_SOLVE_BLOCK = 256
+def dense_product(a: np.ndarray, b: np.ndarray, trans_a: bool = False,
+                  trans_b: bool = False) -> np.ndarray:
+    """op(a) @ op(b) of two dense matrices, op the transpose where asked,
+    on scipy's BLAS (dgemm); the result is Fortran-ordered.
+
+    numpy and scipy each load their own OpenBLAS build with its own thread
+    pool, and every dense product of the burn-in marginal and its adjoint
+    goes through here so that they run on scipy's, with the banded LAPACK
+    calls around them. A C-ordered operand is handed over as its
+    Fortran-ordered transpose with the flag flipped, so neither is copied.
+    """
+    if not a.flags.f_contiguous:
+        a, trans_a = a.T, not trans_a
+    if not b.flags.f_contiguous:
+        b, trans_b = b.T, not trans_b
+    return dgemm(1.0, a, b, trans_a=trans_a, trans_b=trans_b)
 
 
 @dataclass
@@ -100,20 +114,17 @@ class TransitionStep:
         return self._factor
 
     def propagate(self, v: np.ndarray) -> np.ndarray:
-        """Apply M_t = A_t^{-1} (2-D inputs solved columnwise)."""
+        """Apply M_t = A_t^{-1} to a vector, or to every column of a 2-D
+        input in one LAPACK call (a Fortran-ordered result)."""
         lu, piv, kl, ku = self._banded_lu()
-        v = np.asarray(v, dtype=float)
-        if v.ndim == 1:
-            return dgbtrs(lu, kl, ku, v, piv)[0]
-        out = np.empty(v.shape)
-        for start in range(0, v.shape[1], _SOLVE_BLOCK):
-            cols = slice(start, start + _SOLVE_BLOCK)
-            out[:, cols] = dgbtrs(lu, kl, ku, v[:, cols], piv)[0]
-        return out
+        return dgbtrs(lu, kl, ku, np.asarray(v, dtype=float), piv)[0]
 
     def dense_inverse(self) -> np.ndarray:
-        """The dense propagator M_t = A_t^{-1}, computed afresh per call."""
-        return self.propagate(np.eye(self.a_solve.shape[0]))
+        """The dense propagator M_t = A_t^{-1}, computed afresh per call as
+        one solve, in place, of a Fortran-ordered identity."""
+        lu, piv, kl, ku = self._banded_lu()
+        eye = np.eye(self.a_solve.shape[0], order="F")
+        return dgbtrs(lu, kl, ku, eye, piv, overwrite_b=1)[0]
 
     def log_abs_det(self) -> float:
         """log|det A_t|, the sum of log|U_ii| over the factor's diagonal."""
@@ -325,19 +336,23 @@ def initial_condition(theta: ParamFields, grid: SpaceTimeGrid | None = None,
     tape = [] if keep_tape else None
     cov = _burnin_doubling(prop, (grid.dt * step.noise_scale)**2, burn_in,
                            tape)
-    # numpy's LAPACK, not scipy.linalg: numpy and scipy each bundle their
-    # own OpenBLAS with its own thread pool. On a 2-core VM with 2 BLAS
-    # threads, a scipy potrf right after numpy's dense products took
-    # 65-120 ms instead of 1-2 ms per call inside a joint-solve op.
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
+    # P_B is exactly symmetric, so whichever of it and its transpose is
+    # Fortran-ordered goes to LAPACK as is: dpotrf overwrites it with the
+    # upper factor U (P_B = U^T U), and dpotri overwrites that with the
+    # upper triangle of P_B^{-1}, on scipy's BLAS like the doubling
+    upper, info = dpotrf(cov if cov.flags.f_contiguous else cov.T,
+                         overwrite_a=1)
+    if not info:
+        logdet_prec = -2.0 * float(np.sum(np.log(np.diag(upper))))
+        prec, info = dpotri(upper, overwrite_c=1)
+    if info:
         raise SingularTransition(step.t, "the burn-in marginal covariance "
-                                 "is not positive definite") from exc
-    logdet_prec = -2.0 * float(np.sum(np.log(np.diag(chol))))
-    prec = np.linalg.inv(cov)
-    del cov
-    prec = 0.5 * (prec + prec.T)
+                                 "is not positive definite")
+    del cov, upper
+    prec += np.triu(prec, 1).T     # dpotrf cleared the lower triangle
+    # exactly symmetric now, so its transpose is the same matrix, C-ordered
+    # as numpy's consumers (the nll, Q's assembly) have always read it
+    prec = prec.T
     return InitialCondition(mode="burnin", sigma0=sigma0, burn_in=burn_in,
                             prec=prec, prop=prop, logdet_prec=logdet_prec,
                             m=m, tape=tape)
@@ -366,7 +381,7 @@ def _burnin_doubling(prop: np.ndarray, noise_var: np.ndarray, burn_in: int,
     if burn_in == 0:
         return np.eye(prop.shape[0])
     g = prop
-    s = (prop * noise_var) @ prop.T
+    s = dense_product(prop * noise_var, prop, trans_b=True)
     s = 0.5 * (s + s.T)
     cov = None
     level = burn_in
@@ -374,17 +389,19 @@ def _burnin_doubling(prop: np.ndarray, noise_var: np.ndarray, burn_in: int,
         if level & 1:
             if tape is not None:
                 tape.append(("apply", g, cov))
-            cov = s + (g @ g.T if cov is None else g @ cov @ g.T)
+            cov = s + (dense_product(g, g, trans_b=True) if cov is None
+                       else dense_product(dense_product(g, cov), g,
+                                          trans_b=True))
             cov = 0.5 * (cov + cov.T)
         level >>= 1
         if not level:
             return cov
-        gs = g @ s
+        gs = dense_product(g, s)
         if tape is not None:
             tape.append(("square", g, gs))
-        s = s + gs @ g.T
+        s = s + dense_product(gs, g, trans_b=True)
         s = 0.5 * (s + s.T)
-        g = g @ g
+        g = dense_product(g, g)
 
 
 def propagate(transitions: list[TransitionStep], x0: np.ndarray,

@@ -456,16 +456,57 @@ def test_fd_gradient_skips_the_first_slab(monkeypatch):
                                 **p0_opts))
             full.append((ends[0] - ends[1]) / (2 * h))
     calls = []
-    counted_nll = estimation.nll
+    counted_nll = estimation._mean_nll
 
     def counted(*args, **kwargs):
         calls.append(1)
         return counted_nll(*args, **kwargs)
 
-    monkeypatch.setattr(estimation, "nll", counted)
+    # a per-cell probe is evaluated by _mean_nll on the steps built at theta
+    monkeypatch.setattr(estimation, "_mean_nll", counted)
     fd = estimation._fd_gradient(xs, theta, p0_opts, False)
     assert len(calls) == 672
     assert np.array_equal(fd, np.array(full))
+
+
+def test_fd_probe_rebuilds_one_slab(monkeypatch):
+    # a per-cell probe of slab t rebuilds step t alone, and the burn-in
+    # marginal only when t = 1; the rest is built once at theta, or handed
+    # in by a caller that built it for the same theta
+    g = SpaceTimeGrid(nx=4, ny=4, nt=4)
+    theta = random_theta(g, 33, alpha=4)
+    xs = sample_prior(theta, g, n_members=2, base_seed=27).members
+    p0_opts = dict(p0_mode="burnin", sigma0=1.0, burn_in=5)
+    builds, marginals = [], []
+    real_build, real_ic = estimation.build_transition, \
+        estimation.initial_condition
+
+    def build(theta, grid=None, slabs=None):
+        builds.append(slabs)
+        return real_build(theta, grid, slabs)
+
+    def marginal(theta, grid=None, **kwargs):
+        marginals.append(builds[-1])
+        return real_ic(theta, grid, **kwargs)
+
+    monkeypatch.setattr(estimation, "build_transition", build)
+    monkeypatch.setattr(estimation, "initial_condition", marginal)
+    fd = estimation._fd_gradient(xs, theta, p0_opts, False)
+    probes = len(PARAM_NAMES) * (g.dim - g.m) * 2
+    per_slab = probes // (g.nt - 1)
+    assert builds[0] is None and len(builds) == 1 + probes
+    assert sorted(map(tuple, builds[1:])) == sorted(
+        [(t,) for t in range(1, g.nt)] * per_slab)
+    # one marginal at theta, then one per probe of a slab-1 cell
+    assert marginals[0] is None and marginals[1:] == [[1]] * per_slab
+    steps = real_build(theta, g)
+    ic = real_ic(theta, g, transitions=steps, **p0_opts)
+    builds.clear()
+    marginals.clear()
+    handed = estimation._fd_gradient(xs, theta, p0_opts, False, steps, ic)
+    assert len(builds) == probes and None not in builds
+    assert len(marginals) == per_slab
+    assert np.array_equal(handed, fd)
 
 
 def test_trace_mode_rejects_alpha4():

@@ -208,3 +208,55 @@ def test_cost_at_solver_output_near_direct_optimum():
     c_direct, _, _ = variational_cost(x_direct, obs, q)
     c_pcg, _, _ = variational_cost(x_pcg, obs, q)
     assert abs(c_direct - c_pcg) < 1e-10 * max(1.0, abs(c_direct))
+
+
+def _equilibrated_cholesky(q_post):
+    """The product-and-COO recipe the posterior factor used to take:
+    diag(s) Q_post diag(s) as two sparse products, then sparse_cholesky
+    (COO, symmetry check, band scatter)."""
+    from scipy import sparse
+
+    from spdekit.linalg import sparse_cholesky
+    a = q_post.to_csr()
+    s = sparse.diags_array(1.0 / np.sqrt(a.diagonal()))
+    return sparse_cholesky(sparse.csr_array(s @ a @ s))
+
+
+@pytest.mark.parametrize("case", ["burnin", "white", "tiny_noise"])
+def test_posterior_band_is_the_equilibrated_sparse_cholesky(case):
+    # the band written straight from the CSR of Q + H^T R^{-1} H factors
+    # to the same bits as the product-and-COO path it replaces
+    g = SpaceTimeGrid(nx=6, ny=5, nt=4)
+    theta = random_theta(g, 41)
+    q = assemble_block_precision(
+        theta, g, p0_mode="white" if case == "white" else "burnin")
+    obs = _random_obs(g, 42)
+    if case == "tiny_noise":
+        noise = obs.noise_var.copy()
+        noise[3] = 1e-12
+        obs = ObservationSet(g, obs.mask, obs.values, noise)
+    solver = PosteriorSolver(q, obs)
+    ref = _equilibrated_cholesky(solver.q_post)
+    assert solver._factor.bandwidth == ref.bandwidth
+    assert np.array_equal(solver._factor.band, ref.band)
+
+
+def test_non_positive_definite_posterior_names_its_row():
+    from scipy import sparse
+
+    from spdekit import BlockPrecision
+    from spdekit.errors import NotPositiveDefinite
+    from spdekit.precision import posterior_precision
+    g = SpaceTimeGrid(nx=4, ny=4, nt=3)
+    a = assemble_block_precision(random_theta(g, 43), g).to_csr().tolil()
+    # a 2x2 principal minor with off-diagonal 2 sqrt(a_ii a_jj) is
+    # indefinite: the leading rows stay positive definite, row j fails
+    i, j = 20, 23
+    a[i, j] = a[j, i] = 2.0 * np.sqrt(a[i, i] * a[j, j])
+    q = BlockPrecision(g, sparse.csr_array(a))
+    obs = _random_obs(g, 44)
+    with pytest.raises(NotPositiveDefinite) as info:
+        PosteriorSolver(q, obs)
+    with pytest.raises(NotPositiveDefinite) as ref:
+        _equilibrated_cholesky(posterior_precision(q, obs))
+    assert info.value.row == ref.value.row == j

@@ -281,14 +281,21 @@ def test_zero_pivot_in_selected_inverse_raises_from_banded_lu():
 
 
 def test_blocked_inverse_is_bit_identical_to_one_solve():
+    # dgbtrs works column by column, so the in-place solve of a Fortran
+    # identity that dense_inverse makes matches a copying solve of the whole
+    # identity and a solve in 256-column blocks bit for bit
     from scipy.linalg.lapack import dgbtrs
     g = SpaceTimeGrid(nx=17, ny=16, nt=2)
-    assert g.m > state_space._SOLVE_BLOCK
     step = build_transition(random_theta(g, 34), g)[0]
     lu, piv, kl, ku = step._banded_lu()
     whole, info = dgbtrs(lu, kl, ku, np.eye(g.m), piv)
     assert info == 0
+    blocked = np.hstack([dgbtrs(lu, kl, ku, np.eye(g.m)[:, c:c + 256],
+                                piv)[0] for c in range(0, g.m, 256)])
+    assert g.m > 256
     assert np.array_equal(step.dense_inverse(), whole)
+    assert np.array_equal(step.dense_inverse(), blocked)
+    assert np.array_equal(step.propagate(np.eye(g.m)), whole)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -481,29 +488,28 @@ def test_negative_burn_in_is_rejected(p0_mode):
         sample_prior(theta, g, p0_mode=p0_mode, burn_in=-1)
 
 
-def test_burnin_path_stays_off_scipy_lapack(monkeypatch):
-    # numpy and scipy bundle separate OpenBLAS builds with separate thread
-    # pools; the dense burn-in path must use numpy's alone
-    import scipy.linalg
-    from scipy.linalg import lapack
-
-    from spdekit.estimation import _stack_states, _trace_gradient
+def test_burnin_path_stays_off_numpy_linalg(monkeypatch):
+    # numpy and scipy load separate OpenBLAS builds with separate thread
+    # pools; the burn-in marginal and its adjoint run on scipy's, so that
+    # its LAPACK calls (dgbtrs, dpotrf, dpotri) and the banded posterior
+    # factor after them share one pool
+    from spdekit.estimation import _burnin_adjoint, _stack_states
 
     def refuse(*args, **kwargs):
-        raise AssertionError("scipy LAPACK called on the burn-in path")
+        raise AssertionError("numpy linalg called on the burn-in path")
 
-    for module, name in ((scipy.linalg, "cho_factor"),
-                         (scipy.linalg, "cho_solve"), (lapack, "dpotrf")):
-        monkeypatch.setattr(module, name, refuse)
+    for name in ("cholesky", "inv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
     g = SpaceTimeGrid(nx=4, ny=4, nt=3)
     theta = random_theta(g, 24)
-    ic = initial_condition(theta, g, p0_mode="burnin", burn_in=7)
+    steps = build_transition(theta, g)
+    ic = initial_condition(theta, g, p0_mode="burnin", burn_in=7,
+                           transitions=steps, keep_tape=True)
     assert ic.logdet_prec != 0.0
-    xs = sample_prior(theta, g, n_members=2, base_seed=17,
-                      burn_in=7).members
-    grads = _trace_gradient(_stack_states(xs), theta,
-                            dict(p0_mode="burnin", sigma0=1.0, burn_in=7))
-    assert np.all(np.isfinite(grads.fields["tau"]))
+    x0 = _stack_states(sample_prior(theta, g, n_members=2, base_seed=17,
+                                    burn_in=7).members)[0]
+    tau_bar, a_bar = _burnin_adjoint(x0 @ x0.T / 2, steps[0], ic, g.dt)
+    assert np.all(np.isfinite(tau_bar)) and np.all(np.isfinite(a_bar))
 
 
 def test_unknown_p0_mode_is_rejected():
@@ -523,3 +529,55 @@ def test_burnin_marginal_that_is_not_positive_definite_is_typed():
     with pytest.raises(SingularTransition, match="burn-in marginal") as info:
         initial_condition(theta, g, p0_mode="burnin")
     assert info.value.t == 1
+
+
+@pytest.mark.parametrize("trans_a", [False, True])
+@pytest.mark.parametrize("trans_b", [False, True])
+@pytest.mark.parametrize("order_a, order_b", [("C", "C"), ("C", "F"),
+                                              ("F", "C"), ("F", "F")])
+def test_dense_product_matches_matmul_in_every_layout(trans_a, trans_b,
+                                                      order_a, order_b):
+    rng = np.random.default_rng(45)
+    a = np.asarray(rng.standard_normal((7, 5)), order=order_a)
+    b = np.asarray(rng.standard_normal((7, 5) if trans_a != trans_b
+                                       else (5, 7)), order=order_b)
+    ref = (a.T if trans_a else a) @ (b.T if trans_b else b)
+    ours = state_space.dense_product(a, b, trans_a=trans_a, trans_b=trans_b)
+    assert ours.flags.f_contiguous
+    assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("burn_in", [0, 1, 7, 20])
+def test_doubling_from_a_c_ordered_propagator_matches_recursion(burn_in):
+    # dense_inverse hands the doubling a Fortran-ordered M; a C-ordered one
+    # takes the transposed-operand route of dense_product and must give the
+    # same P_B as the step-by-step SuperLU recursion
+    from scipy.sparse.linalg import splu
+
+    from oracles import _burnin_covariances
+    g = SpaceTimeGrid(nx=5, ny=4, nt=2)
+    theta = random_theta(g, 46, advect=True)
+    step = build_transition(theta, g)[0]
+    prop = step.dense_inverse()
+    noise_var = (g.dt * step.noise_scale)**2
+    ref = _burnin_covariances(step, splu(step.a_solve.tocsc()), g.dt,
+                              burn_in)[-1]
+    for m in (prop, np.ascontiguousarray(prop)):
+        ours = state_space._burnin_doubling(m, noise_var, burn_in)
+        assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_doubling_of_twenty_steps_makes_sixteen_products(monkeypatch):
+    products = []
+    real = state_space.dense_product
+
+    def counted(*args, **kwargs):
+        products.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(state_space, "dense_product", counted)
+    g = SpaceTimeGrid(nx=4, ny=4, nt=2)
+    step = build_transition(random_theta(g, 47), g)[0]
+    state_space._burnin_doubling(step.dense_inverse(),
+                                 (g.dt * step.noise_scale)**2, 20)
+    assert len(products) == 16
