@@ -165,10 +165,11 @@ def _fd_gradient(xs, theta, p0_opts, stationary: bool, transitions=None,
     the cells of slab 0, which never enter the model, are not probed:
     their gradient is 0.
 
-    A whole-field probe rebuilds the model. A cell of slab t moves only
-    step t, and the x_0 marginal when t = 1 under burn-in, so a per-cell
-    probe rebuilds just those and reuses the rest, built once at theta
-    (or handed in, built for the same theta).
+    One probe loss serves both: a whole-field probe rebuilds every step,
+    and a cell of slab t moves only step t, so a per-cell probe rebuilds
+    just that one and reuses the rest, built once at theta (or handed in,
+    built for the same theta). Either rebuilds the x_0 marginal only when
+    step 1 moved under burn-in (a white start does not depend on theta).
 
     A probe that ``project_params`` would move lies outside the valid set
     and is not evaluated: the difference is then one-sided from theta on
@@ -177,30 +178,32 @@ def _fd_gradient(xs, theta, p0_opts, stationary: bool, transitions=None,
     the nll at theta from at_theta when the caller has it.
     """
     grid = theta.grid
-    if stationary:
-        def loss(probe, cell=None):
-            return nll(xs, probe, **p0_opts)
-    else:
+    states = _stack_states(xs)
+    if not stationary:
         if grid.dim > FD_GUARD:
             raise DimensionGuard(grid.dim, FD_GUARD)
-        states = _stack_states(xs)
         if transitions is None:
             transitions = build_transition(theta, grid)
         if ic is None:
             ic = initial_condition(theta, grid, transitions=transitions,
                                    **p0_opts)
 
-        def loss(probe, cell=None):
-            if cell is None:
-                return _mean_nll(states, transitions, ic, grid.dt)
-            t = cell // grid.m
+    def loss(probe, cells):
+        """Mean nll at probe, which moved cells (a slice: the whole field)
+        of one field of theta."""
+        if isinstance(cells, slice):
+            steps, first_moved = build_transition(probe, grid), True
+        else:
+            t = cells // grid.m
             steps = list(transitions)
             steps[t - 1] = build_transition(probe, grid, slabs=[t])[0]
-            probe_ic = ic
-            if t == 1 and ic.mode == "burnin":
-                probe_ic = initial_condition(probe, grid, transitions=steps,
-                                             **p0_opts)
-            return _mean_nll(states, steps, probe_ic, grid.dt)
+            first_moved = t == 1
+        probe_ic = ic
+        if ic is None or first_moved and ic.mode == "burnin":
+            probe_ic = initial_condition(probe, grid, transitions=steps,
+                                         **p0_opts)
+        return _mean_nll(states, steps, probe_ic, grid.dt)
+
     arrays = theta.field_arrays()
     out = []
     for name in PARAM_NAMES:
@@ -217,7 +220,8 @@ def _fd_gradient(xs, theta, p0_opts, stationary: bool, transitions=None,
                             if project_params(probe) is probe else None)
             sides = 2 - ends.count(None)
             if sides == 1 and at_theta is None:
-                at_theta = loss(theta)
+                at_theta = loss(theta, slice(None)) if ic is None else \
+                    _mean_nll(states, transitions, ic, grid.dt)
             up, down = (at_theta if end is None else end for end in ends)
             out.append((up - down) / (sides * h) if sides else 0.0)
     return np.array(out)

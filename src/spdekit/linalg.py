@@ -6,10 +6,14 @@ p = m + nx + 1, with the identity permutation and no ordering library.
 At nt = 10 that is the narrower ordering only up to about 20 cells a side:
 numbered cell by cell, time inside, p = nt (2 nx + 2), and p measured 273
 (time-major) against 340 (cell-major) at 16 a side, 601/500 at 24,
-1057/660 at 32 and 2353/980 at 48. Solves read that band in place, 64
-columns of L at a time, with numpy's level-3 BLAS on 16-column panels of
-the right-hand side (``CholeskyFactor.solve``); the PCG block
-preconditioner's one-vector solves use LAPACK *pbtrs.
+1057/660 at 32 and 2353/980 at 48. One writer, ``lower_band``, writes
+every SPD band from a CSR matrix (checking the values it writes, not the
+band, for finiteness), and ``cholesky_banded`` factors it in place with
+one dpbtrf call, reading a failed pivot's row from LAPACK's info. Solves
+read that band in place, 64 columns of L at a time, with numpy's level-3
+BLAS on 16-column panels of the right-hand side
+(``CholeskyFactor.solve``); the PCG block preconditioner's one-vector
+solves use LAPACK *pbtrs.
 
 numpy and scipy each load their own OpenBLAS build (numpy
 ``scipy_openblas64``, scipy ``scipy_openblas32``), each with its own
@@ -17,7 +21,7 @@ thread pool, and a kernel that starts right after the other pool's
 threaded work runs slowly while that pool's workers still spin: dpbtrf
 of the 24x24x10 posterior band took 80 ms alone and 182 ms right after
 16 numpy products of 576 x 576 (2-core VM, 2 BLAS threads). The factor
-(``cholesky_banded``, LAPACK dpbtrf through scipy) runs on scipy's pool,
+(``cholesky_banded``, scipy's LAPACK dpbtrf) runs on scipy's pool,
 as does everything before it on a burn-in start: the dense propagator
 (dgbtrs), the doubling and the marginal's dpotrf/dpotri and products
 (``state_space.dense_product``). The solve's panel products run on
@@ -37,6 +41,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg as la
 from scipy import sparse
+from scipy.linalg.lapack import dpbtrf
 
 from .errors import MaxIterations, NotPositiveDefinite
 from .precision import _prior_log_det
@@ -46,12 +51,6 @@ FACTOR_TOL = 1e-10
 # every right-hand side is solved in (see CholeskyFactor.solve).
 _BLOCK = 64
 _PANEL = 16
-
-
-def _to_coo(a) -> sparse.coo_array:
-    if sparse.issparse(a):
-        return sparse.coo_array(a)
-    return sparse.coo_array(np.asarray(a, dtype=np.float64))
 
 
 def _tril_inverse(tri: np.ndarray) -> np.ndarray:
@@ -207,28 +206,46 @@ class CholeskyFactor:
         return out
 
 
+def lower_band(a: sparse.csr_array, scale: np.ndarray | None = None
+               ) -> np.ndarray:
+    """Fortran-ordered lower band of the symmetric, duplicate-free CSR
+    matrix a, or of diag(s) a diag(s) with a scale s: each entry with
+    i >= j written as a_ij, or (s_i a_ij) s_j, at band[i - j, j], with row
+    numbers from indptr in the width of a's indices. A non-finite value
+    written raises ValueError (a scan of the nnz values, not the band)."""
+    rows = np.repeat(np.arange(a.shape[0], dtype=a.indices.dtype),
+                     np.diff(a.indptr))
+    offsets = rows - a.indices
+    lower = offsets >= 0
+    rows, cols, offsets = rows[lower], a.indices[lower], offsets[lower]
+    band = np.zeros((int(offsets.max(initial=0)) + 1, a.shape[0]), order="F")
+    values = a.data[lower] if scale is None else \
+        (scale[rows] * a.data[lower]) * scale[cols]
+    if not np.isfinite(values).all():
+        raise ValueError("matrix has non-finite entries")
+    band[offsets, cols] = values
+    return band
+
+
 def sparse_cholesky(a) -> CholeskyFactor:
     """Cholesky of a symmetric positive-definite sparse (or dense) matrix.
 
-    Works in banded storage under the natural ordering. Raises
-    NotPositiveDefinite with the offending row when a pivot fails.
+    Works in banded storage under the natural ordering, summing duplicate
+    entries on a copy. Raises NotPositiveDefinite with the offending row
+    when a pivot fails, ValueError for a non-square, asymmetric or
+    non-finite matrix.
     """
-    coo = _to_coo(a)
-    n = coo.shape[0]
-    if coo.shape[0] != coo.shape[1]:
+    a = sparse.csr_array(a, dtype=np.float64)
+    if a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    scale = float(np.max(np.abs(coo.data))) if coo.nnz else 0.0
-    asym = abs(coo - coo.T)
+    if not a.has_canonical_format:
+        a = a.copy()
+        a.sum_duplicates()
+    scale = float(np.max(np.abs(a.data))) if a.nnz else 0.0
+    asym = abs(a - a.T)
     if asym.nnz and float(asym.max()) > 1e-8 * max(scale, 1.0):
         raise ValueError("matrix is not symmetric")
-
-    lower = coo.row >= coo.col
-    rows, cols = coo.row[lower], coo.col[lower]
-    vals = coo.data[lower]
-    p = int(np.max(rows - cols)) if rows.size else 0
-    band = np.zeros((p + 1, n), order="F")
-    band[rows - cols, cols] = vals
-    return cholesky_banded(band)
+    return cholesky_banded(lower_band(a))
 
 
 def cholesky_banded(band: np.ndarray) -> CholeskyFactor:
@@ -236,19 +253,15 @@ def cholesky_banded(band: np.ndarray) -> CholeskyFactor:
     positive-definite matrix (band[k, j] = A[j + k, j]) with LAPACK dpbtrf.
 
     A Fortran-ordered band is handed to LAPACK as is, so the factor takes
-    no second band-sized copy. A failed pivot raises NotPositiveDefinite
-    with its row.
+    no second band-sized copy; nor is it scanned (``lower_band`` checks
+    its values). A failed pivot raises NotPositiveDefinite with its row.
     """
-    try:
-        lb = la.cholesky_banded(band, lower=True, overwrite_ab=True)
-    except la.LinAlgError as exc:
-        row = -1
-        for token in str(exc).replace("-", " ").split():
-            if token.isdigit():
-                row = int(token) - 1
-                break
-        raise NotPositiveDefinite(row) from exc
-    return CholeskyFactor(band=lb, n=band.shape[1],
+    factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
+    if info > 0:
+        raise NotPositiveDefinite(info - 1)
+    if info < 0:
+        raise ValueError(f"dpbtrf: illegal value in argument {-info}")
+    return CholeskyFactor(band=factor, n=band.shape[1],
                           bandwidth=band.shape[0] - 1)
 
 

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg as la
-from scipy import sparse
 
 from .errors import DimensionGuard, SolveFailure
 from .grid import SpaceTimeGrid, Trajectory
-from .linalg import block_diagonal_preconditioner, cholesky_banded, pcg_solve
+from .linalg import (block_diagonal_preconditioner, cholesky_banded,
+                     lower_band, pcg_solve)
 from .operators import ParamFields
 from .precision import (BlockPrecision, ObservationSet, apply_precision,
                         posterior_precision)
@@ -37,26 +37,6 @@ def scatter_obs(obs: ObservationSet, weighted: np.ndarray) -> np.ndarray:
     return out
 
 
-def _equilibrated_band(a: sparse.csr_array) -> tuple[np.ndarray, np.ndarray]:
-    """(s, band) of a symmetric CSR matrix a: the Jacobi scale s = 1/sqrt(
-    diag a) and the Fortran-ordered lower band of diag(s) a diag(s), each
-    entry (s_i a_ij) s_j placed at band[i - j, j].
-
-    a is symmetric by construction (Q plus a diagonal), so the band is
-    written from its lower entries with no symmetry check; row numbers
-    come from indptr in the width of a's indices.
-    """
-    scale = 1.0 / np.sqrt(a.diagonal())
-    rows = np.repeat(np.arange(a.shape[0], dtype=a.indices.dtype),
-                     np.diff(a.indptr))
-    offsets = rows - a.indices
-    lower = offsets >= 0
-    rows, cols, offsets = rows[lower], a.indices[lower], offsets[lower]
-    band = np.zeros((int(offsets.max()) + 1, a.shape[0]), order="F")
-    band[offsets, cols] = (scale[rows] * a.data[lower]) * scale[cols]
-    return scale, band
-
-
 class PosteriorSolver:
     """Factorized posterior precision, reusable across observation values.
 
@@ -64,13 +44,13 @@ class PosteriorSolver:
     symmetrically Jacobi-equilibrated, diag(s) A diag(s) with s = 1 /
     sqrt(diag A), so that near-zero noise variances (huge diagonal
     information) do not degrade the achievable residual. Its lower band is
-    written straight from A's CSR values (A is symmetric by construction,
-    so nothing is checked or converted) and factored in place by
-    ``linalg.cholesky_banded``, which raises NotPositiveDefinite with the
-    failing row. With "pcg", A is kept with a block-diagonal
-    preconditioner. ``prior`` keeps the prior structure of ``q`` (None if
-    ``q`` was modified after assembly), which conditional sampling draws
-    its prior members from.
+    written from A's CSR values by ``linalg.lower_band`` (A is symmetric
+    by construction, so unchecked but for finite values) and factored in
+    place by ``linalg.cholesky_banded``'s one dpbtrf call, which raises
+    NotPositiveDefinite with the failing row. With "pcg", A is kept with a
+    block-diagonal preconditioner. ``prior`` keeps the prior structure of
+    ``q`` (None if ``q`` was modified after assembly), which conditional
+    sampling draws its prior members from.
     """
 
     def __init__(self, q: BlockPrecision, obs: ObservationSet,
@@ -85,8 +65,9 @@ class PosteriorSolver:
         self.prior = q.prior
         self.last_pcg = None
         if method == "direct":
-            self._scale, band = _equilibrated_band(self.q_post.to_csr())
-            self._factor = cholesky_banded(band)
+            a = self.q_post.to_csr()
+            self._scale = 1.0 / np.sqrt(a.diagonal())
+            self._factor = cholesky_banded(lower_band(a, self._scale))
         else:
             self._precond = block_diagonal_preconditioner(self.q_post)
 

@@ -656,6 +656,7 @@ def test_fit_loop_never_factors(monkeypatch, p0_mode, gradient, stationary):
         raise AssertionError("Cholesky factorization in the fit loop")
 
     monkeypatch.setattr(spdekit.linalg, "sparse_cholesky", refuse)
+    monkeypatch.setattr(spdekit.linalg, "cholesky_banded", refuse)
     monkeypatch.setattr(scipy.linalg, "cholesky_banded", refuse)
     g = SpaceTimeGrid(nx=4, ny=4, nt=3)
     theta = ParamFields.stationary(g, kappa=0.6, m=(0.1, 0.0),
@@ -737,9 +738,9 @@ def test_fd_fit_at_the_floor_reuses_its_loss(monkeypatch):
     xs = sample_prior(random_theta(g, 3), g, n_members=2,
                       base_seed=25).members
     calls = []
-    real_nll = estimation.nll
-    monkeypatch.setattr(estimation, "nll", lambda *a, **k:
-                        calls.append(None) or real_nll(*a, **k))
+    real_mean_nll = estimation._mean_nll
+    monkeypatch.setattr(estimation, "_mean_nll", lambda *a, **k:
+                        calls.append(None) or real_mean_nll(*a, **k))
 
     def fit(steps):
         calls.clear()
@@ -754,7 +755,7 @@ def test_fd_fit_at_the_floor_reuses_its_loss(monkeypatch):
     monkeypatch.setattr(estimation, "_gradient", lambda *a, loss=None, **k:
                         real_gradient(*a, **k))
     again = [fit(1), fit(4)]
-    # a floor-case gradient makes one nll call fewer
+    # a floor-case gradient makes one mean-nll evaluation fewer
     assert runs[0][2] == again[0][2] - 1
     for (best, curve, _), (best_again, curve_again, _) in zip(runs, again):
         assert curve == curve_again

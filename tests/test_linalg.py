@@ -10,6 +10,7 @@ from spdekit import (BlockPrecision, SpaceTimeGrid, assemble_block_precision,
                      jacobi_preconditioner, log_det_block, pcg_solve,
                      sparse_cholesky)
 from spdekit.errors import MaxIterations, NotPositiveDefinite
+from spdekit.linalg import lower_band
 from spdekit.precision import ObservationSet, apply_precision, \
     posterior_precision
 
@@ -49,10 +50,49 @@ def test_cholesky_not_positive_definite_row():
     assert exc.value.row == 2
 
 
+@pytest.mark.parametrize("last", [False, True])
+def test_cholesky_failed_pivot_names_the_first_and_last_row(last):
+    # a diagonal, and a wide band that LAPACK factors in blocks
+    for n, p in [(4, 0), (300, 100)]:
+        a = _banded_spd(n, p, seed=7)
+        row = n - 1 if last else 0
+        a[row, row] = -1.0
+        with pytest.raises(NotPositiveDefinite) as exc:
+            sparse_cholesky(a)
+        assert exc.value.row == row
+
+
+def test_cholesky_of_a_zero_matrix_fails_at_row_zero():
+    with pytest.raises(NotPositiveDefinite) as exc:
+        sparse_cholesky(sparse.csr_array((3, 3)))
+    assert exc.value.row == 0
+
+
 def test_cholesky_rejects_asymmetry():
     a = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(ValueError, match="symmetric"):
         sparse_cholesky(a)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cholesky_rejects_a_non_finite_lower_entry(bad):
+    a = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, bad], [0.0, bad, 2.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        sparse_cholesky(a)
+
+
+def test_cholesky_sums_duplicate_entries_on_a_copy():
+    # [[4, 1], [1, 3]] with its (0, 0) entry stored twice, as 1 + 3
+    a = sparse.csr_array((np.array([1.0, 3.0, 1.0, 1.0, 3.0]),
+                          np.array([0, 0, 1, 0, 1]), np.array([0, 3, 5])),
+                         shape=(2, 2))
+    data, indices, indptr = a.data.copy(), a.indices.copy(), a.indptr.copy()
+    assert sparse_cholesky(a).logdet() == pytest.approx(np.log(11.0),
+                                                        rel=1e-14)
+    assert a.nnz == 5
+    assert np.array_equal(a.data, data)
+    assert np.array_equal(a.indices, indices)
+    assert np.array_equal(a.indptr, indptr)
 
 
 def test_solve_identity_and_hand_case():
@@ -86,8 +126,24 @@ def _banded_spd(n, p, seed):
 
 # (n, p): p below the 64-column block width, p = 0, n a multiple of the
 # block width or not, trapezoids cut off by n, and a full (p = n - 1) band
-@pytest.mark.parametrize("n,p", [(50, 0), (37, 1), (200, 7), (256, 64),
-                                 (300, 100), (130, 129)])
+_BANDED_CASES = [(50, 0), (37, 1), (200, 7), (256, 64), (300, 100),
+                 (130, 129)]
+
+
+@pytest.mark.parametrize("n,p", _BANDED_CASES)
+def test_band_is_read_off_the_dense_matrix(n, p):
+    a = _banded_spd(n, p, seed=n + p)
+    band = np.zeros((p + 1, n), order="F")
+    for k in range(p + 1):
+        band[k, :n - k] = a.diagonal(-k)
+    for matrix in (a, sparse.csr_array(a), sparse.coo_array(a)):
+        assert np.array_equal(lower_band(sparse.csr_array(matrix)), band)
+        # dpbtrf called directly factors to scipy's cholesky_banded bits
+        fac = sparse_cholesky(matrix)
+        assert np.array_equal(fac.band, la.cholesky_banded(band, lower=True))
+
+
+@pytest.mark.parametrize("n,p", _BANDED_CASES)
 @pytest.mark.parametrize("k", [None, 1, 15, 16, 17, 40])
 def test_blocked_solve_matches_dense_oracle(n, p, k):
     a = _banded_spd(n, p, seed=n + p)

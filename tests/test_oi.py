@@ -260,3 +260,15 @@ def test_non_positive_definite_posterior_names_its_row():
     with pytest.raises(NotPositiveDefinite) as ref:
         _equilibrated_cholesky(posterior_precision(q, obs))
     assert info.value.row == ref.value.row == j
+
+
+def test_non_finite_posterior_entry_is_a_value_error():
+    from scipy import sparse
+
+    from spdekit import BlockPrecision
+    g = SpaceTimeGrid(nx=4, ny=4, nt=3)
+    a = assemble_block_precision(random_theta(g, 45), g).to_csr().tolil()
+    a[23, 20] = a[20, 23] = np.nan
+    q = BlockPrecision(g, sparse.csr_array(a))
+    with pytest.raises(ValueError, match="non-finite"):
+        PosteriorSolver(q, _random_obs(g, 46))
