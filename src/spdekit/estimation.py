@@ -15,21 +15,25 @@ w_t = 1/(dt tau_t)^2,
 the second being the GMRF identity log|S_t^{-1}| = 2 log|det A_t| +
 sum(log w_t) (Rue & Held 2005, ch. 2; ``precision._prior_log_det``).
 
-The gradient follows from the power alpha. At alpha = 2 it is the exact
-adjoint of the same residual form (``_trace_gradient``): the quadratic
-term reads the step residuals of the stacked trajectories, and the step
-log-determinant's adjoint is A_bar = -A_t^{-T} and tau_bar = 1/tau_t.
-Its last link, from d/dL_t to the per-cell fields, is the transpose of
-the stencil table that assembles L_t (``operators.operator_adjoint``),
-which reads A_bar only at L_t's stencil pattern; so A_t^{-T} is taken
-there alone, from a selected inverse of the block-tridiagonal A_t
-(``state_space.selected_inverse``), and the residual products likewise.
-One J^T product serves every step. A burn-in start's marginal adjoint
-walks the doubling's tape, which the marginal keeps where this gradient
-follows. At alpha = 4 and 6, which have no adjoint, it is a finite
-difference of the nll (``_fd_gradient``). A fit forms each step's r_t and
-w_t once per theta (``_step_terms``), and its loss hands them on to the
-adjoint at the same theta.
+The gradient is the exact adjoint of the same residual form at every
+power alpha (``_trace_gradient``). The quadratic term reads the step
+residuals of the stacked trajectories, and the step log-determinant's
+adjoint is A_bar = -A_t^{-T} and tau_bar = 1/tau_t. With k = alpha/2 and
+A_t = I + dt L_t^k, the gradient with respect to L_t is
+
+    L_bar = dt sum_{j<k} (L_t^j)^T A_bar (L_t^{k-1-j})^T,
+
+which at k = 1 is dt A_bar. Its last link, from L_bar to the per-cell
+fields, is the transpose of the stencil table that assembles L_t
+(``operators.operator_adjoint``), which reads L_bar only at L_t's stencil
+pattern; the sum then reads A_bar only at the Chebyshev k-ring, A_t's own
+pattern. So A_t^{-T} is taken there alone, from a selected inverse of the
+block-tridiagonal A_t (``state_space.selected_inverse``), and the residual
+products likewise. One J^T product serves every step. A burn-in start's
+marginal adjoint walks the doubling's tape, which the marginal keeps
+where this gradient follows. A fit forms each step's r_t and w_t once
+per theta (``_step_terms``), and its loss hands them on to the adjoint at
+the same theta.
 
 The expected-nll gradient runs the same data path: E[x x^T] = x* x*^T +
 V V^T for a posterior mean x* and a factor V of the posterior covariance,
@@ -58,11 +62,10 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtri
 
 from . import oi
-from .errors import (DimensionGuard, DivergedFit, NotPositiveDefinite,
-                     UnsupportedAlpha)
+from .errors import DimensionGuard, DivergedFit, NotPositiveDefinite
 from .grid import SpaceTimeGrid, Trajectory
-from .operators import (ParamFields, _stencil_table, operator_adjoint,
-                        project_params)
+from .operators import (ParamFields, _power, _ring_pattern, _slab_features,
+                        _stencil_table, operator_adjoint, project_params)
 from .precision import (BlockPrecision, _prior_log_det, _step_weights,
                         posterior_precision)
 from .state_space import (InitialCondition, TransitionStep, _burnin_doubling,
@@ -71,7 +74,6 @@ from .state_space import (InitialCondition, TransitionStep, _burnin_doubling,
 from .steps import make_step_operator
 
 PARAM_NAMES = ("kappa", "m_u", "m_v", "h11", "h12", "h22", "tau")
-FD_GUARD = 5000
 
 
 @dataclass
@@ -107,27 +109,33 @@ def _theta_from_vector(theta: ParamFields, vec: np.ndarray) -> ParamFields:
 
 
 def _tie(g: np.ndarray, grid: SpaceTimeGrid, stationary: bool) -> np.ndarray:
-    """The per-cell step direction of a _gradient result: when stationary,
+    """The per-cell step direction of a _reduce result: when stationary,
     each field's gradient is shared by all of its cells."""
     return np.repeat(g, grid.dim) if stationary else g
 
 
-def _as_list(x) -> list[Trajectory]:
-    return list(x) if isinstance(x, (list, tuple)) else [x]
-
-
-def _stack_states(xs: list[Trajectory]) -> np.ndarray:
-    """The trajectories as one (nt, m, n) array, trajectory index last."""
-    return np.stack([x.states for x in xs], axis=-1)
+def _stack_states(x, grid: SpaceTimeGrid) -> np.ndarray:
+    """One trajectory, or a list or tuple of them, as one (nt, m, n) array,
+    trajectory index last. No trajectory, or one on another grid than the
+    parameters' grid, raises ValueError."""
+    xs = list(x) if isinstance(x, (list, tuple)) else [x]
+    if not xs:
+        raise ValueError("need at least one trajectory")
+    for traj in xs:
+        if traj.grid != grid:
+            raise ValueError(f"a trajectory on {traj.grid} does not match "
+                             f"the parameters on {grid}")
+    return np.stack([traj.states for traj in xs], axis=-1)
 
 
 def nll(x, theta: ParamFields, p0_mode: str = "burnin", sigma0: float = 1.0,
         burn_in: int = 20) -> float:
     """Mean negative log-likelihood of one or more trajectories."""
+    states = _stack_states(x, theta.grid)
     steps = build_transition(theta, theta.grid)
     ic = initial_condition(theta, theta.grid, p0_mode=p0_mode, sigma0=sigma0,
                            burn_in=burn_in, transitions=steps)
-    return _mean_nll(_stack_states(_as_list(x)), steps, ic, theta.grid.dt)
+    return _mean_nll(states, steps, ic, theta.grid.dt)
 
 
 def _step_terms(states: np.ndarray, transitions: list[TransitionStep],
@@ -155,78 +163,6 @@ def _mean_nll(states: np.ndarray, transitions: list[TransitionStep],
     return 0.5 * (quad / n - log_det) + 0.5 * nt * m * math.log(2.0 * math.pi)
 
 
-# --- finite-difference gradient ----------------------------------------------
-
-def _fd_gradient(xs, theta, p0_opts, stationary: bool, transitions=None,
-                 ic=None, at_theta=None, step_scale=1e-5) -> np.ndarray:
-    """Central differences of the mean nll along each direction: a whole
-    field when stationary (so the cell sum of the per-cell gradient), else
-    one cell. Per-cell directions are refused above FD_GUARD cells, and
-    the cells of slab 0, which never enter the model, are not probed:
-    their gradient is 0.
-
-    One probe loss serves both: a whole-field probe rebuilds every step,
-    and a cell of slab t moves only step t, so a per-cell probe rebuilds
-    just that one and reuses the rest, built once at theta (or handed in,
-    built for the same theta). Either rebuilds the x_0 marginal only when
-    step 1 moved under burn-in (a white start does not depend on theta).
-
-    A probe that ``project_params`` would move lies outside the valid set
-    and is not evaluated: the difference is then one-sided from theta on
-    the side that stays valid, and 0 when neither does (the projection
-    would undo a step along that direction). A one-sided difference reads
-    the nll at theta from at_theta when the caller has it.
-    """
-    grid = theta.grid
-    states = _stack_states(xs)
-    if not stationary:
-        if grid.dim > FD_GUARD:
-            raise DimensionGuard(grid.dim, FD_GUARD)
-        if transitions is None:
-            transitions = build_transition(theta, grid)
-        if ic is None:
-            ic = initial_condition(theta, grid, transitions=transitions,
-                                   **p0_opts)
-
-    def loss(probe, cells):
-        """Mean nll at probe, which moved cells (a slice: the whole field)
-        of one field of theta."""
-        if isinstance(cells, slice):
-            steps, first_moved = build_transition(probe, grid), True
-        else:
-            t = cells // grid.m
-            steps = list(transitions)
-            steps[t - 1] = build_transition(probe, grid, slabs=[t])[0]
-            first_moved = t == 1
-        probe_ic = ic
-        if ic is None or first_moved and ic.mode == "burnin":
-            probe_ic = initial_condition(probe, grid, transitions=steps,
-                                         **p0_opts)
-        return _mean_nll(states, steps, probe_ic, grid.dt)
-
-    arrays = theta.field_arrays()
-    out = []
-    for name in PARAM_NAMES:
-        if not stationary:
-            out.extend([0.0] * grid.m)
-        for cells in [slice(None)] if stationary else range(grid.m, grid.dim):
-            h = step_scale * (1.0 + np.max(np.abs(arrays[name].flat[cells])))
-            ends = []
-            for shift in (h, -h):
-                field = arrays[name].copy()
-                field.flat[cells] += shift
-                probe = theta.replace_fields(**{name: field})
-                ends.append(loss(probe, cells)
-                            if project_params(probe) is probe else None)
-            sides = 2 - ends.count(None)
-            if sides == 1 and at_theta is None:
-                at_theta = loss(theta, slice(None)) if ic is None else \
-                    _mean_nll(states, transitions, ic, grid.dt)
-            up, down = (at_theta if end is None else end for end in ends)
-            out.append((up - down) / (sides * h) if sides else 0.0)
-    return np.array(out)
-
-
 # --- exact adjoint ("trace") gradient ----------------------------------------
 
 def _trace_gradient(states: np.ndarray, theta: ParamFields, p0_opts: dict,
@@ -236,21 +172,19 @@ def _trace_gradient(states: np.ndarray, theta: ParamFields, p0_opts: dict,
     Step t contributes 1/2 mean(sum w r_t^2) - 1/2 log|S_t^{-1}|: the
     quadratic term reads the rank-n residuals r_t, never m x m moments, and
     the log-determinant term is the closed form of the module docstring.
-    Both are needed only at L_t's stencil pattern, where the operator
-    adjoint reads them: A_bar = w r x_t^T / n - A_t^{-T} there, with A_t^{-1}
+    Both are needed only at the k-ring pattern of A_t, where the map to
+    L_bar reads them: A_bar = w r x_t^T / n - A_t^{-T} there, with A_t^{-1}
     from the selected inverse of every step at once. dt A_bar of every step
     is one column of a (slots, steps) array, the burn-in's added into the
-    first step's column, and one product with J^T maps them all to the
+    first step's column; ``_operator_bars`` maps the columns to L_bar at
+    the stencil pattern, and one product with J^T maps them all to the
     fields. transitions, ic and the step terms may come prebuilt for the
     same theta; without terms, one step's residual is held at a time.
     """
-    if theta.alpha != 2:
-        raise UnsupportedAlpha(
-            "the adjoint gradient is implemented for alpha=2; higher powers "
-            "take finite differences")
     grid = theta.grid
     dt = grid.dt
     n = states.shape[2]
+    k = theta.alpha // 2
     if transitions is None:
         transitions = build_transition(theta, grid)
     if ic is None:
@@ -259,16 +193,16 @@ def _trace_gradient(states: np.ndarray, theta: ParamFields, p0_opts: dict,
     if terms is None:
         terms = _step_terms(states, transitions, dt)
     grads = {name: np.zeros(grid.shape) for name in PARAM_NAMES}
-    table = _stencil_table(grid)
+    ring = _ring_pattern(grid, k)
     # (A_t^{-T})[rows, indices] = A_t^{-1}[indices, rows]
-    inverse_t = selected_inverse(transitions, grid.nx, table.indices,
-                                 table.rows)
-    a_bars = np.empty((table.rows.size, len(transitions)))
-    for k, (step, inv_t, (w, r)) in enumerate(zip(transitions, inverse_t,
+    inverse_t = selected_inverse(transitions, k * grid.nx, ring.indices,
+                                 ring.rows)
+    a_bars = np.empty((ring.rows.size, len(transitions)))
+    for s, (step, inv_t, (w, r)) in enumerate(zip(transitions, inverse_t,
                                                   terms)):
         tau = step.noise_scale
-        rx = _pattern_products(r, states[step.t], grid) / n
-        a_bars[:, k] = dt * (w[table.rows] * rx - inv_t)
+        rx = _pattern_products(r, states[step.t], ring) / n
+        a_bars[:, s] = dt * (w[ring.rows] * rx - inv_t)
         r_sq = np.einsum("ij,ij->i", r, r) / n
         tau_bar = 1.0 / tau - r_sq / (dt**2 * tau**3)
         grads["tau"][step.t] += tau_bar.reshape(grid.ny, grid.nx)
@@ -279,36 +213,63 @@ def _trace_gradient(states: np.ndarray, theta: ParamFields, p0_opts: dict,
                                              trans_b=True) / n,
                                          transitions[0], ic, dt)
         grads["tau"][transitions[0].t] += tau_bar.reshape(grid.ny, grid.nx)
-        a_bars[:, 0] += dt * a_bar[table.rows, table.indices]
-    operator_adjoint(a_bars, theta, [step.t for step in transitions], grads)
+        a_bars[:, 0] += dt * a_bar[ring.rows, ring.indices]
+    ts = [step.t for step in transitions]
+    operator_adjoint(_operator_bars(a_bars, theta, ts), theta, ts, grads)
     return ParamGradients(grid, grads)
 
 
+def _operator_bars(a_bars: np.ndarray, theta: ParamFields, ts) -> np.ndarray:
+    """L_bar = sum_{j<k} (L_t^j)^T (dt A_bar) (L_t^{k-1-j})^T at the stencil
+    pattern, for each column of a_bars (dt A_bar of slab ts[s] at the
+    k-ring pattern). At k = 1 that is a_bars itself.
+
+    The sum runs backwards through the powers P_i = L_t^i of the forward
+    product: P_bar starts as dt A_bar, each power i = k-1, ..., 1 adds
+    (P_i^T P_bar) at the pattern and passes P_bar L_t^T down, and the last
+    P_bar adds itself. L_t comes from the stencil table's one product."""
+    k = theta.alpha // 2
+    if k == 1:
+        return a_bars
+    table, ring = _stencil_table(theta.grid), _ring_pattern(theta.grid, k)
+    l_values = np.ascontiguousarray((table.jac @ _slab_features(theta,
+                                                                ts)).T)
+    out = np.empty((table.rows.size, len(ts)))
+    for s, values in enumerate(l_values):
+        lower = table.operator(values)
+        p_bar = ring.matrix(np.ascontiguousarray(a_bars[:, s]))
+        l_bar = np.zeros(table.rows.size)
+        for i in range(k - 1, 0, -1):
+            l_bar += (_power(lower, i).T @ p_bar)[table.rows, table.indices]
+            p_bar = p_bar @ lower.T
+        out[:, s] = l_bar + p_bar[table.rows, table.indices]
+    return out
+
+
 @functools.lru_cache(maxsize=8)
-def _offset_runs(grid: SpaceTimeGrid) -> list:
-    """The stencil pattern grouped by offset d = col - row: for each d, its
+def _offset_runs(pattern) -> list:
+    """A grid pattern grouped by offset d = col - row: for each d, its
     slots, the row range [lo, hi) whose pairs (i, i + d) stay inside the
     grid, and each slot's row relative to lo."""
-    table = _stencil_table(grid)
-    offsets = table.indices - table.rows
+    m = pattern.indptr.size - 1
+    offsets = pattern.indices - pattern.rows
     runs = []
     for d in np.unique(offsets):
         slots = np.flatnonzero(offsets == d)
-        lo, hi = max(0, -d), grid.m - max(0, d)
-        at = table.rows[slots] - lo
+        lo, hi = max(0, -d), m - max(0, d)
+        at = pattern.rows[slots] - lo
         for arr in (slots, at):
             arr.setflags(write=False)
         runs.append((int(d), lo, hi, slots, at))
     return runs
 
 
-def _pattern_products(r: np.ndarray, x: np.ndarray,
-                      grid: SpaceTimeGrid) -> np.ndarray:
-    """sum_n r[row_k, n] x[col_k, n] at every stencil slot k, one offset at
-    a time: each offset pairs a slice of r with a shifted slice of x, so
-    neither a (slots, n) gather nor an m x m product is formed."""
-    out = np.empty(_stencil_table(grid).rows.size)
-    for d, lo, hi, slots, at in _offset_runs(grid):
+def _pattern_products(r: np.ndarray, x: np.ndarray, pattern) -> np.ndarray:
+    """sum_n r[row_k, n] x[col_k, n] at every slot k of a grid pattern, one
+    offset at a time: each offset pairs a slice of r with a shifted slice
+    of x, so neither a (slots, n) gather nor an m x m product is formed."""
+    out = np.empty(pattern.rows.size)
+    for d, lo, hi, slots, at in _offset_runs(pattern):
         out[slots] = np.einsum("ij,ij->i", r[lo:hi], x[lo + d:hi + d])[at]
     return out
 
@@ -376,30 +337,17 @@ def nll_grad(x, theta: ParamFields, stationary: bool = False,
     """Gradient of the mean nll with respect to every parameter entry.
 
     Returns ParamGradients, or with stationary=True the 7 gradients along
-    whole fields (cell sums) at theta, which need not be stationary. The
-    exact adjoint at alpha = 2, finite differences at alpha = 4 and 6.
+    whole fields (cell sums) at theta, which need not be stationary: the
+    exact adjoint at every alpha.
     """
     p0_opts = dict(p0_mode=p0_mode, sigma0=sigma0, burn_in=burn_in)
-    g = _gradient(_as_list(x), theta, stationary, p0_opts)
-    return g if stationary else ParamGradients.unpack(theta.grid, g)
+    grads = _trace_gradient(_stack_states(x, theta.grid), theta, p0_opts)
+    return grads.stationary_vector() if stationary else grads
 
 
 def _reduce(grads: ParamGradients, stationary: bool) -> np.ndarray:
     """Per-cell gradients as one value per field (stationary) or per cell."""
     return grads.stationary_vector() if stationary else grads.pack()
-
-
-def _gradient(xs, theta, stationary: bool, p0_opts, transitions=None,
-              ic=None, terms=None, loss=None) -> np.ndarray:
-    """nll gradient of a list of trajectories, one value per field when
-    stationary, else per cell. At alpha = 2 the adjoint reuses transitions,
-    ic and the step terms, at higher powers the finite differences the
-    transitions, ic and mean nll loss, when they were computed for the same
-    theta."""
-    if theta.alpha == 2:
-        return _reduce(_trace_gradient(_stack_states(xs), theta, p0_opts,
-                                       transitions, ic, terms), stationary)
-    return _fd_gradient(xs, theta, p0_opts, stationary, transitions, ic, loss)
 
 
 def expected_nll_grad(x_star: Trajectory, obs, theta: ParamFields,
@@ -417,14 +365,11 @@ def expected_nll_grad(x_star: Trajectory, obs, theta: ParamFields,
     E[x x^T] = x* x*^T + V V^T and the data gradient over the 1 + dim
     columns [x*, V], scaled by sqrt(1 + dim) to undo its mean, is exactly
     this gradient. Dense in dim^2, so desk-scale grids only: above
-    oi.DENSE_GUARD it raises DimensionGuard. Off alpha = 2 (the adjoint
-    has no other power) it is refused up front with UnsupportedAlpha, and
-    a q without its prior structure with ValueError.
+    oi.DENSE_GUARD it raises DimensionGuard, and a q without its prior
+    structure, or an x* on another grid than theta's, raises ValueError.
     """
     grid = theta.grid
-    if theta.alpha != 2:
-        raise UnsupportedAlpha("the expected-moments gradient is "
-                               f"implemented for alpha=2, got {theta.alpha}")
+    mean = _stack_states(x_star, grid).reshape(-1, 1)
     if q.prior is None:
         raise ValueError("the expected-moments gradient needs the prior "
                          "structure of q; this precision was modified "
@@ -440,7 +385,7 @@ def expected_nll_grad(x_star: Trajectory, obs, theta: ParamFields,
         raise NotPositiveDefinite(info - 1)
     factor = dtrtri(upper, lower=0, overwrite_c=1)[0]
     del dense, upper
-    columns = np.concatenate([x_star.flat[:, None], factor], axis=1)
+    columns = np.concatenate([mean, factor], axis=1)
     del factor
     columns *= math.sqrt(columns.shape[1])
     grads = _trace_gradient(columns.reshape(grid.nt, grid.m, -1), theta, {},
@@ -458,17 +403,13 @@ def fit_params(trajectories, theta0: ParamFields, step_kind: str = "adam",
     """First-order descent on the mean nll, tracking the best-seen theta.
 
     stationary ties each field's step (the start need not be stationary).
-    The gradient is the exact adjoint at alpha = 2 and finite differences
-    at higher powers. Every iterate is projected back onto the valid
-    parameter set.
+    The gradient is the exact adjoint at every alpha. Every iterate is
+    projected back onto the valid parameter set.
     """
-    xs = _as_list(trajectories)
-    if not xs:
-        raise ValueError("need at least one trajectory")
-    p0_opts = dict(p0_mode=p0_mode, sigma0=sigma0, burn_in=burn_in)
     grid = theta0.grid
+    states = _stack_states(trajectories, grid)
+    p0_opts = dict(p0_mode=p0_mode, sigma0=sigma0, burn_in=burn_in)
     stepper = make_step_operator(step_kind, **(step_params or {"lr": 0.02}))
-    states = _stack_states(xs)
 
     def loss_at(theta):
         # the transitions, x_0 marginal and step terms built for the loss
@@ -476,7 +417,7 @@ def fit_params(trajectories, theta0: ParamFields, step_kind: str = "adam",
         # adjoint taking the burn-in doubling's tape too
         steps = build_transition(theta, grid)
         ic = initial_condition(theta, grid, transitions=steps,
-                               keep_tape=theta.alpha == 2, **p0_opts)
+                               keep_tape=True, **p0_opts)
         terms = list(_step_terms(states, steps, grid.dt))
         return _mean_nll(states, steps, ic, grid.dt, terms), (steps, ic, terms)
 
@@ -485,8 +426,8 @@ def fit_params(trajectories, theta0: ParamFields, step_kind: str = "adam",
     best_loss, best_theta = loss, theta
     loss_curve = [best_loss]
     for it in range(max_steps):
-        g = _tie(_gradient(xs, theta, stationary, p0_opts, *built, loss=loss),
-                 grid, stationary)
+        g = _tie(_reduce(_trace_gradient(states, theta, p0_opts, *built),
+                         stationary), grid, stationary)
         theta = project_params(
             _theta_from_vector(theta, stepper.update(_theta_vector(theta), g)))
         loss, built = loss_at(theta)

@@ -23,10 +23,12 @@ the parameter adjoint is J^T applied to the operator gradient at the
 pattern. The boundary closure lives only in the table's builder. Every
 row touches at most itself and its 8 spatial neighbors.
 
-The table is made once per grid and also holds what the step matrices
-A_t = I + dt L_t, stored as values on its pattern, need: the diagonal
-slots, J^T as CSR (one product maps the gradients of many slabs, one
-column each), and each slot's place in the LAPACK band and in the
+The table is made once per grid and also holds J^T as CSR (one product
+maps the gradients of many slabs, one column each). The step matrices
+A_t = I + dt L_t^k, k = alpha/2, are stored as values on the pattern of
+every pair of cells at most k apart along each axis (the Chebyshev k-ring,
+``_ring_pattern``; at k = 1 the table itself), which holds the diagonal
+slots and each slot's place in the LAPACK band and in the
 block-tridiagonal view (``SlotPattern``). ``assemble_fdm_operator``
 returns L_t itself with exact zeros dropped; a step matrix keeps unused
 slots as explicit zeros.
@@ -153,10 +155,10 @@ class SlotPattern:
     * ``band_slots``: flat offsets into the Fortran-ordered LAPACK dgbtrf
       band ab of shape (2 kl + ku + 1, m), ab[kl + ku + i - j, j] = A[i, j]
       (kl extra rows on top take the fill-in of row pivoting);
-    * ``block_slots(nx)``: block index 3 by + (cy - by + 1) and position
-      nx bx + cx of each slot in the block-tridiagonal view with ny block
-      rows of nx x nx blocks, (by, bx) and (cy, cx) the slot's row and
-      column cells split by nx.
+    * ``block_slots(size)``: block index 3 by + (cy - by + 1) and position
+      size bx + cx of each slot in the block-tridiagonal view with blocks
+      of size cells, (by, bx) and (cy, cx) the slot's row and column cells
+      split by size.
 
     Both are computed once per pattern, so a matrix stored on it is
     scattered straight to those positions.
@@ -177,36 +179,32 @@ class SlotPattern:
         for arr in (indptr, indices, self.rows, self.band_slots):
             arr.setflags(write=False)
 
-    def block_slots(self, nx: int) -> tuple[np.ndarray, np.ndarray]:
-        """(block, position) of every slot for blocks of nx cells; a pattern
-        outside the three block diagonals raises ValueError."""
-        if nx not in self._blocks:
-            (by, bx), (cy, cx) = (np.divmod(self.rows, nx),
-                                  np.divmod(self.indices, nx))
+    def block_slots(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """(block, position) of every slot for blocks of size cells; a
+        pattern outside the three block diagonals raises ValueError."""
+        if size not in self._blocks:
+            (by, bx), (cy, cx) = (np.divmod(self.rows, size),
+                                  np.divmod(self.indices, size))
             if np.any(np.abs(cy - by) > 1):
                 raise ValueError("step matrix is not block tridiagonal "
-                                 f"with blocks of {nx} cells")
-            slots = (3 * by + cy - by + 1, nx * bx + cx)
+                                 f"with blocks of {size} cells")
+            slots = (3 * by + cy - by + 1, size * bx + cx)
             for arr in slots:
                 arr.setflags(write=False)
-            self._blocks[nx] = slots
-        return self._blocks[nx]
+            self._blocks[size] = slots
+        return self._blocks[size]
 
 
-class _StencilTable(SlotPattern):
-    """The fixed pattern of a grid's slab operators and the sparse map J
-    (pattern slots x 8m) from the features phi to the stored values, so
-    L_t = csr(J @ phi_t) and, L_t being linear in phi, phi_bar = J^T l_bar
-    read at the pattern slots. ``jac_t`` is J^T as CSR and ``diag`` the
-    slot of each row's diagonal entry."""
+class _GridPattern(SlotPattern):
+    """The SlotPattern of a grid's m cells with the given sorted flat slots
+    row * m + col, plus ``diag``, the slot of each row's diagonal entry,
+    and ``matrix``, which holds values at the slots as a CSR matrix."""
 
-    def __init__(self, m: int, slots: np.ndarray, jac: sparse.csr_array):
+    def __init__(self, m: int, slots: np.ndarray):
         rows, indices = np.divmod(slots, m)
         super().__init__(
             np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))]),
             indices)
-        self.jac = jac
-        self.jac_t = sparse.csr_array(jac.T)
         self.diag = np.flatnonzero(self.rows == self.indices)
         self.diag.setflags(write=False)
         # scipy's own index width for this size (int32 unless it overflows),
@@ -228,6 +226,27 @@ class _StencilTable(SlotPattern):
         out = copy.copy(self._template)
         out.data = data
         return out
+
+
+class _StencilTable(_GridPattern):
+    """The fixed pattern of a grid's slab operators and the sparse map J
+    (pattern slots x 8m) from the features phi to the stored values, so
+    L_t = csr(J @ phi_t) and, L_t being linear in phi, phi_bar = J^T l_bar
+    read at the pattern slots. ``jac_t`` is J^T as CSR."""
+
+    def __init__(self, m: int, slots: np.ndarray, jac: sparse.csr_array):
+        super().__init__(m, slots)
+        self.jac = jac
+        self.jac_t = sparse.csr_array(jac.T)
+
+    def operator(self, values: np.ndarray) -> sparse.csr_array:
+        """L_t as a CSR matrix of its own, from its values at the pattern
+        slots, with exact zeros dropped."""
+        m = self.indptr.size - 1
+        op = sparse.csr_array((values, self.indices, self.indptr),
+                              shape=(m, m), copy=True)
+        op.eliminate_zeros()
+        return op
 
 
 @functools.lru_cache(maxsize=8)
@@ -281,6 +300,24 @@ def _stencil_table(grid: SpaceTimeGrid) -> _StencilTable:
     return _StencilTable(m, slots, jac)
 
 
+@functools.lru_cache(maxsize=8)
+def _ring_pattern(grid: SpaceTimeGrid, k: int) -> _GridPattern:
+    """The pattern of A_t = I + dt L_t^k: every pair of cells at most k
+    apart along each axis (the Chebyshev k-ring), which holds L_t^k since
+    L_t couples only cells one apart. At k = 1 it is the stencil table,
+    whose pattern is exactly that ring."""
+    if k == 1:
+        return _stencil_table(grid)
+    y, x = np.divmod(np.arange(grid.m), grid.nx)
+    slots = []
+    for dy in range(-k, k + 1):
+        for dx in range(-k, k + 1):
+            cell = np.flatnonzero((0 <= y + dy) & (y + dy < grid.ny)
+                                  & (0 <= x + dx) & (x + dx < grid.nx))
+            slots.append(cell * grid.m + cell + dy * grid.nx + dx)
+    return _GridPattern(grid.m, np.sort(np.concatenate(slots)))
+
+
 def _slab_features(theta: ParamFields, ts) -> np.ndarray:
     """The features phi of slabs ts as the columns of an (8m, len(ts))
     array. Raises InvalidParams naming the first cell (t, y, x), t in the
@@ -317,11 +354,7 @@ def assemble_fdm_operator(theta: ParamFields, t: int,
     if not 0 <= t < grid.nt:
         raise IndexError(f"t axis out of range: {t} not in [0, {grid.nt})")
     table = _stencil_table(grid)
-    op = sparse.csr_array((table.jac @ _slab_features(theta, [t])[:, 0],
-                           table.indices, table.indptr),
-                          shape=(grid.m, grid.m), copy=True)
-    op.eliminate_zeros()
-    return op
+    return table.operator(table.jac @ _slab_features(theta, [t])[:, 0])
 
 
 def operator_adjoint(l_bar: np.ndarray, theta: ParamFields, t,
@@ -370,11 +403,17 @@ class FractionalOperator:
         self.shape = base.shape
 
     def to_sparse(self) -> sparse.csr_array:
-        out = self.base
-        for _ in range(self.power - 1):
-            out = (out @ self.base).tocsr()
+        out = _power(self.base, self.power).tocsr()
         out.sort_indices()
         return out
+
+
+def _power(base: sparse.csr_array, k: int) -> sparse.csr_array:
+    """base^k by k - 1 sparse products, each on the right."""
+    out = base
+    for _ in range(k - 1):
+        out = out @ base
+    return out
 
 
 def apply_fractional(f_core: sparse.csr_array, alpha: int) -> FractionalOperator:

@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergedStep, UnsupportedAlpha
-from .estimation import (PARAM_NAMES, _gradient, _reduce, _theta_from_vector,
-                         _theta_vector, _tie, expected_nll_grad, nll)
+from .errors import DivergedStep
+from .estimation import (PARAM_NAMES, _reduce, _stack_states,
+                         _theta_from_vector, _theta_vector, _tie,
+                         _trace_gradient, expected_nll_grad, nll)
 from .grid import Trajectory
 from .oi import _cost_flat_grad
 from .operators import ParamFields, project_params
@@ -39,12 +40,10 @@ class SolverConfig:
     update_mode: "x_only" freezes theta; "joint" updates both every
     iteration; "alternating" runs x_steps state updates then theta_steps
     parameter updates, repeating (both >= 0, with a positive sum). theta
-    descends the nll by its exact adjoint at alpha = 2, by finite
-    differences at higher powers, or with theta_expected by the
-    expected-nll gradient. That one reads the cached prior and one dense
-    Cholesky of the posterior precision, so it works at desk scale only
-    (DimensionGuard above oi.DENSE_GUARD), and run_solver refuses it up
-    front at alpha != 2 (UnsupportedAlpha).
+    descends the nll by its exact adjoint, at every alpha, or with
+    theta_expected by the expected-nll gradient. That one reads the cached
+    prior and one dense Cholesky of the posterior precision, so it works
+    at desk scale only (DimensionGuard above oi.DENSE_GUARD).
     """
 
     n_iterations: int = 200
@@ -93,9 +92,9 @@ class PrecisionCache:
 
     The cached precision carries the transitions and x_0 marginal it was
     assembled from (``BlockPrecision.prior``), so a gradient taken at the
-    same theta reads them instead of rebuilding. When theta moves at
-    alpha = 2, the burn-in marginal also holds its doubling's tape for the
-    theta gradient's burn-in adjoint.
+    same theta reads them instead of rebuilding. When theta moves, the
+    burn-in marginal also holds its doubling's tape for the theta
+    gradient's burn-in adjoint.
     """
 
     def __init__(self, cfg: SolverConfig):
@@ -123,8 +122,7 @@ class PrecisionCache:
                 # and its tape are built, which keeps the peak memory down
                 self._q = ic = None
                 ic = initial_condition(theta, grid, transitions=steps,
-                                       keep_tape=self._keep_tape
-                                       and theta.alpha == 2,
+                                       keep_tape=self._keep_tape,
                                        **self.cfg.p0_opts())
             self._q = assemble_block_precision(theta, grid,
                                                transitions=steps, ic=ic)
@@ -155,10 +153,12 @@ def _theta_gradient(x, obs, theta, cfg, runtime) -> np.ndarray:
     cached precision for this same theta."""
     q = runtime.cache.get(theta)
     if cfg.theta_expected:
-        return _reduce(expected_nll_grad(x, obs, theta, q),
-                       cfg.theta_stationary)
-    return _gradient([x], theta, cfg.theta_stationary, cfg.p0_opts(),
-                     q.prior.transitions, q.prior.ic)
+        grads = expected_nll_grad(x, obs, theta, q)
+    else:
+        grads = _trace_gradient(_stack_states(x, theta.grid), theta,
+                                cfg.p0_opts(), q.prior.transitions,
+                                q.prior.ic)
+    return _reduce(grads, cfg.theta_stationary)
 
 
 def _update_theta(x, obs, theta, cfg, runtime) -> ParamFields:
@@ -234,12 +234,8 @@ def run_solver(x0: Trajectory, theta0: ParamFields, obs,
 
     With update_mode "x_only" this converges toward the direct posterior
     mean of the frozen parameters. Deterministic: same inputs and config
-    give bit-identical outputs. theta_expected at alpha != 2 raises
-    UnsupportedAlpha before the first iteration.
+    give bit-identical outputs.
     """
-    if cfg.theta_expected and theta0.alpha != 2:
-        raise UnsupportedAlpha("the expected-moments theta gradient is "
-                               f"implemented for alpha=2, got {theta0.alpha}")
     runtime = SolverRuntime.fresh(cfg)
     state = AugmentedState(x=x0.copy(), theta=project_params(theta0))
     rows: list[dict] = []

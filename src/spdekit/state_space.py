@@ -10,15 +10,19 @@ L_t^{alpha/2} and the propagator M_t = A_t^{-1} is contractive. The noise
 z is i.i.d. standard normal per cell; the per-step noise map is therefore
 T_t = M_t * dt * diag(tau_t). A_t is a stencil matrix, banded in row-major
 cell order, and each step keeps one LAPACK banded LU of it: every solve
-with M_t, the dense M_t and log|det A_t| read that one factor. At alpha = 2
-it is also block tridiagonal, and ``selected_inverse`` reads A_t^{-1} at
-the stencil pattern from its block recursion.
+with M_t, the dense M_t and log|det A_t| read that one factor. With
+k = alpha/2 it couples only cells at most k apart along each axis, so it
+is also block tridiagonal in blocks of k grid rows, and
+``selected_inverse`` reads A_t^{-1} at its pattern from the block
+recursion.
 
-At alpha = 2, ``build_transition`` makes every A_t as values on the grid's
-stencil pattern, dt (J @ phi_t) + 1 at the diagonal, for all slabs asked
-for in one product; unused slots (h12 = 0) are explicit zeros. Each step
-holds its pattern, whose precomputed band and block positions the LU and
-the selected inverse scatter the values to. A hand-built drift
+``build_transition`` takes the values of L_t for all slabs asked for from
+one product J @ phi_t with the grid's stencil table, and makes every A_t
+as values on the Chebyshev k-ring pattern: dt L_t^k, the power formed by
+k - 1 sparse products, plus 1 at the diagonal. At k = 1 the ring is the
+stencil table; unused slots (h12 = 0) are explicit zeros. Each step holds
+its pattern, whose precomputed band and block positions the LU and the
+selected inverse scatter the values to. A hand-built drift
 (``transition_from_drift``) gets the pattern of its own nonzeros, made by
 the same code, so both kinds of step take one path.
 
@@ -43,9 +47,8 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs, dpotrf, dpotri
 
 from .errors import SingularTransition
 from .grid import SpaceTimeGrid, Trajectory
-from .operators import (ParamFields, SlotPattern, _slab_features,
-                        _stencil_table, apply_fractional,
-                        assemble_fdm_operator)
+from .operators import (ParamFields, SlotPattern, _power, _ring_pattern,
+                        _slab_features, _stencil_table)
 
 _STREAM_INIT = 0
 _STREAM_STEP = 1
@@ -85,12 +88,12 @@ class TransitionStep:
     """One implicit step: holds A_t = I - dt*F_t and its banded LU.
 
     A_t is a stencil matrix, banded in row-major cell order, stored on
-    ``pattern``: the grid's stencil table, or the pattern of a hand-built
+    ``pattern``: the grid's k-ring pattern, or the pattern of a hand-built
     drift. Its LAPACK banded LU (dgbtrf) is computed once, on first use,
     by scattering the values to the pattern's band slots, and serves
     propagate, dense_inverse (the burn-in's dense M_1) and log_abs_det; a
     zero pivot raises SingularTransition(t) from each of them. The trace
-    gradient needs A_t^{-1} only at the stencil pattern and reads it from
+    gradient needs A_t^{-1} only at the k-ring pattern and reads it from
     ``selected_inverse``, never from dense_inverse.
     """
 
@@ -149,84 +152,90 @@ def transition_from_drift(f_drift, dt: float, t: int = 0,
 def build_transition(theta: ParamFields, grid: SpaceTimeGrid | None = None,
                      slabs=None) -> list[TransitionStep]:
     """The TransitionStep of each slab t in slabs (default 1..nt-1), with
-    F_t = -L_t^{alpha/2}.
+    A_t = I + dt L_t^k, k = alpha/2.
 
-    At alpha = 2, A_t = I + dt L_t is linear in the slab features phi_t,
-    so the steps are values on the grid's stencil pattern: one product
-    dt (J @ Phi) over the stacked features of every slab asked for, plus
-    1 at the diagonal slots. These are the bits of I - dt (-L_t), with the
-    pattern's unused slots (the diagonal neighbours when h12 = 0) kept as
-    explicit zeros. Higher powers take the sparse product of the operator.
+    L_t of every slab asked for is one product J @ Phi over the stacked
+    slab features, at the stencil table's slots. Its power, formed by
+    k - 1 sparse products of the zero-free L_t (those of
+    ``FractionalOperator.to_sparse`` on the assembled operator), holds
+    only pairs of cells at most k apart along each axis, so A_t is
+    stored on that Chebyshev k-ring pattern: dt L_t^k plus 1 at the
+    diagonal slots. These are the bits of I + dt L_t^k formed from the
+    zero-free operator, with the pattern's unused slots (the diagonal
+    neighbours when h12 = 0) kept as explicit zeros.
     """
     grid = grid or theta.grid
     slabs = list(range(1, grid.nt) if slabs is None else slabs)
     taus = theta.tau.values
-    if theta.alpha != 2:
-        return [transition_from_drift(
-                    -apply_fractional(assemble_fdm_operator(theta, t, grid),
-                                      theta.alpha).to_sparse(),
-                    grid.dt, t=t, noise_scale=taus[t].ravel())
-                for t in slabs]
-    table = _stencil_table(grid)
-    values = grid.dt * (table.jac @ _slab_features(theta, slabs))
-    values[table.diag] += 1.0
-    return [TransitionStep(t=t, a_solve=table.matrix(data),
-                           noise_scale=taus[t].ravel(), pattern=table)
-            for t, data in zip(slabs, np.ascontiguousarray(values.T))]
+    k = theta.alpha // 2
+    table, ring = _stencil_table(grid), _ring_pattern(grid, k)
+    values = np.ascontiguousarray((table.jac @ _slab_features(theta,
+                                                              slabs)).T)
+    if k > 1:
+        powers = [_power(table.operator(lt), k) for lt in values]
+        values = np.array([p[ring.rows, ring.indices] for p in powers])
+    values = grid.dt * values
+    values[:, ring.diag] += 1.0
+    return [TransitionStep(t=t, a_solve=ring.matrix(data),
+                           noise_scale=taus[t].ravel(), pattern=ring)
+            for t, data in zip(slabs, values)]
 
 
-def selected_inverse(transitions: list[TransitionStep], nx: int,
+def selected_inverse(transitions: list[TransitionStep], block: int,
                      rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Entries A_t^{-1}[rows, cols] of every step, as a (steps, k) array.
+    """Entries A_t^{-1}[rows, cols] of every step, as a (steps, entries)
+    array.
 
-    In row-major cell order an alpha = 2 step matrix is block tridiagonal,
-    with ny block rows of nx x nx blocks; the entries asked for must lie
-    in its three block diagonals. They are read from the diagonal and
+    In row-major cell order a step matrix at alpha = 2k is block
+    tridiagonal in blocks of k grid rows: block = k nx cells. The cells are
+    padded to a whole number nb of block rows with identity rows, which
+    invert to I and couple to nothing, and the entries asked for must lie
+    in the three block diagonals. They are read from the diagonal and
     first off-diagonal blocks G of A_t^{-1}, which the recursive
     Green's-function form of Takahashi's recursion gives without forming
     the dense inverse, for all steps at once, batched along a step axis:
 
         S_0 = D_0,  S_i = D_i - A_{i,i-1} S_{i-1}^{-1} A_{i-1,i}
-        G_{ny-1}   = S_{ny-1}^{-1}
+        G_{nb-1}   = S_{nb-1}^{-1}
         G_{i,i+1}  = -S_i^{-1} A_{i,i+1} G_{i+1}
         G_{i+1,i}  = -G_{i+1} A_{i+1,i} S_i^{-1}
         G_i        = S_i^{-1} - G_{i,i+1} A_{i+1,i} S_i^{-1}
 
-    That is O(ny nx^3) per step and no m x m array. A zero pivot of A_t
+    That is O(nb block^3) per step and no m x m array. A zero pivot of A_t
     raises SingularTransition(t) from the step's banded LU; a singular or
     numerically singular Schur block S_i of a nonsingular A_t (the
     recursion does not pivot across block rows) raises it naming block
     row i.
     """
     m = transitions[0].a_solve.shape[0]
-    ny, rem = divmod(m, nx)
-    if rem:
-        raise ValueError(f"{m} cells do not split into rows of {nx}")
+    nb = -(-m // block)
     # blocks[i, d + 1, s] is A_{i, i+d} of step s, for d = -1, 0, 1; the
     # step axis is inside so that each batched product reads contiguous
     # stacks of blocks. Each step's values go to its pattern's block slots.
-    blocks = np.zeros((3 * ny, len(transitions), nx * nx))
+    blocks = np.zeros((3 * nb, len(transitions), block * block))
     for s, step in enumerate(transitions):
         step._banded_lu()
-        block, position = step.pattern.block_slots(nx)
-        blocks[block, s, position] = step.a_solve.data
-    blocks = blocks.reshape(ny, 3, len(transitions), nx, nx)
+        where, position = step.pattern.block_slots(block)
+        blocks[where, s, position] = step.a_solve.data
+    padded = np.arange(m - (nb - 1) * block, block)
+    blocks[3 * nb - 2, :, padded * (block + 1)] = 1.0
+    blocks = blocks.reshape(nb, 3, len(transitions), block, block)
 
     lower, diag, upper = blocks[:, 0], blocks[:, 1], blocks[:, 2]
     s_inv = np.empty(diag.shape)
     schur = diag[0]
-    for i in range(ny):
+    for i in range(nb):
         if i:
             schur = diag[i] - lower[i] @ s_inv[i - 1] @ upper[i - 1]
         s_inv[i] = _invert_schur(schur, transitions, i)
     green = np.empty_like(blocks)      # same layout: green[i, d + 1, s]
-    green[ny - 1, 1] = s_inv[ny - 1]
-    for i in range(ny - 2, -1, -1):
+    green[nb - 1, 1] = s_inv[nb - 1]
+    for i in range(nb - 2, -1, -1):
         lower_s = lower[i + 1] @ s_inv[i]          # A_{i+1,i} S_i^{-1}
         green[i, 2] = -(s_inv[i] @ upper[i]) @ green[i + 1, 1]
         green[i + 1, 0] = -green[i + 1, 1] @ lower_s
         green[i, 1] = s_inv[i] - green[i, 2] @ lower_s
-    (ry, rx), (cy, cx) = np.divmod(rows, nx), np.divmod(cols, nx)
+    (ry, rx), (cy, cx) = np.divmod(rows, block), np.divmod(cols, block)
     if np.any(np.abs(cy - ry) > 1):
         raise ValueError("entries outside the three block diagonals")
     return green[ry, cy - ry + 1, :, rx, cx].T

@@ -3,7 +3,9 @@
 The operator oracle re-derives every stencil entry cell by cell with plain
 loops; it shares no code with the vectorized assembly in the package. The
 operator adjoint reference scatters d/dL_t to the fields term by term, with
-no use of the package's stencil table.
+no use of the package's stencil table, and d/dL_t comes from d/dA_t through
+dense powers of the assembled operator. The central-difference gradient
+reads nothing but the nll.
 """
 
 from types import SimpleNamespace
@@ -184,6 +186,49 @@ def operator_adjoint_reference(l_bar: np.ndarray, theta: ParamFields,
     grads["h12"][t] += (c * (term1 + term2)).reshape(ny, nx)
 
 
+def central_difference_gradient(xs, theta, p0_opts, stationary=False,
+                                step_scale=1e-5):
+    """Central differences of the mean nll of the trajectories xs: along
+    each cell of each field (a dict of (nt, ny, nx) arrays), or with
+    stationary along each whole field (7 values, the cell sums of the
+    per-cell gradient). The step is step_scale (1 + the largest |value|
+    moved)."""
+    from spdekit import nll
+    from spdekit.estimation import PARAM_NAMES
+
+    arrays = theta.field_arrays()
+    out = {}
+    for name in PARAM_NAMES:
+        field = arrays[name]
+        grad = np.zeros(field.shape)
+        for cells in ([slice(None)] if stationary else range(field.size)):
+            h = step_scale * (1.0 + np.max(np.abs(field.flat[cells])))
+            ends = []
+            for shift in (h, -h):
+                probe = field.copy()
+                probe.flat[cells] += shift
+                ends.append(nll(xs, theta.replace_fields(**{name: probe}),
+                                **p0_opts))
+            grad.flat[cells] = (ends[0] - ends[1]) / (2.0 * h)
+        out[name] = grad
+    if stationary:
+        return np.array([out[name].flat[0] for name in PARAM_NAMES])
+    return out
+
+
+def operator_bar_reference(a_bar, theta, t) -> np.ndarray:
+    """The dense d(loss)/dL_t of d(loss)/dA_t = a_bar for
+    A_t = I + dt L_t^k, k = alpha/2: dt sum_{j<k} (L^j)^T a_bar
+    (L^{k-1-j})^T, with powers of the dense assembled operator."""
+    from spdekit import assemble_fdm_operator
+
+    k = theta.alpha // 2
+    lt = assemble_fdm_operator(theta, t).toarray().T
+    return theta.grid.dt * sum(
+        np.linalg.matrix_power(lt, j) @ a_bar
+        @ np.linalg.matrix_power(lt, k - 1 - j) for j in range(k))
+
+
 def block_precision_reference(transitions, ic, dt, add=None
                               ) -> sparse.csr_array:
     """Q assembled block by block from the D_t / U_t formulas and glued
@@ -235,6 +280,19 @@ def dense_posterior_cov(q, obs) -> np.ndarray:
     return np.linalg.inv(qd + np.diag(add))
 
 
+def posterior_moments(x_star, obs, q) -> tuple:
+    """(diag, cross): the posterior second moments E[x_t x_t^T] and
+    E[x_{t-1} x_t^T] about the mean x_star, from the dense posterior
+    covariance, as cholesky_adjoint_moments_gradient takes them."""
+    g = q.grid
+    cov = dense_posterior_cov(q, obs).reshape(g.nt, g.m, g.nt, g.m)
+    mean = x_star.states
+    diag = [cov[t, :, t] + np.outer(mean[t], mean[t]) for t in range(g.nt)]
+    cross = [cov[t - 1, :, t] + np.outer(mean[t - 1], mean[t])
+             for t in range(1, g.nt)]
+    return diag, cross
+
+
 def cholesky_adjoint_trace_gradient(xs, theta, p0_opts) -> dict:
     """cholesky_adjoint_moments_gradient fed the empirical moments of the
     sample trajectories xs: the means of x_t x_t^T and x_{t-1} x_t^T."""
@@ -254,9 +312,9 @@ def cholesky_adjoint_moments_gradient(diag, cross, theta, p0_opts) -> dict:
 
     This is the algorithm the library used before the closed-form step
     log-determinant; the x_0 marginal and its adjoint come from the SuperLU
-    burn-in oracles below, and the operator scatter from
-    operator_adjoint_reference, so it shares no adjoint code with the
-    library's trace gradient.
+    burn-in oracles below, d/dL_t from operator_bar_reference and the
+    operator scatter from operator_adjoint_reference, so it shares no
+    adjoint code with the library's trace gradient.
     """
     from scipy import sparse
 
@@ -296,7 +354,8 @@ def cholesky_adjoint_moments_gradient(diag, cross, theta, p0_opts) -> dict:
         tau_bar += w_bar * (-2.0 / (dt**2 * tau**3))
 
         grads["tau"][t] += tau_bar.reshape(grid.ny, grid.nx)
-        operator_adjoint_reference(dt * a_bar, theta, t, grads)
+        operator_adjoint_reference(operator_bar_reference(a_bar, theta, t),
+                                   theta, t, grads)
     if p0_opts["p0_mode"] == "burnin":
         burnin_adjoint_oracle(diag[0], theta, transitions[0],
                               p0_opts["burn_in"], grads)
@@ -361,7 +420,8 @@ def burnin_adjoint_oracle(second_moment_0, theta, step, burn_in,
         p_bar = 0.5 * (x_bar + x_bar.T)
     a_bar = -solve_t(solve(m_bar.T).T)                # -M^T m_bar M^T
     grads["tau"][step.t] += tau_bar.reshape(grid.ny, grid.nx)
-    operator_adjoint_reference(dt * a_bar, theta, step.t, grads)
+    operator_adjoint_reference(operator_bar_reference(a_bar, theta, step.t),
+                               theta, step.t, grads)
 
 
 # --- per-member ensemble reference ------------------------------------------

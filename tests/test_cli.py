@@ -1,5 +1,6 @@
 """End-to-end command-line runs in temporary directories."""
 
+import math
 import os
 import subprocess
 import sys
@@ -142,13 +143,15 @@ def test_fit_command(workdir):
     assert len(loss) == 5                        # header + start + 3 steps
 
 
-def test_fit_at_alpha_4_takes_finite_differences(workdir):
+def test_fit_at_alpha_4_takes_the_exact_gradient(workdir):
     (workdir / "experiment.cfg").write_text(
         BASE.replace("tau = 1.0", "tau = 1.0\nalpha = 4"), encoding="utf-8")
     assert _run(workdir, "simulate", out_dir=workdir / "sim") == 0
     out = workdir / "fitted"
     assert _run(workdir, "fit", out_dir=out) == 0
-    assert len((out / "loss.csv").read_text().strip().splitlines()) == 5
+    loss = (out / "loss.csv").read_text().strip().splitlines()
+    assert len(loss) == 5
+    assert all(math.isfinite(float(row.split(",")[1])) for row in loss[1:])
 
 
 def test_retired_gradient_keys_are_ignored(workdir):

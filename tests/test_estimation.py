@@ -11,19 +11,19 @@ import spdekit.linalg
 from spdekit import (BlockPrecision, ObservationSet, ParamFields,
                      SpaceTimeGrid, assemble_block_precision,
                      dense_trajectory_covariance, fit_params, nll, nll_grad,
-                     oi_solve_precision, posterior_precision, quadratic_form,
-                     sample_prior, sparse_cholesky, validate_params)
+                     Trajectory, oi_solve_precision, posterior_precision,
+                     quadratic_form, sample_prior, sparse_cholesky,
+                     validate_params)
 from spdekit.errors import (DegenerateNoise, DimensionGuard,
-                            NotPositiveDefinite, SingularTransition,
-                            UnsupportedAlpha)
-from spdekit.estimation import (PARAM_NAMES, ParamGradients, _mean_nll,
-                                _stack_states, _trace_gradient,
-                                expected_nll_grad)
+                            NotPositiveDefinite, SingularTransition)
+from spdekit.estimation import (PARAM_NAMES, _mean_nll, _stack_states,
+                                _trace_gradient, expected_nll_grad)
 from spdekit.state_space import (build_transition, initial_condition,
                                  transition_from_drift)
 
-from oracles import (cholesky_adjoint_moments_gradient,
-                     cholesky_adjoint_trace_gradient, dense_posterior_cov,
+from oracles import (central_difference_gradient,
+                     cholesky_adjoint_moments_gradient,
+                     cholesky_adjoint_trace_gradient, posterior_moments,
                      random_theta)
 
 
@@ -43,7 +43,7 @@ def test_nll_matches_assembled_precision(p0_mode, nx, ny, nt):
     xs = sample_prior(theta, g, n_members=3, base_seed=21,
                       p0_mode=p0_mode).members
     q = assemble_block_precision(theta, g, p0_mode=p0_mode)
-    quad = quadratic_form(q, _stack_states(xs)) / len(xs)
+    quad = quadratic_form(q, _stack_states(xs, g)) / len(xs)
     assembled = 0.5 * (quad - sparse_cholesky(q.to_csr()).logdet()) \
         + 0.5 * g.dim * np.log(2 * np.pi)
     ours = nll(xs, theta, p0_mode=p0_mode)
@@ -79,18 +79,48 @@ def test_nll_scaling_direction_matches_dense():
     assert ours_delta == pytest.approx(oracle_delta, abs=1e-6)
 
 
+def _assert_central_differences(xs, theta, p0_opts):
+    """nll_grad per cell and per field against the central differences of
+    the nll, at 1e-4 of the larger of 1 and the largest difference."""
+    ours = nll_grad(xs, theta, **p0_opts)
+    oracle = central_difference_gradient(xs, theta, p0_opts)
+    for name in PARAM_NAMES:
+        a, b = ours.fields[name], oracle[name]
+        scale = max(np.max(np.abs(b)), 1.0)
+        assert np.max(np.abs(a - b)) < 1e-4 * scale, name
+    ours = nll_grad(xs, theta, stationary=True, **p0_opts)
+    oracle = central_difference_gradient(xs, theta, p0_opts, stationary=True)
+    assert np.max(np.abs(ours - oracle)) \
+        < 1e-4 * max(np.max(np.abs(oracle)), 1.0)
+
+
 @pytest.mark.parametrize("p0_mode", ["burnin", "white"])
 def test_trace_gradient_matches_finite_differences(p0_mode):
     g = SpaceTimeGrid(nx=3, ny=3, nt=3)
     theta = random_theta(g, 11)
     xs = sample_prior(theta, g, n_members=2, base_seed=5).members
-    gt = nll_grad(xs, theta, p0_mode=p0_mode, burn_in=5)
-    gf = ParamGradients.unpack(g, estimation._fd_gradient(
-        xs, theta, dict(p0_mode=p0_mode, sigma0=1.0, burn_in=5), False))
-    for name in PARAM_NAMES:
-        a, b = gt.fields[name], gf.fields[name]
-        scale = max(np.max(np.abs(b)), 1.0)
-        assert np.max(np.abs(a - b)) < 1e-4 * scale, name
+    _assert_central_differences(xs, theta,
+                                dict(p0_mode=p0_mode, sigma0=1.0, burn_in=5))
+
+
+# 5 grid rows split into blocks of k = 2 or 3 rows leave a part block,
+# which the selected inverse pads with identity rows
+_ALPHA_CASES = [pytest.param(alpha, anisotropic,
+                             id=f"alpha{alpha}" + ("" if anisotropic
+                                                   else "-h12=0"))
+                for alpha in (2, 4, 6) for anisotropic in (True, False)]
+
+
+@pytest.mark.parametrize("p0_mode", ["burnin", "white"])
+@pytest.mark.parametrize("alpha, anisotropic", _ALPHA_CASES)
+def test_trace_gradient_matches_central_differences_at_every_alpha(
+        alpha, anisotropic, p0_mode):
+    g = SpaceTimeGrid(nx=3, ny=5, nt=3, dy=1.3, dt=0.1)
+    theta = random_theta(g, 11, anisotropic=anisotropic, alpha=alpha)
+    xs = sample_prior(theta, g, n_members=2, base_seed=5, p0_mode=p0_mode,
+                      burn_in=5).members
+    _assert_central_differences(xs, theta,
+                                dict(p0_mode=p0_mode, sigma0=1.0, burn_in=5))
 
 
 # the burn-in adjoint runs the doubling tape backwards: cover every shape
@@ -117,6 +147,63 @@ def test_trace_gradient_matches_cholesky_adjoint_oracle(p0_mode, burn_in, nx,
         assert np.array_equal(a == 0.0, b == 0.0), name
 
 
+@pytest.mark.parametrize("p0_mode, burn_in", [("white", 5), ("burnin", 5),
+                                              ("burnin", 20)])
+@pytest.mark.parametrize("alpha", [4, 6])
+@pytest.mark.parametrize("nx, ny, anisotropic",
+                         [pytest.param(4, 5, True, id="4x5"),
+                          pytest.param(5, 7, False, id="5x7-h12=0")])
+def test_trace_gradient_at_higher_alpha_matches_cholesky_adjoint_oracle(
+        nx, ny, anisotropic, alpha, p0_mode, burn_in):
+    # neither 5 nor 7 rows split into whole blocks of k = 2 or 3 rows
+    g = SpaceTimeGrid(nx=nx, ny=ny, nt=3, dy=1.3, dt=0.1)
+    theta = random_theta(g, 17, anisotropic=anisotropic, alpha=alpha)
+    xs = sample_prior(theta, g, n_members=3, base_seed=14,
+                      p0_mode=p0_mode, burn_in=burn_in).members
+    p0_opts = dict(p0_mode=p0_mode, sigma0=1.0, burn_in=burn_in)
+    ours = nll_grad(xs, theta, **p0_opts)
+    oracle = cholesky_adjoint_trace_gradient(xs, theta, p0_opts)
+    for name in PARAM_NAMES:
+        a, b = ours.fields[name], oracle[name]
+        assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b)), name
+        assert np.max(np.abs(a[0])) == 0.0, name
+
+
+def test_per_cell_alpha4_gradient_on_5760_cells():
+    # the exact adjoint has no cell limit: 24 x 24 x 10 is 5760 cells
+    g = SpaceTimeGrid(nx=24, ny=24, nt=10)
+    theta = random_theta(g, 3, alpha=4)
+    xs = sample_prior(theta, g, n_members=2, base_seed=1).members
+    grads = nll_grad(xs, theta)
+    for name in PARAM_NAMES:
+        assert np.all(np.isfinite(grads.fields[name])), name
+    assert np.any(grads.fields["h12"][1:] != 0.0)
+
+
+def test_trajectories_on_another_grid_are_refused():
+    # 3 slabs of parameters read 3 of the 5 slabs of each trajectory
+    theta = random_theta(SpaceTimeGrid(nx=4, ny=4, nt=3), 2)
+    other = SpaceTimeGrid(nx=4, ny=4, nt=5)
+    xs = sample_prior(random_theta(other, 2), other, n_members=2,
+                      base_seed=3).members
+    for call in (lambda: nll(xs, theta), lambda: nll_grad(xs[0], theta),
+                 lambda: nll_grad(xs, theta, stationary=True),
+                 lambda: fit_params(xs, theta, max_steps=1)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(theta.grid) in str(info.value)
+        assert str(other) in str(info.value)
+
+
+def test_no_trajectories_is_a_value_error():
+    theta = random_theta(SpaceTimeGrid(nx=3, ny=3, nt=3), 2)
+    for call in (lambda: nll([], theta), lambda: nll_grad([], theta),
+                 lambda: nll_grad((), theta, stationary=True),
+                 lambda: fit_params([], theta)):
+        with pytest.raises(ValueError, match="at least one trajectory"):
+            call()
+
+
 def test_singular_transition_in_trace_gradient_is_typed():
     # a singular A_t fails typed in its banded LU before the selected
     # inverse runs
@@ -125,7 +212,7 @@ def test_singular_transition_in_trace_gradient_is_typed():
     xs = sample_prior(theta, g, n_members=2, base_seed=15,
                       p0_mode="white").members
     with pytest.raises(SingularTransition) as info:
-        _trace_gradient(_stack_states(xs), theta,
+        _trace_gradient(_stack_states(xs, g), theta,
                         dict(p0_mode="white", sigma0=1.0, burn_in=5),
                         transitions=[_singular_step(g)])
     assert info.value.t == 1
@@ -145,7 +232,7 @@ def test_singular_schur_block_in_trace_gradient_is_typed():
     step = transition_from_drift(np.eye(g.m) - a, dt=1.0, t=1,
                                  noise_scale=np.ones(g.m))
     with pytest.raises(SingularTransition, match="block row 0") as info:
-        _trace_gradient(_stack_states(xs), theta,
+        _trace_gradient(_stack_states(xs, g), theta,
                         dict(p0_mode="white", sigma0=1.0, burn_in=5),
                         transitions=[step])
     assert info.value.t == 1
@@ -157,7 +244,7 @@ def test_singular_first_transition_with_burnin_start_is_typed():
     theta = random_theta(g, 18)
     xs = sample_prior(theta, g, n_members=2, base_seed=15).members
     with pytest.raises(SingularTransition) as info:
-        _trace_gradient(_stack_states(xs), theta,
+        _trace_gradient(_stack_states(xs, g), theta,
                         dict(p0_mode="burnin", sigma0=1.0, burn_in=5),
                         transitions=[_singular_step(g)])
     assert info.value.t == 1
@@ -171,7 +258,7 @@ def test_singular_transition_in_nll_is_typed():
                       p0_mode="white").members
     ic = initial_condition(theta, g, p0_mode="white")
     with pytest.raises(SingularTransition) as info:
-        _mean_nll(_stack_states(xs), [_singular_step(g)], ic, g.dt)
+        _mean_nll(_stack_states(xs, g), [_singular_step(g)], ic, g.dt)
     assert info.value.t == 1
 
 
@@ -209,7 +296,7 @@ def test_burnin_term_lands_on_the_first_step():
     xs = sample_prior(theta, g, n_members=3, base_seed=23).members
     white = nll_grad(xs, theta, p0_mode="white")
     burnin = nll_grad(xs, theta, p0_mode="burnin", burn_in=6)
-    states = _stack_states(xs)
+    states = _stack_states(xs, g)
     oracle = {name: np.zeros(g.shape) for name in PARAM_NAMES}
     burnin_adjoint_oracle(states[0] @ states[0].T / states.shape[2], theta,
                           build_transition(theta, g)[0], 6, oracle)
@@ -242,7 +329,7 @@ def test_burnin_adjoint_takes_the_marginals_tape(monkeypatch):
     g = SpaceTimeGrid(nx=4, ny=4, nt=3)
     theta = random_theta(g, 30)
     states = _stack_states(sample_prior(theta, g, n_members=2,
-                                        base_seed=24).members)
+                                        base_seed=24).members, g)
     p0_opts = dict(p0_mode="burnin", sigma0=1.0, burn_in=13)
     calls = _count_doublings(monkeypatch)
     steps = build_transition(theta, g)
@@ -304,7 +391,7 @@ def test_trace_gradient_inverts_only_the_burnin_step(monkeypatch):
         ic = initial_condition(theta, g, transitions=steps, **p0_opts)
         assert inverted == expect, p0_mode
         inverted.clear()
-        _trace_gradient(_stack_states(xs), theta, p0_opts, steps, ic)
+        _trace_gradient(_stack_states(xs, g), theta, p0_opts, steps, ic)
         assert inverted == [], p0_mode
 
 
@@ -383,7 +470,7 @@ def test_trace_fit_forms_each_step_term_once_per_theta(monkeypatch, p0_mode):
     assert len(products) == (k + 1) * (g.nt - 1)
 
 
-def test_fd_fit_into_a_degenerate_burnin_is_typed():
+def test_alpha4_fit_into_a_degenerate_burnin_is_typed():
     # plain alpha = 4 steps drive theta to the floor, where the burn-in
     # marginal of A_1 is not numerically positive definite: the loss at
     # the third step's theta ends the fit with a typed error naming step 1
@@ -411,12 +498,13 @@ def test_stationary_gradient_is_cell_sum():
     stat_theta = ParamFields.stationary(
         g, kappa=0.6, m=(0.2, -0.1), h=(0.9, 0.1, 0.8), tau=1.0)
     p0_opts = dict(p0_mode="burnin", sigma0=1.0, burn_in=20)
-    fd7 = estimation._fd_gradient(xs, stat_theta, p0_opts, True)
+    fd7 = central_difference_gradient(xs, stat_theta, p0_opts,
+                                      stationary=True)
     tr7 = nll_grad(xs, stat_theta, stationary=True)
     assert np.max(np.abs(fd7 - tr7)) < 1e-4 * max(1.0, np.max(np.abs(fd7)))
     assert reduced.shape == (7,)
     # so does the field-wide finite difference at the non-stationary theta
-    fd7 = estimation._fd_gradient(xs, theta, p0_opts, True)
+    fd7 = central_difference_gradient(xs, theta, p0_opts, stationary=True)
     assert np.max(np.abs(fd7 - reduced)) \
         < 1e-4 * max(1.0, np.max(np.abs(fd7)))
     assert np.array_equal(nll_grad(xs, theta, stationary=True),
@@ -434,91 +522,21 @@ def test_first_slab_gradient_is_zero():
         assert np.max(np.abs(grads.fields[name][0])) == 0.0
 
 
-def test_fd_gradient_skips_the_first_slab(monkeypatch):
-    # slab 0 never enters the model, so its cells are not probed: on
-    # 4x4x4 that saves 7 fields x 16 cells x 2 probes = 224 of 896 nll calls,
-    # and the gradient equals the central difference over every cell bit
-    # for bit
-    g = SpaceTimeGrid(nx=4, ny=4, nt=4)
-    theta = random_theta(g, 33, alpha=4)
-    xs = sample_prior(theta, g, n_members=2, base_seed=27).members
-    p0_opts = dict(p0_mode="burnin", sigma0=1.0, burn_in=5)
-    arrays = theta.field_arrays()
-    full = []
-    for name in PARAM_NAMES:
-        for cell in range(g.dim):
-            h = 1e-5 * (1.0 + abs(arrays[name].flat[cell]))
-            ends = []
-            for shift in (h, -h):
-                field = arrays[name].copy()
-                field.flat[cell] += shift
-                ends.append(nll(xs, theta.replace_fields(**{name: field}),
-                                **p0_opts))
-            full.append((ends[0] - ends[1]) / (2 * h))
-    calls = []
-    counted_nll = estimation._mean_nll
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return counted_nll(*args, **kwargs)
-
-    # a per-cell probe is evaluated by _mean_nll on the steps built at theta
-    monkeypatch.setattr(estimation, "_mean_nll", counted)
-    fd = estimation._fd_gradient(xs, theta, p0_opts, False)
-    assert len(calls) == 672
-    assert np.array_equal(fd, np.array(full))
-
-
-def test_fd_probe_rebuilds_one_slab(monkeypatch):
-    # a per-cell probe of slab t rebuilds step t alone, and the burn-in
-    # marginal only when t = 1; the rest is built once at theta, or handed
-    # in by a caller that built it for the same theta
-    g = SpaceTimeGrid(nx=4, ny=4, nt=4)
-    theta = random_theta(g, 33, alpha=4)
-    xs = sample_prior(theta, g, n_members=2, base_seed=27).members
-    p0_opts = dict(p0_mode="burnin", sigma0=1.0, burn_in=5)
-    builds, marginals = [], []
-    real_build, real_ic = estimation.build_transition, \
-        estimation.initial_condition
-
-    def build(theta, grid=None, slabs=None):
-        builds.append(slabs)
-        return real_build(theta, grid, slabs)
-
-    def marginal(theta, grid=None, **kwargs):
-        marginals.append(builds[-1])
-        return real_ic(theta, grid, **kwargs)
-
-    monkeypatch.setattr(estimation, "build_transition", build)
-    monkeypatch.setattr(estimation, "initial_condition", marginal)
-    fd = estimation._fd_gradient(xs, theta, p0_opts, False)
-    probes = len(PARAM_NAMES) * (g.dim - g.m) * 2
-    per_slab = probes // (g.nt - 1)
-    assert builds[0] is None and len(builds) == 1 + probes
-    assert sorted(map(tuple, builds[1:])) == sorted(
-        [(t,) for t in range(1, g.nt)] * per_slab)
-    # one marginal at theta, then one per probe of a slab-1 cell
-    assert marginals[0] is None and marginals[1:] == [[1]] * per_slab
-    steps = real_build(theta, g)
-    ic = real_ic(theta, g, transitions=steps, **p0_opts)
-    builds.clear()
-    marginals.clear()
-    handed = estimation._fd_gradient(xs, theta, p0_opts, False, steps, ic)
-    assert len(builds) == probes and None not in builds
-    assert len(marginals) == per_slab
-    assert np.array_equal(handed, fd)
-
-
-def test_trace_mode_rejects_alpha4():
+def test_trace_gradient_at_alpha4_matches_the_oracles():
+    # the adjoint against the Cholesky-adjoint oracle per cell, and the
+    # field-wide gradient against central differences of the nll
     g = SpaceTimeGrid(nx=3, ny=3, nt=2)
     theta = random_theta(g, 14, alpha=4)
     xs = sample_prior(theta, g, n_members=1, base_seed=8).members
-    with pytest.raises(UnsupportedAlpha):
-        _trace_gradient(_stack_states(xs), theta,
-                        dict(p0_mode="burnin", sigma0=1.0, burn_in=20))
-    # the public gradient takes finite differences there
+    p0_opts = dict(p0_mode="burnin", sigma0=1.0, burn_in=20)
+    ours = _trace_gradient(_stack_states(xs, g), theta, p0_opts)
+    oracle = cholesky_adjoint_trace_gradient(xs, theta, p0_opts)
+    for name in PARAM_NAMES:
+        a, b = ours.fields[name], oracle[name]
+        assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b)), name
     g7 = nll_grad(xs, theta, stationary=True)
-    assert np.all(np.isfinite(g7))
+    fd7 = central_difference_gradient(xs, theta, p0_opts, stationary=True)
+    assert np.max(np.abs(g7 - fd7)) < 1e-4 * max(1.0, np.max(np.abs(fd7)))
 
 
 def test_score_identity_at_true_parameters():
@@ -551,21 +569,38 @@ def test_expected_gradient_matches_cholesky_adjoint_oracle(p0_mode, nx, ny,
     obs = ObservationSet.from_truth(truth, mask, 0.05, seed=5)
     q = assemble_block_precision(theta, g, **p0_opts)
     x_star = oi_solve_precision(q, obs)
-    cov = dense_posterior_cov(q, obs).reshape(nt, g.m, nt, g.m)
-    mean = x_star.states
-    diag = [cov[t, :, t] + np.outer(mean[t], mean[t]) for t in range(nt)]
-    cross = [cov[t - 1, :, t] + np.outer(mean[t - 1], mean[t])
-             for t in range(1, nt)]
     ours = expected_nll_grad(x_star, obs, theta, q)
-    oracle = cholesky_adjoint_moments_gradient(diag, cross, theta, p0_opts)
+    oracle = cholesky_adjoint_moments_gradient(
+        *posterior_moments(x_star, obs, q), theta, p0_opts)
     for name in PARAM_NAMES:
         a, b = ours.fields[name], oracle[name]
         assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b)), name
 
 
-def _expected_case(p0_mode="burnin", alpha=2):
+@pytest.mark.parametrize("p0_mode", ["burnin", "white"])
+@pytest.mark.parametrize("alpha", [4, 6])
+def test_expected_gradient_at_higher_alpha_matches_cholesky_adjoint_oracle(
+        alpha, p0_mode):
+    g = SpaceTimeGrid(nx=3, ny=5, nt=3, dy=1.3, dt=0.1)
+    theta = random_theta(g, 15, alpha=alpha)
+    p0_opts = dict(p0_mode=p0_mode, sigma0=1.0, burn_in=5)
+    truth = sample_prior(theta, g, n_members=1, base_seed=10,
+                         p0_mode=p0_mode, burn_in=5).members[0]
+    mask = np.random.default_rng(4).random(g.shape) < 0.4
+    obs = ObservationSet.from_truth(truth, mask, 0.05, seed=5)
+    q = assemble_block_precision(theta, g, **p0_opts)
+    x_star = oi_solve_precision(q, obs)
+    ours = expected_nll_grad(x_star, obs, theta, q)
+    oracle = cholesky_adjoint_moments_gradient(
+        *posterior_moments(x_star, obs, q), theta, p0_opts)
+    for name in PARAM_NAMES:
+        a, b = ours.fields[name], oracle[name]
+        assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b)), name
+
+
+def _expected_case(p0_mode="burnin"):
     g = SpaceTimeGrid(nx=3, ny=3, nt=3)
-    theta = random_theta(g, 16, alpha=alpha)
+    theta = random_theta(g, 16)
     truth = sample_prior(theta, g, n_members=1, base_seed=11,
                          p0_mode=p0_mode, burn_in=5).members[0]
     mask = np.random.default_rng(6).random(g.shape) < 0.5
@@ -608,14 +643,12 @@ def test_expected_gradient_refusals(monkeypatch):
     flipped = BlockPrecision(theta.grid, -q.to_csr(), prior=q.prior)
     with pytest.raises(NotPositiveDefinite):
         expected_nll_grad(x_star, obs, theta, flipped)
+    other = SpaceTimeGrid(nx=3, ny=3, nt=3, dt=0.5)
+    with pytest.raises(ValueError, match="does not match"):
+        expected_nll_grad(Trajectory(other, x_star.states), obs, theta, q)
     monkeypatch.setattr(estimation.oi, "DENSE_GUARD", theta.grid.dim - 1)
     with pytest.raises(DimensionGuard):
         expected_nll_grad(x_star, obs, theta, q)
-    theta4, _ = _expected_case(alpha=4)
-    q4 = assemble_block_precision(theta4, theta4.grid, burn_in=5)
-    with pytest.raises(UnsupportedAlpha, match="alpha=2") as info:
-        expected_nll_grad(x_star, obs, theta4, q4)
-    assert "finite diff" not in str(info.value)
 
 
 def test_trace_gradient_memory_is_linear_in_columns():
@@ -640,15 +673,14 @@ def test_trace_gradient_memory_is_linear_in_columns():
     assert peak <= 4 * g.m * n * 8, peak
 
 
-# alpha picks the gradient: the adjoint ("trace") at 2, finite differences
-# at 4
-_GRADIENTS = {"trace": 2, "finite_diff": 4}
+# the adjoint ("trace") gradient at alpha = 2 and at alpha = 4
+_GRADIENTS = {"trace": 2, "trace_alpha4": 4}
 
 
 @pytest.mark.parametrize("p0_mode", ["burnin", "white"])
 @pytest.mark.parametrize("gradient, stationary",
                          [("trace", False), ("trace", True),
-                          ("finite_diff", True)])
+                          ("trace_alpha4", True)])
 def test_fit_loop_never_factors(monkeypatch, p0_mode, gradient, stationary):
     # the loss is in residual form: no sparse or banded Cholesky anywhere
     # in the descent loop
@@ -669,7 +701,7 @@ def test_fit_loop_never_factors(monkeypatch, p0_mode, gradient, stationary):
     assert len(curve) == 3 and np.all(np.isfinite(curve))
 
 
-@pytest.mark.parametrize("gradient", ["finite_diff", "trace"])
+@pytest.mark.parametrize("gradient", ["trace_alpha4", "trace"])
 def test_stationary_fit_keeps_fields_flat(gradient):
     # the tie steps every cell of a field by the same arithmetic, so a
     # stationary start stays constant over cells, bit for bit
@@ -690,11 +722,11 @@ def test_stationary_fit_keeps_fields_flat(gradient):
     assert iterates[-1].kappa.values.flat[0] != 0.9
 
 
-def test_stationary_fd_fit_steps_on_from_the_floor():
-    # plain steps floor kappa, h11 and h22 at 1e-6 after step 2; the -h
-    # probes below the floor used to raise InvalidParams mid-fit. A white
-    # start: from a burn-in start the floored theta's marginal is not
-    # positive definite (test_fd_fit_into_a_degenerate_burnin_is_typed)
+def test_stationary_alpha4_fit_steps_on_from_the_floor():
+    # plain steps floor kappa, h11 and h22 at 1e-6 after step 2, and the
+    # fit steps on from there. A white start: from a burn-in start the
+    # floored theta's marginal is not positive definite
+    # (test_alpha4_fit_into_a_degenerate_burnin_is_typed)
     g = SpaceTimeGrid(nx=5, ny=5, nt=4)
     start = ParamFields.stationary(g, kappa=0.8, h=(0.7, 0.05, 0.6),
                                    tau=1.0, alpha=4)
@@ -707,61 +739,6 @@ def test_stationary_fd_fit_steps_on_from_the_floor():
     assert len(curve) == 5 and np.all(np.isfinite(curve))
     assert iterates[2].h11.values.flat[0] == 1e-6
     assert all(validate_params(th).ok for th in iterates)
-
-
-def test_fd_gradient_is_one_sided_at_the_floor():
-    g = SpaceTimeGrid(nx=4, ny=4, nt=3)
-    theta = ParamFields.stationary(g, kappa=1e-6, h=(1e-6, 0.0, 1e-6),
-                                   tau=1.0)
-    xs = sample_prior(random_theta(g, 3), g, n_members=2,
-                      base_seed=25).members
-    grad = estimation._fd_gradient(
-        xs, theta, dict(p0_mode="burnin", sigma0=1.0, burn_in=20), True)
-    by_name = dict(zip(PARAM_NAMES, grad))
-    # h12 = +-h leaves H indefinite on both sides: no valid probe
-    assert by_name["h12"] == 0.0
-    h = 1e-5 * (1.0 + 1e-6)
-    up = nll(xs, theta.replace_fields(
-        kappa=theta.kappa.values + h))
-    assert by_name["kappa"] == (up - nll(xs, theta)) / h
-    # interior directions keep the central difference
-    h = 1e-5 * 2.0
-    ends = [nll(xs, theta.replace_fields(tau=theta.tau.values + s))
-            for s in (h, -h)]
-    assert by_name["tau"] == (ends[0] - ends[1]) / (2.0 * h)
-
-
-def test_fd_fit_at_the_floor_reuses_its_loss(monkeypatch):
-    g = SpaceTimeGrid(nx=4, ny=4, nt=3)
-    theta = ParamFields.stationary(g, kappa=1e-6, h=(1e-6, 0.0, 1e-6),
-                                   tau=1.0, alpha=4)
-    xs = sample_prior(random_theta(g, 3), g, n_members=2,
-                      base_seed=25).members
-    calls = []
-    real_mean_nll = estimation._mean_nll
-    monkeypatch.setattr(estimation, "_mean_nll", lambda *a, **k:
-                        calls.append(None) or real_mean_nll(*a, **k))
-
-    def fit(steps):
-        calls.clear()
-        best, curve = fit_params(xs, theta, step_kind="plain",
-                                 step_params={"lr": 0.02}, max_steps=steps,
-                                 stationary=True)
-        return best, curve, len(calls)
-
-    runs = [fit(1), fit(4)]
-    # the loss at theta recomputed inside the gradient, as it used to be
-    real_gradient = estimation._gradient
-    monkeypatch.setattr(estimation, "_gradient", lambda *a, loss=None, **k:
-                        real_gradient(*a, **k))
-    again = [fit(1), fit(4)]
-    # a floor-case gradient makes one mean-nll evaluation fewer
-    assert runs[0][2] == again[0][2] - 1
-    for (best, curve, _), (best_again, curve_again, _) in zip(runs, again):
-        assert curve == curve_again
-        for name in PARAM_NAMES:
-            assert np.array_equal(best.field_arrays()[name],
-                                  best_again.field_arrays()[name])
 
 
 def test_fit_zero_steps_returns_start():

@@ -8,11 +8,13 @@ from spdekit import (AugmentedState, ObservationSet, ParamFields,
                      apply_precision, assemble_block_precision, nll_grad,
                      oi_solve_precision, run_solver, sample_prior,
                      solver_step, training_loss)
-from spdekit.errors import DivergedStep, UnsupportedAlpha
+from spdekit.errors import DivergedStep
 from spdekit.estimation import PARAM_NAMES
 from spdekit.steps import PlainStep
 
-from oracles import random_theta
+from oracles import (cholesky_adjoint_moments_gradient,
+                     cholesky_adjoint_trace_gradient, posterior_moments,
+                     random_theta)
 
 
 def _case(seed=42, noise=0.25, density=0.3):
@@ -141,15 +143,15 @@ def test_theta_step_moves_only_selected_parameters(monkeypatch, stationary):
     cfg = SolverConfig(n_iterations=1, update_mode="joint",
                        theta_params=selected, theta_stationary=stationary,
                        theta_step={"kind": "plain", "lr": 1e-2})
-    gradient = solver._gradient
+    reduce = solver._reduce
 
-    def spoiled(xs, th, per_field, *args):
-        out = gradient(xs, th, per_field, *args)
-        out[~(chosen if per_field else np.repeat(chosen, th.grid.dim))] \
+    def spoiled(grads, per_field):
+        out = reduce(grads, per_field)
+        out[~(chosen if per_field else np.repeat(chosen, grads.grid.dim))] \
             = np.nan
         return out
 
-    monkeypatch.setattr(solver, "_gradient", spoiled)
+    monkeypatch.setattr(solver, "_reduce", spoiled)
     for theta in starts:
         x = sample_prior(theta, g, n_members=1, base_seed=23).members[0]
         mask = np.random.default_rng(7).random(g.shape) < 0.5
@@ -295,36 +297,57 @@ def test_joint_solve_runs_each_burnin_doubling_once(monkeypatch):
     assert held.diagnostics == rerun.diagnostics
 
 
+def _recorded(monkeypatch, module, name):
+    """Wrap module.name to record (args, result) of every call."""
+    calls = []
+    real = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        calls.append((args, real(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+def _assert_matches(grads, oracle):
+    for name in PARAM_NAMES:
+        a, b = grads.fields[name], oracle[name]
+        assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b)), name
+
+
 @pytest.mark.parametrize("stationary", [False, True])
 @pytest.mark.parametrize("p0_mode", ["burnin", "white"])
-@pytest.mark.parametrize("alpha, refused", [(2, "_fd_gradient"),
-                                            (4, "_trace_gradient")])
-def test_alpha_picks_the_theta_gradient(monkeypatch, alpha, refused,
-                                        p0_mode, stationary):
-    # the exact adjoint at alpha = 2, finite differences at alpha = 4: a fit
-    # and a joint solve never reach the other gradient
+@pytest.mark.parametrize("alpha", [2, 4])
+def test_fit_and_joint_solve_take_the_exact_gradient(monkeypatch, alpha,
+                                                     p0_mode, stationary):
+    # at every alpha, the gradient a fit and a joint solve step on is the
+    # adjoint, which matches the Cholesky-adjoint oracle
     import spdekit.estimation as estimation
-    from spdekit import fit_params
-
-    def refuse(*args, **kwargs):
-        raise AssertionError(f"{refused} at alpha = {alpha}")
-
-    monkeypatch.setattr(estimation, refused, refuse)
+    from spdekit import fit_params, solver
     g = SpaceTimeGrid(nx=3, ny=3, nt=3)
     theta = random_theta(g, 2, alpha=alpha)
+    p0_opts = dict(p0_mode=p0_mode, sigma0=1.0, burn_in=5)
     truth = sample_prior(theta, g, n_members=1, base_seed=4,
-                         p0_mode=p0_mode, burn_in=5).members[0]
+                         **p0_opts).members[0]
+    fit_calls = _recorded(monkeypatch, estimation, "_trace_gradient")
     _, curve = fit_params([truth], theta, max_steps=1, stationary=stationary,
-                          p0_mode=p0_mode, burn_in=5)
+                          **p0_opts)
     assert np.all(np.isfinite(curve))
     obs = ObservationSet.from_truth(truth, np.ones(g.shape, dtype=bool),
                                     0.05, seed=3)
     cfg = SolverConfig(n_iterations=2, update_mode="joint",
-                       theta_stationary=stationary, p0_mode=p0_mode,
-                       burn_in=5, theta_step={"kind": "plain", "lr": 1e-4})
+                       theta_stationary=stationary, burn_in=5,
+                       p0_mode=p0_mode,
+                       theta_step={"kind": "plain", "lr": 1e-4})
+    solve_calls = _recorded(monkeypatch, solver, "_trace_gradient")
     res = run_solver(Trajectory.zeros(g), theta, obs, cfg)
     assert res.theta.alpha == alpha
     assert any(r["theta_change"] > 0 for r in res.diagnostics)
+    assert len(fit_calls) == 1 and len(solve_calls) == 2
+    for (states, th, opts, *_), grads in fit_calls + solve_calls:
+        xs = [Trajectory(g, states[..., j]) for j in range(states.shape[2])]
+        _assert_matches(grads, cholesky_adjoint_trace_gradient(xs, th, opts))
 
 
 def test_expected_theta_gradient_reads_the_cached_prior(monkeypatch):
@@ -361,25 +384,28 @@ def test_expected_theta_gradient_reads_the_cached_prior(monkeypatch):
     assert counts == {"assemble": 3, "doubling": 3}
 
 
-@pytest.mark.parametrize("alpha", [4, 6])
-def test_expected_theta_gradient_is_refused_off_alpha_2(monkeypatch, alpha):
-    # refused before the first iteration, not after the x updates
+def test_expected_theta_gradient_runs_at_alpha_4(monkeypatch):
+    # each theta step of the run reads the expected-moments gradient, which
+    # matches the Cholesky-adjoint oracle fed the dense posterior moments
+    # about the state iterate
     import spdekit.solver as solver
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a state update ran")
-
-    monkeypatch.setattr(solver, "_state_gradient", refuse)
-    monkeypatch.setattr(solver, "_advance", refuse)
-    g = SpaceTimeGrid(nx=3, ny=3, nt=3)
-    theta = random_theta(g, 9, alpha=alpha)
-    mask = np.ones(g.shape, dtype=bool)
-    obs = ObservationSet(g, mask, np.zeros(g.dim), np.full(g.dim, 0.1))
-    cfg = SolverConfig(n_iterations=20, update_mode="alternating",
-                       x_steps=10, theta_expected=True)
-    with pytest.raises(UnsupportedAlpha, match="alpha=2") as info:
-        run_solver(Trajectory.zeros(g), theta, obs, cfg)
-    assert "finite diff" not in str(info.value)
+    g = SpaceTimeGrid(nx=3, ny=4, nt=3)
+    theta = random_theta(g, 9, alpha=4)
+    p0_opts = dict(p0_mode="burnin", sigma0=1.0, burn_in=5)
+    truth = sample_prior(theta, g, n_members=1, base_seed=6,
+                         **p0_opts).members[0]
+    mask = np.random.default_rng(7).random(g.shape) < 0.5
+    obs = ObservationSet.from_truth(truth, mask, 0.05, seed=8)
+    calls = _recorded(monkeypatch, solver, "expected_nll_grad")
+    cfg = SolverConfig(n_iterations=12, update_mode="alternating",
+                       x_steps=5, theta_steps=1, theta_expected=True,
+                       **p0_opts)
+    res = run_solver(Trajectory.zeros(g), theta, obs, cfg)
+    assert sum(r["theta_change"] > 0 for r in res.diagnostics) == 2
+    assert len(calls) == 2
+    for (x, _, th, q), grads in calls:
+        _assert_matches(grads, cholesky_adjoint_moments_gradient(
+            *posterior_moments(x, obs, q), th, p0_opts))
 
 
 def test_joint_mode_improves_parameters():

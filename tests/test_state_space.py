@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from spdekit import (ParamFields, SpaceTimeGrid, apply_fractional,
                      assemble_fdm_operator, build_transition,
                      dense_trajectory_covariance, initial_condition,
                      propagate, sample_prior, transition_from_drift)
 from spdekit import state_space
-from spdekit.operators import _stencil_table
+from spdekit.operators import _ring_pattern, _stencil_table
 from spdekit.state_space import burnin_covariance
 
 from oracles import (burnin_marginal_oracle, random_theta,
@@ -81,8 +82,8 @@ def test_banded_factor_matches_dense_lu(name, theta):
 
 
 def _sparse_product_step(theta, t):
-    """A_t by the sparse-product recipe the alpha != 2 path keeps: the
-    assembled operator (exact zeros dropped), its power and I - dt F."""
+    """A_t by the sparse-product recipe: the assembled operator (exact
+    zeros dropped), its power and I - dt F."""
     g = theta.grid
     power = apply_fractional(assemble_fdm_operator(theta, t),
                              theta.alpha).to_sparse()
@@ -118,6 +119,68 @@ def test_values_path_is_bit_identical_to_sparse_product_path(name, theta):
         assert np.array_equal(step.noise_scale, ref.noise_scale)
         assert step.log_abs_det() == ref.log_abs_det(), name
         assert np.array_equal(step.dense_inverse(), ref.dense_inverse())
+
+
+def _higher_alpha_cases():
+    # 6 grid rows split into whole blocks of k = 2 or 3 rows, 7 do not
+    cases = []
+    for alpha in (4, 6):
+        for nx, ny in ((7, 6), (5, 7)):
+            g = SpaceTimeGrid(nx=nx, ny=ny, nt=3, dy=1.3, dt=0.1)
+            for anisotropic in (True, False):
+                cases.append(pytest.param(
+                    random_theta(g, nx + alpha, anisotropic=anisotropic,
+                                 alpha=alpha),
+                    id=f"{nx}x{ny}, alpha={alpha}"
+                       + ("" if anisotropic else ", h12 = 0")))
+    return cases
+
+
+def _chebyshev_distance(grid):
+    """Dense (m, m) max(|dy|, |dx|) between every pair of cells."""
+    y, x = np.divmod(np.arange(grid.m), grid.nx)
+    return np.maximum(np.abs(y[:, None] - y), np.abs(x[:, None] - x))
+
+
+def test_the_one_ring_is_the_stencil_table():
+    for nx, ny in ((3, 3), (7, 6), (5, 7)):
+        g = SpaceTimeGrid(nx=nx, ny=ny, nt=2)
+        table = _stencil_table(g)
+        assert _ring_pattern(g, 1) is table
+        ring = np.zeros((g.m, g.m), dtype=bool)
+        ring[table.rows, table.indices] = True
+        assert np.array_equal(ring, _chebyshev_distance(g) <= 1)
+
+
+@pytest.mark.parametrize("theta", _higher_alpha_cases())
+def test_higher_alpha_steps_store_the_operator_power_on_the_ring(theta):
+    # A_t = I + dt L_t^k from the stencil table's values, on the k-ring:
+    # the bits of the zero-free operator's sparse power
+    g = theta.grid
+    k = theta.alpha // 2
+    ring = _ring_pattern(g, k)
+    within = _chebyshev_distance(g) <= k
+    assert np.array_equal(within[ring.rows, ring.indices],
+                          np.ones(ring.rows.size, dtype=bool))
+    assert ring.rows.size == np.count_nonzero(within)
+    for step in build_transition(theta, g):
+        power = apply_fractional(assemble_fdm_operator(theta, step.t),
+                                 theta.alpha).to_sparse()
+        ref = (sparse.identity(g.m, format="csr") + g.dt * power).toarray()
+        assert step.pattern is ring
+        assert np.array_equal(step.a_solve.toarray(), ref)
+        assert not np.any(ref[~within])
+        _, _, kl, ku = step._banded_lu()
+        assert kl == ku == k * (g.nx + 1)
+
+
+@pytest.mark.parametrize("theta", _higher_alpha_cases())
+def test_selected_inverse_at_higher_alpha_matches_dense_inverse(theta):
+    # blocks of k grid rows, the last one padded with identity rows when
+    # k does not divide ny
+    g = theta.grid
+    _assert_selected_inverse_matches(build_transition(theta, g),
+                                     theta.alpha // 2 * g.nx)
 
 
 def test_one_slab_build_is_the_batched_build():
@@ -507,7 +570,7 @@ def test_burnin_path_stays_off_numpy_linalg(monkeypatch):
                            transitions=steps, keep_tape=True)
     assert ic.logdet_prec != 0.0
     x0 = _stack_states(sample_prior(theta, g, n_members=2, base_seed=17,
-                                    burn_in=7).members)[0]
+                                    burn_in=7).members, g)[0]
     tau_bar, a_bar = _burnin_adjoint(x0 @ x0.T / 2, steps[0], ic, g.dt)
     assert np.all(np.isfinite(tau_bar)) and np.all(np.isfinite(a_bar))
 
