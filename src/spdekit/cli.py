@@ -156,6 +156,8 @@ def _solver_config(cfg: ExperimentConfig) -> SolverConfig:
         theta_step=theta_step,
         theta_params=cfg.get_choice("solver", "theta_params", PARAM_NAMES,
                                     ",".join(PARAM_NAMES), many=True),
+        theta_stationary=cfg.get_bool("solver", "theta_stationary", False),
+        theta_expected=cfg.get_bool("solver", "theta_expected", False),
         p0_mode=sampler["p0_mode"], sigma0=sampler["sigma0"],
         burn_in=sampler["burn_in"])
 
@@ -188,12 +190,10 @@ def _cmd_sample_posterior(cfg, args, out_dir):
     n_members = cfg.get_int("sampler", "n_members", 100, minimum=1)
     obs, _ = _load_or_make_obs(cfg, grid, theta, args.seed, out_dir)
     q = assemble_block_precision(theta, grid, **_sampler_opts(cfg))
-    post = PosteriorSolver(q, obs)
-    x_star = post.solve()
-    ens = conditional_sample(x_star, post, n_members=n_members,
-                             base_seed=args.seed)
+    ens = conditional_sample(None, PosteriorSolver(q, obs),
+                             n_members=n_members, base_seed=args.seed)
     mean, std = ensemble_stats(ens)
-    write_field(x_star.to_field(), out_dir / "x_star.stgf")
+    write_field(ens.x_star.to_field(), out_dir / "x_star.stgf")
     write_field(mean.to_field(), out_dir / "posterior_mean.stgf")
     write_field(std.to_field(), out_dir / "posterior_std.stgf")
     for i, member in enumerate(ens.members):

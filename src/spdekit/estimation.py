@@ -31,7 +31,14 @@ pattern. So A_t^{-T} is taken there alone, from a selected inverse of the
 block-tridiagonal A_t (``state_space.selected_inverse``), and the residual
 products likewise. One J^T product serves every step. A burn-in start's
 marginal adjoint walks the doubling's tape, which the marginal keeps
-where this gradient follows. A fit forms each step's r_t and w_t once
+where this gradient follows (``_burnin_adjoint``). It starts from
+
+    P_bar = 1/2 (W - W x_0 x_0^T W / n) = 1/2 W - 1/2 V V^T,
+
+W = P_B^{-1}, V = W x_0 / sqrt(n), for the (m, n) starts x_0, which is
+one dgemm and one dsyrk; like the doubling it holds every symmetric
+matrix as an upper triangle on scipy's BLAS, and it forms its A_bar only
+at the k-ring, as the steps do. A fit forms each step's r_t and w_t once
 per theta (``_step_terms``), and its loss hands them on to the adjoint at
 the same theta.
 
@@ -59,6 +66,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm, dsymm, dsyr2k, dsyrk
 from scipy.linalg.lapack import dpotrf, dtrtri
 
 from . import oi
@@ -69,8 +77,8 @@ from .operators import (ParamFields, _power, _ring_pattern, _slab_features,
 from .precision import (BlockPrecision, _prior_log_det, _step_weights,
                         posterior_precision)
 from .state_space import (InitialCondition, TransitionStep, _burnin_doubling,
-                          build_transition, dense_product as dot,
-                          initial_condition, selected_inverse)
+                          build_transition, initial_condition,
+                          selected_inverse)
 from .steps import make_step_operator
 
 PARAM_NAMES = ("kappa", "m_u", "m_v", "h11", "h12", "h22", "tau")
@@ -209,11 +217,10 @@ def _trace_gradient(states: np.ndarray, theta: ParamFields, p0_opts: dict,
     # time-zero marginal: white is parameter-free, burn-in backpropagates
     # through the first step
     if ic.mode == "burnin":
-        tau_bar, a_bar = _burnin_adjoint(dot(states[0], states[0],
-                                             trans_b=True) / n,
-                                         transitions[0], ic, dt)
+        tau_bar, a_bar = _burnin_adjoint(states[0], transitions[0], ic, dt,
+                                         ring)
         grads["tau"][transitions[0].t] += tau_bar.reshape(grid.ny, grid.nx)
-        a_bars[:, 0] += dt * a_bar[ring.rows, ring.indices]
+        a_bars[:, 0] += dt * a_bar
     ts = [step.t for step in transitions]
     operator_adjoint(_operator_bars(a_bars, theta, ts), theta, ts, grads)
     return ParamGradients(grid, grads)
@@ -274,29 +281,35 @@ def _pattern_products(r: np.ndarray, x: np.ndarray, pattern) -> np.ndarray:
     return out
 
 
-def _burnin_adjoint(second_moment_0, step, ic, dt: float) -> tuple:
-    """(tau_bar of the first step's slab, dense A_bar of A_1): the x_0
-    marginal's share of the gradient, backpropagated through the burn-in
-    doubling.
+def _burnin_adjoint(x0: np.ndarray, step, ic, dt: float, ring) -> tuple:
+    """(tau_bar of the first step's slab, A_bar of A_1 at the slots of
+    ring): the x_0 marginal's share of the gradient of the mean nll of the
+    (m, n) starts x0, backpropagated through the burn-in doubling.
 
     With M = A_1^{-1} as the marginal holds it, the forward pass of
     initial_condition, P_B = G_B G_B^T + S_B built by squaring runs
     (G, S) -> (G G, S + G S G^T) and applying them, P <- S + G P G^T, is
     walked backwards from its recorded operations (the marginal's tape,
     which this takes; a marginal without one runs the doubling again to
-    record it), from P_bar = d(nll)/dP_B, with G_bar and the symmetric
-    S_bar of the current run (every dense product on scipy's BLAS, as in
-    the forward pass, through ``state_space.dense_product``):
+    record it). It starts from P_bar = d(nll)/dP_B, which with
+    W = P_B^{-1} and V = W x0 / sqrt(n) is
+    1/2 (W - W x0 x0^T W / n) = 1/2 W - 1/2 V V^T, and carries G_bar and
+    the symmetric S_bar of the current run:
 
         apply:   S_bar += P_bar,  G_bar += 2 P_bar G P,  P_bar <- G^T P_bar G
         square:  G_bar <- G_bar G^T + G^T G_bar + 2 S_bar G S,
                  S_bar <- S_bar + G^T S_bar G
 
-    The base run G = M, S = M D M^T gives M_bar = G_bar + 2 S_bar M D and
-    D_bar = diag(M^T S_bar M), which feeds tau_1; finally
-    A_bar = -M^T M_bar M^T. Each recorded operation is dropped once used.
+    As in the forward pass, every symmetric matrix is an upper triangle on
+    scipy's BLAS: P_bar is one dsyrk on V that adds 1/2 W, P_bar G and
+    S_bar G come from dsymm, G^T P_bar G and S_bar + G^T S_bar G are one
+    dsyr2k each, 2 P_bar G P is dsymm on the held triangle P, and
+    G_bar's three terms accumulate into one array. The base run
+    G = M, S = M D M^T gives M_bar = G_bar + 2 S_bar M D and
+    D_bar = diag(M^T S_bar M), which feeds tau_1; A_bar = -M^T M_bar M^T
+    is read only at the ring's slots, from M^T M_bar and M. Each recorded
+    operation is dropped once used.
     """
-    m = ic.m
     prop = ic.prop
     tau1 = step.noise_scale
     noise_var = (dt * tau1)**2
@@ -305,31 +318,38 @@ def _burnin_adjoint(second_moment_0, step, ic, dt: float) -> tuple:
         tape = []
         _burnin_doubling(prop, noise_var, ic.burn_in, tape)
 
-    w_mat = ic.prec
-    p_bar = 0.5 * (w_mat - dot(dot(w_mat, second_moment_0), w_mat))
-    g_bar = np.zeros((m, m))
-    s_bar = np.zeros((m, m))
+    # ic.prec is exactly symmetric and C-ordered: its transpose is the same
+    # matrix, Fortran-ordered as BLAS reads it without a copy
+    w_mat = ic.prec.T
+    v = dgemm(1.0 / math.sqrt(x0.shape[1]), w_mat, x0.T, trans_b=1)
+    p_bar = dsyrk(-0.5, v, beta=0.5, c=w_mat)
+    del v
+    g_bar = np.zeros((ic.m, ic.m), order="F")
+    s_bar = np.zeros((ic.m, ic.m), order="F")
     while tape:
         kind, g, held = tape.pop()
         if kind == "apply":
             s_bar += p_bar
-            pg = dot(p_bar, g)
+            pg = dsymm(1.0, p_bar, g)
             if held is None:                   # applied to P = I
                 g_bar += 2.0 * pg
             else:
-                g_bar += 2.0 * dot(pg, held)
-                p_bar = dot(g, pg, trans_a=True)
-                p_bar = 0.5 * (p_bar + p_bar.T)
+                g_bar = dsymm(2.0, held, pg, side=1, beta=1.0, c=g_bar,
+                              overwrite_c=1)
+                p_bar = dsyr2k(0.5, g, pg, trans=1)
         else:                                  # held = G S
-            g_bar = (dot(g_bar, g, trans_b=True) + dot(g, g_bar, trans_a=True)
-                     + 2.0 * dot(s_bar, held))
-            s_bar = s_bar + dot(g, dot(s_bar, g), trans_a=True)
-            s_bar = 0.5 * (s_bar + s_bar.T)
+            grown = dgemm(1.0, g_bar, g, trans_b=1)
+            grown = dgemm(1.0, g, g_bar, trans_a=1, beta=1.0, c=grown,
+                          overwrite_c=1)
+            g_bar = dsymm(2.0, s_bar, held, beta=1.0, c=grown, overwrite_c=1)
+            s_bar = dsyr2k(0.5, g, dsymm(1.0, s_bar, g), trans=1, beta=1.0,
+                           c=s_bar, overwrite_c=1)
 
-    s_m = dot(s_bar, prop)
+    s_m = dsymm(1.0, s_bar, prop)
     m_bar = g_bar + 2.0 * s_m * noise_var
     tau_bar = np.einsum("ij,ij->j", prop, s_m) * 2.0 * dt**2 * tau1
-    return tau_bar, -dot(dot(prop, m_bar, trans_a=True), prop, trans_b=True)
+    return tau_bar, -_pattern_products(dgemm(1.0, prop, m_bar, trans_a=1),
+                                       prop, ring)
 
 
 def nll_grad(x, theta: ParamFields, stationary: bool = False,

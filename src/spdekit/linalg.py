@@ -23,8 +23,8 @@ of the 24x24x10 posterior band took 80 ms alone and 182 ms right after
 16 numpy products of 576 x 576 (2-core VM, 2 BLAS threads). The factor
 (``cholesky_banded``, scipy's LAPACK dpbtrf) runs on scipy's pool,
 as does everything before it on a burn-in start: the dense propagator
-(dgbtrs), the doubling and the marginal's dpotrf/dpotri and products
-(``state_space.dense_product``). The solve's panel products run on
+(dgbtrs), the doubling's BLAS kernels and the marginal's dpotrf/dpotri.
+The solve's panel products run on
 numpy's, because scipy's wrappers would copy the strided band views they
 read; that leaves one pool switch per posterior, from factor to solve,
 which measured no slower than a solve after numpy's own work.

@@ -11,7 +11,10 @@ row t-1 of R holds -I at column block t-1 and A_t at column block t,
 
 which ``assemble_block_precision`` forms as one sparse product and holds
 as one CSR matrix: exactly the inverse covariance of ``sample_prior``
-(the dense-oracle tests enforce this). Its block-tridiagonal form follows:
+(the dense-oracle tests enforce this). P_0^{-1} enters without a sparse
+add: a burn-in start's dense P_0^{-1} is written straight into the first
+m CSR rows, and a white start's 1/sigma0^2 goes to their diagonal slots,
+to the bits of the sparse add. Its block-tridiagonal form follows:
 
     D_0 = P_0^{-1} + diag(w_1)
     D_t = A_t^T diag(w_t) A_t + diag(w_{t+1})     (0 < t < N)
@@ -215,15 +218,61 @@ def assemble_block_precision(theta: ParamFields,
     # residual.T is CSC and so is the product; the CSR copy sorts indices
     gram = sparse.csr_array(residual.T @ (sparse.diags_array(w) @ residual))
     if ic.mode == "white":
-        p0_inv = sparse.identity(m, format="csr") / ic.sigma0**2
+        matrix = _add_white_start(gram, m, 1.0 / ic.sigma0**2)
     else:
-        p0_inv = sparse.csr_array(ic.prec)
-    p0_block = sparse.block_diag(
-        [p0_inv, sparse.csr_array((grid.dim - m, grid.dim - m))],
-        format="csr")
-    return BlockPrecision(grid=grid, matrix=gram + p0_block,
+        matrix = _add_dense_start(gram, m, ic.prec)
+    return BlockPrecision(grid=grid, matrix=matrix,
                           prior=PriorStructure(ic=ic,
                                                transitions=list(transitions)))
+
+
+def _add_white_start(gram: sparse.csr_array, m: int,
+                     value: float) -> sparse.csr_array:
+    """gram + P_0^{-1} for P_0^{-1} = value I: the gram's block (0, 0) is
+    diag(w_1), so value adds to the diagonal slots of its first m rows,
+    in place."""
+    rows = np.repeat(np.arange(m), np.diff(gram.indptr[:m + 1]))
+    head = gram.indices[:rows.size]
+    gram.data[np.flatnonzero(head == rows)] += value
+    return gram
+
+
+def _add_dense_start(gram: sparse.csr_array, m: int,
+                     prec: np.ndarray) -> sparse.csr_array:
+    """gram + P_0^{-1} in block (0, 0) for a dense P_0^{-1}, written
+    straight into the CSR arrays: row i < m is P_0^{-1}'s row i with the
+    gram's block-(0, 0) entries added, then the gram's block-(0, 1)
+    entries of that row; the later rows are the gram's. An entry that is
+    zero is left out, as a sparse add leaves it out.
+
+    The first m rows are laid out as one dense (m, m + width) array, the
+    block-(0, 1) entries of each row packed after column m, and read off
+    row by row where nonzero."""
+    ptr, idx, val = gram.indptr, gram.indices, gram.data
+    head = ptr[m]
+    rows = np.repeat(np.arange(m), np.diff(ptr[:m + 1]))
+    lead = idx[:head] < m                      # the block-(0, 0) entries
+    tail_rows, tail = rows[~lead], np.bincount(rows[~lead], minlength=m)
+    values = np.zeros((m, m + tail.max()))
+    values[:, :m] = prec
+    values[rows[lead], idx[:head][lead]] += val[:head][lead]
+    cols = np.empty(values.shape, dtype=idx.dtype)
+    cols[:, :m] = np.arange(m)
+    # the k-th block-(0, 1) entry of row i goes to column m + k
+    at = m + np.arange(tail_rows.size) - np.repeat(np.cumsum(tail) - tail,
+                                                   tail)
+    values[tail_rows, at] = val[:head][~lead]
+    cols[tail_rows, at] = idx[:head][~lead]
+    keep = values != 0
+    first = np.count_nonzero(keep, axis=1)
+    indptr = np.concatenate([[0], np.cumsum(first),
+                             ptr[m + 1:] - head + first.sum()])
+    if indptr[-1] <= np.iinfo(idx.dtype).max:     # the gram's index type
+        indptr = indptr.astype(idx.dtype)
+    return sparse.csr_array(
+        (np.concatenate([values[keep], val[head:]]),
+         np.concatenate([cols[keep], idx[head:]]),
+         indptr), shape=gram.shape)
 
 
 def posterior_precision(q: BlockPrecision, obs: ObservationSet

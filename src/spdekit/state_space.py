@@ -27,9 +27,12 @@ selected inverse scatter the values to. A hand-built drift
 the same code, so both kinds of step take one path.
 
 The burn-in marginal is dense: its propagator is one banded solve of the
-identity, and its products and Cholesky run on scipy's BLAS and LAPACK
-(``dense_product``, dpotrf, dpotri), the OpenBLAS build and thread pool
-the banded calls before and after it use, never on numpy's.
+identity, and its doubling and Cholesky run on scipy's BLAS and LAPACK,
+the OpenBLAS build and thread pool the banded calls before and after it
+use, never on numpy's. Every symmetric matrix of the doubling is held as
+the upper triangle that dsyrk, dsyr2k and dsymm write and read, so no
+pass symmetrizes it and no add is separate from a product; dpotrf reads
+that triangle as it comes.
 
 Draws are keyed by (base_seed, member_id, stream, step) through a
 counter-style seed sequence, and members run together in fixed blocks, so
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg.blas import dgemm
+from scipy.linalg.blas import dgemm, dsymm, dsyr2k, dsyrk
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dpotrf, dpotri
 
 from .errors import SingularTransition
@@ -58,29 +61,25 @@ _STREAM_OBS = 2  # reserved for pseudo-observation noise
 def _keyed_normals(base_seed: int, member_ids, stream: int, step: int,
                    size: int) -> np.ndarray:
     """(size, n) standard normals; column j is keyed by
-    (base_seed, member_ids[j], stream, step)."""
-    keys = [(int(base_seed), int(i), int(stream), int(step))
-            for i in member_ids]
-    return np.stack([np.random.default_rng(key).standard_normal(size)
-                     for key in keys], axis=1)
+    (base_seed, member_ids[j], stream, step).
 
-
-def dense_product(a: np.ndarray, b: np.ndarray, trans_a: bool = False,
-                  trans_b: bool = False) -> np.ndarray:
-    """op(a) @ op(b) of two dense matrices, op the transpose where asked,
-    on scipy's BLAS (dgemm); the result is Fortran-ordered.
-
-    numpy and scipy each load their own OpenBLAS build with its own thread
-    pool, and every dense product of the burn-in marginal and its adjoint
-    goes through here so that they run on scipy's, with the banded LAPACK
-    calls around them. A C-ordered operand is handed over as its
-    Fortran-ordered transpose with the flag flipped, so neither is copied.
-    """
-    if not a.flags.f_contiguous:
-        a, trans_a = a.T, not trans_a
-    if not b.flags.f_contiguous:
-        b, trans_b = b.T, not trans_b
-    return dgemm(1.0, a, b, trans_a=trans_a, trans_b=trans_b)
+    A seed sequence splits each integer of a key tuple into its 32-bit
+    little-endian words (0 into one zero word) and joins them, so the key
+    is handed over as that uint32 array, which it takes without the
+    per-integer coercion: base_seed's words, then member, stream and step,
+    each below 2^32. A negative base_seed is refused, as the seed
+    sequence refuses it in a tuple."""
+    base_seed = int(base_seed)
+    if base_seed < 0:
+        raise ValueError(f"base_seed must be non-negative, got {base_seed}")
+    words = [base_seed >> shift & 0xFFFFFFFF
+             for shift in range(0, max(base_seed.bit_length(), 1), 32)]
+    key = np.array(words + [0, stream, step], dtype=np.uint32)
+    out = np.empty((size, len(member_ids)))
+    for j, member in enumerate(member_ids):
+        key[len(words)] = member
+        out[:, j] = np.random.default_rng(key).standard_normal(size)
+    return out
 
 
 @dataclass
@@ -270,6 +269,8 @@ class Ensemble:
     members: list[Trajectory]
     base_seed: int
     member_ids: list[int]
+    # the interpolation a conditional ensemble is centred on
+    x_star: Trajectory | None = None
 
     @property
     def n_members(self) -> int:
@@ -345,12 +346,11 @@ def initial_condition(theta: ParamFields, grid: SpaceTimeGrid | None = None,
     tape = [] if keep_tape else None
     cov = _burnin_doubling(prop, (grid.dt * step.noise_scale)**2, burn_in,
                            tape)
-    # P_B is exactly symmetric, so whichever of it and its transpose is
-    # Fortran-ordered goes to LAPACK as is: dpotrf overwrites it with the
-    # upper factor U (P_B = U^T U), and dpotri overwrites that with the
-    # upper triangle of P_B^{-1}, on scipy's BLAS like the doubling
-    upper, info = dpotrf(cov if cov.flags.f_contiguous else cov.T,
-                         overwrite_a=1)
+    # dpotrf overwrites the doubling's upper triangle with the upper factor
+    # U (P_B = U^T U), clearing the lower triangle, and dpotri overwrites
+    # that with the upper triangle of P_B^{-1}, on scipy's BLAS like the
+    # doubling
+    upper, info = dpotrf(cov, overwrite_a=1)
     if not info:
         logdet_prec = -2.0 * float(np.sum(np.log(np.diag(upper))))
         prec, info = dpotri(upper, overwrite_c=1)
@@ -370,47 +370,52 @@ def initial_condition(theta: ParamFields, grid: SpaceTimeGrid | None = None,
 def burnin_covariance(ic: InitialCondition, step: TransitionStep,
                       dt: float) -> np.ndarray:
     """The dense P_B of a burn-in marginal, which it does not hold: the
-    doubling rerun on its M, for step = A_1 at grid step dt. For dense
-    oracles and checks."""
-    return _burnin_doubling(ic.prop, (dt * step.noise_scale)**2, ic.burn_in)
+    doubling rerun on its M, for step = A_1 at grid step dt, its upper
+    triangle mirrored. For dense oracles and checks."""
+    upper = np.triu(_burnin_doubling(ic.prop, (dt * step.noise_scale)**2,
+                                     ic.burn_in))
+    return upper + np.triu(upper, 1).T
 
 
 def _burnin_doubling(prop: np.ndarray, noise_var: np.ndarray, burn_in: int,
                      tape: list | None = None) -> np.ndarray:
-    """P_B = G_B G_B^T + S_B of the burn-in recursion by binary doubling.
+    """The upper triangle of P_B = G_B G_B^T + S_B of the burn-in recursion,
+    by binary doubling; the lower triangle holds no part of it.
 
     The run (G, S) of 2^k steps squares to (G G, S + G S G^T); each binary
     digit of B set at level k applies that run to the covariance built so
     far, P <- S + G P G^T, starting from P = I at the lowest set digit.
-    B = 20 takes 16 dense m x m products where the step-by-step recursion
-    takes 40. Given a list, the operations are recorded on it in order for
+    Every symmetric matrix is kept as the upper triangle that scipy's BLAS
+    reads and writes: S_1 = (M D^1/2)(M D^1/2)^T is one dsyrk, and with
+    G S and G P from dsymm, S + G S G^T and S + G P G^T are each one dsyr2k
+    of (G S, G) and (G P, G) that adds S; the first apply, S + G G^T, is
+    one dsyrk that adds S, and G G is dgemm. B = 20 takes 16 BLAS calls
+    where the step-by-step recursion takes 40 dense products. Given a list,
+    the operations are recorded on it in order for
     estimation._burnin_adjoint: ("square", G, G S) and ("apply", G, P),
-    where P is None for the start P = I.
+    where P is the upper triangle the run was applied to, None for the
+    start P = I.
     """
     if burn_in == 0:
-        return np.eye(prop.shape[0])
+        return np.eye(prop.shape[0], order="F")
     g = prop
-    s = dense_product(prop * noise_var, prop, trans_b=True)
-    s = 0.5 * (s + s.T)
+    s = dsyrk(1.0, prop * np.sqrt(noise_var))
     cov = None
     level = burn_in
     while True:
         if level & 1:
             if tape is not None:
                 tape.append(("apply", g, cov))
-            cov = s + (dense_product(g, g, trans_b=True) if cov is None
-                       else dense_product(dense_product(g, cov), g,
-                                          trans_b=True))
-            cov = 0.5 * (cov + cov.T)
+            cov = dsyrk(1.0, g, beta=1.0, c=s) if cov is None else \
+                dsyr2k(0.5, dsymm(1.0, cov, g, side=1), g, beta=1.0, c=s)
         level >>= 1
         if not level:
             return cov
-        gs = dense_product(g, s)
+        gs = dsymm(1.0, s, g, side=1)
         if tape is not None:
             tape.append(("square", g, gs))
-        s = s + dense_product(gs, g, trans_b=True)
-        s = 0.5 * (s + s.T)
-        g = dense_product(g, g)
+        s = dsyr2k(0.5, gs, g, beta=1.0, c=s, overwrite_c=1)
+        g = dgemm(1.0, g, g)
 
 
 def propagate(transitions: list[TransitionStep], x0: np.ndarray,
@@ -462,11 +467,16 @@ def _draw_block(transitions, grid, ic: InitialCondition, base_seed,
 
 
 def _prior_blocks(transitions, grid, ic: InitialCondition, base_seed,
-                  n_members: int):
-    """Yield (member ids, their (nt, m, n) prior draws) block by block."""
-    for start in range(0, n_members, _MEMBER_BLOCK):
-        ids = range(start, min(start + _MEMBER_BLOCK, n_members))
+                  n_members: int, taken: int = 0):
+    """Yield (member ids, their (nt, m, n) prior draws) block by block; the
+    first block leaves `taken` of its columns to the caller, keeping at
+    least one member."""
+    start = 0
+    while start < n_members:
+        ids = range(start, min(start + max(_MEMBER_BLOCK - taken, 1),
+                               n_members))
         yield ids, _draw_block(transitions, grid, ic, base_seed, ids)
+        start, taken = ids.stop, 0
 
 
 def sample_prior(theta: ParamFields, grid: SpaceTimeGrid | None = None,

@@ -123,6 +123,67 @@ def test_joint_solve_outputs(workdir):
     assert len(diag) == 41
 
 
+def _alternating_config(workdir, extra=""):
+    # 4x4x3, alternating x and theta steps from a burn-in start
+    (workdir / "experiment.cfg").write_text(
+        BASE.replace("nx = 6\nny = 6\nnt = 4", "nx = 4\nny = 4\nnt = 3")
+        .replace("p0_mode = white", "p0_mode = burnin")
+        .replace("n_iterations = 40", "n_iterations = 6\n"
+                 "update_mode = alternating\nx_steps = 1\ntheta_steps = 1\n"
+                 "theta_lr = 0.01" + extra),
+        encoding="utf-8")
+
+
+@pytest.mark.parametrize("key", ["theta_stationary", "theta_expected"])
+def test_bad_theta_gradient_key_exits_2(workdir, capsys, key):
+    _alternating_config(workdir, f"\n{key} = banana")
+    assert _run(workdir, "joint-solve", out_dir=workdir / "x") == 2
+    assert f"[solver] {key} = 'banana': expected true/false" in \
+        capsys.readouterr().err
+
+
+def test_theta_stationary_keeps_every_field_flat(workdir):
+    from spdekit.experiment import read_theta
+    from spdekit.grid import SpaceTimeGrid
+    grid = SpaceTimeGrid(nx=4, ny=4, nt=3)
+    fields = {}
+    for flag in ("false", "true"):
+        _alternating_config(workdir, f"\ntheta_stationary = {flag}")
+        out = workdir / flag
+        assert _run(workdir, "joint-solve", out_dir=out) == 0
+        fields[flag] = read_theta(out / "theta_star", grid).field_arrays()
+    for name, values in fields["true"].items():
+        assert np.ptp(values) == 0.0, name
+    # per cell, the fields move apart (slab 0 has no gradient)
+    assert np.ptp(fields["false"]["tau"]) > 0.0
+
+
+def test_theta_expected_matches_run_solver(workdir):
+    import dataclasses
+
+    from spdekit.cli import _solver_config
+    from spdekit.experiment import (build_grid, build_theta, load_config,
+                                    read_observations, read_theta)
+    from spdekit.grid import Trajectory
+    from spdekit.solver import run_solver
+    _alternating_config(workdir)
+    cfg = load_config(workdir / "experiment.cfg")
+    _alternating_config(workdir, "\ntheta_expected = true")
+    out = workdir / "expected"
+    assert _run(workdir, "joint-solve", out_dir=out) == 0
+    grid = build_grid(cfg)
+    theta0 = build_theta(cfg, grid)
+    result = run_solver(Trajectory.zeros(grid), theta0,
+                        read_observations(out / "observations", grid),
+                        dataclasses.replace(_solver_config(cfg),
+                                            theta_expected=True))
+    assert np.array_equal(read_array(out / "x_star.stgf"),
+                          result.x.states.reshape(grid.shape))
+    theta = read_theta(out / "theta_star", grid).field_arrays()
+    for name, values in result.theta.field_arrays().items():
+        assert np.array_equal(theta[name], values), name
+
+
 def test_sample_posterior_outputs(workdir):
     out = workdir / "post"
     assert _run(workdir, "sample-posterior", out_dir=out) == 0
@@ -359,22 +420,27 @@ def test_numerical_failure_exits_3(workdir, capsys):
 
 
 def test_failed_member_solve_exits_3(workdir, capsys, monkeypatch):
-    # the x_star solve is the first call, member 1's block the second
+    # x_star rides as column 0 of the first member block's solve, so the
+    # three members and x_star are one call; a failed column names member
+    # 1, or x_star
     solve_system = oi.PosteriorSolver._solve_system
     calls = []
+    spoiled = []
 
-    def spoil_members(self, rhs):
+    def spoil_column(self, rhs):
         x = solve_system(self, rhs)
         calls.append(rhs.shape[1])
-        if len(calls) == 2:
-            x[:, 1] = 0.0
+        x[:, spoiled[0]] = 0.0
         return x
 
-    monkeypatch.setattr(oi.PosteriorSolver, "_solve_system", spoil_members)
-    assert _run(workdir, "sample-posterior", out_dir=workdir / "x") == 3
-    assert "numerical failure: member 1: posterior solve residual" in \
-        capsys.readouterr().err
-    assert calls == [1, 3]
+    monkeypatch.setattr(oi.PosteriorSolver, "_solve_system", spoil_column)
+    for column, name in ((2, "member 1"), (0, "x_star")):
+        spoiled[:] = [column]
+        calls.clear()
+        assert _run(workdir, "sample-posterior", out_dir=workdir / "x") == 3
+        assert f"numerical failure: {name}: posterior solve residual" in \
+            capsys.readouterr().err
+        assert calls == [4]
 
 
 def test_threads_option_is_refused(workdir, capsys):

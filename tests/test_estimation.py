@@ -346,6 +346,64 @@ def test_burnin_adjoint_takes_the_marginals_tape(monkeypatch):
         assert np.array_equal(grads[0].fields[name], grads[1].fields[name])
 
 
+_KERNEL_CHILD = """
+import hashlib, sys, types
+import numpy as np
+from spdekit.estimation import _burnin_adjoint
+from spdekit.grid import SpaceTimeGrid
+from spdekit.operators import _ring_pattern
+from spdekit.state_space import InitialCondition, _burnin_doubling
+for n in (12, 16):
+    saved = np.load(sys.argv[1] + f"/{n}.npz")
+    prop, noise_var, prec = saved["prop"], saved["noise_var"], saved["prec"]
+    tape = []
+    upper = np.triu(_burnin_doubling(prop, noise_var, 20, tape))
+    ic = InitialCondition(mode="burnin", burn_in=20, prec=prec, prop=prop,
+                          m=prop.shape[0], tape=tape)
+    step = types.SimpleNamespace(noise_scale=saved["tau"])
+    grid = SpaceTimeGrid(nx=n, ny=n, nt=2)
+    tau_bar, a_bar = _burnin_adjoint(saved["x0"], step, ic, grid.dt,
+                                     _ring_pattern(grid, 1))
+    for out in (upper, tau_bar, a_bar):
+        print(hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest())
+"""
+
+
+def test_burnin_kernels_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the doubling's upper triangle and the burn-in adjoint, on inputs
+    # saved once (P_B^{-1} among them, so that dpotri's own thread
+    # dependence stays out), give the same bytes on one BLAS thread and
+    # on two
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import spdekit
+    for n in (12, 16):
+        g = SpaceTimeGrid(nx=n, ny=n, nt=2)
+        theta = random_theta(g, 48)
+        steps = build_transition(theta, g)
+        ic = initial_condition(theta, g, transitions=steps)
+        x0 = np.random.default_rng(n).standard_normal((g.m, 3))
+        np.savez(tmp_path / f"{n}.npz", prop=ic.prop, prec=ic.prec, x0=x0,
+                 tau=steps[0].noise_scale,
+                 noise_var=(g.dt * steps[0].noise_scale)**2)
+    src = str(Path(spdekit.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _KERNEL_CHILD,
+                               str(tmp_path)], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.split())
+    assert len(digests[0]) == 6
+    assert digests[0] == digests[1]
+
+
 def test_burnin_gradient_runs_one_doubling(monkeypatch):
     # nll_grad builds its own burn-in marginal with the tape its adjoint
     # walks, so the doubling is not run a second time

@@ -424,6 +424,21 @@ def test_bit_reproducible_across_scheduling(monkeypatch):
     assert not np.array_equal(c.members[0].states, a.members[0].states)
 
 
+@pytest.mark.parametrize("base_seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
+def test_keyed_normals_match_the_tuple_key(base_seed):
+    # the uint32 key array is the entropy a seed sequence makes of the
+    # tuple (base_seed, member, stream, step), for seeds of one, two and
+    # three 32-bit words and members up to 2^31
+    from oracles import _keyed_normal
+    members = [0, 1, 7, 2**31 - 1, 2**31]
+    for stream, step in ((0, 0), (0, 20), (1, 9), (2, 0)):
+        ours = state_space._keyed_normals(base_seed, members, stream, step,
+                                          11)
+        for j, member in enumerate(members):
+            ref = _keyed_normal(base_seed, member, stream, step, 11)
+            assert ours[:, j].tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("p0_mode", ["white", "burnin"])
 @pytest.mark.parametrize("shape", [(3, 3), (5, 4), (8, 8)])
 def test_sample_prior_matches_per_member_reference(shape, p0_mode):
@@ -553,15 +568,15 @@ def test_negative_burn_in_is_rejected(p0_mode):
 
 def test_burnin_path_stays_off_numpy_linalg(monkeypatch):
     # numpy and scipy load separate OpenBLAS builds with separate thread
-    # pools; the burn-in marginal and its adjoint run on scipy's, so that
-    # its LAPACK calls (dgbtrs, dpotrf, dpotri) and the banded posterior
-    # factor after them share one pool
+    # pools; the burn-in marginal and its adjoint run on scipy's BLAS
+    # kernels, so that its LAPACK calls (dgbtrs, dpotrf, dpotri) and the
+    # banded posterior factor after them share one pool
     from spdekit.estimation import _burnin_adjoint, _stack_states
 
     def refuse(*args, **kwargs):
         raise AssertionError("numpy linalg called on the burn-in path")
 
-    for name in ("cholesky", "inv"):
+    for name in ("cholesky", "inv", "solve", "slogdet"):
         monkeypatch.setattr(np.linalg, name, refuse)
     g = SpaceTimeGrid(nx=4, ny=4, nt=3)
     theta = random_theta(g, 24)
@@ -571,7 +586,8 @@ def test_burnin_path_stays_off_numpy_linalg(monkeypatch):
     assert ic.logdet_prec != 0.0
     x0 = _stack_states(sample_prior(theta, g, n_members=2, base_seed=17,
                                     burn_in=7).members, g)[0]
-    tau_bar, a_bar = _burnin_adjoint(x0 @ x0.T / 2, steps[0], ic, g.dt)
+    tau_bar, a_bar = _burnin_adjoint(x0, steps[0], ic, g.dt,
+                                     _ring_pattern(g, 1))
     assert np.all(np.isfinite(tau_bar)) and np.all(np.isfinite(a_bar))
 
 
@@ -600,21 +616,50 @@ def test_burnin_marginal_that_is_not_positive_definite_is_typed():
                                               ("F", "C"), ("F", "F")])
 def test_dense_product_matches_matmul_in_every_layout(trans_a, trans_b,
                                                       order_a, order_b):
+    # the burn-in's dense products are scipy's dgemm, dsymm, dsyrk and
+    # dsyr2k, on operands in either memory order: each matches numpy's
+    # product with the flags the burn-in uses (transposes, dsymm's side),
+    # dsymm reading only the upper triangle of its symmetric operand and
+    # the rank-k updates writing the upper triangle of theirs
+    from scipy.linalg.blas import dgemm, dsymm, dsyr2k, dsyrk
     rng = np.random.default_rng(45)
-    a = np.asarray(rng.standard_normal((7, 5)), order=order_a)
-    b = np.asarray(rng.standard_normal((7, 5) if trans_a != trans_b
-                                       else (5, 7)), order=order_b)
+
+    def draw(shape, order):
+        return np.asarray(rng.standard_normal(shape), order=order)
+
+    def close(ours, ref):
+        return np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    a = draw((7, 5), order_a)
+    b = draw((7, 5) if trans_a != trans_b else (5, 7), order_b)
     ref = (a.T if trans_a else a) @ (b.T if trans_b else b)
-    ours = state_space.dense_product(a, b, trans_a=trans_a, trans_b=trans_b)
-    assert ours.flags.f_contiguous
-    assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert close(dgemm(1.0, a, b, trans_a=trans_a, trans_b=trans_b), ref)
+
+    sym = draw((7, 7), "C")
+    sym = sym + sym.T
+    other = draw((5, 7) if trans_b else (7, 5), order_b)
+    ours = dsymm(1.0, np.asarray(np.triu(sym), order=order_a), other,
+                 side=int(trans_b))
+    assert close(ours, other @ sym if trans_b else sym @ other)
+
+    y = draw((7, 5), order_b)
+    n = 5 if trans_a else 7
+    c = draw((n, n), "C")
+    c = np.asarray(c + c.T, order=order_b)
+    upper = np.triu_indices(n)
+    gram = a.T @ a if trans_a else a @ a.T
+    pair = a.T @ y + y.T @ a if trans_a else a @ y.T + y @ a.T
+    ours = dsyrk(0.5, a, beta=1.0, c=c, trans=int(trans_a))
+    assert close(ours[upper], (0.5 * gram + c)[upper])
+    ours = dsyr2k(0.5, a, y, beta=1.0, c=c, trans=int(trans_a))
+    assert close(ours[upper], (0.5 * pair + c)[upper])
 
 
-@pytest.mark.parametrize("burn_in", [0, 1, 7, 20])
+@pytest.mark.parametrize("burn_in", [0, 1, 2, 3, 7, 20])
 def test_doubling_from_a_c_ordered_propagator_matches_recursion(burn_in):
     # dense_inverse hands the doubling a Fortran-ordered M; a C-ordered one
-    # takes the transposed-operand route of dense_product and must give the
-    # same P_B as the step-by-step SuperLU recursion
+    # is copied by scipy's BLAS wrappers, and both give the upper triangle
+    # of the P_B of the step-by-step SuperLU recursion
     from scipy.sparse.linalg import splu
 
     from oracles import _burnin_covariances
@@ -625,22 +670,31 @@ def test_doubling_from_a_c_ordered_propagator_matches_recursion(burn_in):
     noise_var = (g.dt * step.noise_scale)**2
     ref = _burnin_covariances(step, splu(step.a_solve.tocsc()), g.dt,
                               burn_in)[-1]
+    upper = np.triu_indices(g.m)
     for m in (prop, np.ascontiguousarray(prop)):
-        ours = state_space._burnin_doubling(m, noise_var, burn_in)
-        assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
+        ours = state_space._burnin_doubling(m, noise_var, burn_in)[upper]
+        assert np.max(np.abs(ours - ref[upper])) \
+            <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_doubling_of_twenty_steps_makes_sixteen_products(monkeypatch):
-    products = []
-    real = state_space.dense_product
+    # S_1 is one dsyrk; each of the four squarings is dsymm, dsyr2k and
+    # dgemm; the first apply is one dsyrk and the second dsymm and dsyr2k
+    calls = []
 
-    def counted(*args, **kwargs):
-        products.append(1)
-        return real(*args, **kwargs)
+    def counted(name):
+        kernel = getattr(state_space, name)
 
-    monkeypatch.setattr(state_space, "dense_product", counted)
+        def call(*args, **kwargs):
+            calls.append(name)
+            return kernel(*args, **kwargs)
+        return call
+
+    for name in ("dgemm", "dsymm", "dsyrk", "dsyr2k"):
+        monkeypatch.setattr(state_space, name, counted(name))
     g = SpaceTimeGrid(nx=4, ny=4, nt=2)
     step = build_transition(random_theta(g, 47), g)[0]
     state_space._burnin_doubling(step.dense_inverse(),
                                  (g.dt * step.noise_scale)**2, 20)
-    assert len(products) == 16
+    assert len(calls) == 16
+    assert calls.count("dgemm") == 4 and calls.count("dsyrk") == 2

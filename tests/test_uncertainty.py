@@ -120,6 +120,43 @@ def test_conditional_sample_matches_per_member_reference(shape, p0_mode,
         assert member.states.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("p0_mode", ["white", "burnin"])
+def test_x_star_solved_with_the_first_block_is_bit_identical(monkeypatch,
+                                                             p0_mode):
+    # without an x_star, it is solved as column 0 of the first member
+    # block: x_star and every member keep the bits of the separate solve,
+    # whatever the block size
+    g, post, q, x_star = _posterior_case(seed=12, p0_mode=p0_mode)
+    ref = conditional_sample(x_star, post, n_members=40, base_seed=8)
+    assert ref.x_star is x_star
+    solve_system = oi.PosteriorSolver._solve_system
+    calls = []
+
+    def counted(self, rhs):
+        calls.append(rhs.shape[1])
+        return solve_system(self, rhs)
+
+    monkeypatch.setattr(oi.PosteriorSolver, "_solve_system", counted)
+    for block in (1, 3, 32):
+        monkeypatch.setattr(state_space, "_MEMBER_BLOCK", block)
+        calls.clear()
+        ens = conditional_sample(None, post, n_members=40, base_seed=8)
+        # the first block keeps at least one member beside x_star
+        assert sum(calls) == 41 and calls[0] == max(block, 2)
+        assert ens.x_star.states.tobytes() == x_star.states.tobytes()
+        for ma, mb in zip(ref.members, ens.members, strict=True):
+            assert ma.states.tobytes() == mb.states.tobytes()
+
+
+def test_negative_base_seed_is_refused():
+    # the seed sequence refuses a negative integer in a tuple key; the
+    # uint32 words of the array key must not wrap it round instead
+    g, post, q, x_star = _posterior_case(seed=13)
+    for lead in (x_star, None):
+        with pytest.raises(ValueError, match="non-negative"):
+            conditional_sample(lead, post, n_members=2, base_seed=-1)
+
+
 def test_failed_block_solve_names_the_member(monkeypatch):
     g, post, q, x_star = _posterior_case(seed=10)
     monkeypatch.setattr(oi, "RESIDUAL_TOL", 0.0)
