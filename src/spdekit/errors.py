@@ -104,13 +104,13 @@ class SolveFailure(SpdekitError):
 
 
 class DimensionGuard(SpdekitError):
-    """Dense-oracle path refused: the problem is too large for dense work."""
+    """The dense path ``path`` refused a problem too large for dense work."""
 
-    def __init__(self, dim, limit):
+    def __init__(self, dim, limit, path):
         self.dim = dim
         self.limit = limit
-        super().__init__(
-            f"dense oracle guarded at dimension {dim} (limit {limit})")
+        super().__init__(f"{path} refused at dimension {dim} "
+                         f"(limit {limit})")
 
 
 # --- iterative solvers over the augmented state ----------------------------

@@ -38,14 +38,16 @@ where this gradient follows (``_burnin_adjoint``). It starts from
 W = P_B^{-1}, V = W x_0 / sqrt(n), for the (m, n) starts x_0, which is
 one dgemm and one dsyrk; like the doubling it holds every symmetric
 matrix as an upper triangle on scipy's BLAS, and it forms its A_bar only
-at the k-ring, as the steps do. A fit forms each step's r_t and w_t once
-per theta (``_step_terms``), and its loss hands them on to the adjoint at
-the same theta.
+at the k-ring, as the steps do. The loss and the gradient read the prior
+at theta as one object (``precision.PriorStructure``), and a fit builds
+each theta's prior from the last (``precision.build_prior``). It forms
+each step's r_t and w_t once per theta (``_step_terms``), and its loss
+hands them on to the adjoint at the same theta.
 
 The expected-nll gradient runs the same data path: E[x x^T] = x* x*^T +
 V V^T for a posterior mean x* and a factor V of the posterior covariance,
 so the columns [x*, V] stand in for the trajectories. It reads the prior
-the caller's precision was assembled from and builds none of its own.
+of the caller's precision and builds none of its own.
 
 Parameter slab 0 never enters the model (transitions run from step 1, and
 the burn-in initial condition uses step 1 too), so its gradients are
@@ -74,11 +76,9 @@ from .errors import DimensionGuard, DivergedFit, NotPositiveDefinite
 from .grid import SpaceTimeGrid, Trajectory
 from .operators import (ParamFields, _power, _ring_pattern, _slab_features,
                         _stencil_table, operator_adjoint, project_params)
-from .precision import (BlockPrecision, _prior_log_det, _step_weights,
-                        posterior_precision)
-from .state_space import (InitialCondition, TransitionStep, _burnin_doubling,
-                          build_transition, initial_condition,
-                          selected_inverse)
+from .precision import (BlockPrecision, PriorStructure, _prior_log_det,
+                        _step_weights, build_prior, posterior_precision)
+from .state_space import _burnin_doubling, selected_inverse
 from .steps import make_step_operator
 
 PARAM_NAMES = ("kappa", "m_u", "m_v", "h11", "h12", "h22", "tau")
@@ -140,29 +140,25 @@ def nll(x, theta: ParamFields, p0_mode: str = "burnin", sigma0: float = 1.0,
         burn_in: int = 20) -> float:
     """Mean negative log-likelihood of one or more trajectories."""
     states = _stack_states(x, theta.grid)
-    steps = build_transition(theta, theta.grid)
-    ic = initial_condition(theta, theta.grid, p0_mode=p0_mode, sigma0=sigma0,
-                           burn_in=burn_in, transitions=steps)
-    return _mean_nll(states, steps, ic, theta.grid.dt)
+    prior = build_prior(theta, p0_mode, sigma0, burn_in)
+    return _mean_nll(states, prior, _step_terms(states, prior))
 
 
-def _step_terms(states: np.ndarray, transitions: list[TransitionStep],
-                dt: float):
+def _step_terms(states: np.ndarray, prior: PriorStructure):
     """Yield each step's weights w_t and residual r_t = A_t x_t - x_{t-1}
     of the (nt, m, n) stack, one step at a time."""
-    for step in transitions:
-        w = _step_weights(step, dt)
+    for step in prior.transitions:
+        w = _step_weights(step, prior.grid.dt)
         yield w, step.a_solve @ states[step.t] - states[step.t - 1]
 
 
-def _mean_nll(states: np.ndarray, transitions: list[TransitionStep],
-              ic: InitialCondition, dt: float, terms=None) -> float:
-    """nll of the (nt, m, n) stack, averaged over its n trajectories, in the
-    residual form of the module docstring, from its step terms if given."""
+def _mean_nll(states: np.ndarray, prior: PriorStructure, terms) -> float:
+    """nll of the (nt, m, n) stack under the prior, averaged over its n
+    trajectories, in the residual form of the module docstring, from its
+    step terms (``_step_terms``)."""
     nt, m, n = states.shape
-    if terms is None:
-        terms = list(_step_terms(states, transitions, dt))
-    log_det = _prior_log_det(ic, transitions, dt, [w for w, _ in terms])
+    log_det = _prior_log_det(prior)
+    ic = prior.ic
     x0 = states[0]
     quad = float(np.sum(x0 * (x0 / ic.sigma0**2 if ic.mode == "white"
                               else ic.prec @ x0)))
@@ -173,9 +169,10 @@ def _mean_nll(states: np.ndarray, transitions: list[TransitionStep],
 
 # --- exact adjoint ("trace") gradient ----------------------------------------
 
-def _trace_gradient(states: np.ndarray, theta: ParamFields, p0_opts: dict,
-                    transitions=None, ic=None, terms=None) -> ParamGradients:
-    """Trace gradient of the mean nll of the (nt, m, n) stack.
+def _trace_gradient(states: np.ndarray, prior: PriorStructure,
+                    terms) -> ParamGradients:
+    """Trace gradient of the mean nll of the (nt, m, n) stack under the
+    prior, from its step terms (``_step_terms``, or a loss's list of them).
 
     Step t contributes 1/2 mean(sum w r_t^2) - 1/2 log|S_t^{-1}|: the
     quadratic term reads the rank-n residuals r_t, never m x m moments, and
@@ -186,20 +183,13 @@ def _trace_gradient(states: np.ndarray, theta: ParamFields, p0_opts: dict,
     is one column of a (slots, steps) array, the burn-in's added into the
     first step's column; ``_operator_bars`` maps the columns to L_bar at
     the stencil pattern, and one product with J^T maps them all to the
-    fields. transitions, ic and the step terms may come prebuilt for the
-    same theta; without terms, one step's residual is held at a time.
+    fields.
     """
+    theta, transitions, ic = prior.theta, prior.transitions, prior.ic
     grid = theta.grid
     dt = grid.dt
     n = states.shape[2]
     k = theta.alpha // 2
-    if transitions is None:
-        transitions = build_transition(theta, grid)
-    if ic is None:
-        ic = initial_condition(theta, grid, transitions=transitions,
-                               keep_tape=True, **p0_opts)
-    if terms is None:
-        terms = _step_terms(states, transitions, dt)
     grads = {name: np.zeros(grid.shape) for name in PARAM_NAMES}
     ring = _ring_pattern(grid, k)
     # (A_t^{-T})[rows, indices] = A_t^{-1}[indices, rows]
@@ -360,8 +350,9 @@ def nll_grad(x, theta: ParamFields, stationary: bool = False,
     whole fields (cell sums) at theta, which need not be stationary: the
     exact adjoint at every alpha.
     """
-    p0_opts = dict(p0_mode=p0_mode, sigma0=sigma0, burn_in=burn_in)
-    grads = _trace_gradient(_stack_states(x, theta.grid), theta, p0_opts)
+    states = _stack_states(x, theta.grid)
+    prior = build_prior(theta, p0_mode, sigma0, burn_in, keep_tape=True)
+    grads = _trace_gradient(states, prior, _step_terms(states, prior))
     return grads.stationary_vector() if stationary else grads
 
 
@@ -370,32 +361,40 @@ def _reduce(grads: ParamGradients, stationary: bool) -> np.ndarray:
     return grads.stationary_vector() if stationary else grads.pack()
 
 
-def expected_nll_grad(x_star: Trajectory, obs, theta: ParamFields,
-                      q: BlockPrecision, stationary: bool = False):
-    """Gradient of E[nll(x; theta) | y] at the current parameters.
+def _refuse_dense_moments(grid: SpaceTimeGrid) -> None:
+    """The expected-moments gradient's DimensionGuard."""
+    if grid.dim > oi.DENSE_GUARD:
+        raise DimensionGuard(grid.dim, oi.DENSE_GUARD,
+                             "the expected-moments gradient's dense "
+                             "posterior Cholesky")
+
+
+def expected_nll_grad(x_star: Trajectory, obs, q: BlockPrecision,
+                      stationary: bool = False):
+    """Gradient of E[nll(x; theta) | y] at the theta of q's prior.
 
     Replaces the point iterate's outer products with the full posterior
     second moments (mean plus covariance). Fitting parameters to a
     smoothed point estimate alone is biased toward over-dissipative
     parameters; the covariance term removes that bias. q is the prior
-    precision at theta, and its transitions and x_0 marginal (tape
-    included) are the ones the adjoint reads: nothing of the prior is
-    built here. One dense Cholesky of the posterior precision, P = L L^T,
-    and one triangular inverse give V = L^{-T} with V V^T = P^{-1}, so
-    E[x x^T] = x* x*^T + V V^T and the data gradient over the 1 + dim
-    columns [x*, V], scaled by sqrt(1 + dim) to undo its mean, is exactly
-    this gradient. Dense in dim^2, so desk-scale grids only: above
-    oi.DENSE_GUARD it raises DimensionGuard, and a q without its prior
-    structure, or an x* on another grid than theta's, raises ValueError.
+    precision, and its prior (``q.prior``: theta, transitions and x_0
+    marginal, tape included) is the one the adjoint reads: nothing of the
+    prior is built here. One dense Cholesky of the posterior precision,
+    P = L L^T, and one triangular inverse give V = L^{-T} with
+    V V^T = P^{-1}, so E[x x^T] = x* x*^T + V V^T and the data gradient
+    over the 1 + dim columns [x*, V], scaled by sqrt(1 + dim) to undo its
+    mean, is exactly this gradient. Dense in dim^2, so desk-scale grids
+    only: above oi.DENSE_GUARD it raises DimensionGuard, and a q without
+    its prior, or an x* on another grid than q's, raises ValueError.
     """
-    grid = theta.grid
+    grid = q.grid
     mean = _stack_states(x_star, grid).reshape(-1, 1)
-    if q.prior is None:
+    prior = q.prior
+    if prior is None:
         raise ValueError("the expected-moments gradient needs the prior "
                          "structure of q; this precision was modified "
                          "after assembly")
-    if grid.dim > oi.DENSE_GUARD:
-        raise DimensionGuard(grid.dim, oi.DENSE_GUARD)
+    _refuse_dense_moments(grid)
     # the dense P read in Fortran order is P^T, whose upper triangle is P's
     # lower one: dpotrf overwrites it with L^T (P = L L^T, the triangle
     # below cleared), and dtrtri overwrites that with V = L^{-T}
@@ -408,8 +407,8 @@ def expected_nll_grad(x_star: Trajectory, obs, theta: ParamFields,
     columns = np.concatenate([mean, factor], axis=1)
     del factor
     columns *= math.sqrt(columns.shape[1])
-    grads = _trace_gradient(columns.reshape(grid.nt, grid.m, -1), theta, {},
-                            q.prior.transitions, q.prior.ic)
+    columns = columns.reshape(grid.nt, grid.m, -1)
+    grads = _trace_gradient(columns, prior, _step_terms(columns, prior))
     return grads.stationary_vector() if stationary else grads
 
 
@@ -430,27 +429,24 @@ def fit_params(trajectories, theta0: ParamFields, step_kind: str = "adam",
     states = _stack_states(trajectories, grid)
     p0_opts = dict(p0_mode=p0_mode, sigma0=sigma0, burn_in=burn_in)
     stepper = make_step_operator(step_kind, **(step_params or {"lr": 0.02}))
-
-    def loss_at(theta):
-        # the transitions, x_0 marginal and step terms built for the loss
-        # at theta are reused by the gradient at the same theta, the
-        # adjoint taking the burn-in doubling's tape too
-        steps = build_transition(theta, grid)
-        ic = initial_condition(theta, grid, transitions=steps,
-                               keep_tape=True, **p0_opts)
-        terms = list(_step_terms(states, steps, grid.dt))
-        return _mean_nll(states, steps, ic, grid.dt, terms), (steps, ic, terms)
-
     theta = project_params(theta0)
-    loss, built = loss_at(theta)
-    best_loss, best_theta = loss, theta
+    # the prior (marginal tape included) and the step terms of the loss at
+    # a theta serve the gradient there; the next prior reuses what it can
+    prior = build_prior(theta, keep_tape=True, **p0_opts)
+    terms = list(_step_terms(states, prior))
+    best_loss, best_theta = _mean_nll(states, prior, terms), theta
     loss_curve = [best_loss]
     for it in range(max_steps):
-        g = _tie(_reduce(_trace_gradient(states, theta, p0_opts, *built),
-                         stationary), grid, stationary)
+        g = _tie(_reduce(_trace_gradient(states, prior, terms), stationary),
+                 grid, stationary)
         theta = project_params(
             _theta_from_vector(theta, stepper.update(_theta_vector(theta), g)))
-        loss, built = loss_at(theta)
+        # the last prior's steps live until the new loss is formed: freed
+        # first, glibc handed their memory back and faulted it in again
+        new = build_prior(theta, keep_tape=True, previous=prior, **p0_opts)
+        new_terms = list(_step_terms(states, new))
+        loss = _mean_nll(states, new, new_terms)
+        prior, terms = new, new_terms
         if not math.isfinite(loss):
             raise DivergedFit(f"non-finite loss at step {it}")
         loss_curve.append(loss)

@@ -277,7 +277,7 @@ def log_det_block(q) -> float:
     precision), a sparse Cholesky of the held matrix.
     """
     if q.prior is not None:
-        return _prior_log_det(q.prior.ic, q.prior.transitions, q.grid.dt)
+        return _prior_log_det(q.prior)
     return sparse_cholesky(q.to_csr()).logdet()
 
 

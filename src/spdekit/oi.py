@@ -20,10 +20,9 @@ from .grid import SpaceTimeGrid, Trajectory
 from .linalg import (block_diagonal_preconditioner, cholesky_banded,
                      lower_band, pcg_solve)
 from .operators import ParamFields
-from .precision import (BlockPrecision, ObservationSet, apply_precision,
-                        posterior_precision)
-from .state_space import (build_transition, burnin_covariance,
-                          initial_condition)
+from .precision import (BlockPrecision, ObservationSet, _theta_grid,
+                        apply_precision, build_prior, posterior_precision)
+from .state_space import burnin_covariance
 
 DENSE_GUARD = 5000
 RESIDUAL_TOL = 1e-8
@@ -135,14 +134,14 @@ def dense_trajectory_covariance(theta: ParamFields,
     Propagates cross-covariances block by block:
         C[t+1, s] = M_{t+1} C[t, s]            (s <= t)
         C[t+1, t+1] = M_{t+1} C[t, t] M^T + S_{t+1}
-    Refuses to run above the dimension guard.
+    Refuses to run above the dimension guard; a grid given must be theta's.
     """
-    grid = grid or theta.grid
+    grid = _theta_grid(theta, grid)
     if grid.dim > guard:
-        raise DimensionGuard(grid.dim, guard)
-    transitions = build_transition(theta, grid)
-    ic = initial_condition(theta, grid, p0_mode=p0_mode, sigma0=sigma0,
-                           burn_in=burn_in, transitions=transitions)
+        raise DimensionGuard(grid.dim, guard, "the dense trajectory "
+                             "covariance")
+    prior = build_prior(theta, p0_mode, sigma0, burn_in)
+    transitions, ic = prior.transitions, prior.ic
     m, nt, dt = grid.m, grid.nt, grid.dt
     if ic.mode == "white":
         p0 = ic.sigma0**2 * np.eye(m)

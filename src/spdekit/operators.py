@@ -114,11 +114,13 @@ class ParamFields:
         return {name: getattr(self, name).values
                 for name in ("kappa", "m_u", "m_v", "h11", "h12", "h22", "tau")}
 
-    def slab_key(self, t: int) -> bytes:
-        """Content digest of slab t, used for lazy reassembly."""
-        parts = [getattr(self, n).values[t].tobytes()
-                 for n in ("kappa", "m_u", "m_v", "h11", "h12", "h22", "tau")]
-        return b"".join(parts) + bytes([self.alpha])
+    def same_slab(self, other: "ParamFields", t: int) -> bool:
+        """Whether slab t holds the same bits as other's, at the same alpha;
+        the fields are compared in turn, up to the first that differs."""
+        return self.alpha == other.alpha and all(
+            getattr(self, n).values[t].tobytes()
+            == getattr(other, n).values[t].tobytes()
+            for n in ("kappa", "m_u", "m_v", "h11", "h12", "h22", "tau"))
 
 
 @dataclass

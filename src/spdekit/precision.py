@@ -9,7 +9,7 @@ row t-1 of R holds -I at column block t-1 and A_t at column block t,
 
     Q = R^T diag(w) R + P_0^{-1} in block (0, 0),
 
-which ``assemble_block_precision`` forms as one sparse product and holds
+which ``prior_precision`` forms as one sparse product and holds
 as one CSR matrix: exactly the inverse covariance of ``sample_prior``
 (the dense-oracle tests enforce this). P_0^{-1} enters without a sparse
 add: a burn-in start's dense P_0^{-1} is written straight into the first
@@ -29,6 +29,11 @@ I, A_1, ..., A_N, which gives log|Q| in closed form, the GMRF identity
 
 which ``_prior_log_det`` evaluates from the transitions and the x_0
 marginal alone, without Q.
+
+The prior at one theta is one object, ``PriorStructure`` (theta, the
+steps A_t and the x_0 marginal), made by one builder, ``build_prior``,
+which reuses from the prior of a previous theta what did not change. Q,
+the likelihood, its gradient and conditional draws all read that object.
 """
 
 from __future__ import annotations
@@ -49,12 +54,53 @@ _TAU_FLOOR = 1e-8
 
 @dataclass
 class PriorStructure:
-    """Generator-side ingredients the precision was assembled from: the x_0
-    marginal and the transitions, kept for the blockwise log-determinant
-    and for gradients at the same theta."""
+    """The prior at one theta: theta, the step of each slab 1..N and the x_0
+    marginal. ``built`` counts the steps ``build_prior`` made for it; the
+    others came from the previous prior."""
 
-    ic: InitialCondition
+    theta: ParamFields
     transitions: list[TransitionStep]
+    ic: InitialCondition
+    built: int = 0
+
+    @property
+    def grid(self) -> SpaceTimeGrid:
+        return self.theta.grid
+
+
+def build_prior(theta: ParamFields, p0_mode: str = "burnin",
+                sigma0: float = 1.0, burn_in: int = 20,
+                keep_tape: bool = False,
+                previous: PriorStructure | None = None) -> PriorStructure:
+    """The prior at theta; with keep_tape its marginal keeps the doubling's
+    tape for the burn-in adjoint.
+
+    A previous prior on the same grid hands over the step of every slab
+    that holds the same bits (``ParamFields.same_slab``), and its marginal
+    if built with the same start options, unless a burn-in start's slab 1
+    changed. Before a new marginal is built, previous gives up its steps
+    and marginal (it is left with none), so that the old ones not handed
+    over are freed first.
+    """
+    grid = theta.grid
+    same = previous is not None and previous.grid == grid \
+        and len(previous.transitions) == grid.nt - 1   # else none or spent
+    changed = [t for t in range(1, grid.nt)
+               if not (same and theta.same_slab(previous.theta, t))]
+    steps = list(previous.transitions) if same else [None] * len(changed)
+    ic = previous.ic if same else None
+    if changed:
+        for step in build_transition(theta, grid, slabs=changed):
+            steps[step.t - 1] = step
+    if ic is None or (ic.mode, ic.sigma0, ic.burn_in) != (
+            p0_mode, sigma0, burn_in) or (p0_mode == "burnin"
+                                          and 1 in changed):
+        if same:
+            previous.transitions, previous.ic, ic = [], None, None
+        ic = initial_condition(steps[0], grid, p0_mode=p0_mode,
+                               sigma0=sigma0, burn_in=burn_in,
+                               keep_tape=keep_tape)
+    return PriorStructure(theta, steps, ic, built=len(changed))
 
 
 def _step_weights(step: TransitionStep, dt: float) -> np.ndarray:
@@ -67,22 +113,19 @@ def _step_weights(step: TransitionStep, dt: float) -> np.ndarray:
     return 1.0 / (dt * tau)**2
 
 
-def _prior_log_det(ic: InitialCondition, transitions: list[TransitionStep],
-                   dt: float, weights=None) -> float:
+def _prior_log_det(prior: PriorStructure) -> float:
     """log|Q| of the prior by the closed form of the module docstring.
 
     log|det A_t| comes from the step's banded LU, the factor its
     propagator solves also read; the gradient's selected inverse checks
-    that factor before its block recursion; weights are the w_t if held.
-    A white start with sigma0 <= 0 raises DegenerateNoise(0), a singular
-    A_t SingularTransition(t).
+    that factor before its block recursion. A white start with sigma0 <= 0
+    raises DegenerateNoise(0), a singular A_t SingularTransition(t).
     """
-    if ic.mode == "white" and ic.sigma0 <= 0:
-        raise DegenerateNoise(0, ic.sigma0)
-    if weights is None:
-        weights = (_step_weights(step, dt) for step in transitions)
-    total = ic.logdet_prec
-    for step, w in zip(transitions, weights):
+    if prior.ic.mode == "white" and prior.ic.sigma0 <= 0:
+        raise DegenerateNoise(0, prior.ic.sigma0)
+    total = prior.ic.logdet_prec
+    for step in prior.transitions:
+        w = _step_weights(step, prior.grid.dt)
         total += 2.0 * step.log_abs_det() + float(np.sum(np.log(w)))
     return float(total)
 
@@ -93,8 +136,8 @@ class BlockPrecision:
 
     ``matrix`` is Q as one (dim, dim) CSR matrix in the grid's t-major
     ordering: block (t, t) couples the cells of step t, block (t, t+1)
-    steps t and t+1, and every other block is zero. ``prior`` carries the
-    generative ingredients when this is an unmodified prior precision.
+    steps t and t+1, and every other block is zero. ``prior`` is the prior
+    Q was assembled from, None once Q is modified (a posterior precision).
     """
 
     grid: SpaceTimeGrid
@@ -193,17 +236,23 @@ class ObservationSet:
 def assemble_block_precision(theta: ParamFields,
                              grid: SpaceTimeGrid | None = None,
                              p0_mode: str = "burnin", sigma0: float = 1.0,
-                             burn_in: int = 20,
-                             transitions: list[TransitionStep] | None = None,
-                             ic: InitialCondition | None = None
-                             ) -> BlockPrecision:
-    """The prior precision Q = R^T diag(w) R + P_0^{-1} at theta."""
-    grid = grid or theta.grid
-    if transitions is None:
-        transitions = build_transition(theta, grid)
-    if ic is None:
-        ic = initial_condition(theta, grid, p0_mode=p0_mode, sigma0=sigma0,
-                               burn_in=burn_in, transitions=transitions)
+                             burn_in: int = 20) -> BlockPrecision:
+    """The prior precision Q = R^T diag(w) R + P_0^{-1} at theta; a grid
+    given must be theta's."""
+    _theta_grid(theta, grid)
+    return prior_precision(build_prior(theta, p0_mode, sigma0, burn_in))
+
+
+def _theta_grid(theta: ParamFields, grid) -> SpaceTimeGrid:
+    """theta's grid, which a grid given must equal."""
+    if grid not in (None, theta.grid):
+        raise ValueError(f"grid {grid} is not theta's grid {theta.grid}")
+    return theta.grid
+
+
+def prior_precision(prior: PriorStructure) -> BlockPrecision:
+    """Q = R^T diag(w) R + P_0^{-1} of a prior, holding that prior."""
+    grid, transitions, ic = prior.grid, prior.transitions, prior.ic
     if ic.mode == "white" and ic.sigma0 <= 0:
         raise DegenerateNoise(0, ic.sigma0)
 
@@ -221,9 +270,7 @@ def assemble_block_precision(theta: ParamFields,
         matrix = _add_white_start(gram, m, 1.0 / ic.sigma0**2)
     else:
         matrix = _add_dense_start(gram, m, ic.prec)
-    return BlockPrecision(grid=grid, matrix=matrix,
-                          prior=PriorStructure(ic=ic,
-                                               transitions=list(transitions)))
+    return BlockPrecision(grid=grid, matrix=matrix, prior=prior)
 
 
 def _add_white_start(gram: sparse.csr_array, m: int,
@@ -300,22 +347,10 @@ def apply_precision(q: BlockPrecision, v):
     (returns the stack of their products, in one sparse product).
     """
     as_traj = isinstance(v, Trajectory)
-    states = _as_blocks(q, v.states if as_traj else v)
+    states = np.asarray(v.states if as_traj else v, dtype=np.float64)
+    states = states.reshape((q.nt, q.m) + states.shape[2:])
     out = (q.matrix @ states.reshape(q.dim, -1)).reshape(states.shape)
     return Trajectory(q.grid, out) if as_traj else out
-
-
-def quadratic_form(q: BlockPrecision, v) -> float:
-    """x^T Q x (non-negative, zero only at zero for PD Q); summed over the
-    trajectories of an (nt, m, n) stack."""
-    states = _as_blocks(q, v.states if isinstance(v, Trajectory) else v)
-    return float(np.sum(states * apply_precision(q, states)))
-
-
-def _as_blocks(q: BlockPrecision, states: np.ndarray) -> np.ndarray:
-    """(nt, m) float view of one trajectory; an (nt, m, n) stack stays 3-D."""
-    states = np.asarray(states, dtype=np.float64)
-    return states.reshape((q.nt, q.m) + states.shape[2:])
 
 
 def dump_coordinate_triplets(q: BlockPrecision, path) -> None:

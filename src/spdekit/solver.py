@@ -11,8 +11,9 @@ log-determinant term in the likelihood is what stops the noise scale from
 drifting to degeneracy, which the raw quadratic cost would reward). After
 every parameter update the fields are projected back onto the valid set.
 
-The precision is reassembled lazily: only time slabs whose parameter
-values actually changed are rebuilt.
+Q holds the prior it was assembled from (``precision.PriorStructure``),
+which the theta gradient reads; a theta update builds the next prior from
+the last one with ``precision.build_prior``, as a fit does.
 """
 
 from __future__ import annotations
@@ -22,14 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergedStep
-from .estimation import (PARAM_NAMES, _reduce, _stack_states,
-                         _theta_from_vector, _theta_vector, _tie,
-                         _trace_gradient, expected_nll_grad, nll)
+from .estimation import (PARAM_NAMES, _reduce, _refuse_dense_moments,
+                         _stack_states, _step_terms, _theta_from_vector,
+                         _theta_vector, _tie, _trace_gradient,
+                         expected_nll_grad, nll)
 from .grid import Trajectory
 from .oi import _cost_flat_grad
 from .operators import ParamFields, project_params
-from .precision import BlockPrecision, assemble_block_precision
-from .state_space import build_transition, initial_condition
+from .precision import BlockPrecision, build_prior, prior_precision
 from .steps import make_step_operator
 
 
@@ -43,7 +44,7 @@ class SolverConfig:
     descends the nll by its exact adjoint, at every alpha, or with
     theta_expected by the expected-nll gradient. That one reads the cached
     prior and one dense Cholesky of the posterior precision, so it works
-    at desk scale only (DimensionGuard above oi.DENSE_GUARD).
+    at desk scale only (``run_solver`` refuses it above oi.DENSE_GUARD).
     """
 
     n_iterations: int = 200
@@ -80,6 +81,12 @@ class SolverConfig:
         return dict(p0_mode=self.p0_mode, sigma0=self.sigma0,
                     burn_in=self.burn_in)
 
+    def updates_theta(self) -> bool:
+        """Whether a run of n_iterations makes a theta update."""
+        return self.update_mode == "joint" or (
+            self.update_mode == "alternating" and self.theta_steps > 0
+            and self.n_iterations > self.x_steps)
+
 
 @dataclass
 class AugmentedState:
@@ -88,46 +95,24 @@ class AugmentedState:
 
 
 class PrecisionCache:
-    """Rebuilds only the per-step pieces whose parameter slab changed.
-
-    The cached precision carries the transitions and x_0 marginal it was
-    assembled from (``BlockPrecision.prior``), so a gradient taken at the
-    same theta reads them instead of rebuilding. When theta moves, the
-    burn-in marginal also holds its doubling's tape for the theta
-    gradient's burn-in adjoint.
-    """
+    """The prior precision Q of the current theta, and the slabs built so
+    far. A new theta's prior is built from the last, with the doubling's
+    tape where a theta gradient follows; the old Q goes first, and the
+    builder drops the old marginal first, which keeps peak memory down."""
 
     def __init__(self, cfg: SolverConfig):
         self.cfg = cfg
-        self._keys: list[bytes] | None = None
         self._q: BlockPrecision | None = None
         self.total_rebuilds = 0
-        self._keep_tape = cfg.update_mode != "x_only"
 
     def get(self, theta: ParamFields) -> BlockPrecision:
-        grid = theta.grid
-        keys = [theta.slab_key(t) for t in range(grid.nt)]
-        if self._q is None:
-            changed = list(range(1, grid.nt))
-            steps, ic = [None] * len(changed), None
-        else:
-            changed = [t for t in range(1, grid.nt)
-                       if keys[t] != self._keys[t]]
-            steps, ic = list(self._q.prior.transitions), self._q.prior.ic
-        if changed:
-            for step in build_transition(theta, grid, slabs=changed):
-                steps[step.t - 1] = step
-            if ic is None or (1 in changed and self.cfg.p0_mode == "burnin"):
-                # the old precision and marginal go before the new marginal
-                # and its tape are built, which keeps the peak memory down
-                self._q = ic = None
-                ic = initial_condition(theta, grid, transitions=steps,
-                                       keep_tape=self._keep_tape,
-                                       **self.cfg.p0_opts())
-            self._q = assemble_block_precision(theta, grid,
-                                               transitions=steps, ic=ic)
-            self.total_rebuilds += len(changed)
-        self._keys = keys
+        if self._q is None or self._q.prior.theta is not theta:
+            previous = None if self._q is None else self._q.prior
+            self._q = None
+            prior = build_prior(theta, keep_tape=self.cfg.updates_theta(),
+                                previous=previous, **self.cfg.p0_opts())
+            self._q = prior_precision(prior)
+            self.total_rebuilds += prior.built
         return self._q
 
 
@@ -149,15 +134,14 @@ class SolverRuntime:
 
 def _theta_gradient(x, obs, theta, cfg, runtime) -> np.ndarray:
     """nll gradient at theta, per field under cfg.theta_stationary, else
-    per cell; either gradient reads the transitions and x_0 marginal of the
-    cached precision for this same theta."""
+    per cell; either gradient reads the prior of the cached precision for
+    this same theta."""
     q = runtime.cache.get(theta)
     if cfg.theta_expected:
-        grads = expected_nll_grad(x, obs, theta, q)
+        grads = expected_nll_grad(x, obs, q)
     else:
-        grads = _trace_gradient(_stack_states(x, theta.grid), theta,
-                                cfg.p0_opts(), q.prior.transitions,
-                                q.prior.ic)
+        states = _stack_states(x, theta.grid)
+        grads = _trace_gradient(states, q.prior, _step_terms(states, q.prior))
     return _reduce(grads, cfg.theta_stationary)
 
 
@@ -187,20 +171,10 @@ def _state_gradient(x: Trajectory, obs, q: BlockPrecision, cfg: SolverConfig,
     return costs, g
 
 
-def solver_step(state: AugmentedState, obs, cfg: SolverConfig,
-                runtime: SolverRuntime | None = None) -> AugmentedState:
-    """One iteration: state update, and (mode permitting) parameter update."""
-    if runtime is None:
-        runtime = SolverRuntime.fresh(cfg)
-    q = runtime.cache.get(state.theta)
-    _, g = _state_gradient(state.x, obs, q, cfg, runtime.iteration)
-    return _advance(state, g, obs, cfg, runtime)
-
-
 def _advance(state: AugmentedState, g: np.ndarray, obs, cfg: SolverConfig,
              runtime: SolverRuntime) -> AugmentedState:
-    """solver_step from g, the flat state gradient at (state.x,
-    state.theta)."""
+    """One iteration from g, the flat state gradient at (state.x,
+    state.theta): state update, and (mode permitting) parameter update."""
     new_flat = runtime.x_step.update(state.x.flat, g)
     if not np.all(np.isfinite(new_flat)):
         raise DivergedStep(runtime.iteration, "non-finite state update")
@@ -230,12 +204,15 @@ class SolverResult:
 
 def run_solver(x0: Trajectory, theta0: ParamFields, obs,
                cfg: SolverConfig) -> SolverResult:
-    """Run n_iterations of solver_step, recording per-iteration diagnostics.
+    """Run n_iterations of _advance, recording per-iteration diagnostics.
 
     With update_mode "x_only" this converges toward the direct posterior
     mean of the frozen parameters. Deterministic: same inputs and config
-    give bit-identical outputs.
+    give bit-identical outputs. A run whose theta would take the expected
+    gradient above oi.DENSE_GUARD raises DimensionGuard before it starts.
     """
+    if cfg.theta_expected and cfg.updates_theta():
+        _refuse_dense_moments(theta0.grid)
     runtime = SolverRuntime.fresh(cfg)
     state = AugmentedState(x=x0.copy(), theta=project_params(theta0))
     rows: list[dict] = []

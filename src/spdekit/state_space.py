@@ -300,12 +300,11 @@ class InitialCondition:
     tape: list | None = None
 
 
-def initial_condition(theta: ParamFields, grid: SpaceTimeGrid | None = None,
+def initial_condition(step: TransitionStep, grid: SpaceTimeGrid,
                       p0_mode: str = "burnin", sigma0: float = 1.0,
                       burn_in: int = 20,
-                      transitions: list[TransitionStep] | None = None,
                       keep_tape: bool = False) -> InitialCondition:
-    """Build the x_0 marginal.
+    """Build the x_0 marginal, for step = A_1 on grid.
 
     "white" is N(0, sigma0^2 I). "burnin" approximates the stationary
     distribution of the first transition step by propagating unit white
@@ -325,23 +324,17 @@ def initial_condition(theta: ParamFields, grid: SpaceTimeGrid | None = None,
     A singular A_1, or a P_B that is not numerically positive definite,
     raises SingularTransition(1); a negative burn_in raises ValueError.
     """
-    grid = grid or theta.grid
     m = grid.m
     if burn_in < 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     if p0_mode == "white":
-        if sigma0 <= 0:
-            # degenerate start is fine for sampling (x0 = 0) but has no
-            # precision; callers that need one will reject it
-            return InitialCondition(mode="white", sigma0=sigma0, m=m)
-        return InitialCondition(mode="white", sigma0=sigma0, m=m,
-                                logdet_prec=-2.0 * m * np.log(sigma0))
+        # sigma0 <= 0 is fine for sampling (x0 = 0) but has no precision
+        logdet = 0.0 if sigma0 <= 0 else -2.0 * m * np.log(sigma0)
+        return InitialCondition(mode="white", sigma0=sigma0, burn_in=burn_in,
+                                m=m, logdet_prec=logdet)
     if p0_mode != "burnin":
         raise ValueError(f"unknown p0_mode {p0_mode!r}")
 
-    if transitions is None:
-        transitions = build_transition(theta, grid)
-    step = transitions[0]
     prop = step.dense_inverse()
     tape = [] if keep_tape else None
     cov = _burnin_doubling(prop, (grid.dt * step.noise_scale)**2, burn_in,
@@ -482,8 +475,7 @@ def _prior_blocks(transitions, grid, ic: InitialCondition, base_seed,
 def sample_prior(theta: ParamFields, grid: SpaceTimeGrid | None = None,
                  n_members: int = 1, base_seed: int = 0,
                  p0_mode: str = "burnin", sigma0: float = 1.0,
-                 burn_in: int = 20,
-                 transitions: list[TransitionStep] | None = None) -> Ensemble:
+                 burn_in: int = 20) -> Ensemble:
     """Draw trajectories from the prior. Bit-reproducible for fixed seeds."""
     grid = grid or theta.grid
     if n_members < 1:
@@ -494,8 +486,7 @@ def sample_prior(theta: ParamFields, grid: SpaceTimeGrid | None = None,
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     if p0_mode not in ("burnin", "white"):
         raise ValueError(f"unknown p0_mode {p0_mode!r}")
-    if transitions is None:
-        transitions = build_transition(theta, grid)
+    transitions = build_transition(theta, grid)
     ic = InitialCondition(mode=p0_mode, sigma0=sigma0, burn_in=burn_in,
                           m=grid.m)
     states = np.empty((n_members, grid.nt, grid.m))

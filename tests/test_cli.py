@@ -142,6 +142,28 @@ def test_bad_theta_gradient_key_exits_2(workdir, capsys, key):
         capsys.readouterr().err
 
 
+def test_expected_theta_gradient_above_the_dense_guard_exits_3(
+        workdir, capsys, monkeypatch):
+    # refused before the first iteration: no state gradient, no x_star
+    from spdekit import solver
+    _alternating_config(workdir, "\ntheta_expected = true")
+    monkeypatch.setattr(oi, "DENSE_GUARD", 4 * 4 * 3 - 1)
+    calls = []
+    state_gradient = solver._state_gradient
+
+    def counted(*args):
+        calls.append(1)
+        return state_gradient(*args)
+
+    monkeypatch.setattr(solver, "_state_gradient", counted)
+    out = workdir / "x"
+    assert _run(workdir, "joint-solve", out_dir=out) == 3
+    assert "numerical failure: the expected-moments gradient's dense " \
+        "posterior Cholesky refused at dimension 48 (limit 47)" in \
+        capsys.readouterr().err
+    assert calls == [] and not (out / "x_star.stgf").exists()
+
+
 def test_theta_stationary_keeps_every_field_flat(workdir):
     from spdekit.experiment import read_theta
     from spdekit.grid import SpaceTimeGrid

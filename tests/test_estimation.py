@@ -11,13 +11,15 @@ import spdekit.linalg
 from spdekit import (BlockPrecision, ObservationSet, ParamFields,
                      SpaceTimeGrid, assemble_block_precision,
                      dense_trajectory_covariance, fit_params, nll, nll_grad,
-                     Trajectory, oi_solve_precision, posterior_precision,
-                     quadratic_form, sample_prior, sparse_cholesky,
+                     Trajectory, apply_precision, oi_solve_precision,
+                     posterior_precision, sample_prior, sparse_cholesky,
                      validate_params)
 from spdekit.errors import (DegenerateNoise, DimensionGuard,
                             NotPositiveDefinite, SingularTransition)
 from spdekit.estimation import (PARAM_NAMES, _mean_nll, _stack_states,
-                                _trace_gradient, expected_nll_grad)
+                                _step_terms, _trace_gradient,
+                                expected_nll_grad)
+from spdekit.precision import PriorStructure, build_prior, prior_precision
 from spdekit.state_space import (build_transition, initial_condition,
                                  transition_from_drift)
 
@@ -43,7 +45,8 @@ def test_nll_matches_assembled_precision(p0_mode, nx, ny, nt):
     xs = sample_prior(theta, g, n_members=3, base_seed=21,
                       p0_mode=p0_mode).members
     q = assemble_block_precision(theta, g, p0_mode=p0_mode)
-    quad = quadratic_form(q, _stack_states(xs, g)) / len(xs)
+    states = _stack_states(xs, g)
+    quad = float(np.sum(states * apply_precision(q, states))) / len(xs)
     assembled = 0.5 * (quad - sparse_cholesky(q.to_csr()).logdet()) \
         + 0.5 * g.dim * np.log(2 * np.pi)
     ours = nll(xs, theta, p0_mode=p0_mode)
@@ -204,6 +207,15 @@ def test_no_trajectories_is_a_value_error():
             call()
 
 
+def _trace_gradient_with(theta, xs, step):
+    """The trace gradient of xs under a white-start prior at theta whose
+    one step is the hand-built step."""
+    g = theta.grid
+    prior = PriorStructure(theta, [step], initial_condition(step, g, "white"))
+    states = _stack_states(xs, g)
+    return _trace_gradient(states, prior, _step_terms(states, prior))
+
+
 def test_singular_transition_in_trace_gradient_is_typed():
     # a singular A_t fails typed in its banded LU before the selected
     # inverse runs
@@ -212,9 +224,7 @@ def test_singular_transition_in_trace_gradient_is_typed():
     xs = sample_prior(theta, g, n_members=2, base_seed=15,
                       p0_mode="white").members
     with pytest.raises(SingularTransition) as info:
-        _trace_gradient(_stack_states(xs, g), theta,
-                        dict(p0_mode="white", sigma0=1.0, burn_in=5),
-                        transitions=[_singular_step(g)])
+        _trace_gradient_with(theta, xs, _singular_step(g))
     assert info.value.t == 1
 
 
@@ -232,21 +242,21 @@ def test_singular_schur_block_in_trace_gradient_is_typed():
     step = transition_from_drift(np.eye(g.m) - a, dt=1.0, t=1,
                                  noise_scale=np.ones(g.m))
     with pytest.raises(SingularTransition, match="block row 0") as info:
-        _trace_gradient(_stack_states(xs, g), theta,
-                        dict(p0_mode="white", sigma0=1.0, burn_in=5),
-                        transitions=[step])
+        _trace_gradient_with(theta, xs, step)
     assert info.value.t == 1
 
 
-def test_singular_first_transition_with_burnin_start_is_typed():
-    # the burn-in marginal inverts A_1 densely: LAPACK's failure is typed
+def test_singular_first_transition_with_burnin_start_is_typed(monkeypatch):
+    # the burn-in marginal of the gradient's prior inverts A_1 densely:
+    # LAPACK's failure is typed
+    import spdekit.precision as precision
     g = SpaceTimeGrid(nx=3, ny=3, nt=2)
     theta = random_theta(g, 18)
     xs = sample_prior(theta, g, n_members=2, base_seed=15).members
+    monkeypatch.setattr(precision, "build_transition",
+                        lambda theta, grid, slabs: [_singular_step(g)])
     with pytest.raises(SingularTransition) as info:
-        _trace_gradient(_stack_states(xs, g), theta,
-                        dict(p0_mode="burnin", sigma0=1.0, burn_in=5),
-                        transitions=[_singular_step(g)])
+        nll_grad(xs, theta, p0_mode="burnin", burn_in=5)
     assert info.value.t == 1
 
 
@@ -256,9 +266,11 @@ def test_singular_transition_in_nll_is_typed():
     theta = random_theta(g, 18)
     xs = sample_prior(theta, g, n_members=2, base_seed=15,
                       p0_mode="white").members
-    ic = initial_condition(theta, g, p0_mode="white")
+    step = _singular_step(g)
+    prior = PriorStructure(theta, [step], initial_condition(step, g, "white"))
+    states = _stack_states(xs, g)
     with pytest.raises(SingularTransition) as info:
-        _mean_nll(_stack_states(xs, g), [_singular_step(g)], ic, g.dt)
+        _mean_nll(states, prior, _step_terms(states, prior))
     assert info.value.t == 1
 
 
@@ -332,16 +344,15 @@ def test_burnin_adjoint_takes_the_marginals_tape(monkeypatch):
                                         base_seed=24).members, g)
     p0_opts = dict(p0_mode="burnin", sigma0=1.0, burn_in=13)
     calls = _count_doublings(monkeypatch)
-    steps = build_transition(theta, g)
     grads = []
     for keep_tape, doublings in ((True, 1), (False, 2)):
         calls.clear()
-        ic = initial_condition(theta, g, transitions=steps,
-                               keep_tape=keep_tape, **p0_opts)
-        assert (ic.tape is not None) == keep_tape
-        grads.append(_trace_gradient(states, theta, p0_opts, steps, ic))
+        prior = build_prior(theta, keep_tape=keep_tape, **p0_opts)
+        assert (prior.ic.tape is not None) == keep_tape
+        grads.append(_trace_gradient(states, prior,
+                                     _step_terms(states, prior)))
         assert len(calls) == doublings
-        assert ic.tape is None
+        assert prior.ic.tape is None
     for name in PARAM_NAMES:
         assert np.array_equal(grads[0].fields[name], grads[1].fields[name])
 
@@ -383,8 +394,8 @@ def test_burnin_kernels_do_not_depend_on_the_blas_thread_count(tmp_path):
     for n in (12, 16):
         g = SpaceTimeGrid(nx=n, ny=n, nt=2)
         theta = random_theta(g, 48)
-        steps = build_transition(theta, g)
-        ic = initial_condition(theta, g, transitions=steps)
+        prior = build_prior(theta)
+        steps, ic = prior.transitions, prior.ic
         x0 = np.random.default_rng(n).standard_normal((g.m, 3))
         np.savez(tmp_path / f"{n}.npz", prop=ic.prop, prec=ic.prec, x0=x0,
                  tau=steps[0].noise_scale,
@@ -430,7 +441,7 @@ def test_trace_gradient_inverts_only_the_burnin_step(monkeypatch):
     # the step log-determinants read the selected inverse; only the burn-in
     # marginal needs the dense M = A_1^{-1}, once, and its adjoint reads it
     # from the marginal
-    from spdekit.state_space import TransitionStep, build_transition
+    from spdekit.state_space import TransitionStep
     g = SpaceTimeGrid(nx=3, ny=3, nt=4)
     theta = random_theta(g, 25)
     xs = sample_prior(theta, g, n_members=2, base_seed=18).members
@@ -444,12 +455,12 @@ def test_trace_gradient_inverts_only_the_burnin_step(monkeypatch):
     monkeypatch.setattr(TransitionStep, "dense_inverse", counted)
     for p0_mode, expect in (("burnin", [1]), ("white", [])):
         p0_opts = dict(p0_mode=p0_mode, sigma0=1.0, burn_in=5)
-        steps = build_transition(theta, g)
         inverted.clear()
-        ic = initial_condition(theta, g, transitions=steps, **p0_opts)
+        prior = build_prior(theta, **p0_opts)
         assert inverted == expect, p0_mode
         inverted.clear()
-        _trace_gradient(_stack_states(xs, g), theta, p0_opts, steps, ic)
+        states = _stack_states(xs, g)
+        _trace_gradient(states, prior, _step_terms(states, prior))
         assert inverted == [], p0_mode
 
 
@@ -500,7 +511,9 @@ def test_fit_factors_each_transition_once_per_theta(monkeypatch):
 @pytest.mark.parametrize("p0_mode", ["burnin", "white"])
 def test_trace_fit_forms_each_step_term_once_per_theta(monkeypatch, p0_mode):
     # the loss hands its step residuals and weights to the adjoint at the
-    # same theta: per theta, one w_t and one product A_t x_t per step
+    # same theta: per theta, one product A_t x_t per step, and w_t formed
+    # twice, once for the step terms and once by the log-determinant,
+    # which forms its own from the prior
     from spdekit import precision
     g = SpaceTimeGrid(nx=4, ny=3, nt=4)
     theta = random_theta(g, 26)
@@ -524,7 +537,7 @@ def test_trace_fit_forms_each_step_term_once_per_theta(monkeypatch, p0_mode):
     monkeypatch.setattr(sparse.csr_array, "__matmul__", counted_matmul)
     k = 3
     fit_params(xs, theta, max_steps=k, p0_mode=p0_mode, burn_in=5)
-    assert weighed == list(range(1, g.nt)) * (k + 1)
+    assert weighed == list(range(1, g.nt)) * 2 * (k + 1)
     assert len(products) == (k + 1) * (g.nt - 1)
 
 
@@ -587,7 +600,7 @@ def test_trace_gradient_at_alpha4_matches_the_oracles():
     theta = random_theta(g, 14, alpha=4)
     xs = sample_prior(theta, g, n_members=1, base_seed=8).members
     p0_opts = dict(p0_mode="burnin", sigma0=1.0, burn_in=20)
-    ours = _trace_gradient(_stack_states(xs, g), theta, p0_opts)
+    ours = nll_grad(xs, theta, **p0_opts)
     oracle = cholesky_adjoint_trace_gradient(xs, theta, p0_opts)
     for name in PARAM_NAMES:
         a, b = ours.fields[name], oracle[name]
@@ -627,7 +640,7 @@ def test_expected_gradient_matches_cholesky_adjoint_oracle(p0_mode, nx, ny,
     obs = ObservationSet.from_truth(truth, mask, 0.05, seed=5)
     q = assemble_block_precision(theta, g, **p0_opts)
     x_star = oi_solve_precision(q, obs)
-    ours = expected_nll_grad(x_star, obs, theta, q)
+    ours = expected_nll_grad(x_star, obs, q)
     oracle = cholesky_adjoint_moments_gradient(
         *posterior_moments(x_star, obs, q), theta, p0_opts)
     for name in PARAM_NAMES:
@@ -648,7 +661,7 @@ def test_expected_gradient_at_higher_alpha_matches_cholesky_adjoint_oracle(
     obs = ObservationSet.from_truth(truth, mask, 0.05, seed=5)
     q = assemble_block_precision(theta, g, **p0_opts)
     x_star = oi_solve_precision(q, obs)
-    ours = expected_nll_grad(x_star, obs, theta, q)
+    ours = expected_nll_grad(x_star, obs, q)
     oracle = cholesky_adjoint_moments_gradient(
         *posterior_moments(x_star, obs, q), theta, p0_opts)
     for name in PARAM_NAMES:
@@ -671,11 +684,10 @@ def test_expected_gradient_reads_the_given_prior(monkeypatch, p0_mode):
     # the prior comes from q: no transitions, marginal or Q are built, and
     # the posterior covariance is never formed by a dense inverse (the
     # selected inverse still inverts its small Schur blocks)
+    import spdekit.precision as precision
     theta, obs = _expected_case(p0_mode)
-    steps = build_transition(theta, theta.grid)
-    ic = initial_condition(theta, theta.grid, p0_mode=p0_mode, burn_in=5,
-                           transitions=steps, keep_tape=True)
-    q = assemble_block_precision(theta, theta.grid, transitions=steps, ic=ic)
+    q = prior_precision(build_prior(theta, p0_mode=p0_mode, burn_in=5,
+                                    keep_tape=True))
     x_star = oi_solve_precision(q, obs)
 
     def refuse(*args, **kwargs):
@@ -683,11 +695,12 @@ def test_expected_gradient_reads_the_given_prior(monkeypatch, p0_mode):
 
     calls = _count_doublings(monkeypatch)
     for name in ("build_transition", "initial_condition"):
-        monkeypatch.setattr(estimation, name, refuse)
+        monkeypatch.setattr(precision, name, refuse)
+    monkeypatch.setattr(estimation, "build_prior", refuse)
     inv = np.linalg.inv
     monkeypatch.setattr(np.linalg, "inv", lambda a: refuse() if
                         a.shape[-1] == theta.grid.dim else inv(a))
-    grads = expected_nll_grad(x_star, obs, theta, q)
+    grads = expected_nll_grad(x_star, obs, q)
     assert calls == []                   # the burn-in adjoint took the tape
     assert all(np.all(np.isfinite(grads.fields[n])) for n in PARAM_NAMES)
 
@@ -697,16 +710,16 @@ def test_expected_gradient_refusals(monkeypatch):
     q = assemble_block_precision(theta, theta.grid, burn_in=5)
     x_star = oi_solve_precision(q, obs)
     with pytest.raises(ValueError, match="prior structure"):
-        expected_nll_grad(x_star, obs, theta, posterior_precision(q, obs))
+        expected_nll_grad(x_star, obs, posterior_precision(q, obs))
     flipped = BlockPrecision(theta.grid, -q.to_csr(), prior=q.prior)
     with pytest.raises(NotPositiveDefinite):
-        expected_nll_grad(x_star, obs, theta, flipped)
+        expected_nll_grad(x_star, obs, flipped)
     other = SpaceTimeGrid(nx=3, ny=3, nt=3, dt=0.5)
     with pytest.raises(ValueError, match="does not match"):
-        expected_nll_grad(Trajectory(other, x_star.states), obs, theta, q)
+        expected_nll_grad(Trajectory(other, x_star.states), obs, q)
     monkeypatch.setattr(estimation.oi, "DENSE_GUARD", theta.grid.dim - 1)
-    with pytest.raises(DimensionGuard):
-        expected_nll_grad(x_star, obs, theta, q)
+    with pytest.raises(DimensionGuard, match="expected-moments gradient"):
+        expected_nll_grad(x_star, obs, q)
 
 
 def test_trace_gradient_memory_is_linear_in_columns():
@@ -719,12 +732,11 @@ def test_trace_gradient_memory_is_linear_in_columns():
     p0_opts = dict(p0_mode="white", sigma0=1.0, burn_in=5)
     n = 1 + g.dim
     columns = np.random.default_rng(6).standard_normal((g.nt, g.m, n))
-    steps = build_transition(theta, g)
-    ic = initial_condition(theta, g, transitions=steps, **p0_opts)
-    _trace_gradient(columns, theta, p0_opts, steps, ic)
+    prior = build_prior(theta, **p0_opts)
+    _trace_gradient(columns, prior, _step_terms(columns, prior))
     tracemalloc.start()
     try:
-        _trace_gradient(columns, theta, p0_opts, steps, ic)
+        _trace_gradient(columns, prior, _step_terms(columns, prior))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

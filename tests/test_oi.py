@@ -80,7 +80,7 @@ def test_reflection_symmetry():
 def test_dense_path_dimension_guard():
     g = SpaceTimeGrid(nx=30, ny=30, nt=8)      # dim 7200 > 5000
     theta = ParamFields.stationary(g)
-    with pytest.raises(DimensionGuard):
+    with pytest.raises(DimensionGuard, match="dense trajectory covariance"):
         dense_trajectory_covariance(theta, g)
 
 

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from spdekit import (BlockPrecision, InitialCondition, ObservationSet,
-                     SpaceTimeGrid, apply_precision, assemble_block_precision,
-                     dense_trajectory_covariance, dump_coordinate_triplets,
-                     posterior_precision, quadratic_form, sample_prior,
-                     sparse_cholesky, transition_from_drift)
+                     ParamFields, SpaceTimeGrid, apply_precision,
+                     assemble_block_precision, dense_trajectory_covariance,
+                     dump_coordinate_triplets, posterior_precision,
+                     sample_prior, sparse_cholesky, transition_from_drift)
 from spdekit.errors import DegenerateNoise
+from spdekit.precision import PriorStructure, build_prior, prior_precision
 
 from oracles import block_precision_reference, random_theta
 
@@ -20,7 +21,15 @@ def _identity_dynamics_q(grid, tau=1.0, sigma0=1.0):
              for t in range(1, grid.nt)]
     ic = InitialCondition(mode="white", sigma0=sigma0, m=grid.m,
                           logdet_prec=-2.0 * grid.m * np.log(sigma0))
-    return assemble_block_precision(None, grid, transitions=steps, ic=ic)
+    # the hand-built steps stand in for those of the (unread) theta
+    return prior_precision(PriorStructure(ParamFields.stationary(grid), steps,
+                                          ic))
+
+
+def _quadratic_form(q, states):
+    """x^T Q x through apply_precision, summed over the trajectories of an
+    (nt, m, n) stack."""
+    return float(np.sum(states * apply_precision(q, states)))
 
 
 def _block(q, i, j):
@@ -172,8 +181,8 @@ def test_apply_precision_zero_and_dense_match():
     dense = q.to_csr().toarray() @ stack.reshape(g.dim, 3)
     assert np.max(np.abs(apply_precision(q, stack).reshape(g.dim, 3)
                          - dense)) < 1e-12
-    each = sum(quadratic_form(q, stack[:, :, k]) for k in range(3))
-    assert quadratic_form(q, stack) == pytest.approx(each, rel=1e-12)
+    each = sum(_quadratic_form(q, stack[:, :, k]) for k in range(3))
+    assert _quadratic_form(q, stack) == pytest.approx(each, rel=1e-12)
 
 
 def test_apply_precision_symmetry_pairs():
@@ -204,7 +213,7 @@ def test_quadratic_form_chi_squared_mean():
     theta = random_theta(g, 6, advect=False)
     q = assemble_block_precision(theta, g)
     ens = sample_prior(theta, g, n_members=2000, base_seed=9)
-    vals = [quadratic_form(q, m) for m in ens.members]
+    vals = [_quadratic_form(q, m.states) for m in ens.members]
     assert np.mean(vals) == pytest.approx(g.dim, rel=0.10)
 
 
@@ -214,8 +223,8 @@ def test_quadratic_form_positive():
     q = assemble_block_precision(theta, g)
     rng = np.random.default_rng(2)
     v = rng.standard_normal(g.dim)
-    assert quadratic_form(q, v.reshape(g.nt, g.m)) > 0
-    assert quadratic_form(q, np.zeros((g.nt, g.m))) == 0.0
+    assert _quadratic_form(q, v.reshape(g.nt, g.m)) > 0
+    assert _quadratic_form(q, np.zeros((g.nt, g.m))) == 0.0
 
 
 def test_block_tridiagonal_sparsity():
@@ -248,7 +257,6 @@ def test_interpolation_precision_keeps_no_tape():
     # where a trace gradient follows, never by the precision an
     # interpolation or an ensemble builds
     import tracemalloc
-    from spdekit import initial_condition
     g = SpaceTimeGrid(nx=8, ny=8, nt=3)
     theta = random_theta(g, 38)
 
@@ -264,6 +272,133 @@ def test_interpolation_precision_keeps_no_tape():
 
     q, plain = retained(lambda: assemble_block_precision(theta, g))
     assert q.prior.ic.tape is None
-    _, taped = retained(lambda: assemble_block_precision(
-        theta, g, ic=initial_condition(theta, g, keep_tape=True)))
+    _, taped = retained(lambda: prior_precision(
+        build_prior(theta, keep_tape=True)))
     assert taped - plain > 8 * g.m**2 * 8, (plain, taped)
+
+
+def _moved(theta):
+    """theta with slab 1 (kappa) and the last slab (tau) moved."""
+    kappa = theta.kappa.values.copy()
+    kappa[1] *= 1.1
+    tau = theta.tau.values.copy()
+    tau[-1] *= 0.9
+    return theta.replace_fields(kappa=kappa, tau=tau)
+
+
+@pytest.mark.parametrize("alpha", [2, 4])
+@pytest.mark.parametrize("p0_mode", ["burnin", "white"])
+def test_prior_from_a_previous_is_bit_identical_to_a_fresh_one(p0_mode,
+                                                               alpha):
+    # the steps and marginal a previous prior hands over give the Q, nll
+    # and gradient of a prior built from nothing, bit for bit
+    from spdekit.estimation import (PARAM_NAMES, _mean_nll, _step_terms,
+                                    _trace_gradient)
+    g = SpaceTimeGrid(nx=4, ny=5, nt=4, dy=1.3)
+    theta = random_theta(g, 40, alpha=alpha)
+    moved = _moved(theta)
+    opts = dict(p0_mode=p0_mode, burn_in=5, keep_tape=True)
+    states = np.stack([x.states for x in sample_prior(
+        moved, g, n_members=3, base_seed=12, p0_mode=p0_mode,
+        burn_in=5).members], axis=-1)
+    priors = [build_prior(moved, previous=build_prior(theta, **opts),
+                          **opts),
+              build_prior(moved, **opts)]
+    assert [prior.built for prior in priors] == [2, g.nt - 1]
+    qs = [prior_precision(prior).matrix for prior in priors]
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(qs[0], name), getattr(qs[1], name))
+    losses = [_mean_nll(states, prior, _step_terms(states, prior))
+              for prior in priors]
+    assert losses[0] == losses[1]
+    grads = [_trace_gradient(states, prior, _step_terms(states, prior))
+             for prior in priors]
+    for name in PARAM_NAMES:
+        assert np.array_equal(grads[0].fields[name], grads[1].fields[name])
+
+
+def test_prior_from_a_previous_builds_only_the_changed_slabs(monkeypatch):
+    import spdekit.precision as precision
+    g = SpaceTimeGrid(nx=4, ny=4, nt=5)
+    theta = random_theta(g, 41)
+    built, marginals = [], []
+    build_transition = precision.build_transition
+    initial_condition = precision.initial_condition
+
+    def recorded_steps(theta, grid, slabs=None):
+        built.append(list(slabs))
+        return build_transition(theta, grid, slabs=slabs)
+
+    def recorded_marginal(*args, **kwargs):
+        marginals.append(1)
+        return initial_condition(*args, **kwargs)
+
+    monkeypatch.setattr(precision, "build_transition", recorded_steps)
+    monkeypatch.setattr(precision, "initial_condition", recorded_marginal)
+    first = build_prior(theta, burn_in=5)
+    assert built == [[1, 2, 3, 4]] and marginals == [1]
+
+    def step_from(prior, steps):
+        return [new is old for new, old in zip(prior.transitions, steps)]
+
+    # slabs 1 and 4: two steps and, for a burn-in start, the marginal,
+    # before which the previous prior gives up its steps and marginal
+    built.clear(), marginals.clear()
+    steps = first.transitions
+    moved = build_prior(_moved(theta), burn_in=5, previous=first)
+    assert built == [[1, 4]] and marginals == [1] and moved.built == 2
+    assert step_from(moved, steps) == [False, True, True, False]
+    assert first.transitions == [] and first.ic is None
+    # a later slab alone: one step, the marginal handed over
+    tau = moved.theta.tau.values.copy()
+    tau[3] *= 1.2
+    later = build_prior(moved.theta.replace_fields(tau=tau), burn_in=5,
+                        previous=moved)
+    assert built[1:] == [[3]] and marginals == [1] and later.built == 1
+    assert step_from(later, moved.transitions) == [True, True, False, True]
+    assert later.ic is moved.ic
+    # slab 0 enters no step: nothing is built
+    kappa = later.theta.kappa.values.copy()
+    kappa[0] *= 2.0
+    same = build_prior(later.theta.replace_fields(kappa=kappa), burn_in=5,
+                       previous=later)
+    assert built[2:] == [] and marginals == [1] and same.built == 0
+    assert all(step_from(same, later.transitions)) and same.ic is later.ic
+    # other start options: the steps are handed over, the marginal is not
+    steps = same.transitions
+    white = build_prior(same.theta, p0_mode="white", previous=same)
+    assert built[2:] == [] and marginals == [1, 1] and white.built == 0
+    assert white.ic.mode == "white" and all(step_from(white, steps))
+    # a spent previous hands over nothing
+    assert build_prior(theta, burn_in=5, previous=first).built == g.nt - 1
+
+
+def test_burnin_prior_move_releases_the_old_marginal_first():
+    # a burn-in theta move from a previous prior that still holds its
+    # marginal and tape (about 11 dense m x m arrays) peaks lower than a
+    # build from nothing, by at least two of those arrays: the old
+    # marginal and steps are released before the new marginal and its
+    # tape are built
+    import tracemalloc
+    g = SpaceTimeGrid(nx=8, ny=8, nt=3)
+    theta = random_theta(g, 42)
+    moved = _moved(theta)
+    opts = dict(burn_in=5, keep_tape=True)
+    build_prior(moved, **opts)                 # warm the grid's tables
+
+    def peak(build):
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        kept = build()
+        return kept, tracemalloc.get_traced_memory()[1] - base
+
+    tracemalloc.start()
+    try:
+        previous = build_prior(theta, **opts)
+        kept, from_previous = peak(lambda: build_prior(
+            moved, previous=previous, **opts))
+        del previous, kept
+        _, alone = peak(lambda: build_prior(moved, **opts))
+    finally:
+        tracemalloc.stop()
+    assert from_previous <= alone - 2 * g.m**2 * 8, (from_previous, alone)

@@ -7,9 +7,10 @@ from spdekit import (AugmentedState, ObservationSet, ParamFields,
                      SolverConfig, SpaceTimeGrid, Trajectory,
                      apply_precision, assemble_block_precision, nll_grad,
                      oi_solve_precision, run_solver, sample_prior,
-                     solver_step, training_loss)
+                     training_loss)
 from spdekit.errors import DivergedStep
 from spdekit.estimation import PARAM_NAMES
+from spdekit.solver import SolverRuntime, _advance, _state_gradient
 from spdekit.steps import PlainStep
 
 from oracles import (cholesky_adjoint_moments_gradient,
@@ -27,6 +28,16 @@ def _case(seed=42, noise=0.25, density=0.3):
     return g, theta, obs
 
 
+def _one_step(state, obs, cfg, runtime=None):
+    """One iteration of a run from state: the state gradient at it, then
+    _advance, which run_solver's loop makes of each gradient."""
+    if runtime is None:
+        runtime = SolverRuntime.fresh(cfg)
+    q = runtime.cache.get(state.theta)
+    _, g = _state_gradient(state.x, obs, q, cfg, runtime.iteration)
+    return _advance(state, g, obs, cfg, runtime)
+
+
 def test_plain_step_hand_computed():
     step = PlainStep(lr=0.1)
     x = np.array([2.0])
@@ -41,7 +52,7 @@ def test_fixed_point_state_unchanged():
     cfg = SolverConfig(n_iterations=1, update_mode="x_only",
                        step={"kind": "plain", "lr": 0.1})
     state = AugmentedState(x=Trajectory.zeros(g), theta=theta)
-    out = solver_step(state, empty, cfg)
+    out = _one_step(state, empty, cfg)
     # gradient vanishes at the prior mean with no data: exact fixed point
     assert np.array_equal(out.x.states, state.x.states)
 
@@ -109,8 +120,8 @@ def test_diverged_step_carries_partial_diagnostics():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_state_gradient_raises_diverged_step():
-    # a finite state whose gradient overflows fails typed, from solver_step
-    # as from run_solver
+    # a finite state whose gradient overflows fails typed, from one step as
+    # from run_solver
     g = SpaceTimeGrid(nx=4, ny=4, nt=3)
     theta = random_theta(g, 30)
     obs = ObservationSet(g, np.zeros(g.shape, dtype=bool), [], [])
@@ -118,7 +129,7 @@ def test_overflowing_state_gradient_raises_diverged_step():
     cfg = SolverConfig(n_iterations=3, update_mode="x_only")
     with pytest.raises(DivergedStep, match="non-finite state gradient") \
             as exc:
-        solver_step(AugmentedState(x=x, theta=theta), obs, cfg)
+        _one_step(AugmentedState(x=x, theta=theta), obs, cfg)
     assert exc.value.iteration == 0
     with pytest.raises(DivergedStep, match="non-finite state gradient") \
             as exc:
@@ -156,7 +167,7 @@ def test_theta_step_moves_only_selected_parameters(monkeypatch, stationary):
         x = sample_prior(theta, g, n_members=1, base_seed=23).members[0]
         mask = np.random.default_rng(7).random(g.shape) < 0.5
         obs = ObservationSet.from_truth(x, mask, 0.05, seed=8)
-        out = solver_step(AugmentedState(x=x, theta=theta), obs, cfg)
+        out = _one_step(AugmentedState(x=x, theta=theta), obs, cfg)
         for name in PARAM_NAMES:
             before = theta.field_arrays()[name]
             after = out.theta.field_arrays()[name]
@@ -180,10 +191,9 @@ def test_solver_config_refuses_bad_values(bad):
 def test_one_precision_application_per_iteration(monkeypatch, update_mode):
     # the gradient computed with an iteration's diagnostics drives the next
     # step: one Q application per iteration, plus one for the start, with
-    # the same iterates and diagnostics as separate solver_step, cost and
+    # the same iterates and diagnostics as separate steps, cost and
     # gradient calls
     from spdekit import oi, project_params
-    from spdekit.solver import SolverRuntime
     g, theta, obs = _case()
     cfg = SolverConfig(n_iterations=7, update_mode=update_mode, x_steps=2,
                        theta_steps=1, step={"kind": "plain", "lr": 0.01},
@@ -192,7 +202,7 @@ def test_one_precision_application_per_iteration(monkeypatch, update_mode):
     state = AugmentedState(x=Trajectory.zeros(g), theta=project_params(theta))
     expected = []
     for _ in range(cfg.n_iterations):
-        state = solver_step(state, obs, cfg, runtime)
+        state = _one_step(state, obs, cfg, runtime)
         q = runtime.cache.get(state.theta)
         grad = oi.variational_grad(state.x, obs, q, cfg.lam)
         expected.append((oi.variational_cost(state.x, obs, q, cfg.lam),
@@ -228,7 +238,7 @@ def test_cached_theta_gradient_matches_fresh_gradient(p0_mode, stationary):
     # the joint-solve gradient reads the transitions and x_0 marginal of the
     # cached precision; after each theta update they must be those of the
     # new theta, bit for bit
-    from spdekit.solver import SolverRuntime, _theta_gradient
+    from spdekit.solver import _theta_gradient
     g = SpaceTimeGrid(nx=4, ny=4, nt=4)
     theta = random_theta(g, 21)
     x = sample_prior(theta, g, n_members=1, base_seed=16,
@@ -258,7 +268,7 @@ def test_joint_solve_runs_each_burnin_doubling_once(monkeypatch):
     # the burn-in adjoint of the theta gradient that follows, so the run
     # makes one doubling per marginal (3) where rerunning it in the
     # adjoint made 5, and the run is bit for bit the same either way
-    from spdekit import solver, state_space
+    from spdekit import precision, state_space
     import spdekit.estimation as estimation
     g = SpaceTimeGrid(nx=5, ny=4, nt=4)
     theta = random_theta(g, 1)
@@ -281,12 +291,12 @@ def test_joint_solve_runs_each_burnin_doubling_once(monkeypatch):
     held = run_solver(Trajectory.zeros(g), theta, obs, cfg)
     assert len(calls) == 3
 
-    original = solver.initial_condition
+    original = precision.initial_condition
 
     def without_tape(*args, keep_tape=False, **kwargs):
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "initial_condition", without_tape)
+    monkeypatch.setattr(precision, "initial_condition", without_tape)
     calls.clear()
     rerun = run_solver(Trajectory.zeros(g), theta, obs, cfg)
     assert len(calls) == 5
@@ -345,9 +355,10 @@ def test_fit_and_joint_solve_take_the_exact_gradient(monkeypatch, alpha,
     assert res.theta.alpha == alpha
     assert any(r["theta_change"] > 0 for r in res.diagnostics)
     assert len(fit_calls) == 1 and len(solve_calls) == 2
-    for (states, th, opts, *_), grads in fit_calls + solve_calls:
+    for (states, prior, _), grads in fit_calls + solve_calls:
         xs = [Trajectory(g, states[..., j]) for j in range(states.shape[2])]
-        _assert_matches(grads, cholesky_adjoint_trace_gradient(xs, th, opts))
+        _assert_matches(grads, cholesky_adjoint_trace_gradient(
+            xs, prior.theta, p0_opts))
 
 
 def test_expected_theta_gradient_reads_the_cached_prior(monkeypatch):
@@ -371,8 +382,8 @@ def test_expected_theta_gradient_reads_the_cached_prior(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(solver, "assemble_block_precision", counted(
-        "assemble", solver.assemble_block_precision))
+    monkeypatch.setattr(solver, "prior_precision", counted(
+        "assemble", solver.prior_precision))
     doubling = counted("doubling", state_space._burnin_doubling)
     monkeypatch.setattr(state_space, "_burnin_doubling", doubling)
     monkeypatch.setattr(estimation, "_burnin_doubling", doubling)
@@ -403,9 +414,35 @@ def test_expected_theta_gradient_runs_at_alpha_4(monkeypatch):
     res = run_solver(Trajectory.zeros(g), theta, obs, cfg)
     assert sum(r["theta_change"] > 0 for r in res.diagnostics) == 2
     assert len(calls) == 2
-    for (x, _, th, q), grads in calls:
+    for (x, _, q), grads in calls:
         _assert_matches(grads, cholesky_adjoint_moments_gradient(
-            *posterior_moments(x, obs, q), th, p0_opts))
+            *posterior_moments(x, obs, q), q.prior.theta, p0_opts))
+
+
+@pytest.mark.parametrize("mode, n_iterations, refused", [
+    ("joint", 3, True), ("alternating", 11, True),
+    ("alternating", 10, False), ("x_only", 3, False)])
+def test_expected_theta_gradient_above_the_dense_guard_refuses_first(
+        monkeypatch, mode, n_iterations, refused):
+    # a run whose theta would take the expected-moments gradient above
+    # oi.DENSE_GUARD is refused before any state gradient runs; a run that
+    # makes no theta update (x_steps = 10 covers 10 iterations) goes on
+    from spdekit import oi, solver
+    from spdekit.errors import DimensionGuard
+    g, theta, obs = _case()
+    monkeypatch.setattr(oi, "DENSE_GUARD", g.dim - 1)
+    calls = _recorded(monkeypatch, solver, "_state_gradient")
+    cfg = SolverConfig(n_iterations=n_iterations, update_mode=mode,
+                       x_steps=10, theta_steps=1, theta_expected=True,
+                       p0_mode="white")
+    if refused:
+        with pytest.raises(DimensionGuard, match="expected-moments "
+                           "gradient's dense posterior Cholesky refused"):
+            run_solver(Trajectory.zeros(g), theta, obs, cfg)
+        assert calls == []
+    else:
+        run_solver(Trajectory.zeros(g), theta, obs, cfg)
+        assert len(calls) == n_iterations + 1
 
 
 def test_joint_mode_improves_parameters():

@@ -31,13 +31,21 @@ def test_scalar_transition():
 
 def test_singular_transition_raises_with_step_index():
     from spdekit.errors import SingularTransition
-    from spdekit.estimation import _mean_nll
+    from spdekit.estimation import _mean_nll, _step_terms
+    from spdekit.precision import PriorStructure
     # drift I/dt makes A = I - dt*F exactly zero: the banded LU meets a
     # zero pivot, and each of its readers fails typed
     ic = state_space.InitialCondition(mode="white", m=2)
+    # the prior's theta is read for its grid step dt = 1 alone
+    theta = ParamFields.stationary(SpaceTimeGrid(nx=3, ny=3, nt=4))
+    states = np.ones((4, 2, 1))
+
+    def nll_of(step):
+        prior = PriorStructure(theta, [step], ic)
+        return _mean_nll(states, prior, _step_terms(states, prior))
+
     for call in (lambda s: s.propagate(np.ones(2)),
-                 lambda s: s.dense_inverse(),
-                 lambda s: _mean_nll(np.ones((4, 2, 1)), [s], ic, 1.0)):
+                 lambda s: s.dense_inverse(), nll_of):
         step = transition_from_drift(np.eye(2), dt=1.0, t=3,
                                      noise_scale=np.ones(2))
         with pytest.raises(SingularTransition, match="t=3") as info:
@@ -503,8 +511,7 @@ def test_burnin_initial_condition_consistency():
     g = SpaceTimeGrid(nx=4, ny=4, nt=3)
     theta = random_theta(g, 8, advect=False)
     steps = build_transition(theta, g)
-    ic = initial_condition(theta, g, p0_mode="burnin", burn_in=10,
-                           transitions=steps)
+    ic = initial_condition(steps[0], g, p0_mode="burnin", burn_in=10)
     assert ic.cov is None                # P_0 is rebuilt, not held
     # the dense covariance and precision really are inverses
     cov = burnin_covariance(ic, steps[0], g.dt)
@@ -522,8 +529,7 @@ def test_burnin_marginal_matches_superlu_oracle(nx, ny, burn_in):
     g = SpaceTimeGrid(nx=nx, ny=ny, nt=3)
     theta = random_theta(g, 19, advect=True)
     steps = build_transition(theta, g)
-    ic = initial_condition(theta, g, p0_mode="burnin", burn_in=burn_in,
-                           transitions=steps)
+    ic = initial_condition(steps[0], g, p0_mode="burnin", burn_in=burn_in)
     cov, prec, logdet_prec = burnin_marginal_oracle(theta, burn_in)
     ours = burnin_covariance(ic, steps[0], g.dt)
     assert np.max(np.abs(ours - cov)) <= 1e-12 * np.max(np.abs(cov))
@@ -539,8 +545,7 @@ def test_singular_first_transition_in_burnin_is_typed():
     singular = transition_from_drift(np.eye(g.m) / g.dt, dt=g.dt, t=1,
                                      noise_scale=np.ones(g.m))
     with pytest.raises(SingularTransition) as info:
-        initial_condition(theta, g, p0_mode="burnin", burn_in=5,
-                          transitions=[singular])
+        initial_condition(singular, g, p0_mode="burnin", burn_in=5)
     assert info.value.t == 1
 
 
@@ -548,8 +553,7 @@ def test_zero_burn_in_is_unit_white():
     g = SpaceTimeGrid(nx=4, ny=3, nt=2)
     theta = random_theta(g, 22)
     steps = build_transition(theta, g)
-    ic = initial_condition(theta, g, p0_mode="burnin", burn_in=0,
-                           transitions=steps)
+    ic = initial_condition(steps[0], g, p0_mode="burnin", burn_in=0)
     cov = burnin_covariance(ic, steps[0], g.dt)
     assert np.array_equal(cov, np.eye(g.m))
     assert np.array_equal(ic.prec, np.eye(g.m))
@@ -561,7 +565,8 @@ def test_negative_burn_in_is_rejected(p0_mode):
     g = SpaceTimeGrid(nx=3, ny=3, nt=2)
     theta = random_theta(g, 23)
     with pytest.raises(ValueError, match="burn_in"):
-        initial_condition(theta, g, p0_mode=p0_mode, burn_in=-1)
+        initial_condition(build_transition(theta, g)[0], g, p0_mode=p0_mode,
+                          burn_in=-1)
     with pytest.raises(ValueError, match="burn_in"):
         sample_prior(theta, g, p0_mode=p0_mode, burn_in=-1)
 
@@ -581,8 +586,8 @@ def test_burnin_path_stays_off_numpy_linalg(monkeypatch):
     g = SpaceTimeGrid(nx=4, ny=4, nt=3)
     theta = random_theta(g, 24)
     steps = build_transition(theta, g)
-    ic = initial_condition(theta, g, p0_mode="burnin", burn_in=7,
-                           transitions=steps, keep_tape=True)
+    ic = initial_condition(steps[0], g, p0_mode="burnin", burn_in=7,
+                           keep_tape=True)
     assert ic.logdet_prec != 0.0
     x0 = _stack_states(sample_prior(theta, g, n_members=2, base_seed=17,
                                     burn_in=7).members, g)[0]
@@ -606,7 +611,8 @@ def test_burnin_marginal_that_is_not_positive_definite_is_typed():
     theta = ParamFields.stationary(g, kappa=1e-6, m=(-2452.0, 2699.0),
                                    h=(1e-6, 0.0, 1e-6), tau=1.2e5, alpha=4)
     with pytest.raises(SingularTransition, match="burn-in marginal") as info:
-        initial_condition(theta, g, p0_mode="burnin")
+        initial_condition(build_transition(theta, g)[0], g,
+                          p0_mode="burnin")
     assert info.value.t == 1
 
 
