@@ -17,11 +17,11 @@ from .precision import (BlockPrecision, ObservationSet, apply_precision,
                         assemble_block_precision, dump_coordinate_triplets,
                         posterior_precision)
 from .linalg import (CholeskyFactor, block_diagonal_preconditioner,
-                     cholesky_backward, jacobi_preconditioner, log_det_block,
-                     pcg_solve, sparse_cholesky)
+                     cholesky_backward, log_det_block, pcg_solve,
+                     sparse_cholesky)
 from .oi import (PosteriorSolver, dense_trajectory_covariance,
-                 oi_solve_dense_oracle, oi_solve_precision, variational_cost,
-                 variational_grad)
+                 oi_solve_dense_oracle, oi_solve_precision,
+                 variational_cost_grad)
 from .steps import PlainStep
 from .solver import AugmentedState, SolverConfig, run_solver, training_loss
 from .uncertainty import conditional_sample, ensemble_stats
@@ -48,9 +48,9 @@ __all__ = [
     "dump_coordinate_triplets",
     "CholeskyFactor", "sparse_cholesky",
     "log_det_block", "cholesky_backward", "pcg_solve",
-    "jacobi_preconditioner", "block_diagonal_preconditioner",
+    "block_diagonal_preconditioner",
     "PosteriorSolver", "oi_solve_precision", "oi_solve_dense_oracle",
-    "dense_trajectory_covariance", "variational_cost", "variational_grad",
+    "dense_trajectory_covariance", "variational_cost_grad",
     "PlainStep", "SolverConfig", "AugmentedState", "run_solver",
     "training_loss",
     "conditional_sample", "ensemble_stats",

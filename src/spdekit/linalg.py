@@ -320,11 +320,6 @@ class PcgResult:
     residual: float
 
 
-def jacobi_preconditioner(diag: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    inv = 1.0 / np.asarray(diag, dtype=np.float64)
-    return lambda r: inv * r
-
-
 def block_diagonal_preconditioner(q) -> Callable[[np.ndarray], np.ndarray]:
     """Per-time-step Cholesky of the diagonal blocks of a BlockPrecision,
     each sliced out of its matrix: r -> blockdiag(D_0, ..., D_N)^{-1} r.

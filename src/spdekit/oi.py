@@ -19,8 +19,8 @@ from .errors import DimensionGuard, SolveFailure
 from .grid import SpaceTimeGrid, Trajectory
 from .linalg import (block_diagonal_preconditioner, cholesky_banded,
                      lower_band, pcg_solve)
-from .operators import ParamFields
-from .precision import (BlockPrecision, ObservationSet, _theta_grid,
+from .operators import ParamFields, _theta_grid
+from .precision import (BlockPrecision, ObservationSet,
                         apply_precision, build_prior, posterior_precision)
 from .state_space import burnin_covariance
 
@@ -127,18 +127,17 @@ def oi_solve_precision(q: BlockPrecision, obs: ObservationSet,
 def dense_trajectory_covariance(theta: ParamFields,
                                 grid: SpaceTimeGrid | None = None,
                                 p0_mode: str = "burnin", sigma0: float = 1.0,
-                                burn_in: int = 20,
-                                guard: int = DENSE_GUARD) -> np.ndarray:
+                                burn_in: int = 20) -> np.ndarray:
     """Brute-force (nt*m, nt*m) covariance of the sampling recursion.
 
     Propagates cross-covariances block by block:
         C[t+1, s] = M_{t+1} C[t, s]            (s <= t)
         C[t+1, t+1] = M_{t+1} C[t, t] M^T + S_{t+1}
-    Refuses to run above the dimension guard; a grid given must be theta's.
+    Refuses to run above DENSE_GUARD; a grid given must be theta's.
     """
     grid = _theta_grid(theta, grid)
-    if grid.dim > guard:
-        raise DimensionGuard(grid.dim, guard, "the dense trajectory "
+    if grid.dim > DENSE_GUARD:
+        raise DimensionGuard(grid.dim, DENSE_GUARD, "the dense trajectory "
                              "covariance")
     prior = build_prior(theta, p0_mode, sigma0, burn_in)
     transitions, ic = prior.transitions, prior.ic
@@ -166,8 +165,9 @@ def oi_solve_dense_oracle(theta: ParamFields, grid: SpaceTimeGrid | None,
                           obs: ObservationSet, p0_mode: str = "burnin",
                           sigma0: float = 1.0, burn_in: int = 20
                           ) -> Trajectory:
-    """Dense-covariance posterior mean; test oracle only."""
-    grid = grid or theta.grid
+    """Dense-covariance posterior mean; test oracle only. A grid given must
+    be theta's."""
+    grid = _theta_grid(theta, grid)
     p = dense_trajectory_covariance(theta, grid, p0_mode=p0_mode,
                                     sigma0=sigma0, burn_in=burn_in)
     if obs.n_obs == 0:
@@ -181,18 +181,14 @@ def oi_solve_dense_oracle(theta: ParamFields, grid: SpaceTimeGrid | None,
 
 def variational_cost_grad(x: Trajectory, obs: ObservationSet,
                           q: BlockPrecision, lam: float = 1.0
-                          ) -> tuple[tuple[float, float, float], Trajectory]:
-    """variational_cost and variational_grad of x from one application
-    of Q."""
-    costs, g = _cost_flat_grad(x, obs, q, lam)
-    return costs, Trajectory.from_flat(x.grid, g)
+                          ) -> tuple[tuple[float, float, float], np.ndarray]:
+    """((total, data_term, prior_term), flat gradient) of the interpolation
+    cost at x, from one application of Q.
 
-
-def _cost_flat_grad(x: Trajectory, obs: ObservationSet, q: BlockPrecision,
-                    lam: float) -> tuple[tuple[float, float, float],
-                                         np.ndarray]:
-    """variational_cost_grad with the gradient as a flat array, which may
-    hold non-finite values."""
+    data_term = sum (y - x_obs)^2 / noise_var,  prior_term = lam * x^T Q x,
+    and the gradient in x is exact (it includes the factor 2); it may hold
+    non-finite values.
+    """
     if lam <= 0:
         raise ValueError("lam must be positive")
     qx = apply_precision(q, x.states)
@@ -205,18 +201,3 @@ def _cost_flat_grad(x: Trajectory, obs: ObservationSet, q: BlockPrecision,
     else:
         data = 0.0
     return (data + prior, data, prior), g
-
-
-def variational_cost(x: Trajectory, obs: ObservationSet, q: BlockPrecision,
-                     lam: float = 1.0) -> tuple[float, float, float]:
-    """(total, data_term, prior_term) of the interpolation cost.
-
-    data_term = sum (y - x_obs)^2 / noise_var,  prior_term = lam * x^T Q x.
-    """
-    return variational_cost_grad(x, obs, q, lam)[0]
-
-
-def variational_grad(x: Trajectory, obs: ObservationSet, q: BlockPrecision,
-                     lam: float = 1.0) -> Trajectory:
-    """Exact gradient of variational_cost in x (includes the factor 2)."""
-    return variational_cost_grad(x, obs, q, lam)[1]

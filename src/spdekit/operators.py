@@ -47,6 +47,8 @@ from .errors import InvalidParams, UnsupportedAlpha
 from .grid import Field, SpaceTimeGrid
 
 _SUPPORTED_ALPHA = (2, 4, 6)
+_STABILITY_THRESHOLD = 50.0   # the stiffness statistic's advisory level
+_PARAM_FLOOR = 1e-6           # project_params' floor on kappa, tau and H
 
 
 def _as_field(grid: SpaceTimeGrid, value, name: str) -> Field:
@@ -121,6 +123,13 @@ class ParamFields:
             getattr(self, n).values[t].tobytes()
             == getattr(other, n).values[t].tobytes()
             for n in ("kappa", "m_u", "m_v", "h11", "h12", "h22", "tau"))
+
+
+def _theta_grid(theta: ParamFields, grid) -> SpaceTimeGrid:
+    """theta's grid, which a grid given must equal."""
+    if grid not in (None, theta.grid):
+        raise ValueError(f"grid {grid} is not theta's grid {theta.grid}")
+    return theta.grid
 
 
 @dataclass
@@ -350,9 +359,9 @@ def assemble_fdm_operator(theta: ParamFields, t: int,
     with exact zeros dropped.
 
     Raises InvalidParams naming the first offending cell when the diffusion
-    tensor is not positive definite there.
+    tensor is not positive definite there; a grid given must be theta's.
     """
-    grid = grid or theta.grid
+    grid = _theta_grid(theta, grid)
     if not 0 <= t < grid.nt:
         raise IndexError(f"t axis out of range: {t} not in [0, {grid.nt})")
     table = _stencil_table(grid)
@@ -426,16 +435,16 @@ def apply_fractional(f_core: sparse.csr_array, alpha: int) -> FractionalOperator
     return FractionalOperator(f_core, alpha // 2)
 
 
-def validate_params(theta: ParamFields, grid: SpaceTimeGrid | None = None,
-                    stability_threshold: float = 50.0) -> ValidationReport:
+def validate_params(theta: ParamFields, grid: SpaceTimeGrid | None = None
+                    ) -> ValidationReport:
     """Report hard parameter violations plus a conditioning advisory.
 
     The advisory statistic is
     dt * max_cell(|m|/min(dx,dy) + 2*lam_max(H)*(1/dx^2+1/dy^2) + kappa^2);
     the implicit stepping is unconditionally stable, but large values make
-    the per-step solves ill-conditioned.
+    the per-step solves ill-conditioned. A grid given must be theta's.
     """
-    grid = grid or theta.grid
+    grid = _theta_grid(theta, grid)
     a = theta.field_arrays()
     kappa, tau = a["kappa"], a["tau"]
     h11, h12, h22 = a["h11"], a["h12"], a["h22"]
@@ -463,21 +472,23 @@ def validate_params(theta: ParamFields, grid: SpaceTimeGrid | None = None,
         + 2.0 * lam_max * (1.0 / grid.dx**2 + 1.0 / grid.dy**2)
         + kappa**2))
     advisories = []
-    if stat > stability_threshold:
+    if stat > _STABILITY_THRESHOLD:
         advisories.append(
-            f"stiffness statistic {stat:.3g} exceeds {stability_threshold:g}; "
+            f"stiffness statistic {stat:.3g} exceeds "
+            f"{_STABILITY_THRESHOLD:g}; "
             "per-step solves may be ill-conditioned")
     return ValidationReport(violations, advisories, stat)
 
 
-def project_params(theta: ParamFields, floor: float = 1e-6) -> ParamFields:
+def project_params(theta: ParamFields) -> ParamFields:
     """Project onto the valid set: floor kappa/tau, clip H eigenvalues.
 
     Cells whose tensor is already positive definite (smallest eigenvalue
-    >= floor) pass through bit-exactly, so the projection is idempotent.
+    >= the floor, 1e-6) pass through bit-exactly, so the projection is
+    idempotent.
     """
-    kappa = np.maximum(theta.kappa.values, floor)
-    tau = np.maximum(theta.tau.values, floor)
+    kappa = np.maximum(theta.kappa.values, _PARAM_FLOOR)
+    tau = np.maximum(theta.tau.values, _PARAM_FLOOR)
     h11 = theta.h11.values
     h12 = theta.h12.values
     h22 = theta.h22.values
@@ -485,11 +496,11 @@ def project_params(theta: ParamFields, floor: float = 1e-6) -> ParamFields:
     mean = 0.5 * (h11 + h22)
     radius = np.sqrt((0.5 * (h11 - h22))**2 + h12**2)
     lam_lo = mean - radius
-    bad = lam_lo < floor
+    bad = lam_lo < _PARAM_FLOOR
     if np.any(bad):
         h11 = h11.copy(); h12 = h12.copy(); h22 = h22.copy()
-        lam_hi = np.maximum((mean + radius)[bad], floor)
-        lam_lo_c = np.full(lam_hi.shape, floor)
+        lam_hi = np.maximum((mean + radius)[bad], _PARAM_FLOOR)
+        lam_lo_c = np.full(lam_hi.shape, _PARAM_FLOOR)
         a, b, c = h11[bad], h12[bad], h22[bad]
         # eigenvector of the larger eigenvalue; axis-aligned when b ~ 0
         vx = np.where(np.abs(b) > 1e-300, b, np.where(a >= c, 1.0, 0.0))

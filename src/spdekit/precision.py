@@ -11,10 +11,11 @@ row t-1 of R holds -I at column block t-1 and A_t at column block t,
 
 which ``prior_precision`` forms as one sparse product and holds
 as one CSR matrix: exactly the inverse covariance of ``sample_prior``
-(the dense-oracle tests enforce this). P_0^{-1} enters without a sparse
-add: a burn-in start's dense P_0^{-1} is written straight into the first
-m CSR rows, and a white start's 1/sigma0^2 goes to their diagonal slots,
-to the bits of the sparse add. Its block-tridiagonal form follows:
+(the dense-oracle tests enforce this). P_0^{-1} enters by one sparse add,
+as a CSR matrix whose first m rows read a burn-in start's dense P_0^{-1}
+in place (a white start's 1/sigma0^2 on their diagonal) and whose later
+rows are empty; the add sums each entry of block (0, 0) once and drops
+the exact zeros. Its block-tridiagonal form follows:
 
     D_0 = P_0^{-1} + diag(w_1)
     D_t = A_t^T diag(w_t) A_t + diag(w_{t+1})     (0 < t < N)
@@ -45,7 +46,7 @@ from scipy import sparse
 
 from .errors import DegenerateNoise
 from .grid import SpaceTimeGrid, Trajectory
-from .operators import ParamFields
+from .operators import ParamFields, _theta_grid
 from .state_space import (InitialCondition, TransitionStep, build_transition,
                           initial_condition)
 
@@ -214,9 +215,8 @@ class ObservationSet:
 
     @classmethod
     def from_truth(cls, truth: Trajectory, mask, noise_var,
-                   seed: int | None = None, add_noise: bool = True
-                   ) -> "ObservationSet":
-        """Subsample a trajectory on a mask, optionally adding N(0, R) noise."""
+                   seed: int | None = None) -> "ObservationSet":
+        """Subsample a trajectory on a mask and add N(0, R) noise."""
         grid = truth.grid
         mask = np.asarray(mask, dtype=bool)
         vals = truth.flat[np.flatnonzero(mask.reshape(-1))]
@@ -224,9 +224,8 @@ class ObservationSet:
         noise = np.asarray(noise_var, dtype=np.float64)
         if noise.ndim == 0:
             noise = np.full(n, float(noise))
-        if add_noise:
-            rng = np.random.default_rng(seed)
-            vals = vals + np.sqrt(noise) * rng.standard_normal(n)
+        rng = np.random.default_rng(seed)
+        vals = vals + np.sqrt(noise) * rng.standard_normal(n)
         return cls(grid, mask, vals, noise)
 
     def replace_values(self, values: np.ndarray) -> "ObservationSet":
@@ -241,13 +240,6 @@ def assemble_block_precision(theta: ParamFields,
     given must be theta's."""
     _theta_grid(theta, grid)
     return prior_precision(build_prior(theta, p0_mode, sigma0, burn_in))
-
-
-def _theta_grid(theta: ParamFields, grid) -> SpaceTimeGrid:
-    """theta's grid, which a grid given must equal."""
-    if grid not in (None, theta.grid):
-        raise ValueError(f"grid {grid} is not theta's grid {theta.grid}")
-    return theta.grid
 
 
 def prior_precision(prior: PriorStructure) -> BlockPrecision:
@@ -266,60 +258,20 @@ def prior_precision(prior: PriorStructure) -> BlockPrecision:
     residual = sparse.bmat(blocks, format="csr")
     # residual.T is CSC and so is the product; the CSR copy sorts indices
     gram = sparse.csr_array(residual.T @ (sparse.diags_array(w) @ residual))
+    # P_0^{-1} as (dim, dim) CSR over its own values, on the gram's index
+    # width: the first m rows hold a dense P_0^{-1}'s rows (no copy) or a
+    # white start's 1/sigma0^2 at the diagonal, and the later rows nothing
+    index = gram.indices.dtype
     if ic.mode == "white":
-        matrix = _add_white_start(gram, m, 1.0 / ic.sigma0**2)
+        values = np.full(m, 1.0 / ic.sigma0**2)
+        cols = np.arange(m, dtype=index)
     else:
-        matrix = _add_dense_start(gram, m, ic.prec)
-    return BlockPrecision(grid=grid, matrix=matrix, prior=prior)
-
-
-def _add_white_start(gram: sparse.csr_array, m: int,
-                     value: float) -> sparse.csr_array:
-    """gram + P_0^{-1} for P_0^{-1} = value I: the gram's block (0, 0) is
-    diag(w_1), so value adds to the diagonal slots of its first m rows,
-    in place."""
-    rows = np.repeat(np.arange(m), np.diff(gram.indptr[:m + 1]))
-    head = gram.indices[:rows.size]
-    gram.data[np.flatnonzero(head == rows)] += value
-    return gram
-
-
-def _add_dense_start(gram: sparse.csr_array, m: int,
-                     prec: np.ndarray) -> sparse.csr_array:
-    """gram + P_0^{-1} in block (0, 0) for a dense P_0^{-1}, written
-    straight into the CSR arrays: row i < m is P_0^{-1}'s row i with the
-    gram's block-(0, 0) entries added, then the gram's block-(0, 1)
-    entries of that row; the later rows are the gram's. An entry that is
-    zero is left out, as a sparse add leaves it out.
-
-    The first m rows are laid out as one dense (m, m + width) array, the
-    block-(0, 1) entries of each row packed after column m, and read off
-    row by row where nonzero."""
-    ptr, idx, val = gram.indptr, gram.indices, gram.data
-    head = ptr[m]
-    rows = np.repeat(np.arange(m), np.diff(ptr[:m + 1]))
-    lead = idx[:head] < m                      # the block-(0, 0) entries
-    tail_rows, tail = rows[~lead], np.bincount(rows[~lead], minlength=m)
-    values = np.zeros((m, m + tail.max()))
-    values[:, :m] = prec
-    values[rows[lead], idx[:head][lead]] += val[:head][lead]
-    cols = np.empty(values.shape, dtype=idx.dtype)
-    cols[:, :m] = np.arange(m)
-    # the k-th block-(0, 1) entry of row i goes to column m + k
-    at = m + np.arange(tail_rows.size) - np.repeat(np.cumsum(tail) - tail,
-                                                   tail)
-    values[tail_rows, at] = val[:head][~lead]
-    cols[tail_rows, at] = idx[:head][~lead]
-    keep = values != 0
-    first = np.count_nonzero(keep, axis=1)
-    indptr = np.concatenate([[0], np.cumsum(first),
-                             ptr[m + 1:] - head + first.sum()])
-    if indptr[-1] <= np.iinfo(idx.dtype).max:     # the gram's index type
-        indptr = indptr.astype(idx.dtype)
-    return sparse.csr_array(
-        (np.concatenate([values[keep], val[head:]]),
-         np.concatenate([cols[keep], idx[head:]]),
-         indptr), shape=gram.shape)
+        values = ic.prec.reshape(-1)
+        cols = np.tile(np.arange(m, dtype=index), m)
+    indptr = np.minimum(np.arange(grid.dim + 1, dtype=index), m) \
+        * (values.size // m)
+    start = sparse.csr_array((values, cols, indptr), shape=gram.shape)
+    return BlockPrecision(grid=grid, matrix=gram + start, prior=prior)
 
 
 def posterior_precision(q: BlockPrecision, obs: ObservationSet

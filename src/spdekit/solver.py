@@ -28,7 +28,7 @@ from .estimation import (PARAM_NAMES, _reduce, _refuse_dense_moments,
                          _theta_vector, _tie, _trace_gradient,
                          expected_nll_grad, nll)
 from .grid import Trajectory
-from .oi import _cost_flat_grad
+from .oi import variational_cost_grad
 from .operators import ParamFields, project_params
 from .precision import BlockPrecision, build_prior, prior_precision
 from .steps import make_step_operator
@@ -165,7 +165,7 @@ def _state_gradient(x: Trajectory, obs, q: BlockPrecision, cfg: SolverConfig,
                     iteration: int):
     """(cost terms, flat state gradient) at x; a non-finite gradient raises
     DivergedStep(iteration)."""
-    costs, g = _cost_flat_grad(x, obs, q, cfg.lam)
+    costs, g = variational_cost_grad(x, obs, q, cfg.lam)
     if not np.all(np.isfinite(g)):
         raise DivergedStep(iteration, "non-finite state gradient")
     return costs, g

@@ -51,7 +51,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs, dpotrf, dpotri
 from .errors import SingularTransition
 from .grid import SpaceTimeGrid, Trajectory
 from .operators import (ParamFields, SlotPattern, _power, _ring_pattern,
-                        _slab_features, _stencil_table)
+                        _slab_features, _stencil_table, _theta_grid)
 
 _STREAM_INIT = 0
 _STREAM_STEP = 1
@@ -161,9 +161,10 @@ def build_transition(theta: ParamFields, grid: SpaceTimeGrid | None = None,
     stored on that Chebyshev k-ring pattern: dt L_t^k plus 1 at the
     diagonal slots. These are the bits of I + dt L_t^k formed from the
     zero-free operator, with the pattern's unused slots (the diagonal
-    neighbours when h12 = 0) kept as explicit zeros.
+    neighbours when h12 = 0) kept as explicit zeros. A grid given must be
+    theta's.
     """
-    grid = grid or theta.grid
+    grid = _theta_grid(theta, grid)
     slabs = list(range(1, grid.nt) if slabs is None else slabs)
     taus = theta.tau.values
     k = theta.alpha // 2
@@ -476,8 +477,9 @@ def sample_prior(theta: ParamFields, grid: SpaceTimeGrid | None = None,
                  n_members: int = 1, base_seed: int = 0,
                  p0_mode: str = "burnin", sigma0: float = 1.0,
                  burn_in: int = 20) -> Ensemble:
-    """Draw trajectories from the prior. Bit-reproducible for fixed seeds."""
-    grid = grid or theta.grid
+    """Draw trajectories from the prior. Bit-reproducible for fixed seeds.
+    A grid given must be theta's."""
+    grid = _theta_grid(theta, grid)
     if n_members < 1:
         raise ValueError("n_members must be >= 1")
     if base_seed < 0:

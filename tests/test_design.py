@@ -1,11 +1,22 @@
 """Rules the package's signatures keep: the prior at a theta travels as one
-object (``precision.PriorStructure``), never as loose pieces."""
+object (``precision.PriorStructure``), never as loose pieces, and a grid
+passed beside theta must be theta's own."""
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
 
+import numpy as np
+import pytest
+
 import spdekit
+from spdekit import (ObservationSet, SpaceTimeGrid, assemble_block_precision,
+                     assemble_fdm_operator, build_transition,
+                     dense_trajectory_covariance, oi_solve_dense_oracle,
+                     sample_prior, validate_params)
+
+from oracles import random_theta
 
 # the pieces of a prior, and the parameters that once made one optional
 _PIECES = {"transitions", "ic", "prior"}
@@ -56,3 +67,39 @@ def test_no_function_takes_a_prior_as_loose_pieces():
     assert {"spdekit.solver.run_solver", "spdekit.solver.PrecisionCache.get",
             _HOLDER} <= names
     assert offenders == []
+
+
+def _observed(theta):
+    mask = np.zeros(theta.grid.shape, dtype=bool)
+    mask[1, 2, 3] = mask[3, 4, 1] = True
+    return ObservationSet(theta.grid, mask, [0.3, -0.2], [0.1, 0.1])
+
+
+# each function that takes a grid beside theta, called on that grid
+_GRID_USERS = {
+    "sample_prior": lambda theta, grid: sample_prior(theta, grid,
+                                                     n_members=2),
+    "build_transition": build_transition,
+    "assemble_fdm_operator": lambda theta, grid: assemble_fdm_operator(
+        theta, 1, grid),
+    "validate_params": validate_params,
+    "assemble_block_precision": assemble_block_precision,
+    "dense_trajectory_covariance": dense_trajectory_covariance,
+    "oi_solve_dense_oracle": lambda theta, grid: oi_solve_dense_oracle(
+        theta, grid, _observed(theta)),
+}
+
+
+@pytest.mark.parametrize("change", [{"dt": 0.5}, {"nx": 5}],
+                         ids=["dt", "nx"])
+@pytest.mark.parametrize("name", sorted(_GRID_USERS))
+def test_a_grid_other_than_thetas_is_refused(name, change):
+    # a grid that differs from theta's in dt alone would silently step
+    # theta's fields with the wrong dt; one with another nx would fail
+    # deep in a product
+    g = SpaceTimeGrid(nx=6, ny=6, nt=4)
+    theta = random_theta(g, 3)
+    call = _GRID_USERS[name]
+    call(theta, dataclasses.replace(g))        # an equal grid is theta's
+    with pytest.raises(ValueError, match="is not theta's grid"):
+        call(theta, dataclasses.replace(g, **change))

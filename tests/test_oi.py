@@ -6,7 +6,7 @@ import pytest
 from spdekit import (ObservationSet, ParamFields, PosteriorSolver,
                      SpaceTimeGrid, assemble_block_precision,
                      dense_trajectory_covariance, oi_solve_dense_oracle,
-                     oi_solve_precision, variational_cost, variational_grad)
+                     oi_solve_precision, variational_cost_grad)
 from spdekit.errors import DimensionGuard, SolveFailure
 
 from oracles import random_theta
@@ -77,11 +77,17 @@ def test_reflection_symmetry():
     assert np.max(np.abs(x_r.states - flipped)) < 1e-8
 
 
-def test_dense_path_dimension_guard():
+def test_dense_path_dimension_guard(monkeypatch):
     g = SpaceTimeGrid(nx=30, ny=30, nt=8)      # dim 7200 > 5000
     theta = ParamFields.stationary(g)
     with pytest.raises(DimensionGuard, match="dense trajectory covariance"):
         dense_trajectory_covariance(theta, g)
+    # the guard is read at call time, so a patched guard holds too
+    from spdekit import oi
+    small = SpaceTimeGrid(nx=4, ny=4, nt=3)    # dim 48
+    monkeypatch.setattr(oi, "DENSE_GUARD", 10)
+    with pytest.raises(DimensionGuard, match="dense trajectory covariance"):
+        dense_trajectory_covariance(ParamFields.stationary(small), small)
 
 
 def test_posterior_solver_reusable_across_values():
@@ -131,12 +137,13 @@ def test_variational_cost_zero_and_decomposition():
     mask = np.ones(g.shape, dtype=bool)
     obs = ObservationSet(g, mask, np.zeros(g.dim), np.ones(g.dim))
     from spdekit import Trajectory
-    total, data, prior = variational_cost(Trajectory.zeros(g), obs, q)
+    (total, data, prior), _ = variational_cost_grad(Trajectory.zeros(g),
+                                                    obs, q)
     assert total == 0.0 and data == 0.0 and prior == 0.0
 
     empty = ObservationSet(g, np.zeros(g.shape, dtype=bool), [], [])
     x = Trajectory.from_flat(g, np.random.default_rng(0).standard_normal(g.dim))
-    total, data, prior = variational_cost(x, empty, q, lam=2.0)
+    total, data, prior = variational_cost_grad(x, empty, q, lam=2.0)[0]
     assert data == 0.0 and prior > 0.0 and total == prior
 
 
@@ -146,13 +153,13 @@ def test_cost_minimized_at_solution():
     q = assemble_block_precision(theta, g)
     obs = _random_obs(g, 8)
     x_star = oi_solve_precision(q, obs)
-    best, _, _ = variational_cost(x_star, obs, q, lam=1.0)
+    best, _, _ = variational_cost_grad(x_star, obs, q, lam=1.0)[0]
     rng = np.random.default_rng(9)
     for _ in range(100):
         delta = 0.1 * rng.standard_normal(g.dim)
         from spdekit import Trajectory
         perturbed = Trajectory.from_flat(g, x_star.flat + delta)
-        cost, _, _ = variational_cost(perturbed, obs, q, lam=1.0)
+        (cost, _, _), _ = variational_cost_grad(perturbed, obs, q, lam=1.0)
         assert cost >= best - 1e-12
 
 
@@ -162,8 +169,8 @@ def test_gradient_zero_at_solution():
     q = assemble_block_precision(theta, g)
     obs = _random_obs(g, 11)
     x_star = oi_solve_precision(q, obs)
-    grad = variational_grad(x_star, obs, q, lam=1.0)
-    assert np.max(np.abs(grad.flat)) < 1e-6
+    grad = variational_cost_grad(x_star, obs, q, lam=1.0)[1]
+    assert np.max(np.abs(grad)) < 1e-6
 
 
 def test_gradient_matches_finite_differences():
@@ -174,13 +181,15 @@ def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(14)
     from spdekit import Trajectory
     x = Trajectory.from_flat(g, rng.standard_normal(g.dim))
-    grad = variational_grad(x, obs, q, lam=0.7).flat
+    grad = variational_cost_grad(x, obs, q, lam=0.7)[1]
     for k in rng.choice(g.dim, size=12, replace=False):
         h = 1e-6 * (1.0 + abs(x.flat[k]))
         xp = x.flat.copy(); xp[k] += h
         xm = x.flat.copy(); xm[k] -= h
-        fp, _, _ = variational_cost(Trajectory.from_flat(g, xp), obs, q, 0.7)
-        fm, _, _ = variational_cost(Trajectory.from_flat(g, xm), obs, q, 0.7)
+        fp = variational_cost_grad(Trajectory.from_flat(g, xp), obs, q,
+                                   0.7)[0][0]
+        fm = variational_cost_grad(Trajectory.from_flat(g, xm), obs, q,
+                                   0.7)[0][0]
         fd = (fp - fm) / (2 * h)
         assert fd == pytest.approx(grad[k], rel=1e-5, abs=1e-7)
 
@@ -193,9 +202,9 @@ def test_gradient_empty_mask_is_prior_only():
     rng = np.random.default_rng(16)
     from spdekit import Trajectory, apply_precision
     x = Trajectory.from_flat(g, rng.standard_normal(g.dim))
-    grad = variational_grad(x, empty, q, lam=1.5)
+    grad = variational_cost_grad(x, empty, q, lam=1.5)[1]
     expect = 2.0 * 1.5 * apply_precision(q, x.states).reshape(-1)
-    assert np.max(np.abs(grad.flat - expect)) < 1e-12
+    assert np.max(np.abs(grad - expect)) < 1e-12
 
 
 def test_cost_at_solver_output_near_direct_optimum():
@@ -205,8 +214,8 @@ def test_cost_at_solver_output_near_direct_optimum():
     obs = _random_obs(g, 18)
     x_direct = oi_solve_precision(q, obs, method="direct")
     x_pcg = oi_solve_precision(q, obs, method="pcg", tol=1e-12)
-    c_direct, _, _ = variational_cost(x_direct, obs, q)
-    c_pcg, _, _ = variational_cost(x_pcg, obs, q)
+    c_direct, _, _ = variational_cost_grad(x_direct, obs, q)[0]
+    c_pcg, _, _ = variational_cost_grad(x_pcg, obs, q)[0]
     assert abs(c_direct - c_pcg) < 1e-10 * max(1.0, abs(c_direct))
 
 

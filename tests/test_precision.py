@@ -86,6 +86,11 @@ def _same_csr(a, b) -> bool:
                for k in ("data", "indices", "indptr"))
 
 
+def _int32_indices(a) -> bool:
+    """scipy's index width at these sizes, as the step matrices hold it."""
+    return a.indices.dtype == a.indptr.dtype == np.int32
+
+
 @pytest.mark.parametrize("p0_mode", ["burnin", "white"])
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("nx,ny,nt,alpha", _REFERENCE_GRIDS)
@@ -100,6 +105,9 @@ def test_gram_assembly_is_bit_identical_to_block_assembly(nx, ny, nt, alpha,
     ref = block_precision_reference(q.prior.transitions, q.prior.ic, g.dt)
     assert _same_csr(q.to_csr(), ref)
     assert q.nnz == ref.nnz
+    # array_equal does not see the index width, which every product of Q
+    # and the posterior factor's band rows inherit
+    assert _int32_indices(q.to_csr())
 
     rng = np.random.default_rng(seed)
     mask = rng.random(g.shape) < 0.3
@@ -109,7 +117,9 @@ def test_gram_assembly_is_bit_identical_to_block_assembly(nx, ny, nt, alpha,
     add[obs.indices] = 1.0 / noise
     ref_post = block_precision_reference(q.prior.transitions, q.prior.ic,
                                          g.dt, add)
-    assert _same_csr(posterior_precision(q, obs).to_csr(), ref_post)
+    post = posterior_precision(q, obs).to_csr()
+    assert _same_csr(post, ref_post)
+    assert _int32_indices(post)
 
 
 def test_block_precision_refuses_wrong_shape():
