@@ -13,7 +13,9 @@ w_t = 1/(dt tau_t)^2,
     log|Q|  = log|P_0^{-1}| + sum_t [2 log|det A_t| + sum(log w_t)],
 
 the second being the GMRF identity log|S_t^{-1}| = 2 log|det A_t| +
-sum(log w_t) (Rue & Held 2005, ch. 2; ``precision._prior_log_det``).
+sum(log w_t) (Rue & Held 2005, ch. 2; ``precision._prior_log_det``), with
+log|det A_t| the sum of the log-determinants of the Schur blocks of a
+forward block sweep of every step (``state_space.schur_sweep``).
 
 The gradient is the exact adjoint of the same residual form at every
 power alpha (``_trace_gradient``). The quadratic term reads the step
@@ -28,10 +30,12 @@ fields, is the transpose of the stencil table that assembles L_t
 (``operators.operator_adjoint``), which reads L_bar only at L_t's stencil
 pattern; the sum then reads A_bar only at the Chebyshev k-ring, A_t's own
 pattern. So A_t^{-T} is taken there alone, from a selected inverse of the
-block-tridiagonal A_t (``state_space.selected_inverse``), and the residual
-products likewise. One J^T product serves every step. A burn-in start's
-marginal adjoint walks the doubling's tape, which the marginal keeps
-where this gradient follows (``_burnin_adjoint``). It starts from
+block-tridiagonal A_t (``state_space.selected_inverse``), the backward
+pass over the same sweep the loss read its log-determinants from, and the
+residual products likewise, for every step at once. One J^T product
+serves every step. A burn-in start's marginal adjoint walks the
+doubling's tape, which the marginal keeps where this gradient follows
+(``_burnin_adjoint``). It starts from
 
     P_bar = 1/2 (W - W x_0 x_0^T W / n) = 1/2 W - 1/2 V V^T,
 
@@ -42,7 +46,8 @@ at the k-ring, as the steps do. The loss and the gradient read the prior
 at theta as one object (``precision.PriorStructure``), and a fit builds
 each theta's prior from the last (``precision.build_prior``). It forms
 each step's r_t and w_t once per theta (``_step_terms``), and its loss
-hands them on to the adjoint at the same theta.
+hands them, and the prior's Schur sweep, on to the adjoint at the same
+theta, which drops the sweep once read.
 
 The expected-nll gradient runs the same data path: E[x x^T] = x* x*^T +
 V V^T for a posterior mean x* and a factor V of the posterior covariance,
@@ -144,12 +149,17 @@ def nll(x, theta: ParamFields, p0_mode: str = "burnin", sigma0: float = 1.0,
     return _mean_nll(states, prior, _step_terms(states, prior))
 
 
-def _step_terms(states: np.ndarray, prior: PriorStructure):
-    """Yield each step's weights w_t and residual r_t = A_t x_t - x_{t-1}
-    of the (nt, m, n) stack, one step at a time."""
-    for step in prior.transitions:
-        w = _step_weights(step, prior.grid.dt)
-        yield w, step.a_solve @ states[step.t] - states[step.t - 1]
+def _step_terms(states: np.ndarray, prior: PriorStructure) -> tuple:
+    """The weights w_t and residuals r_t = A_t x_t - x_{t-1} of every step
+    of the (nt, m, n) stack, as a (steps, m) and a (steps, m, n) array in
+    the order of the prior's steps, slabs 1..N."""
+    transitions = prior.transitions
+    w = np.array([_step_weights(step, prior.grid.dt) for step in transitions])
+    r = np.empty((len(transitions),) + states.shape[1:])
+    for s, step in enumerate(transitions):
+        np.subtract(step.a_solve @ states[step.t], states[step.t - 1],
+                    out=r[s])
+    return w, r
 
 
 def _mean_nll(states: np.ndarray, prior: PriorStructure, terms) -> float:
@@ -162,7 +172,7 @@ def _mean_nll(states: np.ndarray, prior: PriorStructure, terms) -> float:
     x0 = states[0]
     quad = float(np.sum(x0 * (x0 / ic.sigma0**2 if ic.mode == "white"
                               else ic.prec @ x0)))
-    for w, r in terms:
+    for w, r in zip(*terms):
         quad += float(np.sum(w[:, None] * r * r))
     return 0.5 * (quad / n - log_det) + 0.5 * nt * m * math.log(2.0 * math.pi)
 
@@ -172,18 +182,19 @@ def _mean_nll(states: np.ndarray, prior: PriorStructure, terms) -> float:
 def _trace_gradient(states: np.ndarray, prior: PriorStructure,
                     terms) -> ParamGradients:
     """Trace gradient of the mean nll of the (nt, m, n) stack under the
-    prior, from its step terms (``_step_terms``, or a loss's list of them).
+    prior, from its step terms (``_step_terms``).
 
     Step t contributes 1/2 mean(sum w r_t^2) - 1/2 log|S_t^{-1}|: the
     quadratic term reads the rank-n residuals r_t, never m x m moments, and
     the log-determinant term is the closed form of the module docstring.
     Both are needed only at the k-ring pattern of A_t, where the map to
     L_bar reads them: A_bar = w r x_t^T / n - A_t^{-T} there, with A_t^{-1}
-    from the selected inverse of every step at once. dt A_bar of every step
-    is one column of a (slots, steps) array, the burn-in's added into the
-    first step's column; ``_operator_bars`` maps the columns to L_bar at
-    the stencil pattern, and one product with J^T maps them all to the
-    fields.
+    from the selected inverse of every step at once, read from the prior's
+    Schur sweep, which the prior then no longer holds, and the residual
+    products of every step at once. dt A_bar of every step is one column
+    of a (slots, steps) array, the burn-in's added into the first step's
+    column; ``_operator_bars`` maps the columns to L_bar at the stencil
+    pattern, and one product with J^T maps them all to the fields.
     """
     theta, transitions, ic = prior.theta, prior.transitions, prior.ic
     grid = theta.grid
@@ -192,16 +203,15 @@ def _trace_gradient(states: np.ndarray, prior: PriorStructure,
     k = theta.alpha // 2
     grads = {name: np.zeros(grid.shape) for name in PARAM_NAMES}
     ring = _ring_pattern(grid, k)
+    w, r = terms
     # (A_t^{-T})[rows, indices] = A_t^{-1}[indices, rows]
-    inverse_t = selected_inverse(transitions, k * grid.nx, ring.indices,
-                                 ring.rows)
-    a_bars = np.empty((ring.rows.size, len(transitions)))
-    for s, (step, inv_t, (w, r)) in enumerate(zip(transitions, inverse_t,
-                                                  terms)):
+    inverse_t = selected_inverse(prior.take_sweep(), ring.indices, ring.rows)
+    # the steps are slabs 1..N, so r[s] pairs with states[s + 1]
+    rx = _pattern_products(r, states[1:], ring) / n
+    a_bars = dt * (w[:, ring.rows].T * rx - inverse_t.T)
+    for step, r_t in zip(transitions, r):
         tau = step.noise_scale
-        rx = _pattern_products(r, states[step.t], ring) / n
-        a_bars[:, s] = dt * (w[ring.rows] * rx - inv_t)
-        r_sq = np.einsum("ij,ij->i", r, r) / n
+        r_sq = np.einsum("ij,ij->i", r_t, r_t) / n
         tau_bar = 1.0 / tau - r_sq / (dt**2 * tau**3)
         grads["tau"][step.t] += tau_bar.reshape(grid.ny, grid.nx)
     # time-zero marginal: white is parameter-free, burn-in backpropagates
@@ -262,12 +272,15 @@ def _offset_runs(pattern) -> list:
 
 
 def _pattern_products(r: np.ndarray, x: np.ndarray, pattern) -> np.ndarray:
-    """sum_n r[row_k, n] x[col_k, n] at every slot k of a grid pattern, one
-    offset at a time: each offset pairs a slice of r with a shifted slice
-    of x, so neither a (slots, n) gather nor an m x m product is formed."""
-    out = np.empty(pattern.rows.size)
+    """sum_n r[..., row_k, n] x[..., col_k, n] at every slot k of a grid
+    pattern, as a (slots, ...) array: (m, n) inputs give one column,
+    (steps, m, n) stacks one per step. One offset at a time, over the whole
+    stack: each offset pairs a slice of r with a shifted slice of x, so
+    neither a (slots, n) gather nor an m x m product is formed."""
+    out = np.empty((pattern.rows.size,) + r.shape[:-2])
     for d, lo, hi, slots, at in _offset_runs(pattern):
-        out[slots] = np.einsum("ij,ij->i", r[lo:hi], x[lo + d:hi + d])[at]
+        out[slots] = np.einsum("...ij,...ij->i...", r[..., lo:hi, :],
+                               x[..., lo + d:hi + d, :])[at]
     return out
 
 
@@ -433,7 +446,7 @@ def fit_params(trajectories, theta0: ParamFields, step_kind: str = "adam",
     # the prior (marginal tape included) and the step terms of the loss at
     # a theta serve the gradient there; the next prior reuses what it can
     prior = build_prior(theta, keep_tape=True, **p0_opts)
-    terms = list(_step_terms(states, prior))
+    terms = _step_terms(states, prior)
     best_loss, best_theta = _mean_nll(states, prior, terms), theta
     loss_curve = [best_loss]
     for it in range(max_steps):
@@ -444,7 +457,7 @@ def fit_params(trajectories, theta0: ParamFields, step_kind: str = "adam",
         # the last prior's steps live until the new loss is formed: freed
         # first, glibc handed their memory back and faulted it in again
         new = build_prior(theta, keep_tape=True, previous=prior, **p0_opts)
-        new_terms = list(_step_terms(states, new))
+        new_terms = _step_terms(states, new)
         loss = _mean_nll(states, new, new_terms)
         prior, terms = new, new_terms
         if not math.isfinite(loss):

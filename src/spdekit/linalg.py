@@ -271,10 +271,10 @@ def log_det_block(q) -> float:
     With the prior structure held (``q.prior``), the generative split
     log|Q| = log|P_0^{-1}| + sum_t log|S_t^{-1}| with log|S_t^{-1}| =
     2 log|det A_t| + sum(log w_t) in closed form
-    (``precision._prior_log_det``), where log|det A_t| is read off each
-    step's banded LU and nothing else is factored; it is exact for an
-    unmodified prior precision. Without it (a posterior or hand-built
-    precision), a sparse Cholesky of the held matrix.
+    (``precision._prior_log_det``), where log|det A_t| is read off the
+    prior's Schur sweep of its steps and nothing else is factored; it is
+    exact for an unmodified prior precision. Without it (a posterior or
+    hand-built precision), a sparse Cholesky of the held matrix.
     """
     if q.prior is not None:
         return _prior_log_det(q.prior)

@@ -161,7 +161,8 @@ _N_FEATURES = 8     # kappa^2, h11, h22, h12, u+, u-, v+, v-
 class SlotPattern:
     """A canonical CSR pattern (columns sorted within each row, no
     duplicates) of an m x m step matrix, with the place of every stored
-    slot in the two factorizations that read the values:
+    slot in the two factorizations that read the values, the banded LU
+    and the Schur sweep:
 
     * ``band_slots``: flat offsets into the Fortran-ordered LAPACK dgbtrf
       band ab of shape (2 kl + ku + 1, m), ab[kl + ku + i - j, j] = A[i, j]

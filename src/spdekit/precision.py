@@ -29,7 +29,9 @@ I, A_1, ..., A_N, which gives log|Q| in closed form, the GMRF identity
     log|Q| = log|P_0^{-1}| + sum_t [2 log|det A_t| + sum(log w_t)],
 
 which ``_prior_log_det`` evaluates from the transitions and the x_0
-marginal alone, without Q.
+marginal alone, without Q: log|det A_t| = sum_i log|det S_i| over the
+Schur blocks of the steps' forward block sweep, which the prior holds for
+the gradient's selected inverse at the same theta.
 
 The prior at one theta is one object, ``PriorStructure`` (theta, the
 steps A_t and the x_0 marginal), made by one builder, ``build_prior``,
@@ -39,7 +41,7 @@ the likelihood, its gradient and conditional draws all read that object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -47,8 +49,8 @@ from scipy import sparse
 from .errors import DegenerateNoise
 from .grid import SpaceTimeGrid, Trajectory
 from .operators import ParamFields, _theta_grid
-from .state_space import (InitialCondition, TransitionStep, build_transition,
-                          initial_condition)
+from .state_space import (InitialCondition, SchurSweep, TransitionStep,
+                          build_transition, initial_condition, schur_sweep)
 
 _TAU_FLOOR = 1e-8
 
@@ -57,16 +59,37 @@ _TAU_FLOOR = 1e-8
 class PriorStructure:
     """The prior at one theta: theta, the step of each slab 1..N and the x_0
     marginal. ``built`` counts the steps ``build_prior`` made for it; the
-    others came from the previous prior."""
+    others came from the previous prior.
+
+    The Schur sweep of its steps (``state_space.schur_sweep``) is built on
+    first use and held, so the loss's log-determinants and the gradient's
+    selected inverse at this theta share one sweep; the gradient takes it
+    (``take_sweep``), and so the prior no longer holds it.
+    """
 
     theta: ParamFields
     transitions: list[TransitionStep]
     ic: InitialCondition
     built: int = 0
+    _sweep: SchurSweep | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     @property
     def grid(self) -> SpaceTimeGrid:
         return self.theta.grid
+
+    def schur_sweep(self) -> SchurSweep:
+        """The Schur sweep of the steps in blocks of k grid rows (k nx
+        cells, k = alpha/2), built on first use and held."""
+        if self._sweep is None:
+            self._sweep = schur_sweep(self.transitions,
+                                      self.theta.alpha // 2 * self.grid.nx)
+        return self._sweep
+
+    def take_sweep(self) -> SchurSweep:
+        """The Schur sweep, which the prior then no longer holds."""
+        sweep, self._sweep = self.schur_sweep(), None
+        return sweep
 
 
 def build_prior(theta: ParamFields, p0_mode: str = "burnin",
@@ -81,9 +104,11 @@ def build_prior(theta: ParamFields, p0_mode: str = "burnin",
     if built with the same start options, unless a burn-in start's slab 1
     changed. Before a new marginal is built, previous gives up its steps
     and marginal (it is left with none), so that the old ones not handed
-    over are freed first.
+    over are freed first. Previous always gives up its Schur sweep.
     """
     grid = theta.grid
+    if previous is not None:
+        previous._sweep = None
     same = previous is not None and previous.grid == grid \
         and len(previous.transitions) == grid.nt - 1   # else none or spent
     changed = [t for t in range(1, grid.nt)
@@ -117,17 +142,19 @@ def _step_weights(step: TransitionStep, dt: float) -> np.ndarray:
 def _prior_log_det(prior: PriorStructure) -> float:
     """log|Q| of the prior by the closed form of the module docstring.
 
-    log|det A_t| comes from the step's banded LU, the factor its
-    propagator solves also read; the gradient's selected inverse checks
-    that factor before its block recursion. A white start with sigma0 <= 0
-    raises DegenerateNoise(0), a singular A_t SingularTransition(t).
+    log|det A_t| comes from the prior's Schur sweep, which it holds for
+    the gradient's selected inverse at the same theta. A white start with
+    sigma0 <= 0 raises DegenerateNoise(0), a tau below the floor
+    DegenerateNoise(t), and an A_t that is singular, or whose Schur blocks
+    are, SingularTransition(t) naming the block row.
     """
     if prior.ic.mode == "white" and prior.ic.sigma0 <= 0:
         raise DegenerateNoise(0, prior.ic.sigma0)
+    log_w = [float(np.sum(np.log(_step_weights(step, prior.grid.dt))))
+             for step in prior.transitions]
     total = prior.ic.logdet_prec
-    for step in prior.transitions:
-        w = _step_weights(step, prior.grid.dt)
-        total += 2.0 * step.log_abs_det() + float(np.sum(np.log(w)))
+    for log_abs_det, log_w_t in zip(prior.schur_sweep().log_abs_det, log_w):
+        total += 2.0 * log_abs_det + log_w_t
     return float(total)
 
 

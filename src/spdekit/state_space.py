@@ -10,11 +10,12 @@ L_t^{alpha/2} and the propagator M_t = A_t^{-1} is contractive. The noise
 z is i.i.d. standard normal per cell; the per-step noise map is therefore
 T_t = M_t * dt * diag(tau_t). A_t is a stencil matrix, banded in row-major
 cell order, and each step keeps one LAPACK banded LU of it: every solve
-with M_t, the dense M_t and log|det A_t| read that one factor. With
-k = alpha/2 it couples only cells at most k apart along each axis, so it
-is also block tridiagonal in blocks of k grid rows, and
-``selected_inverse`` reads A_t^{-1} at its pattern from the block
-recursion.
+with M_t and the dense M_t read that one factor. With k = alpha/2 it
+couples only cells at most k apart along each axis, so it is also block
+tridiagonal in blocks of k grid rows. One forward sweep of the block
+recursion over every step of a theta (``schur_sweep``) gives log|det A_t|
+as the sum of its Schur blocks' log-determinants, and the backward pass
+(``selected_inverse``) reads A_t^{-1} at its pattern from that sweep.
 
 ``build_transition`` takes the values of L_t for all slabs asked for from
 one product J @ phi_t with the grid's stencil table, and makes every A_t
@@ -22,7 +23,7 @@ as values on the Chebyshev k-ring pattern: dt L_t^k, the power formed by
 k - 1 sparse products, plus 1 at the diagonal. At k = 1 the ring is the
 stencil table; unused slots (h12 = 0) are explicit zeros. Each step holds
 its pattern, whose precomputed band and block positions the LU and the
-selected inverse scatter the values to. A hand-built drift
+Schur sweep scatter the values to. A hand-built drift
 (``transition_from_drift``) gets the pattern of its own nonzeros, made by
 the same code, so both kinds of step take one path.
 
@@ -90,10 +91,11 @@ class TransitionStep:
     ``pattern``: the grid's k-ring pattern, or the pattern of a hand-built
     drift. Its LAPACK banded LU (dgbtrf) is computed once, on first use,
     by scattering the values to the pattern's band slots, and serves
-    propagate, dense_inverse (the burn-in's dense M_1) and log_abs_det; a
-    zero pivot raises SingularTransition(t) from each of them. The trace
-    gradient needs A_t^{-1} only at the k-ring pattern and reads it from
-    ``selected_inverse``, never from dense_inverse.
+    propagate and dense_inverse (the burn-in's dense M_1); a zero pivot
+    raises SingularTransition(t) from each of them. The likelihood reads
+    neither: log|det A_t| and A_t^{-1} at the k-ring pattern, which the
+    trace gradient needs, come from the block recursion of every step of
+    a theta at once (``schur_sweep`` and ``selected_inverse``).
     """
 
     t: int
@@ -127,11 +129,6 @@ class TransitionStep:
         lu, piv, kl, ku = self._banded_lu()
         eye = np.eye(self.a_solve.shape[0], order="F")
         return dgbtrs(lu, kl, ku, eye, piv, overwrite_b=1)[0]
-
-    def log_abs_det(self) -> float:
-        """log|det A_t|, the sum of log|U_ii| over the factor's diagonal."""
-        lu, _, kl, ku = self._banded_lu()
-        return float(np.sum(np.log(np.abs(lu[kl + ku]))))
 
 
 def transition_from_drift(f_drift, dt: float, t: int = 0,
@@ -181,87 +178,127 @@ def build_transition(theta: ParamFields, grid: SpaceTimeGrid | None = None,
             for t, data in zip(slabs, values)]
 
 
-def selected_inverse(transitions: list[TransitionStep], block: int,
-                     rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Entries A_t^{-1}[rows, cols] of every step, as a (steps, entries)
-    array.
+@dataclass
+class SchurSweep:
+    """The forward half of the block recursion of ``selected_inverse``, for
+    every step of a theta at once: the blocks of each A_t, the inverse of
+    each Schur block S_i, and log|det A_t| = sum_i log|det S_i|.
+
+    ``blocks[i, d + 1, s]`` is A_{i, i+d} of step s (d = -1, 1), and S_i
+    at d = 0, in place of D_i, which nothing reads after it; ``s_inv[i,
+    s]`` is S_i^{-1}. The step axis is inside, so that each batched product
+    reads contiguous stacks of blocks. ``log_abs_det[s]`` is log|det A_t|
+    of step s. ``selected_inverse`` takes the blocks (None after it).
+    """
+
+    blocks: np.ndarray | None  # (nb, 3, steps, block, block)
+    s_inv: np.ndarray          # (nb, steps, block, block)
+    log_abs_det: np.ndarray    # (steps,)
+
+    @property
+    def block(self) -> int:
+        return self.s_inv.shape[-1]
+
+
+def schur_sweep(transitions: list[TransitionStep], block: int) -> SchurSweep:
+    """The Schur sweep of every step, in blocks of block cells.
 
     In row-major cell order a step matrix at alpha = 2k is block
     tridiagonal in blocks of k grid rows: block = k nx cells. The cells are
     padded to a whole number nb of block rows with identity rows, which
-    invert to I and couple to nothing, and the entries asked for must lie
-    in the three block diagonals. They are read from the diagonal and
-    first off-diagonal blocks G of A_t^{-1}, which the recursive
-    Green's-function form of Takahashi's recursion gives without forming
-    the dense inverse, for all steps at once, batched along a step axis:
+    invert to I, couple to nothing and add log|det I| = 0. The sweep runs
+    the block LU without pivoting across block rows, for all steps at once,
+    batched along a step axis:
 
         S_0 = D_0,  S_i = D_i - A_{i,i-1} S_{i-1}^{-1} A_{i-1,i}
-        G_{nb-1}   = S_{nb-1}^{-1}
-        G_{i,i+1}  = -S_i^{-1} A_{i,i+1} G_{i+1}
-        G_{i+1,i}  = -G_{i+1} A_{i+1,i} S_i^{-1}
-        G_i        = S_i^{-1} - G_{i,i+1} A_{i+1,i} S_i^{-1}
 
-    That is O(nb block^3) per step and no m x m array. A zero pivot of A_t
-    raises SingularTransition(t) from the step's banded LU; a singular or
-    numerically singular Schur block S_i of a nonsingular A_t (the
-    recursion does not pivot across block rows) raises it naming block
-    row i.
+    so det A_t = prod_i det S_i. That is O(nb block^3) per step and no
+    m x m array. After the loop one batched check flags every S_i that is
+    singular, or whose 1-norm condition number reaches 1/eps, and one
+    batched slogdet of the S_i gives log|det A_t|. A flagged block raises
+    SingularTransition for its first block row i, and the first step in
+    it, naming i: a singular A_t, or a nonsingular one that needs pivoting
+    across block rows.
     """
     m = transitions[0].a_solve.shape[0]
     nb = -(-m // block)
-    # blocks[i, d + 1, s] is A_{i, i+d} of step s, for d = -1, 0, 1; the
-    # step axis is inside so that each batched product reads contiguous
-    # stacks of blocks. Each step's values go to its pattern's block slots.
+    # each step's values go to its pattern's block slots
     blocks = np.zeros((3 * nb, len(transitions), block * block))
     for s, step in enumerate(transitions):
-        step._banded_lu()
         where, position = step.pattern.block_slots(block)
         blocks[where, s, position] = step.a_solve.data
     padded = np.arange(m - (nb - 1) * block, block)
     blocks[3 * nb - 2, :, padded * (block + 1)] = 1.0
     blocks = blocks.reshape(nb, 3, len(transitions), block, block)
 
-    lower, diag, upper = blocks[:, 0], blocks[:, 1], blocks[:, 2]
-    s_inv = np.empty(diag.shape)
-    schur = diag[0]
-    for i in range(nb):
-        if i:
-            schur = diag[i] - lower[i] @ s_inv[i - 1] @ upper[i - 1]
-        s_inv[i] = _invert_schur(schur, transitions, i)
-    green = np.empty_like(blocks)      # same layout: green[i, d + 1, s]
+    lower, schur, upper = blocks[:, 0], blocks[:, 1], blocks[:, 2]
+    s_inv = np.empty(schur.shape)
+    # a bad block row makes the later ones inf or nan; the check below
+    # names the first
+    with np.errstate(all="ignore"):
+        for i in range(nb):
+            if i:                                  # S_i overwrites D_i
+                schur[i] -= lower[i] @ s_inv[i - 1] @ upper[i - 1]
+            try:
+                s_inv[i] = np.linalg.inv(schur[i])
+            except np.linalg.LinAlgError:
+                for s, one in enumerate(schur[i]):
+                    try:
+                        s_inv[i, s] = np.linalg.inv(one)
+                    except np.linalg.LinAlgError:
+                        s_inv[i, s] = np.inf
+        magnitude = np.abs(schur)
+        cond = magnitude.sum(axis=-2).max(axis=-1)
+        cond *= np.abs(s_inv, out=magnitude).sum(axis=-2).max(axis=-1)
+    bad = np.argwhere(~(cond < 1.0 / np.finfo(float).eps))
+    if bad.size:
+        i, s = bad[0]
+        raise SingularTransition(transitions[s].t,
+                                 f"singular Schur block in block row {i}")
+    log_abs_det = np.linalg.slogdet(schur)[1].sum(axis=0)
+    return SchurSweep(blocks=blocks, s_inv=s_inv, log_abs_det=log_abs_det)
+
+
+def selected_inverse(sweep: SchurSweep, rows: np.ndarray,
+                     cols: np.ndarray) -> np.ndarray:
+    """Entries A_t^{-1}[rows, cols] of every step of a Schur sweep, as a
+    (steps, entries) array.
+
+    The entries asked for must lie in the three block diagonals. They are
+    read from the diagonal and first off-diagonal blocks G of A_t^{-1},
+    which the backward half of the recursive Green's-function form of
+    Takahashi's recursion (Rue & Held 2005, section 2.4) gives from the
+    sweep without forming the dense inverse:
+
+        G_{nb-1}   = S_{nb-1}^{-1}
+        G_{i,i+1}  = -S_i^{-1} A_{i,i+1} G_{i+1}
+        G_{i+1,i}  = -G_{i+1} A_{i+1,i} S_i^{-1}
+        G_i        = S_i^{-1} - G_{i,i+1} A_{i+1,i} S_i^{-1}
+
+    Each G block overwrites the sweep's block it replaces, once the pass
+    has read that block, so no second array of blocks is allocated; the
+    sweep gives its blocks up and serves one selected inverse (a second
+    raises ValueError), its log|det A_t| kept.
+    """
+    (ry, rx), (cy, cx) = (np.divmod(rows, sweep.block),
+                          np.divmod(cols, sweep.block))
+    if np.any(np.abs(cy - ry) > 1):
+        raise ValueError("entries outside the three block diagonals")
+    if sweep.blocks is None:
+        raise ValueError("this Schur sweep's blocks went to an earlier "
+                         "selected inverse")
+    # green[i, d + 1, s] replaces A_{i,i+d} (S_i at d = 0) once read
+    s_inv, green = sweep.s_inv, sweep.blocks
+    sweep.blocks = None
+    nb = green.shape[0]
+    lower, upper = green[:, 0], green[:, 2]
     green[nb - 1, 1] = s_inv[nb - 1]
     for i in range(nb - 2, -1, -1):
         lower_s = lower[i + 1] @ s_inv[i]          # A_{i+1,i} S_i^{-1}
         green[i, 2] = -(s_inv[i] @ upper[i]) @ green[i + 1, 1]
         green[i + 1, 0] = -green[i + 1, 1] @ lower_s
         green[i, 1] = s_inv[i] - green[i, 2] @ lower_s
-    (ry, rx), (cy, cx) = np.divmod(rows, block), np.divmod(cols, block)
-    if np.any(np.abs(cy - ry) > 1):
-        raise ValueError("entries outside the three block diagonals")
     return green[ry, cy - ry + 1, :, rx, cx].T
-
-
-def _invert_schur(schur: np.ndarray, transitions: list[TransitionStep],
-                  i: int) -> np.ndarray:
-    """Inverse of each step's Schur block of block row i. A block that is
-    singular, or whose 1-norm condition number reaches 1/eps, raises
-    SingularTransition for the first such step."""
-    try:
-        inv = np.linalg.inv(schur)
-    except np.linalg.LinAlgError:
-        inv = np.empty(schur.shape)
-        for s, block in enumerate(schur):
-            try:
-                inv[s] = np.linalg.inv(block)
-            except np.linalg.LinAlgError:
-                inv[s] = np.inf
-    norm = np.abs(schur).sum(axis=-2).max(axis=-1)
-    cond = norm * np.abs(inv).sum(axis=-2).max(axis=-1)
-    bad = np.flatnonzero(~(cond < 1.0 / np.finfo(float).eps))
-    if bad.size:
-        raise SingularTransition(transitions[bad[0]].t,
-                                 f"singular Schur block in block row {i}")
-    return inv
 
 
 @dataclass

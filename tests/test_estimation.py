@@ -217,8 +217,8 @@ def _trace_gradient_with(theta, xs, step):
 
 
 def test_singular_transition_in_trace_gradient_is_typed():
-    # a singular A_t fails typed in its banded LU before the selected
-    # inverse runs
+    # a singular A_t fails typed in the Schur sweep the selected inverse
+    # reads
     g = SpaceTimeGrid(nx=3, ny=3, nt=2)
     theta = random_theta(g, 18)
     xs = sample_prior(theta, g, n_members=2, base_seed=15,
@@ -229,9 +229,9 @@ def test_singular_transition_in_trace_gradient_is_typed():
 
 
 def test_singular_schur_block_in_trace_gradient_is_typed():
-    # A_1 swaps cells 2 and 5 and is the identity elsewhere: its banded LU
+    # A_1 swaps cells 2 and 5 and is the identity elsewhere: a banded LU
     # pivots and succeeds, but the leading block diag(1, 1, 0) of the
-    # selected inverse's recursion is singular
+    # Schur sweep is singular
     g = SpaceTimeGrid(nx=3, ny=3, nt=2)
     theta = random_theta(g, 18)
     xs = sample_prior(theta, g, n_members=2, base_seed=15,
@@ -261,7 +261,7 @@ def test_singular_first_transition_with_burnin_start_is_typed(monkeypatch):
 
 
 def test_singular_transition_in_nll_is_typed():
-    # a zero pivot of the banded LU must not turn into an infinite loss
+    # a singular A_t must not turn into an infinite loss
     g = SpaceTimeGrid(nx=3, ny=3, nt=2)
     theta = random_theta(g, 18)
     xs = sample_prior(theta, g, n_members=2, base_seed=15,
@@ -480,19 +480,27 @@ def test_white_start_fit_makes_no_dense_inverse(monkeypatch):
 
 
 def test_fit_factors_each_transition_once_per_theta(monkeypatch):
-    # the loss's step objects carry their banded LU into the gradient at
-    # the same theta, and no A_t goes through a dense LU
-    from spdekit import state_space
+    # the loss's Schur sweep of every step carries into the gradient at the
+    # same theta: one sweep per theta, no banded LU but the one of a
+    # burn-in start's dense M_1 = A_1^{-1}, and no A_t through a dense LU
+    from spdekit import precision, state_space
     g = SpaceTimeGrid(nx=4, ny=3, nt=4)
     theta = random_theta(g, 26)
-    xs = sample_prior(theta, g, n_members=2, base_seed=19,
-                      p0_mode="white").members
-    factored = []
-    dgbtrf = state_space.dgbtrf
+    factored, swept, inverted = [], [], []
+    dgbtrf, schur_sweep = state_space.dgbtrf, precision.schur_sweep
+    dense_inverse = state_space.TransitionStep.dense_inverse
 
     def counted(ab, kl, ku, **kwargs):
         factored.append(ab.shape[1])
         return dgbtrf(ab, kl, ku, **kwargs)
+
+    def counted_sweep(transitions, block):
+        swept.append([step.t for step in transitions])
+        return schur_sweep(transitions, block)
+
+    def counted_inverse(step):
+        inverted.append(step.t)
+        return dense_inverse(step)
 
     def refuse(dense):
         def patched(a, *args, **kwargs):
@@ -500,12 +508,69 @@ def test_fit_factors_each_transition_once_per_theta(monkeypatch):
             return dense(a, *args, **kwargs)
         return patched
 
-    monkeypatch.setattr(state_space, "dgbtrf", counted)
-    monkeypatch.setattr(np.linalg, "slogdet", refuse(np.linalg.slogdet))
-    monkeypatch.setattr(np.linalg, "inv", refuse(np.linalg.inv))
     k = 3
-    fit_params(xs, theta, max_steps=k, p0_mode="white")
-    assert factored == [g.m] * ((k + 1) * (g.nt - 1))
+    for p0_mode in ("white", "burnin"):
+        xs = sample_prior(theta, g, n_members=2, base_seed=19,
+                          p0_mode=p0_mode, burn_in=5).members
+        factored.clear(), swept.clear(), inverted.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(state_space, "dgbtrf", counted)
+            patch.setattr(precision, "schur_sweep", counted_sweep)
+            patch.setattr(state_space.TransitionStep, "dense_inverse",
+                          counted_inverse)
+            patch.setattr(np.linalg, "slogdet", refuse(np.linalg.slogdet))
+            patch.setattr(np.linalg, "inv", refuse(np.linalg.inv))
+            fit_params(xs, theta, max_steps=k, p0_mode=p0_mode, burn_in=5)
+        assert swept == [list(range(1, g.nt))] * (k + 1), p0_mode
+        # every slab moves at each theta, slab 1 with it
+        assert inverted == ([] if p0_mode == "white" else [1] * (k + 1))
+        assert factored == [g.m] * len(inverted), p0_mode
+
+
+def test_loss_and_gradient_share_one_sweep_which_the_gradient_drops(
+        monkeypatch):
+    from spdekit import precision
+    g = SpaceTimeGrid(nx=4, ny=3, nt=4)
+    theta = random_theta(g, 26)
+    xs = sample_prior(theta, g, n_members=2, base_seed=19).members
+    swept = []
+    schur_sweep = precision.schur_sweep
+
+    def counted_sweep(transitions, block):
+        swept.append(block)
+        return schur_sweep(transitions, block)
+
+    monkeypatch.setattr(precision, "schur_sweep", counted_sweep)
+    states = _stack_states(xs, g)
+    prior = build_prior(theta, keep_tape=True, burn_in=5)
+    terms = _step_terms(states, prior)
+    _mean_nll(states, prior, terms)
+    assert prior._sweep is not None
+    _trace_gradient(states, prior, terms)
+    assert prior._sweep is None and swept == [g.nx]
+    # a gradient with no loss before it sweeps for itself, and drops it
+    _trace_gradient(states, prior, terms)
+    assert prior._sweep is None and swept == [g.nx] * 2
+
+
+@pytest.mark.parametrize("alpha", [2, 4])
+def test_batched_pattern_products_are_the_per_step_products(alpha):
+    # one einsum per ring offset over every step gives the bits of one per
+    # offset and step
+    from spdekit.operators import _ring_pattern
+    g = SpaceTimeGrid(nx=7, ny=6, nt=5)
+    ring = _ring_pattern(g, alpha // 2)
+    rng = np.random.default_rng(alpha)
+    r, x = rng.standard_normal((2, g.nt - 1, g.m, 3))
+    batched = estimation._pattern_products(r, x, ring)
+    assert batched.shape == (ring.rows.size, g.nt - 1)
+    for s in range(g.nt - 1):
+        assert np.array_equal(batched[:, s],
+                              estimation._pattern_products(r[s], x[s], ring))
+    # the per-step form against the products it stands for
+    dense = r[0] @ x[0].T
+    assert np.allclose(estimation._pattern_products(r[0], x[0], ring),
+                       dense[ring.rows, ring.indices], rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("p0_mode", ["burnin", "white"])
@@ -725,7 +790,7 @@ def test_expected_gradient_refusals(monkeypatch):
 def test_trace_gradient_memory_is_linear_in_columns():
     # the expected gradient feeds 1 + dim columns: the residual products at
     # the stencil pattern must not gather a (slots, n) copy (about 9 m n
-    # doubles); the step residual itself is m n
+    # doubles); the step residuals themselves are (nt - 1) m n
     import tracemalloc
     g = SpaceTimeGrid(nx=8, ny=8, nt=3)
     theta = random_theta(g, 28)

@@ -383,6 +383,35 @@ def test_prior_from_a_previous_builds_only_the_changed_slabs(monkeypatch):
     assert build_prior(theta, burn_in=5, previous=first).built == g.nt - 1
 
 
+@pytest.mark.parametrize("p0_mode", ["burnin", "white"])
+def test_prior_log_det_matches_the_band_cholesky(p0_mode):
+    # log|Q| from the steps' Schur sweep and the marginal against a
+    # Cholesky factor of the assembled Q
+    from spdekit.precision import _prior_log_det
+    g = SpaceTimeGrid(nx=12, ny=12, nt=4)
+    q = assemble_block_precision(random_theta(g, 43), g, p0_mode=p0_mode,
+                                 burn_in=5)
+    ours = _prior_log_det(q.prior)
+    assert abs(ours - sparse_cholesky(q.to_csr()).logdet()) \
+        <= 1e-12 * abs(ours)
+
+
+@pytest.mark.parametrize("p0_mode", ["burnin", "white"])
+def test_a_previous_prior_gives_up_its_sweep(p0_mode):
+    # build_prior frees the Schur sweep a previous prior holds, whether it
+    # spends the prior (a burn-in slab 1 moved) or hands its steps over
+    from spdekit.precision import _prior_log_det
+    g = SpaceTimeGrid(nx=4, ny=4, nt=4)
+    theta = random_theta(g, 44)
+    opts = dict(p0_mode=p0_mode, burn_in=5)
+    previous = build_prior(theta, **opts)
+    _prior_log_det(previous)
+    assert previous._sweep is not None
+    build_prior(_moved(theta), previous=previous, **opts)
+    assert previous._sweep is None
+    assert (previous.ic is None) == (p0_mode == "burnin")
+
+
 def test_burnin_prior_move_releases_the_old_marginal_first():
     # a burn-in theta move from a previous prior that still holds its
     # marginal and tape (about 11 dense m x m arrays) peaks lower than a

@@ -34,7 +34,8 @@ def test_singular_transition_raises_with_step_index():
     from spdekit.estimation import _mean_nll, _step_terms
     from spdekit.precision import PriorStructure
     # drift I/dt makes A = I - dt*F exactly zero: the banded LU meets a
-    # zero pivot, and each of its readers fails typed
+    # zero pivot and the loss's Schur sweep a singular block, and each of
+    # their readers fails typed
     ic = state_space.InitialCondition(mode="white", m=2)
     # the prior's theta is read for its grid step dt = 1 alone
     theta = ParamFields.stationary(SpaceTimeGrid(nx=3, ny=3, nt=4))
@@ -75,11 +76,7 @@ def _factor_cases():
 @pytest.mark.parametrize("name, theta", _factor_cases())
 def test_banded_factor_matches_dense_lu(name, theta):
     step = build_transition(theta, theta.grid)[0]
-    a = step.a_solve.toarray()
-    sign, log_abs_det = np.linalg.slogdet(a)
-    assert sign != 0
-    assert abs(step.log_abs_det() - log_abs_det) <= 1e-12 * abs(log_abs_det)
-    inverse = np.linalg.inv(a)
+    inverse = np.linalg.inv(step.a_solve.toarray())
     assert _rel_err(step.propagate(np.eye(theta.grid.m)), inverse) <= 1e-12
     assert _rel_err(step.dense_inverse(), inverse) <= 1e-12
     # the band is read from the pattern: nx + 1 at alpha = 2, twice that
@@ -125,7 +122,9 @@ def test_values_path_is_bit_identical_to_sparse_product_path(name, theta):
         assert step.a_solve.indices.dtype == step.a_solve.indptr.dtype \
             == np.int32
         assert np.array_equal(step.noise_scale, ref.noise_scale)
-        assert step.log_abs_det() == ref.log_abs_det(), name
+        assert np.array_equal(
+            state_space.schur_sweep([step], g.nx).log_abs_det,
+            state_space.schur_sweep([ref], g.nx).log_abs_det), name
         assert np.array_equal(step.dense_inverse(), ref.dense_inverse())
 
 
@@ -180,6 +179,22 @@ def test_higher_alpha_steps_store_the_operator_power_on_the_ring(theta):
         assert not np.any(ref[~within])
         _, _, kl, ku = step._banded_lu()
         assert kl == ku == k * (g.nx + 1)
+
+
+@pytest.mark.parametrize("theta", [pytest.param(theta, id=name)
+                                   for name, theta in _factor_cases()]
+                         + _higher_alpha_cases())
+def test_sweep_log_det_matches_dense_slogdet(theta):
+    # log|det A_t| = sum_i log|det S_i| over the Schur blocks, the padding
+    # rows adding log|det I| = 0, for every step of the sweep at once
+    g = theta.grid
+    steps = build_transition(theta, g)
+    sweep = state_space.schur_sweep(steps, theta.alpha // 2 * g.nx)
+    assert sweep.log_abs_det.shape == (len(steps),)
+    for step, ours in zip(steps, sweep.log_abs_det):
+        sign, dense = np.linalg.slogdet(step.a_solve.toarray())
+        assert sign != 0
+        assert abs(ours - dense) <= 1e-12 * abs(dense), step.t
 
 
 @pytest.mark.parametrize("theta", _higher_alpha_cases())
@@ -255,10 +270,16 @@ def test_hand_built_pattern_matches_table_pattern():
     assert np.array_equal(lu[kl + ku], old[0][old[2] + old[3]])
     assert np.array_equal(piv, old[1])
     assert np.array_equal(hand.dense_inverse(), step.dense_inverse())
-    rows, cols = _block_tridiagonal_entries(g.nx, g.m)
-    assert np.array_equal(
-        state_space.selected_inverse([hand], g.nx, rows, cols),
-        state_space.selected_inverse([step], g.nx, rows, cols))
+    assert np.array_equal(_selected_entries([hand], g.nx),
+                          _selected_entries([step], g.nx))
+
+
+def _selected_entries(steps, nx):
+    """Every entry of each step's inverse in the three block diagonals,
+    from the Schur sweep in blocks of nx cells."""
+    rows, cols = _block_tridiagonal_entries(nx, steps[0].a_solve.shape[0])
+    return state_space.selected_inverse(state_space.schur_sweep(steps, nx),
+                                        rows, cols)
 
 
 def _block_tridiagonal_entries(nx, m):
@@ -269,7 +290,7 @@ def _block_tridiagonal_entries(nx, m):
 
 def _assert_selected_inverse_matches(steps, nx):
     rows, cols = _block_tridiagonal_entries(nx, steps[0].a_solve.shape[0])
-    ours = state_space.selected_inverse(steps, nx, rows, cols)
+    ours = _selected_entries(steps, nx)
     assert ours.shape == (len(steps), rows.size)
     for step, entries in zip(steps, ours):
         inverse = np.linalg.inv(step.a_solve.toarray())
@@ -281,6 +302,20 @@ def _assert_selected_inverse_matches(steps, nx):
 def test_selected_inverse_matches_dense_inverse(name, theta):
     g = theta.grid
     _assert_selected_inverse_matches(build_transition(theta, g), g.nx)
+
+
+def test_a_sweep_serves_one_selected_inverse():
+    # the backward pass writes the blocks of the inverse over the sweep's
+    g = SpaceTimeGrid(nx=5, ny=4, nt=3)
+    steps = build_transition(random_theta(g, 45), g)
+    sweep = state_space.schur_sweep(steps, g.nx)
+    log_abs_det = sweep.log_abs_det.copy()
+    rows, cols = _block_tridiagonal_entries(g.nx, g.m)
+    state_space.selected_inverse(sweep, rows, cols)
+    assert sweep.blocks is None
+    assert np.array_equal(sweep.log_abs_det, log_abs_det)
+    with pytest.raises(ValueError, match="earlier selected inverse"):
+        state_space.selected_inverse(sweep, rows, cols)
 
 
 @pytest.mark.parametrize("nx, ny", [(6, 1), (1, 6)])
@@ -326,28 +361,43 @@ def _swap_step(t, pivot):
     a[2, 2] = pivot
     a[5, 5] = 0.0
     a[2, 5] = a[5, 2] = 1.0
-    return transition_from_drift(np.eye(9) - a, dt=1.0, t=t)
+    return transition_from_drift(np.eye(9) - a, dt=1.0, t=t,
+                                 noise_scale=np.ones(9))
 
 
 @pytest.mark.parametrize("pivot", [0.0, 1e-300])
 def test_singular_schur_block_is_typed(pivot):
+    from spdekit import log_det_block
     from spdekit.errors import SingularTransition
-    steps = [transition_from_drift(-np.eye(9), dt=1.0, t=1),
+    from spdekit.estimation import _mean_nll, _step_terms
+    from spdekit.precision import PriorStructure, prior_precision
+    g = SpaceTimeGrid(nx=3, ny=3, nt=3)
+    steps = [transition_from_drift(-np.eye(9), dt=1.0, t=1,
+                                   noise_scale=np.ones(9)),
              _swap_step(2, pivot)]
-    # the banded LU pivots and succeeds; the block recursion does not
-    assert abs(steps[1].log_abs_det()) < 1e-12
-    rows, cols = _block_tridiagonal_entries(3, 9)
-    with pytest.raises(SingularTransition, match="block row 0") as info:
-        state_space.selected_inverse(steps, 3, rows, cols)
-    assert info.value.t == 2
+    # A_2 is nonsingular, and a pivoting LU factors it; the block
+    # recursion does not pivot across block rows, so the loss fails where
+    # the gradient does, naming the step and the block row
+    sign, log_abs_det = np.linalg.slogdet(steps[1].a_solve.toarray())
+    assert sign != 0 and abs(log_abs_det) < 1e-12
+    states = np.ones((g.nt, g.m, 1))
+    prior = PriorStructure(ParamFields.stationary(g), steps,
+                           initial_condition(steps[0], g, "white"))
+    q = prior_precision(prior)
+    for call in (lambda: _selected_entries(steps, 3),
+                 lambda: _mean_nll(states, prior, _step_terms(states, prior)),
+                 lambda: log_det_block(q)):
+        with pytest.raises(SingularTransition, match="block row 0") as info:
+            call()
+        assert info.value.t == 2
 
 
-def test_zero_pivot_in_selected_inverse_raises_from_banded_lu():
+def test_zero_step_matrix_in_selected_inverse_is_typed():
     from spdekit.errors import SingularTransition
     step = transition_from_drift(np.eye(9), dt=1.0, t=4)     # A = 0
-    rows, cols = _block_tridiagonal_entries(3, 9)
-    with pytest.raises(SingularTransition, match="zero pivot") as info:
-        state_space.selected_inverse([step], 3, rows, cols)
+    with pytest.raises(SingularTransition,
+                       match="singular Schur block in block row 0") as info:
+        _selected_entries([step], 3)
     assert info.value.t == 4
 
 
