@@ -392,7 +392,7 @@ def test_singular_schur_block_is_typed(pivot):
         assert info.value.t == 2
 
 
-def test_zero_step_matrix_in_selected_inverse_is_typed():
+def test_zero_pivot_in_selected_inverse_raises_from_banded_lu():
     from spdekit.errors import SingularTransition
     step = transition_from_drift(np.eye(9), dt=1.0, t=4)     # A = 0
     with pytest.raises(SingularTransition,
