@@ -1,15 +1,22 @@
 """Sparse SPD factorization, log-determinants, Cholesky adjoint, and PCG.
 
 The trajectory precision is block-tridiagonal; factorization works in
-banded storage (LAPACK *pbtrf) in the time-major ordering, half-bandwidth
-p = m + nx + 1, with the identity permutation and no ordering library.
-At nt = 10 that is the narrower ordering only up to about 20 cells a side:
-numbered cell by cell, time inside, p = nt (2 nx + 2), and p measured 273
-(time-major) against 340 (cell-major) at 16 a side, 601/500 at 24,
-1057/660 at 32 and 2353/980 at 48. One writer, ``lower_band``, writes
-every SPD band from a CSR matrix (checking the values it writes, not the
-band, for finiteness), and ``cholesky_banded`` factors it in place with
-one dpbtrf call, reading a failed pivot's row from LAPACK's info. Solves
+banded storage (LAPACK *pbtrf) under a structured ordering of the
+unknowns, with no ordering library. ``sparse_cholesky`` keeps the matrix's
+own (time-major) order, half-bandwidth p = m + k (nx + 1) with k =
+alpha/2. The posterior solver (``oi.PosteriorSolver``) reads p from its
+matrix for that order and for the row-time order, unknown (t, y, x) at
+(y nt + t) nx + x (x and y swapped when nx > ny), where p = 2k (nt nx + 1),
+and factors in the narrower. At nt = 10 and alpha = 2, p measured 273
+(time-major) against 322 (row-time) at 16 a side, 601/482 at 24, 1057/642
+at 32 and 2353/962 at 48 (at alpha = 4, 1090/1284 at 32 and 2402/1924 at
+48); a burn-in start's dense P_0^-1 makes row-time p about dim, so it
+keeps time-major.
+One writer, ``lower_band``, writes every SPD band from a CSR matrix under
+an optional permutation (checking the values it writes, not the band, for
+finiteness), and ``cholesky_banded`` factors it in place with one dpbtrf
+call, reading a failed pivot's row from LAPACK's info; the factor carries
+the permutation, so its solve takes and returns the natural order. Solves
 read that band in place, 64 columns of L at a time, with numpy's level-3
 BLAS on 16-column panels of the right-hand side
 (``CholeskyFactor.solve``); the PCG block preconditioner's one-vector
@@ -81,14 +88,18 @@ def _tril_inverse(tri: np.ndarray) -> np.ndarray:
 
 @dataclass
 class CholeskyFactor:
-    """Lower Cholesky factor in banded storage; permutation is identity.
+    """Lower Cholesky factor in banded storage, L L^T = P A P^T.
 
-    band[k, j] holds L[j + k, j] for k = 0..bandwidth.
+    band[k, j] holds L[j + k, j] for k = 0..bandwidth. ``perm`` places
+    unknown i at row perm[i] of L (None: the identity), so L, its
+    diagonal and ``as_dense_lower`` are in that order, while ``solve``
+    takes and returns vectors in A's own order.
     """
 
     band: np.ndarray
     n: int
     bandwidth: int
+    perm: np.ndarray | None = None
     _cache: list | None = field(default=None, init=False, repr=False,
                                 compare=False)
 
@@ -113,6 +124,10 @@ class CholeskyFactor:
         gives a column different bits at different widths, so this keeps
         each column's result the same whatever else is solved with it.
 
+        Under ``perm`` the rows of b are scattered to their rows of L as
+        the panels are filled and gathered back at the end, which moves
+        values but changes no bits.
+
         The band is not scanned for NaNs: it comes out of a checked
         factorization, and a non-finite b comes back non-finite, which
         callers test in their residual check.
@@ -124,7 +139,10 @@ class CholeskyFactor:
         k = cols.shape[1]
         panels = -(-k // _PANEL)
         x = np.zeros((panels * _PANEL, self.n))
-        x[:k] = cols.T
+        if self.perm is None:
+            x[:k] = cols.T
+        else:
+            x[:k, self.perm] = cols.T
         # (panels, n, _PANEL): row block c:c+w of every panel is x[:, c:c+w]
         x = np.ascontiguousarray(
             x.reshape(panels, _PANEL, self.n).transpose(0, 2, 1))
@@ -141,7 +159,8 @@ class CholeskyFactor:
             z -= below.T @ x[:, c + w:end]
             z -= trap.T @ x[:, end:end + trap.shape[0]]
             x[:, c:c + w] = inv.T @ z
-        out = x.transpose(1, 0, 2).reshape(self.n, panels * _PANEL)[:, :k]
+        out = x.transpose(1, 0, 2).reshape(self.n, panels * _PANEL)
+        out = out[:, :k] if self.perm is None else out[self.perm, :k]
         return np.ascontiguousarray(out).reshape(b.shape)
 
     def _blocks(self) -> list:
@@ -206,19 +225,27 @@ class CholeskyFactor:
         return out
 
 
-def lower_band(a: sparse.csr_array, scale: np.ndarray | None = None
-               ) -> np.ndarray:
+def lower_band(a: sparse.csr_array, scale: np.ndarray | None = None,
+               perm: np.ndarray | None = None) -> np.ndarray:
     """Fortran-ordered lower band of the symmetric, duplicate-free CSR
-    matrix a, or of diag(s) a diag(s) with a scale s: each entry with
-    i >= j written as a_ij, or (s_i a_ij) s_j, at band[i - j, j], with row
-    numbers from indptr in the width of a's indices. A non-finite value
-    written raises ValueError (a scan of the nnz values, not the band)."""
-    rows = np.repeat(np.arange(a.shape[0], dtype=a.indices.dtype),
-                     np.diff(a.indptr))
-    offsets = rows - a.indices
+    matrix a, or of diag(s) a diag(s) with a scale s, under a permutation
+    that puts unknown i at row perm[i] (None: the identity). With I =
+    perm[i] and J = perm[j], each entry with I >= J is written as a_ij, or
+    (s_i a_ij) s_j, at band[I - J, J], with row numbers from indptr in the
+    width of a's indices (or of perm). A non-finite value written raises
+    ValueError (a scan of the nnz values, not the band)."""
+    n = a.shape[0]
+    rows = np.repeat(np.arange(n, dtype=a.indices.dtype) if perm is None
+                     else perm, np.diff(a.indptr))
+    cols = a.indices if perm is None else perm[a.indices]
+    if perm is not None and scale is not None:
+        placed = np.empty_like(scale)
+        placed[perm] = scale
+        scale = placed
+    offsets = rows - cols
     lower = offsets >= 0
-    rows, cols, offsets = rows[lower], a.indices[lower], offsets[lower]
-    band = np.zeros((int(offsets.max(initial=0)) + 1, a.shape[0]), order="F")
+    rows, cols, offsets = rows[lower], cols[lower], offsets[lower]
+    band = np.zeros((int(offsets.max(initial=0)) + 1, n), order="F")
     values = a.data[lower] if scale is None else \
         (scale[rows] * a.data[lower]) * scale[cols]
     if not np.isfinite(values).all():
@@ -248,21 +275,26 @@ def sparse_cholesky(a) -> CholeskyFactor:
     return cholesky_banded(lower_band(a))
 
 
-def cholesky_banded(band: np.ndarray) -> CholeskyFactor:
+def cholesky_banded(band: np.ndarray, perm: np.ndarray | None = None
+                    ) -> CholeskyFactor:
     """Factor, in place, the Fortran-ordered lower band of a symmetric
-    positive-definite matrix (band[k, j] = A[j + k, j]) with LAPACK dpbtrf.
+    positive-definite matrix (band[k, j] = A[j + k, j]) with LAPACK dpbtrf;
+    perm is the permutation ``lower_band`` wrote it under, which the
+    factor carries.
 
     A Fortran-ordered band is handed to LAPACK as is, so the factor takes
     no second band-sized copy; nor is it scanned (``lower_band`` checks
-    its values). A failed pivot raises NotPositiveDefinite with its row.
+    its values). A failed pivot raises NotPositiveDefinite with its row of
+    the unpermuted matrix.
     """
     factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
     if info > 0:
-        raise NotPositiveDefinite(info - 1)
+        row = info - 1 if perm is None else int(np.argmax(perm == info - 1))
+        raise NotPositiveDefinite(row)
     if info < 0:
         raise ValueError(f"dpbtrf: illegal value in argument {-info}")
     return CholeskyFactor(band=factor, n=band.shape[1],
-                          bandwidth=band.shape[0] - 1)
+                          bandwidth=band.shape[0] - 1, perm=perm)
 
 
 def log_det_block(q) -> float:
@@ -273,11 +305,13 @@ def log_det_block(q) -> float:
     2 log|det A_t| + sum(log w_t) in closed form
     (``precision._prior_log_det``), where log|det A_t| is read off the
     prior's Schur sweep of its steps and nothing else is factored; it is
-    exact for an unmodified prior precision. Without it (a posterior or
+    exact for an unmodified prior precision. A sweep built here is dropped
+    once read (at 48x48x10 it holds 31.9 MB), while one the prior already
+    held for a coming gradient stays. Without a prior (a posterior or
     hand-built precision), a sparse Cholesky of the held matrix.
     """
     if q.prior is not None:
-        return _prior_log_det(q.prior)
+        return _prior_log_det(q.prior, hold_sweep=False)
     return sparse_cholesky(q.to_csr()).logdet()
 
 

@@ -26,6 +26,8 @@ from .state_space import burnin_covariance
 
 DENSE_GUARD = 5000
 RESIDUAL_TOL = 1e-8
+# entries per chunk of the row-time bandwidth scan (_posterior_order)
+_SCAN = 1 << 16
 
 
 def scatter_obs(obs: ObservationSet, weighted: np.ndarray) -> np.ndarray:
@@ -36,6 +38,49 @@ def scatter_obs(obs: ObservationSet, weighted: np.ndarray) -> np.ndarray:
     return out
 
 
+def _time_major_bandwidth(a) -> int:
+    """Half-bandwidth of the symmetric CSR matrix a in its own order, each
+    of whose rows holds its diagonal: the largest distance from a row to
+    its first column, in O(dim) memory."""
+    first = np.minimum.reduceat(a.indices, a.indptr[:-1])
+    return int(np.max(np.arange(a.shape[0]) - first))
+
+
+def _row_time_positions(grid: SpaceTimeGrid, dtype) -> np.ndarray:
+    """Row of unknown (t, y, x) in the row-time order, (y nt + t) nx + x,
+    with x and y swapped when nx > ny so that the shorter axis runs
+    fastest: at stencil radius k = alpha/2 its half-bandwidth is
+    2k (nt min(nx, ny) + 1), against m + k (nx + 1) time-major."""
+    t, y, x = np.indices(grid.shape, dtype=dtype)
+    if grid.nx > grid.ny:
+        x, y = y, x
+    return ((y * grid.nt + t) * min(grid.nx, grid.ny) + x).reshape(-1)
+
+
+def _posterior_order(a, grid: SpaceTimeGrid) -> np.ndarray | None:
+    """The narrower ordering of the symmetric (dim, dim) CSR matrix a:
+    None for its own time-major order, or the row-time positions
+    (``_row_time_positions``) when their half-bandwidth, read from a's
+    entries, is smaller. The row-time width is read in chunks of about
+    ``_SCAN`` entries and the scan stops once it reaches the time-major
+    width, so a burn-in start, whose dense P_0^-1 fills the first rows,
+    stops in its first chunk and takes no nnz-sized temporary."""
+    limit = _time_major_bandwidth(a)
+    pos = _row_time_positions(grid, a.indices.dtype)
+    width, start = 0, 0
+    while start < grid.dim:
+        # the rows from start holding at most _SCAN entries, at least one
+        stop = max(int(np.searchsorted(a.indptr, a.indptr[start] + _SCAN,
+                                       "right")) - 1, start + 1)
+        rows = np.repeat(pos[start:stop], np.diff(a.indptr[start:stop + 1]))
+        cols = pos[a.indices[a.indptr[start]:a.indptr[stop]]]
+        width = max(width, int(np.max(rows - cols)))
+        if width >= limit:
+            return None
+        start = stop
+    return pos
+
+
 class PosteriorSolver:
     """Factorized posterior precision, reusable across observation values.
 
@@ -44,12 +89,14 @@ class PosteriorSolver:
     sqrt(diag A), so that near-zero noise variances (huge diagonal
     information) do not degrade the achievable residual. Its lower band is
     written from A's CSR values by ``linalg.lower_band`` (A is symmetric
-    by construction, so unchecked but for finite values) and factored in
-    place by ``linalg.cholesky_banded``'s one dpbtrf call, which raises
-    NotPositiveDefinite with the failing row. With "pcg", A is kept with a
-    block-diagonal preconditioner. ``prior`` keeps the prior structure of
-    ``q`` (None if ``q`` was modified after assembly), which conditional
-    sampling draws its prior members from.
+    by construction, so unchecked but for finite values), in the narrower
+    of two orderings that A's own pattern gives (``_posterior_order``),
+    and factored in place by ``linalg.cholesky_banded``'s one dpbtrf call,
+    which raises NotPositiveDefinite with the failing row. The factor
+    carries the ordering, so solves run in A's order. With "pcg", A is
+    kept with a block-diagonal preconditioner. ``prior`` keeps the prior
+    structure of ``q`` (None if ``q`` was modified after assembly), which
+    conditional sampling draws its prior members from.
     """
 
     def __init__(self, q: BlockPrecision, obs: ObservationSet,
@@ -66,7 +113,9 @@ class PosteriorSolver:
         if method == "direct":
             a = self.q_post.to_csr()
             self._scale = 1.0 / np.sqrt(a.diagonal())
-            self._factor = cholesky_banded(lower_band(a, self._scale))
+            perm = _posterior_order(a, self.grid)
+            self._factor = cholesky_banded(lower_band(a, self._scale, perm),
+                                           perm)
         else:
             self._precond = block_diagonal_preconditioner(self.q_post)
 

@@ -139,21 +139,28 @@ def _step_weights(step: TransitionStep, dt: float) -> np.ndarray:
     return 1.0 / (dt * tau)**2
 
 
-def _prior_log_det(prior: PriorStructure) -> float:
+def _prior_log_det(prior: PriorStructure, hold_sweep: bool = True
+                   ) -> float:
     """log|Q| of the prior by the closed form of the module docstring.
 
     log|det A_t| comes from the prior's Schur sweep, which it holds for
-    the gradient's selected inverse at the same theta. A white start with
-    sigma0 <= 0 raises DegenerateNoise(0), a tau below the floor
-    DegenerateNoise(t), and an A_t that is singular, or whose Schur blocks
-    are, SingularTransition(t) naming the block row.
+    the gradient's selected inverse at the same theta; with hold_sweep
+    False, a sweep this call builds is dropped once read (one the prior
+    held already stays). A white start with sigma0 <= 0 raises
+    DegenerateNoise(0), a tau below the floor DegenerateNoise(t), and an
+    A_t that is singular, or whose Schur blocks are, SingularTransition(t)
+    naming the block row.
     """
     if prior.ic.mode == "white" and prior.ic.sigma0 <= 0:
         raise DegenerateNoise(0, prior.ic.sigma0)
     log_w = [float(np.sum(np.log(_step_weights(step, prior.grid.dt))))
              for step in prior.transitions]
+    built = prior._sweep is None
+    sweep = prior.schur_sweep()
+    if built and not hold_sweep:
+        prior._sweep = None
     total = prior.ic.logdet_prec
-    for log_abs_det, log_w_t in zip(prior.schur_sweep().log_abs_det, log_w):
+    for log_abs_det, log_w_t in zip(sweep.log_abs_det, log_w):
         total += 2.0 * log_abs_det + log_w_t
     return float(total)
 

@@ -471,10 +471,11 @@ def propagate(transitions: list[TransitionStep], x0: np.ndarray,
 # Members drawn (and, in conditional sampling, solved) together. The
 # posterior solve works on 16-column panels and reads the banded factor once
 # per substitution pass of a call, so a block of 32 shares each read between
-# two panels. On the 24x24x10, 100-member white-start ensemble (perfbench,
-# 2-core VM), blocks of 8, 16 and 32 took medians of 0.64, 0.54 and 0.43 s
-# per op (2, 6 and 6 runs) at the same 134 MB peak RSS. Blocks of 64 and
-# 100 added 5 and 14 MB when last measured, with a column-by-column solve.
+# two panels. On a 24x24x10, 100-member white-start `sample-posterior`
+# (row-time factor, p = 482; 2-core VM, 2 BLAS threads; one process per
+# size, medians of 4 ops), blocks of 16, 32, 64 and 100 took 0.23, 0.22,
+# 0.20-0.22 and 0.22 s per op at peak RSS 110, 118, 123 and 134 MB: past 32
+# a block costs memory and saves little time.
 _MEMBER_BLOCK = 32
 
 

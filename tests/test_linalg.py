@@ -9,7 +9,7 @@ from spdekit import (BlockPrecision, SpaceTimeGrid, assemble_block_precision,
                      block_diagonal_preconditioner, cholesky_backward,
                      log_det_block, pcg_solve, sparse_cholesky)
 from spdekit.errors import MaxIterations, NotPositiveDefinite
-from spdekit.linalg import lower_band
+from spdekit.linalg import cholesky_banded, lower_band
 from spdekit.precision import ObservationSet, apply_precision, \
     posterior_precision
 
@@ -156,21 +156,66 @@ def test_blocked_solve_matches_dense_oracle(n, p, k):
     assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_blocked_solve_column_bits_do_not_depend_on_neighbours():
-    # every column is solved in a 16-column panel, so its bits are the
-    # same alone, at any position of a wider right-hand side, and next to
-    # any other columns
-    fac = sparse_cholesky(_banded_spd(700, 150, seed=3))
+def _assert_column_bits_stand_alone(fac):
+    n = fac.n
     rng = np.random.default_rng(4)
     for k in (2, 16, 17, 40):
-        b = rng.standard_normal((700, k))
+        b = rng.standard_normal((n, k))
         together = fac.solve(b)
         for j in rng.choice(k, size=min(k, 5), replace=False):
             alone = fac.solve(b[:, j])
             assert alone.tobytes() == together[:, j].tobytes()
-        others = rng.standard_normal((700, 20))
+        others = rng.standard_normal((n, 20))
         others[:, 18] = b[:, 0]
         assert fac.solve(others)[:, 18].tobytes() == together[:, 0].tobytes()
+
+
+def test_blocked_solve_column_bits_do_not_depend_on_neighbours():
+    # every column is solved in a 16-column panel, so its bits are the
+    # same alone, at any position of a wider right-hand side, and next to
+    # any other columns
+    _assert_column_bits_stand_alone(
+        sparse_cholesky(_banded_spd(700, 150, seed=3)))
+
+
+def _permuted_banded(n, p, seed):
+    """A banded SPD matrix with its unknowns shuffled, as (matrix, perm):
+    perm puts unknown i back at its row of the band."""
+    band_order = _banded_spd(n, p, seed=seed)
+    perm = np.random.default_rng(seed).permutation(n).astype(np.int32)
+    return band_order[np.ix_(perm, perm)], band_order, perm
+
+
+def test_blocked_solve_column_bits_on_a_permuted_factor():
+    # the scatter into panels and the gather out of them move values only
+    a, band_order, perm = _permuted_banded(700, 150, seed=3)
+    fac = cholesky_banded(lower_band(sparse.csr_array(a), perm=perm), perm)
+    assert fac.bandwidth == 150
+    _assert_column_bits_stand_alone(fac)
+    b = np.random.default_rng(6).standard_normal((700, 3))
+    ref = np.linalg.solve(a, b)
+    assert np.max(np.abs(fac.solve(b) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_permuted_band_is_the_band_of_the_permuted_matrix():
+    # under perm, lower_band writes the band of the matrix with unknown i
+    # at row perm[i], scaled values included, bit for bit
+    a, band_order, perm = _permuted_banded(200, 7, seed=8)
+    scale = np.random.default_rng(9).uniform(0.5, 2.0, 200)
+    placed = np.empty_like(scale)
+    placed[perm] = scale
+    assert np.array_equal(
+        lower_band(sparse.csr_array(a), scale, perm),
+        lower_band(sparse.csr_array(band_order), placed))
+
+
+def test_permuted_factor_names_the_failing_row_of_the_matrix():
+    a, band_order, perm = _permuted_banded(60, 4, seed=10)
+    j = 17                                     # an unknown of a
+    a[j, j] = -1.0
+    with pytest.raises(NotPositiveDefinite) as info:
+        cholesky_banded(lower_band(sparse.csr_array(a), perm=perm), perm)
+    assert info.value.row == j
 
 
 def test_block_preconditioner_is_lapack_banded_solve_per_step():
@@ -345,3 +390,21 @@ def test_pcg_max_iterations_carries_residual():
                   max_iter=2)
     assert exc.value.iterations == 2
     assert exc.value.residual > 0
+
+
+@pytest.mark.parametrize("held", [False, True])
+@pytest.mark.parametrize("p0_mode", ["burnin", "white"])
+def test_log_det_block_drops_only_a_sweep_it_built(p0_mode, held):
+    # a Schur sweep log_det_block builds is dropped once read; one the
+    # prior already held for a coming gradient stays; the bits are those
+    # of the closed form either way
+    from spdekit.precision import _prior_log_det
+    g = SpaceTimeGrid(nx=6, ny=5, nt=4)
+    theta = random_theta(g, 11)
+    opts = dict(p0_mode=p0_mode, burn_in=5)
+    q = assemble_block_precision(theta, g, **opts)
+    sweep = q.prior.schur_sweep() if held else None
+    value = log_det_block(q)
+    assert q.prior._sweep is sweep
+    assert value == _prior_log_det(assemble_block_precision(theta, g,
+                                                            **opts).prior)

@@ -281,3 +281,122 @@ def test_non_finite_posterior_entry_is_a_value_error():
     q = BlockPrecision(g, sparse.csr_array(a))
     with pytest.raises(ValueError, match="non-finite"):
         PosteriorSolver(q, _random_obs(g, 46))
+
+
+# (nx, ny, nt, dy, h12, alpha): nx = ny, nx > ny (axes swapped) and
+# nx < ny, dx != dy, h12 = 0 (the assembled Q drops the ring's zero
+# corners), alpha 2 and 4, nt 2 and 10; each ordering wins somewhere
+_ORDER_CASES = [(24, 24, 10, 1.0, 0.3, 2), (6, 6, 2, 1.0, 0.3, 2),
+                (7, 5, 3, 1.3, 0.0, 2), (16, 12, 2, 1.0, 0.0, 2),
+                (12, 9, 10, 0.7, 0.2, 2), (30, 22, 10, 1.0, 0.2, 2),
+                (5, 7, 3, 1.0, 0.0, 4), (8, 6, 10, 1.0, 0.2, 4),
+                (9, 12, 2, 1.3, 0.2, 4)]
+
+
+def _order_widths(g, h12, alpha):
+    """Half-bandwidths of the posterior time-major and row-time: the ring
+    of radius k = alpha/2 in A_t gives Q radius k across a step and 2k
+    within one; at h12 = 0 the diagonal neighbours drop out."""
+    k = alpha // 2
+    corner = k if h12 else 0
+    return (g.m + k * g.nx + corner,
+            2 * k * g.nt * min(g.nx, g.ny) + 2 * corner)
+
+
+@pytest.mark.parametrize("nx,ny,nt,dy,h12,alpha", _ORDER_CASES)
+def test_posterior_factor_takes_the_narrower_ordering(nx, ny, nt, dy, h12,
+                                                      alpha):
+    g = SpaceTimeGrid(nx=nx, ny=ny, nt=nt, dy=dy)
+    theta = ParamFields.stationary(g, kappa=0.5, m=(0.3, -0.2),
+                                   h=(1.0, h12, 0.8), alpha=alpha)
+    time_major, row_time = _order_widths(g, h12, alpha)
+    obs = _random_obs(g, 47)
+    fac = PosteriorSolver(assemble_block_precision(theta, g, p0_mode="white"),
+                          obs)._factor
+    assert fac.bandwidth == min(time_major, row_time)
+    assert (fac.perm is None) == (time_major <= row_time)
+    # a burn-in start's dense P_0^-1 keeps it time-major
+    fac = PosteriorSolver(assemble_block_precision(theta, g, burn_in=3),
+                          obs)._factor
+    assert fac.perm is None and fac.bandwidth == time_major
+
+
+@pytest.mark.parametrize("p0_mode", ["burnin", "white"])
+@pytest.mark.parametrize("seed", range(3))
+def test_both_orderings_agree(monkeypatch, p0_mode, seed):
+    from spdekit import oi
+    g = SpaceTimeGrid(nx=7, ny=5, nt=4)
+    q = assemble_block_precision(random_theta(g, seed + 50), g,
+                                 p0_mode=p0_mode, burn_in=5)
+    obs = _random_obs(g, seed + 51)
+    values = np.column_stack([obs.values, -obs.values, np.ones(obs.n_obs)])
+    solved = {}
+    for name, order in (("time-major", lambda a, grid: None),
+                        ("row-time", lambda a, grid: oi._row_time_positions(
+                            grid, a.indices.dtype))):
+        monkeypatch.setattr(oi, "_posterior_order", order)
+        solver = PosteriorSolver(q, obs)
+        assert (solver._factor.perm is None) == (name == "time-major")
+        solved[name] = solver.solve_columns(values)
+    ref = solved["time-major"]
+    assert np.max(np.abs(solved["row-time"] - ref)) \
+        <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_row_time_factor_matches_dense_oracle(seed):
+    # at 6x6x2 the row-time order is the narrower one (p 26 against 43)
+    g = SpaceTimeGrid(nx=6, ny=6, nt=2)
+    theta = random_theta(g, seed + 60)
+    q = assemble_block_precision(theta, g, p0_mode="white")
+    obs = _random_obs(g, seed + 61)
+    solver = PosteriorSolver(q, obs)
+    assert solver._factor.perm is not None
+    assert solver._factor.bandwidth == 26
+    x_dense = oi_solve_dense_oracle(theta, g, obs, p0_mode="white")
+    assert np.max(np.abs(solver.solve().flat - x_dense.flat)) < 1e-8
+
+
+@pytest.mark.parametrize("p0_mode", ["burnin", "white"])
+def test_direct_matches_pcg_past_the_dense_guard(p0_mode):
+    # at 24x24x10 (dim 5760 > DENSE_GUARD) no dense oracle reaches; the
+    # banded factor and PCG agreed to 8.3e-12 (white, row-time, 42 PCG
+    # iterations) and 1.9e-12 (burn-in, time-major, 36) relative
+    from spdekit.oi import DENSE_GUARD
+    g = SpaceTimeGrid(nx=24, ny=24, nt=10)
+    assert g.dim > DENSE_GUARD
+    q = assemble_block_precision(random_theta(g, 62), g, p0_mode=p0_mode)
+    obs = _random_obs(g, 63, density=0.2)
+    solver = PosteriorSolver(q, obs)
+    assert (solver._factor.perm is None) == (p0_mode == "burnin")
+    direct = solver.solve().flat
+    pcg = oi_solve_precision(q, obs, method="pcg", tol=1e-12).flat
+    assert np.max(np.abs(direct - pcg)) <= 1e-10 * np.max(np.abs(direct))
+
+
+def test_ordering_scan_is_chunked_and_stops_early(monkeypatch):
+    # read in many chunks, the row-time width gives the same choice; a
+    # burn-in start's dense first rows end the scan in its first chunk,
+    # which holds well under one nnz-sized index array
+    import tracemalloc
+
+    from spdekit import oi
+    from spdekit.precision import posterior_precision
+    monkeypatch.setattr(oi, "_SCAN", 1000)
+    g = SpaceTimeGrid(nx=16, ny=16, nt=3)
+    theta = random_theta(g, 64)
+    obs = _random_obs(g, 65)
+    white = posterior_precision(
+        assemble_block_precision(theta, g, p0_mode="white"), obs).to_csr()
+    assert white.nnz > 10 * oi._SCAN
+    assert np.array_equal(oi._posterior_order(white, g),
+                          oi._row_time_positions(g, white.indices.dtype))
+    burnin = posterior_precision(
+        assemble_block_precision(theta, g, burn_in=3), obs).to_csr()
+    tracemalloc.start()
+    try:
+        assert oi._posterior_order(burnin, g) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < burnin.nnz, (peak, burnin.nnz)

@@ -397,6 +397,20 @@ def test_prior_log_det_matches_the_band_cholesky(p0_mode):
 
 
 @pytest.mark.parametrize("p0_mode", ["burnin", "white"])
+def test_prior_log_det_past_the_dense_guard(p0_mode):
+    # the same two paths at 24x24x10 (dim 5760 > DENSE_GUARD), where no
+    # dense oracle reaches; they gave the same bits in both modes
+    from spdekit.oi import DENSE_GUARD
+    from spdekit.precision import _prior_log_det
+    g = SpaceTimeGrid(nx=24, ny=24, nt=10)
+    assert g.dim > DENSE_GUARD
+    q = assemble_block_precision(random_theta(g, 45), g, p0_mode=p0_mode)
+    ours = _prior_log_det(q.prior)
+    assert abs(ours - sparse_cholesky(q.to_csr()).logdet()) \
+        <= 1e-13 * abs(ours)
+
+
+@pytest.mark.parametrize("p0_mode", ["burnin", "white"])
 def test_a_previous_prior_gives_up_its_sweep(p0_mode):
     # build_prior frees the Schur sweep a previous prior holds, whether it
     # spends the prior (a burn-in slab 1 moved) or hands its steps over
