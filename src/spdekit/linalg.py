@@ -6,12 +6,12 @@ unknowns, with no ordering library. ``sparse_cholesky`` keeps the matrix's
 own (time-major) order, half-bandwidth p = m + k (nx + 1) with k =
 alpha/2. The posterior solver (``oi.PosteriorSolver``) reads p from its
 matrix for that order and for the row-time order, unknown (t, y, x) at
-(y nt + t) nx + x (x and y swapped when nx > ny), where p = 2k (nt nx + 1),
-and factors in the narrower. At nt = 10 and alpha = 2, p measured 273
-(time-major) against 322 (row-time) at 16 a side, 601/482 at 24, 1057/642
-at 32 and 2353/962 at 48 (at alpha = 4, 1090/1284 at 32 and 2402/1924 at
-48); a burn-in start's dense P_0^-1 makes row-time p about dim, so it
-keeps time-major.
+(y nt + t) nx + x (x and y swapped when nx > ny), where p = 2k (nt
+min(nx, ny) + 1), and factors in the narrower. At nt = 10 and alpha = 2,
+p measured 273 (time-major) against 322 (row-time) at 16 a side, 601/482
+at 24, 1057/642 at 32 and 2353/962 at 48 (at alpha = 4, 1090/1284 at 32
+and 2402/1924 at 48); a burn-in start's dense P_0^-1 makes row-time p
+about dim, so it keeps time-major.
 One writer, ``lower_band``, writes every SPD band from a CSR matrix under
 an optional permutation (checking the values it writes, not the band, for
 finiteness), and ``cholesky_banded`` factors it in place with one dpbtrf

@@ -39,9 +39,9 @@ def scatter_obs(obs: ObservationSet, weighted: np.ndarray) -> np.ndarray:
 
 
 def _time_major_bandwidth(a) -> int:
-    """Half-bandwidth of the symmetric CSR matrix a in its own order, each
-    of whose rows holds its diagonal: the largest distance from a row to
-    its first column, in O(dim) memory."""
+    """Half-bandwidth of the symmetric CSR matrix a in its own order, none
+    of whose rows is empty: the largest distance from a row to its first
+    column, in O(dim) memory."""
     first = np.minimum.reduceat(a.indices, a.indptr[:-1])
     return int(np.max(np.arange(a.shape[0]) - first))
 
@@ -64,7 +64,11 @@ def _posterior_order(a, grid: SpaceTimeGrid) -> np.ndarray | None:
     entries, is smaller. The row-time width is read in chunks of about
     ``_SCAN`` entries and the scan stops once it reaches the time-major
     width, so a burn-in start, whose dense P_0^-1 fills the first rows,
-    stops in its first chunk and takes no nnz-sized temporary."""
+    stops in its first chunk and takes no nnz-sized temporary. A matrix
+    with an empty row keeps its own order, whose band then holds that
+    row's zero diagonal for the factor to report."""
+    if (np.diff(a.indptr) == 0).any():
+        return None
     limit = _time_major_bandwidth(a)
     pos = _row_time_positions(grid, a.indices.dtype)
     width, start = 0, 0

@@ -271,6 +271,31 @@ def test_non_positive_definite_posterior_names_its_row():
     assert info.value.row == ref.value.row == j
 
 
+@pytest.mark.parametrize("row", [30, 71])
+def test_empty_posterior_row_names_its_row(row):
+    # a hand-built Q with one row and column zeroed, that cell unobserved:
+    # the row holds no entry, not even its diagonal, so the ordering scan
+    # keeps time-major and the factor reports the zero pivot, typed, on a
+    # 6x6x2 grid where a full Q would take row-time
+    from scipy import sparse
+
+    from spdekit import BlockPrecision
+    from spdekit.errors import NotPositiveDefinite
+    g = SpaceTimeGrid(nx=6, ny=6, nt=2)
+    a = assemble_block_precision(random_theta(g, 47), g).to_csr().tolil()
+    a[row, :] = 0.0
+    a[:, row] = 0.0
+    a = sparse.csr_array(a)
+    a.eliminate_zeros()
+    assert a.indptr[row] == a.indptr[row + 1]
+    q = BlockPrecision(g, a)
+    obs = ObservationSet(g, np.zeros(g.shape, dtype=bool), [], [])
+    with pytest.raises(NotPositiveDefinite) as info, \
+            np.errstate(divide="ignore"):
+        PosteriorSolver(q, obs)
+    assert info.value.row == row
+
+
 def test_non_finite_posterior_entry_is_a_value_error():
     from scipy import sparse
 
