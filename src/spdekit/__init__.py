@@ -14,8 +14,7 @@ from .state_space import (Ensemble, InitialCondition, TransitionStep,
                           build_transition, initial_condition, propagate,
                           sample_prior, transition_from_drift)
 from .precision import (BlockPrecision, ObservationSet, apply_precision,
-                        assemble_block_precision, dump_coordinate_triplets,
-                        posterior_precision)
+                        assemble_block_precision, posterior_precision)
 from .linalg import (CholeskyFactor, block_diagonal_preconditioner,
                      cholesky_backward, log_det_block, pcg_solve,
                      sparse_cholesky)
@@ -23,7 +22,7 @@ from .oi import (PosteriorSolver, dense_trajectory_covariance,
                  oi_solve_dense_oracle, oi_solve_precision,
                  variational_cost_grad)
 from .steps import PlainStep
-from .solver import AugmentedState, SolverConfig, run_solver, training_loss
+from .solver import AugmentedState, SolverConfig, run_solver
 from .uncertainty import conditional_sample, ensemble_stats
 from .estimation import fit_params, nll, nll_grad
 from .experiment import (BlocksPattern, RandomPattern, TracksPattern,
@@ -45,14 +44,12 @@ __all__ = [
     "transition_from_drift", "initial_condition", "propagate", "sample_prior",
     "BlockPrecision", "ObservationSet", "assemble_block_precision",
     "posterior_precision", "apply_precision",
-    "dump_coordinate_triplets",
     "CholeskyFactor", "sparse_cholesky",
     "log_det_block", "cholesky_backward", "pcg_solve",
     "block_diagonal_preconditioner",
     "PosteriorSolver", "oi_solve_precision", "oi_solve_dense_oracle",
     "dense_trajectory_covariance", "variational_cost_grad",
     "PlainStep", "SolverConfig", "AugmentedState", "run_solver",
-    "training_loss",
     "conditional_sample", "ensemble_stats",
     "nll", "nll_grad", "fit_params",
     "RandomPattern", "TracksPattern", "BlocksPattern",

@@ -2,21 +2,24 @@
 
 The trajectory precision is block-tridiagonal; factorization works in
 banded storage (LAPACK *pbtrf) under a structured ordering of the
-unknowns, with no ordering library. ``sparse_cholesky`` keeps the matrix's
-own (time-major) order, half-bandwidth p = m + k (nx + 1) with k =
-alpha/2. The posterior solver (``oi.PosteriorSolver``) reads p from its
-matrix for that order and for the row-time order, unknown (t, y, x) at
+unknowns, with no ordering library. ``sparse_cholesky`` is the checked,
+unscaled factor of any SPD matrix in its own (time-major) order,
+half-bandwidth p = m + k (nx + 1) with k = alpha/2. A grid precision (the
+posterior solver's, and ``log_det_block``'s without a prior) is factored
+by ``factor_precision``: Jacobi-scaled, s = 1 / sqrt(diag), and in the
+narrower of that order and the row-time order, unknown (t, y, x) at
 (y nt + t) nx + x (x and y swapped when nx > ny), where p = 2k (nt
-min(nx, ny) + 1), and factors in the narrower. At nt = 10 and alpha = 2,
-p measured 273 (time-major) against 322 (row-time) at 16 a side, 601/482
-at 24, 1057/642 at 32 and 2353/962 at 48 (at alpha = 4, 1090/1284 at 32
-and 2402/1924 at 48); a burn-in start's dense P_0^-1 makes row-time p
-about dim, so it keeps time-major.
+min(nx, ny) + 1), both read from the matrix (Rue & Held 2005, 2.4). At
+nt = 10 and alpha = 2, p measured 273 (time-major) against 322 (row-time)
+at 16 a side, 601/482 at 24, 1057/642 at 32 and 2353/962 at 48 (at alpha
+= 4, 1090/1284 at 32 and 2402/1924 at 48); a burn-in start's dense P_0^-1
+makes row-time p about dim, so it keeps time-major.
 One writer, ``lower_band``, writes every SPD band from a CSR matrix under
-an optional permutation (checking the values it writes, not the band, for
-finiteness), and ``cholesky_banded`` factors it in place with one dpbtrf
-call, reading a failed pivot's row from LAPACK's info; the factor carries
-the permutation, so its solve takes and returns the natural order. Solves
+an optional scale and permutation (checking the values it writes, not the
+band, for finiteness), and ``cholesky_banded`` factors it in place with
+one dpbtrf call, reading a failed pivot's row from LAPACK's info; the
+factor carries the scale and the permutation, so its solve and log-det
+are those of the matrix itself, in its natural order. Solves
 read that band in place, 64 columns of L at a time, with numpy's level-3
 BLAS on 16-column panels of the right-hand side
 (``CholeskyFactor.solve``); the PCG block preconditioner's one-vector
@@ -51,6 +54,7 @@ from scipy import sparse
 from scipy.linalg.lapack import dpbtrf
 
 from .errors import MaxIterations, NotPositiveDefinite
+from .grid import SpaceTimeGrid
 from .precision import _prior_log_det
 
 FACTOR_TOL = 1e-10
@@ -58,6 +62,8 @@ FACTOR_TOL = 1e-10
 # every right-hand side is solved in (see CholeskyFactor.solve).
 _BLOCK = 64
 _PANEL = 16
+# entries per chunk of the row-time bandwidth scan (_posterior_order)
+_SCAN = 1 << 16
 
 
 def _tril_inverse(tri: np.ndarray) -> np.ndarray:
@@ -88,28 +94,39 @@ def _tril_inverse(tri: np.ndarray) -> np.ndarray:
 
 @dataclass
 class CholeskyFactor:
-    """Lower Cholesky factor in banded storage, L L^T = P A P^T.
+    """Lower Cholesky factor in banded storage, L L^T = P S A S P^T.
 
     band[k, j] holds L[j + k, j] for k = 0..bandwidth. ``perm`` places
-    unknown i at row perm[i] of L (None: the identity), so L, its
-    diagonal and ``as_dense_lower`` are in that order, while ``solve``
-    takes and returns vectors in A's own order.
+    unknown i at row perm[i] of L (None: the identity) and ``scale`` is
+    the diagonal of the Jacobi scale S (None: no scale), so L, its
+    diagonal and ``as_dense_lower`` are in that order and scale, while
+    ``solve`` and ``logdet`` are A's, in A's own order.
     """
 
     band: np.ndarray
-    n: int
-    bandwidth: int
     perm: np.ndarray | None = None
+    scale: np.ndarray | None = None
     _cache: list | None = field(default=None, init=False, repr=False,
                                 compare=False)
+
+    @property
+    def n(self) -> int:
+        return self.band.shape[1]
+
+    @property
+    def bandwidth(self) -> int:
+        return self.band.shape[0] - 1
 
     @property
     def diagonal(self) -> np.ndarray:
         return self.band[0]
 
     def logdet(self) -> float:
-        """log|A| = 2 * sum(log diag(L))."""
-        return 2.0 * float(np.sum(np.log(self.band[0])))
+        """log|A| = 2 * sum(log diag(L)) - 2 * sum(log s)."""
+        out = 2.0 * float(np.sum(np.log(self.band[0])))
+        if self.scale is not None:
+            out -= 2.0 * float(np.sum(np.log(self.scale)))
+        return out
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Forward+backward substitution for A x = b (b of shape (n,) or
@@ -124,9 +141,10 @@ class CholeskyFactor:
         gives a column different bits at different widths, so this keeps
         each column's result the same whatever else is solved with it.
 
-        Under ``perm`` the rows of b are scattered to their rows of L as
-        the panels are filled and gathered back at the end, which moves
-        values but changes no bits.
+        Under ``scale`` b's rows are scaled on the way in and x's on the
+        way out. Under ``perm`` the rows of b are scattered to their rows
+        of L as the panels are filled and gathered back at the end, which
+        moves values but changes no bits.
 
         The band is not scanned for NaNs: it comes out of a checked
         factorization, and a non-finite b comes back non-finite, which
@@ -139,10 +157,9 @@ class CholeskyFactor:
         k = cols.shape[1]
         panels = -(-k // _PANEL)
         x = np.zeros((panels * _PANEL, self.n))
-        if self.perm is None:
-            x[:k] = cols.T
-        else:
-            x[:k, self.perm] = cols.T
+        rows = slice(None) if self.perm is None else self.perm
+        x[:k, rows] = (cols if self.scale is None
+                       else self.scale[:, None] * cols).T
         # (panels, n, _PANEL): row block c:c+w of every panel is x[:, c:c+w]
         x = np.ascontiguousarray(
             x.reshape(panels, _PANEL, self.n).transpose(0, 2, 1))
@@ -161,6 +178,8 @@ class CholeskyFactor:
             x[:, c:c + w] = inv.T @ z
         out = x.transpose(1, 0, 2).reshape(self.n, panels * _PANEL)
         out = out[:, :k] if self.perm is None else out[self.perm, :k]
+        if self.scale is not None:
+            out *= self.scale[:, None]
         return np.ascontiguousarray(out).reshape(b.shape)
 
     def _blocks(self) -> list:
@@ -254,14 +273,9 @@ def lower_band(a: sparse.csr_array, scale: np.ndarray | None = None,
     return band
 
 
-def sparse_cholesky(a) -> CholeskyFactor:
-    """Cholesky of a symmetric positive-definite sparse (or dense) matrix.
-
-    Works in banded storage under the natural ordering, summing duplicate
-    entries on a copy. Raises NotPositiveDefinite with the offending row
-    when a pivot fails, ValueError for a non-square, asymmetric or
-    non-finite matrix.
-    """
+def _checked_csr(a) -> sparse.csr_array:
+    """a as a float64 CSR matrix, duplicate entries summed on a copy;
+    ValueError unless it is square and symmetric."""
     a = sparse.csr_array(a, dtype=np.float64)
     if a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
@@ -272,14 +286,25 @@ def sparse_cholesky(a) -> CholeskyFactor:
     asym = abs(a - a.T)
     if asym.nnz and float(asym.max()) > 1e-8 * max(scale, 1.0):
         raise ValueError("matrix is not symmetric")
-    return cholesky_banded(lower_band(a))
+    return a
 
 
-def cholesky_banded(band: np.ndarray, perm: np.ndarray | None = None
-                    ) -> CholeskyFactor:
+def sparse_cholesky(a) -> CholeskyFactor:
+    """Cholesky of a symmetric positive-definite sparse (or dense) matrix.
+
+    Works in banded storage under the natural ordering, unscaled, summing
+    duplicate entries on a copy. Raises NotPositiveDefinite with the
+    offending row when a pivot fails, ValueError for a non-square,
+    asymmetric or non-finite matrix.
+    """
+    return cholesky_banded(lower_band(_checked_csr(a)))
+
+
+def cholesky_banded(band: np.ndarray, perm: np.ndarray | None = None,
+                    scale: np.ndarray | None = None) -> CholeskyFactor:
     """Factor, in place, the Fortran-ordered lower band of a symmetric
     positive-definite matrix (band[k, j] = A[j + k, j]) with LAPACK dpbtrf;
-    perm is the permutation ``lower_band`` wrote it under, which the
+    perm and scale are those ``lower_band`` wrote it under, which the
     factor carries.
 
     A Fortran-ordered band is handed to LAPACK as is, so the factor takes
@@ -293,8 +318,75 @@ def cholesky_banded(band: np.ndarray, perm: np.ndarray | None = None
         raise NotPositiveDefinite(row)
     if info < 0:
         raise ValueError(f"dpbtrf: illegal value in argument {-info}")
-    return CholeskyFactor(band=factor, n=band.shape[1],
-                          bandwidth=band.shape[0] - 1, perm=perm)
+    return CholeskyFactor(band=factor, perm=perm, scale=scale)
+
+
+def _time_major_bandwidth(a) -> int:
+    """Half-bandwidth of the symmetric CSR matrix a in its own order, none
+    of whose rows is empty: the largest distance from a row to its first
+    column, in O(dim) memory."""
+    first = np.minimum.reduceat(a.indices, a.indptr[:-1])
+    return int(np.max(np.arange(a.shape[0]) - first))
+
+
+def _row_time_positions(grid: SpaceTimeGrid, dtype) -> np.ndarray:
+    """Row of unknown (t, y, x) in the row-time order, (y nt + t) nx + x,
+    with x and y swapped when nx > ny so that the shorter axis runs
+    fastest: at stencil radius k = alpha/2 its half-bandwidth is
+    2k (nt min(nx, ny) + 1), against m + k (nx + 1) time-major."""
+    t, y, x = np.indices(grid.shape, dtype=dtype)
+    if grid.nx > grid.ny:
+        x, y = y, x
+    return ((y * grid.nt + t) * min(grid.nx, grid.ny) + x).reshape(-1)
+
+
+def _posterior_order(a, grid: SpaceTimeGrid) -> np.ndarray | None:
+    """The narrower ordering of the symmetric (dim, dim) CSR matrix a, none
+    of whose rows is empty: None for its own time-major order, or the
+    row-time positions (``_row_time_positions``) when their
+    half-bandwidth, read from a's entries, is smaller. The row-time width
+    is read in chunks of about ``_SCAN`` entries and the scan stops once
+    it reaches the time-major width, so a burn-in start, whose dense
+    P_0^-1 fills the first rows, stops in its first chunk and takes no
+    nnz-sized temporary."""
+    limit = _time_major_bandwidth(a)
+    pos = _row_time_positions(grid, a.indices.dtype)
+    width, start = 0, 0
+    while start < grid.dim:
+        # the rows from start holding at most _SCAN entries, at least one
+        stop = max(int(np.searchsorted(a.indptr, a.indptr[start] + _SCAN,
+                                       "right")) - 1, start + 1)
+        rows = np.repeat(pos[start:stop], np.diff(a.indptr[start:stop + 1]))
+        cols = pos[a.indices[a.indptr[start]:a.indptr[stop]]]
+        width = max(width, int(np.max(rows - cols)))
+        if width >= limit:
+            return None
+        start = stop
+    return pos
+
+
+def factor_precision(a: sparse.csr_array, grid: SpaceTimeGrid
+                     ) -> CholeskyFactor:
+    """Cholesky factor of a grid precision: the symmetric, duplicate-free
+    (dim, dim) CSR matrix a, unchecked but for its diagonal and finite
+    values.
+
+    A is Jacobi-equilibrated, diag(s) A diag(s) with s = 1 / sqrt(diag A),
+    so that near-zero noise variances (huge diagonal information) do not
+    degrade the achievable residual, and ordered by ``_posterior_order``;
+    ``lower_band`` writes its band and ``cholesky_banded`` factors it. The
+    factor carries s and the ordering, so it solves and takes the log-det
+    of A itself. The first diagonal entry <= 0 (an empty row's included)
+    raises NotPositiveDefinite with its row before s is taken; a failed
+    pivot raises it with the pivot's row of A.
+    """
+    diag = a.diagonal()
+    bad = np.flatnonzero(diag <= 0)
+    if bad.size:
+        raise NotPositiveDefinite(int(bad[0]))
+    scale = 1.0 / np.sqrt(diag)
+    perm = _posterior_order(a, grid)
+    return cholesky_banded(lower_band(a, scale, perm), perm, scale)
 
 
 def log_det_block(q) -> float:
@@ -308,11 +400,14 @@ def log_det_block(q) -> float:
     exact for an unmodified prior precision. A sweep built here is dropped
     once read (at 48x48x10 it holds 31.9 MB), while one the prior already
     held for a coming gradient stays. Without a prior (a posterior or
-    hand-built precision), a sparse Cholesky of the held matrix.
+    hand-built precision), the held matrix is checked as
+    ``sparse_cholesky`` checks it (duplicates summed on a copy, square,
+    symmetric) and factored by ``factor_precision``, the posterior
+    solver's factor.
     """
     if q.prior is not None:
         return _prior_log_det(q.prior, hold_sweep=False)
-    return sparse_cholesky(q.to_csr()).logdet()
+    return factor_precision(_checked_csr(q.to_csr()), q.grid).logdet()
 
 
 def _ltu(w: np.ndarray) -> np.ndarray:

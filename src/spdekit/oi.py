@@ -4,7 +4,8 @@ With a zero prior mean, the posterior mean solves
 
     (Q + H^T R^{-1} H) x* = H^T R^{-1} y
 
-which reuses the sparse posterior precision. The dense path computes the
+which reuses the sparse posterior precision, factored once by
+``linalg.factor_precision``. The dense path computes the
 same thing as x* = P H^T (H P H^T + R)^{-1} y from the trajectory
 covariance propagated by brute force; it exists purely as a test oracle
 and refuses to run above a dimension guard.
@@ -17,8 +18,8 @@ import scipy.linalg as la
 
 from .errors import DimensionGuard, SolveFailure
 from .grid import SpaceTimeGrid, Trajectory
-from .linalg import (block_diagonal_preconditioner, cholesky_banded,
-                     lower_band, pcg_solve)
+from .linalg import (block_diagonal_preconditioner, factor_precision,
+                     pcg_solve)
 from .operators import ParamFields, _theta_grid
 from .precision import (BlockPrecision, ObservationSet,
                         apply_precision, build_prior, posterior_precision)
@@ -26,8 +27,6 @@ from .state_space import burnin_covariance
 
 DENSE_GUARD = 5000
 RESIDUAL_TOL = 1e-8
-# entries per chunk of the row-time bandwidth scan (_posterior_order)
-_SCAN = 1 << 16
 
 
 def scatter_obs(obs: ObservationSet, weighted: np.ndarray) -> np.ndarray:
@@ -38,69 +37,17 @@ def scatter_obs(obs: ObservationSet, weighted: np.ndarray) -> np.ndarray:
     return out
 
 
-def _time_major_bandwidth(a) -> int:
-    """Half-bandwidth of the symmetric CSR matrix a in its own order, none
-    of whose rows is empty: the largest distance from a row to its first
-    column, in O(dim) memory."""
-    first = np.minimum.reduceat(a.indices, a.indptr[:-1])
-    return int(np.max(np.arange(a.shape[0]) - first))
-
-
-def _row_time_positions(grid: SpaceTimeGrid, dtype) -> np.ndarray:
-    """Row of unknown (t, y, x) in the row-time order, (y nt + t) nx + x,
-    with x and y swapped when nx > ny so that the shorter axis runs
-    fastest: at stencil radius k = alpha/2 its half-bandwidth is
-    2k (nt min(nx, ny) + 1), against m + k (nx + 1) time-major."""
-    t, y, x = np.indices(grid.shape, dtype=dtype)
-    if grid.nx > grid.ny:
-        x, y = y, x
-    return ((y * grid.nt + t) * min(grid.nx, grid.ny) + x).reshape(-1)
-
-
-def _posterior_order(a, grid: SpaceTimeGrid) -> np.ndarray | None:
-    """The narrower ordering of the symmetric (dim, dim) CSR matrix a:
-    None for its own time-major order, or the row-time positions
-    (``_row_time_positions``) when their half-bandwidth, read from a's
-    entries, is smaller. The row-time width is read in chunks of about
-    ``_SCAN`` entries and the scan stops once it reaches the time-major
-    width, so a burn-in start, whose dense P_0^-1 fills the first rows,
-    stops in its first chunk and takes no nnz-sized temporary. A matrix
-    with an empty row keeps its own order, whose band then holds that
-    row's zero diagonal for the factor to report."""
-    if (np.diff(a.indptr) == 0).any():
-        return None
-    limit = _time_major_bandwidth(a)
-    pos = _row_time_positions(grid, a.indices.dtype)
-    width, start = 0, 0
-    while start < grid.dim:
-        # the rows from start holding at most _SCAN entries, at least one
-        stop = max(int(np.searchsorted(a.indptr, a.indptr[start] + _SCAN,
-                                       "right")) - 1, start + 1)
-        rows = np.repeat(pos[start:stop], np.diff(a.indptr[start:stop + 1]))
-        cols = pos[a.indices[a.indptr[start]:a.indptr[stop]]]
-        width = max(width, int(np.max(rows - cols)))
-        if width >= limit:
-            return None
-        start = stop
-    return pos
-
-
 class PosteriorSolver:
     """Factorized posterior precision, reusable across observation values.
 
     With method "direct", the posterior precision A = Q + H^T R^{-1} H is
-    symmetrically Jacobi-equilibrated, diag(s) A diag(s) with s = 1 /
-    sqrt(diag A), so that near-zero noise variances (huge diagonal
-    information) do not degrade the achievable residual. Its lower band is
-    written from A's CSR values by ``linalg.lower_band`` (A is symmetric
-    by construction, so unchecked but for finite values), in the narrower
-    of two orderings that A's own pattern gives (``_posterior_order``),
-    and factored in place by ``linalg.cholesky_banded``'s one dpbtrf call,
-    which raises NotPositiveDefinite with the failing row. The factor
-    carries the ordering, so solves run in A's order. With "pcg", A is
-    kept with a block-diagonal preconditioner. ``prior`` keeps the prior
-    structure of ``q`` (None if ``q`` was modified after assembly), which
-    conditional sampling draws its prior members from.
+    factored once by ``linalg.factor_precision``: Jacobi-scaled, in the
+    narrower of two orderings that A's own pattern gives, with
+    NotPositiveDefinite naming a failing row of A (A is symmetric by
+    construction, so unchecked but for its diagonal and finite values).
+    With "pcg", A is kept with a block-diagonal preconditioner. ``prior``
+    keeps the prior structure of ``q`` (None if ``q`` was modified after
+    assembly), which conditional sampling draws its prior members from.
     """
 
     def __init__(self, q: BlockPrecision, obs: ObservationSet,
@@ -115,19 +62,14 @@ class PosteriorSolver:
         self.prior = q.prior
         self.last_pcg = None
         if method == "direct":
-            a = self.q_post.to_csr()
-            self._scale = 1.0 / np.sqrt(a.diagonal())
-            perm = _posterior_order(a, self.grid)
-            self._factor = cholesky_banded(lower_band(a, self._scale, perm),
-                                           perm)
+            self._factor = factor_precision(self.q_post.to_csr(), self.grid)
         else:
             self._precond = block_diagonal_preconditioner(self.q_post)
 
     def _solve_system(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for the (dim, n) columns of rhs; PCG takes one at a time."""
         if self.method == "direct":
-            scale = self._scale[:, None]
-            return scale * self._factor.solve(scale * rhs)
+            return self._factor.solve(rhs)
         x = np.empty_like(rhs)
         for j in range(rhs.shape[1]):
             result = pcg_solve(

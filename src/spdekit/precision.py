@@ -338,14 +338,3 @@ def apply_precision(q: BlockPrecision, v):
     out = (q.matrix @ states.reshape(q.dim, -1)).reshape(states.shape)
     return Trajectory(q.grid, out) if as_traj else out
 
-
-def dump_coordinate_triplets(q: BlockPrecision, path) -> None:
-    """Write Q as text: header '# n n nnz', then one 'i j value' per line.
-
-    Both triangles are written, 0-based indices, full precision.
-    """
-    coo = q.to_csr().tocoo()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for i, j, val in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i} {j} {val:.17g}\n")

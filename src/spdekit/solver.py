@@ -26,7 +26,7 @@ from .errors import DivergedStep
 from .estimation import (PARAM_NAMES, _reduce, _refuse_dense_moments,
                          _stack_states, _step_terms, _theta_from_vector,
                          _theta_vector, _tie, _trace_gradient,
-                         expected_nll_grad, nll)
+                         expected_nll_grad)
 from .grid import Trajectory
 from .oi import variational_cost_grad
 from .operators import ParamFields, project_params
@@ -245,20 +245,3 @@ def run_solver(x0: Trajectory, theta0: ParamFields, obs,
         raise
     return SolverResult(x=state.x, theta=state.theta, diagnostics=rows)
 
-
-def training_loss(x_true: Trajectory, x_star: Trajectory,
-                  theta_star: ParamFields, lambda1: float = 1.0,
-                  lambda2: float = 1e-3, p0_mode: str = "burnin",
-                  sigma0: float = 1.0, burn_in: int = 20
-                  ) -> tuple[float, float, float]:
-    """(total, reconstruction, prior-likelihood) composite loss.
-
-    The reconstruction term is the mean squared error against the truth;
-    the likelihood term is nll(x_true; theta_star).
-    """
-    if x_true.grid != x_star.grid:
-        raise ValueError("trajectories live on different grids")
-    l1 = float(np.mean((x_true.states - x_star.states)**2))
-    l2 = nll(x_true, theta_star, p0_mode=p0_mode, sigma0=sigma0,
-             burn_in=burn_in)
-    return lambda1 * l1 + lambda2 * l2, l1, l2

@@ -1,8 +1,7 @@
 """First-order update operators shared by the state solver and the fitter.
 
 All three are deterministic maps (x, g) -> x'. Momentum and the adaptive
-update keep internal state, so each optimization run gets fresh instances
-(or calls reset()).
+update keep internal state, so each optimization run gets fresh instances.
 """
 
 from __future__ import annotations
@@ -15,9 +14,6 @@ import numpy as np
 @dataclass
 class PlainStep:
     lr: float
-
-    def reset(self):
-        pass
 
     def update(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         return x - self.lr * g
@@ -32,9 +28,6 @@ class MomentumStep:
     def __post_init__(self):
         if not 0.0 <= self.beta < 1.0:
             raise ValueError("beta must be in [0, 1)")
-
-    def reset(self):
-        self._v = None
 
     def update(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         if self._v is None:
@@ -62,11 +55,6 @@ class AdamStep:
     def __post_init__(self):
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("beta1/beta2 must be in [0, 1)")
-
-    def reset(self):
-        self._m = None
-        self._v = None
-        self._k = 0
 
     def update(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         if self._m is None:

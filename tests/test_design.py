@@ -1,11 +1,14 @@
 """Rules the package's signatures keep: the prior at a theta travels as one
-object (``precision.PriorStructure``), never as loose pieces, and a grid
-passed beside theta must be theta's own."""
+object (``precision.PriorStructure``), never as loose pieces, a grid
+passed beside theta must be theta's own, and only ``linalg`` writes and
+factors SPD bands."""
 
 import dataclasses
 import importlib
 import inspect
+import pathlib
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -103,3 +106,16 @@ def test_a_grid_other_than_thetas_is_refused(name, change):
     call(theta, dataclasses.replace(g))        # an equal grid is theta's
     with pytest.raises(ValueError, match="is not theta's grid"):
         call(theta, dataclasses.replace(g, **change))
+
+
+def test_only_linalg_writes_and_factors_bands():
+    # every SPD factor goes through linalg (sparse_cholesky or
+    # factor_precision), so no other module names its band writer, its
+    # band factor or the LAPACK call under them
+    band_code = re.compile(r"\b(lower_band|cholesky_banded|dpbtrf)\b")
+    sources = sorted(pathlib.Path(spdekit.__file__).parent.glob("*.py"))
+    assert "linalg.py" in {path.name for path in sources}
+    offenders = [f"{path.name}: {name}" for path in sources
+                 if path.name != "linalg.py"
+                 for name in band_code.findall(path.read_text())]
+    assert offenders == []

@@ -285,6 +285,54 @@ def test_log_det_posterior_falls_back_to_cholesky():
     assert log_det_block(qp) == pytest.approx(dense, abs=1e-6)
 
 
+def _posterior(g, seed, p0_mode, density=0.2):
+    rng = np.random.default_rng(seed)
+    mask = rng.random(g.shape) < density
+    n = int(mask.sum())
+    q = assemble_block_precision(random_theta(g, seed), g, p0_mode=p0_mode)
+    return posterior_precision(
+        q, ObservationSet(g, mask, rng.standard_normal(n), np.full(n, 0.1)))
+
+
+@pytest.mark.parametrize("p0_mode", ["burnin", "white"])
+def test_log_det_block_posterior_past_the_dense_guard(p0_mode):
+    # at 24x24x10 (dim 5760 > DENSE_GUARD) the scaled, ordered factor's
+    # log-det is the unscaled time-major sparse_cholesky's
+    from spdekit.oi import DENSE_GUARD
+    g = SpaceTimeGrid(nx=24, ny=24, nt=10)
+    assert g.dim > DENSE_GUARD
+    qp = _posterior(g, 11, p0_mode)
+    ref = sparse_cholesky(qp.to_csr()).logdet()
+    assert abs(log_det_block(qp) - ref) <= 1e-13 * abs(ref)
+
+
+def test_log_det_block_posterior_takes_the_narrower_ordering(monkeypatch):
+    # at 6x6x2 with a white start the row-time order's band is p = 26,
+    # against 43 time-major, and log_det_block factors in it
+    from spdekit import linalg
+    widths = []
+
+    def spy(band, *args):
+        widths.append(band.shape[0] - 1)
+        return cholesky_banded(band, *args)
+
+    monkeypatch.setattr(linalg, "cholesky_banded", spy)
+    g = SpaceTimeGrid(nx=6, ny=6, nt=2)
+    qp = _posterior(g, 12, "white", density=0.3)
+    value = log_det_block(qp)
+    assert widths == [26]
+    sign, dense = np.linalg.slogdet(qp.to_csr().toarray())
+    assert sign > 0 and value == pytest.approx(dense, abs=1e-8)
+
+
+def test_log_det_block_refuses_an_asymmetric_precision():
+    g = SpaceTimeGrid(nx=4, ny=4, nt=3)
+    a = assemble_block_precision(random_theta(g, 13), g).to_csr().tolil()
+    a[20, 23] += 1.0
+    with pytest.raises(ValueError, match="not symmetric"):
+        log_det_block(BlockPrecision(g, sparse.csr_array(a)))
+
+
 def test_cholesky_backward_scalar():
     a, g = 2.5, 0.7
     lower = np.array([[np.sqrt(a)]])

@@ -274,8 +274,8 @@ def test_non_positive_definite_posterior_names_its_row():
 @pytest.mark.parametrize("row", [30, 71])
 def test_empty_posterior_row_names_its_row(row):
     # a hand-built Q with one row and column zeroed, that cell unobserved:
-    # the row holds no entry, not even its diagonal, so the ordering scan
-    # keeps time-major and the factor reports the zero pivot, typed, on a
+    # the row holds no entry, not even its diagonal, so the factor's
+    # diagonal check reports it, typed, before the ordering scan, on a
     # 6x6x2 grid where a full Q would take row-time
     from scipy import sparse
 
@@ -290,10 +290,28 @@ def test_empty_posterior_row_names_its_row(row):
     assert a.indptr[row] == a.indptr[row + 1]
     q = BlockPrecision(g, a)
     obs = ObservationSet(g, np.zeros(g.shape, dtype=bool), [], [])
-    with pytest.raises(NotPositiveDefinite) as info, \
-            np.errstate(divide="ignore"):
+    with pytest.raises(NotPositiveDefinite) as info:
         PosteriorSolver(q, obs)
     assert info.value.row == row
+
+
+def test_negative_diagonal_names_its_row_in_both_factors():
+    # a hand-built Q with one diagonal entry -1, that cell unobserved: the
+    # posterior solver and log_det_block share one factor, which names the
+    # row before it takes the Jacobi scale (no sqrt of a negative number)
+    from scipy import sparse
+
+    from spdekit import BlockPrecision, log_det_block
+    from spdekit.errors import NotPositiveDefinite
+    g = SpaceTimeGrid(nx=4, ny=4, nt=3)
+    a = assemble_block_precision(random_theta(g, 43), g).to_csr().tolil()
+    a[20, 20] = -1.0
+    q = BlockPrecision(g, sparse.csr_array(a))
+    obs = ObservationSet(g, np.zeros(g.shape, dtype=bool), [], [])
+    for call in (lambda: PosteriorSolver(q, obs), lambda: log_det_block(q)):
+        with pytest.raises(NotPositiveDefinite) as info:
+            call()
+        assert info.value.row == 20
 
 
 def test_non_finite_posterior_entry_is_a_value_error():
@@ -349,7 +367,7 @@ def test_posterior_factor_takes_the_narrower_ordering(nx, ny, nt, dy, h12,
 @pytest.mark.parametrize("p0_mode", ["burnin", "white"])
 @pytest.mark.parametrize("seed", range(3))
 def test_both_orderings_agree(monkeypatch, p0_mode, seed):
-    from spdekit import oi
+    from spdekit import linalg
     g = SpaceTimeGrid(nx=7, ny=5, nt=4)
     q = assemble_block_precision(random_theta(g, seed + 50), g,
                                  p0_mode=p0_mode, burn_in=5)
@@ -357,9 +375,9 @@ def test_both_orderings_agree(monkeypatch, p0_mode, seed):
     values = np.column_stack([obs.values, -obs.values, np.ones(obs.n_obs)])
     solved = {}
     for name, order in (("time-major", lambda a, grid: None),
-                        ("row-time", lambda a, grid: oi._row_time_positions(
-                            grid, a.indices.dtype))):
-        monkeypatch.setattr(oi, "_posterior_order", order)
+                        ("row-time", lambda a, grid:
+                         linalg._row_time_positions(grid, a.indices.dtype))):
+        monkeypatch.setattr(linalg, "_posterior_order", order)
         solver = PosteriorSolver(q, obs)
         assert (solver._factor.perm is None) == (name == "time-major")
         solved[name] = solver.solve_columns(values)
@@ -405,22 +423,22 @@ def test_ordering_scan_is_chunked_and_stops_early(monkeypatch):
     # which holds well under one nnz-sized index array
     import tracemalloc
 
-    from spdekit import oi
+    from spdekit import linalg
     from spdekit.precision import posterior_precision
-    monkeypatch.setattr(oi, "_SCAN", 1000)
+    monkeypatch.setattr(linalg, "_SCAN", 1000)
     g = SpaceTimeGrid(nx=16, ny=16, nt=3)
     theta = random_theta(g, 64)
     obs = _random_obs(g, 65)
     white = posterior_precision(
         assemble_block_precision(theta, g, p0_mode="white"), obs).to_csr()
-    assert white.nnz > 10 * oi._SCAN
-    assert np.array_equal(oi._posterior_order(white, g),
-                          oi._row_time_positions(g, white.indices.dtype))
+    assert white.nnz > 10 * linalg._SCAN
+    assert np.array_equal(linalg._posterior_order(white, g),
+                          linalg._row_time_positions(g, white.indices.dtype))
     burnin = posterior_precision(
         assemble_block_precision(theta, g, burn_in=3), obs).to_csr()
     tracemalloc.start()
     try:
-        assert oi._posterior_order(burnin, g) is None
+        assert linalg._posterior_order(burnin, g) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

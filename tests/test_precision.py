@@ -6,8 +6,8 @@ import pytest
 from spdekit import (BlockPrecision, InitialCondition, ObservationSet,
                      ParamFields, SpaceTimeGrid, apply_precision,
                      assemble_block_precision, dense_trajectory_covariance,
-                     dump_coordinate_triplets, posterior_precision,
-                     sample_prior, sparse_cholesky, transition_from_drift)
+                     posterior_precision, sample_prior, sparse_cholesky,
+                     transition_from_drift)
 from spdekit.errors import DegenerateNoise
 from spdekit.precision import PriorStructure, build_prior, prior_precision
 
@@ -244,22 +244,6 @@ def test_block_tridiagonal_sparsity():
     full = q.to_csr().tocoo()
     for i, j in zip(full.row, full.col):
         assert abs(int(i) // g.m - int(j) // g.m) <= 1
-
-
-def test_coordinate_triplet_dump(tmp_path):
-    g = SpaceTimeGrid(nx=3, ny=3, nt=2)
-    theta = random_theta(g, 9)
-    q = assemble_block_precision(theta, g, p0_mode="white")
-    path = tmp_path / "q.txt"
-    dump_coordinate_triplets(q, path)
-    lines = path.read_text().strip().splitlines()
-    header = lines[0].split()
-    assert header[1:] == [str(g.dim), str(g.dim), str(q.to_csr().nnz)]
-    rebuilt = np.zeros((g.dim, g.dim))
-    for line in lines[1:]:
-        i, j, v = line.split()
-        rebuilt[int(i), int(j)] = float(v)
-    assert np.max(np.abs(rebuilt - q.to_csr().toarray())) < 1e-15
 
 
 def test_interpolation_precision_keeps_no_tape():

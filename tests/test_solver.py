@@ -5,9 +5,8 @@ import pytest
 
 from spdekit import (AugmentedState, ObservationSet, ParamFields,
                      SolverConfig, SpaceTimeGrid, Trajectory,
-                     apply_precision, assemble_block_precision, nll_grad,
-                     oi_solve_precision, run_solver, sample_prior,
-                     training_loss)
+                     apply_precision, assemble_block_precision, nll,
+                     nll_grad, oi_solve_precision, run_solver, sample_prior)
 from spdekit.errors import DivergedStep
 from spdekit.estimation import PARAM_NAMES
 from spdekit.solver import SolverRuntime, _advance, _state_gradient
@@ -474,25 +473,12 @@ def test_joint_mode_improves_parameters():
     assert theta_rmse(res.theta) < theta_rmse(theta0)
 
 
-def test_training_loss_identities():
-    g, theta, _ = _case()
-    rng = np.random.default_rng(6)
-    x_true = Trajectory.from_flat(g, rng.standard_normal(g.dim))
-    total, l1, l2 = training_loss(x_true, x_true.copy(), theta)
-    assert l1 == 0.0
-    x_off = Trajectory.from_flat(g, x_true.flat + 1.0)
-    total, l1, l2 = training_loss(x_true, x_off, theta, lambda2=0.0)
-    assert total == pytest.approx(l1)
-    assert l1 == pytest.approx(np.mean((x_true.states - x_off.states)**2))
-
-
 def test_training_loss_nll_matches_dense_gaussian():
     from scipy.stats import multivariate_normal
     from spdekit import dense_trajectory_covariance
     g = SpaceTimeGrid(nx=4, ny=4, nt=3)
     theta = random_theta(g, 7)
     x = sample_prior(theta, g, n_members=1, base_seed=8).members[0]
-    _, _, l2 = training_loss(x, Trajectory.zeros(g), theta)
     cov = dense_trajectory_covariance(theta, g)
     oracle = -multivariate_normal(mean=np.zeros(g.dim), cov=cov).logpdf(x.flat)
-    assert l2 == pytest.approx(oracle, abs=1e-6)
+    assert nll(x, theta) == pytest.approx(oracle, abs=1e-6)
